@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import Engine
+from repro.traces.blockstore import BlockStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -130,6 +131,67 @@ class TestFig5Golden:
             ],
         }
         check_golden("fig5_keyrank_stream", payload, update_goldens)
+
+
+class _RecordingStore(BlockStore):
+    """A block store that remembers every key it publishes, in order,
+    split into trace blocks and attack-state snapshots."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.published = {"blocks": [], "attack_states": []}
+
+    def put(self, key, arrays, meta=None):
+        kind = "attack_states" if (meta or {}).get("kind") == "attack-state" else "blocks"
+        self.published[kind].append(key)
+        return super().put(key, arrays, meta=meta)
+
+
+class TestEngineBlockKeysGolden:
+    """Absolute cache keys of tiny single-sensor campaigns.  Keys are
+    content addresses shared by every local cache and remote fleet: an
+    engine change that moves one orphans all of them."""
+
+    def test_block_and_attack_state_keys(self, tmp_path, update_goldens):
+        from functools import partial
+
+        from repro.attacks.cpa import CPAAttack
+        from repro.experiments import common
+        from repro.experiments.table1_traces import placement_acquisition
+
+        def published(name, campaign):
+            store = _RecordingStore(tmp_path / name)
+            campaign(Engine(workers=1, shard_size=256, cache=store))
+            return store.published
+
+        acq = placement_acquisition("P6")
+        key = bytes(range(16))
+        collect = published(
+            "collect", lambda e: e.collect(acq, 600, key=key, seed=3)
+        )
+        stream = published(
+            "stream",
+            lambda e: e.stream_attack(
+                acq, 600, key=key, seed=3,
+                consumer_factory=partial(CPAAttack, acq.default_n_samples()),
+                checkpoints=[200, 512, 600],
+            ),
+        )
+        setup = common.Basys3Setup.create()
+        virus = common.make_virus(setup, n_instances=800, n_groups=8)
+        sensor = common.make_leakydsp(
+            setup, common.region_pblock(setup.device, 2), seed=9
+        )
+        characterize = published(
+            "characterize",
+            lambda e: e.characterize(sensor, setup.coupling, virus, 4, 600, seed=11),
+        )
+        payload = {
+            "collect": collect["blocks"],
+            "stream": stream,
+            "characterize": characterize["blocks"],
+        }
+        check_golden("engine_block_keys", payload, update_goldens)
 
 
 class TestTvlaGolden:
