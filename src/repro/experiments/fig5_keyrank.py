@@ -22,7 +22,6 @@ from repro.experiments import common, registry
 from repro.experiments.table1_traces import (
     collect_placement_traces,
     disclosure_curve,
-    streamed_placement_curve,
     streamed_placement_curves,
 )
 from repro.runtime import Engine, ProgressEvent
@@ -102,13 +101,12 @@ def run_fig5(
     With an ``engine``, campaigns stream shard-by-shard into the CPA
     accumulators — bit-identical rank curves, peak memory bounded by
     one shard instead of the whole campaign, and key-rank progress
-    reported incrementally through the engine's progress hook.  Two or
-    more placements ride one fan-out campaign
+    reported incrementally through the engine's progress hook.  All
+    placements ride one fan-out campaign
     (:func:`~repro.experiments.table1_traces.
     streamed_placement_curves`, the shared AES+PDN pass paid once per
-    shard); a single placement keeps the historical single-sensor
-    stream — same RNG child 0 either way, so the per-placement curves
-    (and their cache blocks) are identical across both shapes.
+    shard) on RNG child 0, so each placement's curve (and its cache
+    blocks) is identical to streaming that placement alone.
     """
     result = Fig5Result(rating_at=rating_at)
     if engine is None:
@@ -127,22 +125,6 @@ def run_fig5(
         return result
 
     campaign_rng = root_sequence(rng).spawn(1)[0]
-    if len(placements) == 1:
-        placement = placements[0]
-        curve, _attack = streamed_placement_curve(
-            engine,
-            placement,
-            n_traces,
-            step,
-            "LeakyDSP",
-            seed=seed,
-            rng=campaign_rng,
-            chunk_size=chunk_size,
-            on_point=_rank_progress(placement, n_traces, engine),
-        )
-        result.curves[placement] = curve
-        return result
-
     progress = [_rank_progress(p, n_traces, engine) for p in placements]
 
     def on_point(index: int, point) -> None:

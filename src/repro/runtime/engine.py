@@ -11,6 +11,16 @@ Because the shard plan and the per-shard streams depend only on the
 workload and the root seed, the resulting traces are **bit-identical
 for any worker count**.
 
+There is one path per campaign kind — ``collect``, ``stream`` and
+``characterize`` — and it always runs N sensors observing one victim
+(:class:`~repro.traces.acquisition.MultiSensorAcquisition`).  A
+single-sensor campaign is the N=1 case: :meth:`Engine.collect`,
+:meth:`Engine.stream_attack` and :meth:`Engine.characterize` wrap a
+fan-out of one.  The ``acquire_many`` contract makes each sensor of a
+fan-out bit-identical to a campaign over that sensor alone, and each
+sensor's block keys are exactly its single-sensor keys, so the shape of
+a campaign changes neither its results nor its cache addresses.
+
 Result buffers live in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`): each worker writes its shard's
 slice directly, so trace arrays are never pickled through the result
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +48,6 @@ import numpy as np
 
 from repro.analysis.streaming import iter_chunk_slices, validate_chunk_size
 from repro.backends.threads import pin_worker_threads
-from repro.config import RngLike
 from repro.core.sensor import VoltageSensor
 from repro.errors import ConfigurationError
 from repro.kernels import StageProfile
@@ -109,56 +119,97 @@ ProgressFn = Callable[[ProgressEvent], None]
 
 # ----------------------------------------------------------------------
 # Shard bodies — shared verbatim by the serial and pooled paths, which
-# is what makes worker count irrelevant to the output.  Each body first
-# offers its shard to the block store (when one is configured): a hit
-# replays the stored block through a read-only memory map, a miss
-# acquires live and publishes the block for every later campaign.
-# Cached blocks are bit-identical to live acquisition by construction
-# (same key => same config, same RNG lineage), so cache state can never
-# change a result — only its cost.
+# is what makes worker count irrelevant to the output.  One shard covers
+# N (sensor, placement) pairs.  Each body first offers its shard to the
+# block store (when one is configured), *per sensor*: each sub-block key
+# is the exact key a single-sensor campaign over that pair would use.
+# A shard where every sensor hits is a "hit" (replayed through read-only
+# memory maps), where none hit a "miss" (acquired live and published),
+# and a mixed shard a "partial": the hit sensors are served from their
+# blocks and only the missing ones acquired (skip semantics keep the
+# missing sensors' draws bit-identical).  Cached blocks are
+# bit-identical to live acquisition by construction (same key => same
+# config, same RNG lineage), so cache state can never change a result —
+# only its cost.
 # ----------------------------------------------------------------------
 
 
+def _block_meta(
+    seed_seq: np.random.SeedSequence, n_sensors: int, index: int, **extra
+) -> Dict[str, object]:
+    """Provenance of a published block.  Sub-blocks of a fan-out wider
+    than one also record their sensor slot (``repro cache stats``
+    counts them)."""
+    meta: Dict[str, object] = {"lineage": seed_lineage(seed_seq), **extra}
+    if n_sensors > 1:
+        meta["fanout"] = {"sensors": n_sensors, "index": index}
+    return meta
+
+
+def _cache_outcome(sub_hits: int, n_sensors: int) -> str:
+    return "hit" if sub_hits == n_sensors else "partial" if sub_hits else "miss"
+
+
 def _acquire_or_replay(
-    acq: AESTraceAcquisition,
+    msa: MultiSensorAcquisition,
     aes: AES128,
     n_samples: int,
     shard: Shard,
     seed_seq: np.random.SeedSequence,
     profile: StageProfile,
     store: Optional[BlockStore],
-    key: Optional[str],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str, int]:
-    """One shard's ``(readouts, pts, cts)`` — replayed from the block
-    store on a hit, acquired live (and published) on a miss.
+    keys: Optional[Sequence[str]],
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, str, Dict[str, int]]:
+    """One shard's per-sensor readouts, with a per-sensor cache.
 
-    On a hit the returned arrays are read-only memmap views over the
-    block file: consumers stream from the page cache without a copy.
+    Returns ``(readouts_list, pts, cts, cache, cache_stats)`` where
+    ``cache_stats`` carries the keyword arguments of
+    :func:`_shard_metrics` (byte split plus sub-block counters).  Hit
+    arrays are read-only memmap views over the block files: consumers
+    stream from the page cache without a copy.
     """
+    n_sensors = len(msa)
+    blocks: List[Optional[object]] = [None] * n_sensors
+    bytes_read = 0
     if store is not None:
         with profile.stage("cache", items=shard.size) as acct:
-            block = store.get(key)
-            if block is not None:
-                acct.nbytes += block.nbytes
-        if block is not None:
-            a = block.arrays
-            return a["traces"], a["pts"], a["cts"], "hit", block.nbytes
+            blocks = [store.get(k) for k in keys]
+            bytes_read = sum(b.nbytes for b in blocks if b is not None)
+            acct.nbytes += bytes_read
+    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
+    if store is not None and len(skip) == n_sensors:
+        first = blocks[0].arrays
+        readouts = [b.arrays["traces"] for b in blocks]
+        stats = dict(bytes_read=bytes_read, sub_hits=n_sensors)
+        return readouts, first["pts"], first["cts"], "hit", stats
     rng = np.random.default_rng(seed_seq)
     shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
-    readouts, shard_cts = acq.acquire_block(
-        aes, shard_pts, rng, n_samples, profile=profile
+    results = msa.acquire_block_many(
+        aes, shard_pts, rng, n_samples, profile=profile, skip=skip
     )
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            before = store.counters.bytes_written
-            store.put(
-                key,
-                {"traces": readouts, "pts": shard_pts, "cts": shard_cts},
-                meta={"lineage": seed_lineage(seed_seq), "block_items": shard.size},
-            )
-            acct.nbytes += store.counters.bytes_written - before
-        return readouts, shard_pts, shard_cts, "miss", store.counters.bytes_written - before
-    return readouts, shard_pts, shard_cts, "", 0
+    shard_cts = next(r[1] for r in results if r is not None)
+    readouts = [
+        blocks[i].arrays["traces"] if i in skip else results[i][0]
+        for i in range(n_sensors)
+    ]
+    if store is None:
+        return readouts, shard_pts, shard_cts, "", {}
+    with profile.stage("cache", items=shard.size) as acct:
+        before = store.counters.bytes_written
+        for i in range(n_sensors):
+            if i not in skip:
+                store.put(
+                    keys[i],
+                    {"traces": readouts[i], "pts": shard_pts, "cts": shard_cts},
+                    meta=_block_meta(seed_seq, n_sensors, i, block_items=shard.size),
+                )
+        bytes_written = store.counters.bytes_written - before
+        acct.nbytes += bytes_written
+    stats = dict(
+        bytes_read=bytes_read, bytes_written=bytes_written,
+        sub_hits=len(skip), sub_misses=n_sensors - len(skip),
+    )
+    return readouts, shard_pts, shard_cts, _cache_outcome(len(skip), n_sensors), stats
 
 
 def _shard_metrics(
@@ -167,25 +218,18 @@ def _shard_metrics(
     start: float,
     seconds: float,
     cache: str,
-    cache_nbytes: int,
     *,
-    bytes_read: Optional[int] = None,
-    bytes_written: Optional[int] = None,
+    bytes_read: int = 0,
+    bytes_written: int = 0,
     sub_hits: int = 0,
     sub_misses: int = 0,
 ) -> ShardMetrics:
     """Lift a shard's profile into its span subtree + metrics view.
 
-    Single-sensor shards leave the read/write split implicit (a hit is
-    all read, a miss all written) and carry no sub-block counters; the
-    fan-out bodies pass all four explicitly, and only then do the
-    sub-block counters appear in the span (existing span shapes stay
-    untouched).
+    The sub-block counters appear in the span only when nonzero (shards
+    with the cache off and attack-state replays carry none).
     """
-    if bytes_read is None:
-        bytes_read = cache_nbytes if cache == "hit" else 0
-    if bytes_written is None:
-        bytes_written = cache_nbytes if cache == "miss" else 0
+    cache_nbytes = bytes_read + bytes_written
     counters: Dict[str, float] = {
         "items": shard.size, "cache_nbytes": cache_nbytes
     }
@@ -247,29 +291,24 @@ def _attach_remote_delta(
     return metrics
 
 
-def _checkpoint_event(
-    n_traces: int, consumer: object, sensor: Optional[int] = None
-) -> SpanRecord:
-    """A zero-duration checkpoint span, carrying the accumulator's
-    state counters when the consumer exposes them.  Fan-out campaigns
-    tag each event with the sensor index it belongs to."""
+def _checkpoint_event(n_traces: int, consumer: object, sensor: int) -> SpanRecord:
+    """A zero-duration checkpoint span tagged with its sensor index,
+    carrying the accumulator's state counters when the consumer exposes
+    them."""
     counters: Dict[str, float] = {"n_traces": float(n_traces)}
     get = getattr(consumer, "telemetry_counters", None)
     if callable(get):
         counters.update(get())
-    attrs: Dict[str, object] = {"n_traces": int(n_traces)}
-    if sensor is not None:
-        attrs["sensor"] = int(sensor)
     return SpanRecord(
         name="checkpoint",
         start=time.time(),
-        attrs=attrs,
+        attrs={"n_traces": int(n_traces), "sensor": int(sensor)},
         counters=counters,
     )
 
 
 def _run_collect_shard(
-    acq: AESTraceAcquisition,
+    msa: MultiSensorAcquisition,
     aes: AES128,
     n_samples: int,
     shard: Shard,
@@ -278,26 +317,29 @@ def _run_collect_shard(
     pts: np.ndarray,
     cts: np.ndarray,
     store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
+    keys: Optional[Sequence[str]] = None,
 ) -> ShardMetrics:
+    """Acquire one shard into the result buffers; ``traces`` is the
+    ``(n_sensors, n_traces, n_samples)`` buffer."""
     start = time.time()
     t0 = time.perf_counter()
     snap = _remote_snapshot(store)
     profile = StageProfile()
-    readouts, shard_pts, shard_cts, cache, cache_nbytes = _acquire_or_replay(
-        acq, aes, n_samples, shard, seed_seq, profile, store, key
+    readouts, shard_pts, shard_cts, cache, stats = _acquire_or_replay(
+        msa, aes, n_samples, shard, seed_seq, profile, store, keys
     )
-    traces[shard.slice] = readouts
+    for i, block in enumerate(readouts):
+        traces[i][shard.slice] = block
     pts[shard.slice] = shard_pts
     cts[shard.slice] = shard_cts
     metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
+        shard, profile, start, time.perf_counter() - t0, cache, **stats
     )
     return _attach_remote_delta(metrics, store, snap)
 
 
 def _run_stream_shard(
-    acq: AESTraceAcquisition,
+    msa: MultiSensorAcquisition,
     aes: AES128,
     n_samples: int,
     shard: Shard,
@@ -306,9 +348,10 @@ def _run_stream_shard(
     chunk_size: Optional[int],
     boundaries: Tuple[int, ...],
     store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
-) -> Tuple[ShardMetrics, List[Tuple[int, object]]]:
-    """Acquire one shard and fold it into per-segment accumulators.
+    keys: Optional[Sequence[str]] = None,
+) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
+    """Acquire one shard and fold each sensor's readouts into
+    per-segment accumulators.
 
     The random draws are identical to :func:`_run_collect_shard` (same
     plaintexts, same noise), so a streamed campaign sees exactly the
@@ -316,8 +359,10 @@ def _run_stream_shard(
     shard is split at the global checkpoint ``boundaries`` so the
     parent can evaluate the attack at exact trace counts; each segment
     becomes one fresh accumulator from ``consumer_factory``, fed in
-    ``chunk_size`` pieces.  Returns ``(metrics, [(end, accumulator),
-    ...])`` with ``end`` the global trace count the segment closes at.
+    ``chunk_size`` pieces.  Returns ``(metrics, per_sensor_segments)``
+    where ``per_sensor_segments[i]`` is sensor ``i``'s ``[(end,
+    accumulator), ...]`` list, ``end`` the global trace count the
+    segment closes at.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
@@ -328,214 +373,7 @@ def _run_stream_shard(
     t0 = time.perf_counter()
     snap = _remote_snapshot(store)
     profile = StageProfile()
-    readouts, _shard_pts, shard_cts, cache, cache_nbytes = _acquire_or_replay(
-        acq, aes, n_samples, shard, seed_seq, profile, store, key
-    )
-    cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
-    edges = [0, *cuts, shard.size]
-    segments: List[Tuple[int, object]] = []
-    with profile.stage("accumulate", items=shard.size):
-        for lo, hi in zip(edges, edges[1:]):
-            part = consumer_factory()
-            for sl in iter_chunk_slices(hi - lo, chunk_size):
-                part.update(
-                    readouts[lo + sl.start : lo + sl.stop],
-                    shard_cts[lo + sl.start : lo + sl.stop],
-                )
-            segments.append((shard.start + hi, part))
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
-    )
-    return _attach_remote_delta(metrics, store, snap), segments
-
-
-def _run_characterize_shard(
-    sensor: VoltageSensor,
-    droop: float,
-    noise: NoiseModel,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    out: np.ndarray,
-    store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
-) -> ShardMetrics:
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    cache, cache_nbytes = "", 0
-    block = None
-    if store is not None:
-        with profile.stage("cache", items=shard.size):
-            block = store.get(key)
-    if block is not None:
-        out[shard.slice] = block.arrays["readouts"]
-        cache, cache_nbytes = "hit", block.nbytes
-    else:
-        rng = np.random.default_rng(seed_seq)
-        readouts = characterize_block(
-            sensor, droop, noise, shard.size, rng, profile=profile
-        )
-        out[shard.slice] = readouts
-        if store is not None:
-            with profile.stage("cache", items=shard.size):
-                before = store.counters.bytes_written
-                store.put(
-                    key,
-                    {"readouts": readouts},
-                    meta={"lineage": seed_lineage(seed_seq)},
-                )
-            cache, cache_nbytes = "miss", store.counters.bytes_written - before
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
-    )
-    return _attach_remote_delta(metrics, store, snap)
-
-
-# ----------------------------------------------------------------------
-# Fan-out shard bodies.  One shard of a fan-out campaign covers N
-# (sensor, placement) pairs: the kernel's ``acquire_many`` computes the
-# shared AES+PDN pass once and samples each sensor from it, and the
-# block store is consulted *per sensor* — each sub-block key is the
-# exact key a single-sensor campaign over that pair would use, so
-# fan-out and single-sensor campaigns share cached blocks freely in
-# both directions.  A shard where every sensor hits is a "hit", where
-# none hit a "miss", and a mixed shard a "partial": the hit sensors
-# are served from their blocks and only the missing ones acquired
-# (skip semantics keep the missing sensors' draws bit-identical).
-# ----------------------------------------------------------------------
-
-
-def _acquire_or_replay_many(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    profile: StageProfile,
-    store: Optional[BlockStore],
-    keys: Optional[Sequence[Optional[str]]],
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, str, Dict[str, int]]:
-    """One fan-out shard's per-sensor readouts, with per-sensor cache.
-
-    Returns ``(readouts_list, pts, cts, cache, cache_stats)`` where
-    ``cache_stats`` carries the keyword arguments of
-    :func:`_shard_metrics` (byte split plus sub-block counters).
-    """
-    n_sensors = len(msa)
-    blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            blocks = [store.get(k) for k in keys]
-            bytes_read = sum(b.nbytes for b in blocks if b is not None)
-            acct.nbytes += bytes_read
-    sub_hits = sum(1 for b in blocks if b is not None)
-    if store is not None and sub_hits == n_sensors:
-        first = blocks[0].arrays
-        readouts = [b.arrays["traces"] for b in blocks]
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=0,
-            sub_hits=sub_hits, sub_misses=0,
-        )
-        return readouts, first["pts"], first["cts"], "hit", stats
-    rng = np.random.default_rng(seed_seq)
-    shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
-    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
-    results = msa.acquire_block_many(
-        aes, shard_pts, rng, n_samples, profile=profile, skip=skip
-    )
-    shard_cts = next(r[1] for r in results if r is not None)
-    readouts = [
-        blocks[i].arrays["traces"] if i in skip else results[i][0]
-        for i in range(n_sensors)
-    ]
-    bytes_written = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            before = store.counters.bytes_written
-            for i in range(n_sensors):
-                if i in skip:
-                    continue
-                store.put(
-                    keys[i],
-                    {"traces": results[i][0], "pts": shard_pts, "cts": shard_cts},
-                    meta={
-                        "lineage": seed_lineage(seed_seq),
-                        "block_items": shard.size,
-                        "fanout": {"sensors": n_sensors, "index": i},
-                    },
-                )
-            bytes_written = store.counters.bytes_written - before
-            acct.nbytes += bytes_written
-        cache = "partial" if sub_hits else "miss"
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=bytes_written,
-            sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
-        )
-        return readouts, shard_pts, shard_cts, cache, stats
-    return readouts, shard_pts, shard_cts, "", dict(
-        bytes_read=0, bytes_written=0, sub_hits=0, sub_misses=0
-    )
-
-
-def _run_collect_many_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    traces: np.ndarray,
-    pts: np.ndarray,
-    cts: np.ndarray,
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
-) -> ShardMetrics:
-    """Fan-out counterpart of :func:`_run_collect_shard` — ``traces``
-    is the ``(n_sensors, n_traces, n_samples)`` result buffer."""
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts, shard_pts, shard_cts, cache, stats = _acquire_or_replay_many(
-        msa, aes, n_samples, shard, seed_seq, profile, store, keys
-    )
-    for i, block in enumerate(readouts):
-        traces[i][shard.slice] = block
-    pts[shard.slice] = shard_pts
-    cts[shard.slice] = shard_cts
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap)
-
-
-def _run_stream_many_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    consumer_factory: Callable[[], object],
-    chunk_size: Optional[int],
-    boundaries: Tuple[int, ...],
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
-) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
-    """Fan-out counterpart of :func:`_run_stream_shard`.
-
-    Returns ``(metrics, per_sensor_segments)`` where
-    ``per_sensor_segments[i]`` is the ``[(end, accumulator), ...]``
-    list sensor ``i``'s readouts folded into — same segmentation, same
-    chunking, so each sensor's fold is bit-identical to streaming that
-    sensor alone.
-    """
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts_list, _shard_pts, shard_cts, cache, stats = _acquire_or_replay_many(
+    readouts_list, _shard_pts, shard_cts, cache, stats = _acquire_or_replay(
         msa, aes, n_samples, shard, seed_seq, profile, store, keys
     )
     cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
@@ -553,14 +391,13 @@ def _run_stream_many_shard(
                     )
                 segments.append((shard.start + hi, part))
             per_sensor.append(segments)
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
     metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
+        shard, profile, start, time.perf_counter() - t0, cache, **stats
     )
     return _attach_remote_delta(metrics, store, snap), per_sensor
 
 
-def _run_characterize_many_shard(
+def _run_characterize_shard(
     sensors: Sequence[VoltageSensor],
     droops: Sequence[float],
     noises: Sequence[NoiseModel],
@@ -568,14 +405,14 @@ def _run_characterize_many_shard(
     seed_seq: np.random.SeedSequence,
     out: np.ndarray,
     store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
+    keys: Optional[Sequence[str]] = None,
 ) -> ShardMetrics:
-    """Fan-out counterpart of :func:`_run_characterize_shard` —
-    ``out`` is the ``(n_sensors, n_readouts)`` result buffer.
+    """Characterize one shard for every sensor into ``out``, the
+    ``(n_sensors, n_readouts)`` result buffer.
 
     Every sensor's readouts come from the *same* entry RNG state
-    (restored between sensors), so each row is bit-identical to a
-    single-sensor :meth:`Engine.characterize` with the same seed.
+    (restored between sensors), so row ``i`` is bit-identical to
+    characterizing sensor ``i`` alone with the same seed.
     """
     start = time.time()
     t0 = time.perf_counter()
@@ -583,15 +420,14 @@ def _run_characterize_many_shard(
     profile = StageProfile()
     n_sensors = len(sensors)
     blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = 0
+    bytes_read = bytes_written = 0
     if store is not None:
-        with profile.stage("cache", items=shard.size):
+        with profile.stage("cache", items=shard.size) as acct:
             blocks = [store.get(k) for k in keys]
             bytes_read = sum(b.nbytes for b in blocks if b is not None)
-    sub_hits = sum(1 for b in blocks if b is not None)
+            acct.nbytes += bytes_read
     rng: Optional[np.random.Generator] = None
     entry_state = None
-    bytes_written = 0
     for i in range(n_sensors):
         if blocks[i] is not None:
             out[i][shard.slice] = blocks[i].arrays["readouts"]
@@ -606,41 +442,34 @@ def _run_characterize_many_shard(
         )
         out[i][shard.slice] = readouts
         if store is not None:
-            with profile.stage("cache", items=shard.size):
+            with profile.stage("cache", items=shard.size) as acct:
                 before = store.counters.bytes_written
                 store.put(
                     keys[i],
                     {"readouts": readouts},
-                    meta={
-                        "lineage": seed_lineage(seed_seq),
-                        "fanout": {"sensors": n_sensors, "index": i},
-                    },
+                    meta=_block_meta(seed_seq, n_sensors, i),
                 )
-                bytes_written += store.counters.bytes_written - before
-    if store is None:
-        cache, stats = "", dict(
-            bytes_read=0, bytes_written=0, sub_hits=0, sub_misses=0
-        )
-    else:
-        cache = (
-            "hit" if sub_hits == n_sensors
-            else "partial" if sub_hits else "miss"
-        )
+                acct.nbytes += store.counters.bytes_written - before
+            bytes_written += acct.nbytes
+    cache, stats = "", {}
+    if store is not None:
+        sub_hits = sum(1 for b in blocks if b is not None)
+        cache = _cache_outcome(sub_hits, n_sensors)
         stats = dict(
             bytes_read=bytes_read, bytes_written=bytes_written,
             sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
         )
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
     metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
+        shard, profile, start, time.perf_counter() - t0, cache, **stats
     )
     return _attach_remote_delta(metrics, store, snap)
 
 
 # ----------------------------------------------------------------------
 # Worker-side plumbing.  Workers attach the parent's shared-memory
-# segments once (in the pool initializer) and keep array views for the
-# pool's lifetime; per-shard tasks then only carry (shard, seed).
+# segments once (in the pool initializer) and keep the campaign context
+# and array views for the pool's lifetime; per-shard tasks then only
+# carry (shard, seed, block keys).
 # ----------------------------------------------------------------------
 
 _WORKER: dict = {}
@@ -667,7 +496,10 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return seg
 
 
-def _init_collect_worker(acq, key_bytes, n_samples, buffers, store=None):
+def _init_worker(context: Dict[str, object], buffers, store):
+    """Pool initializer for every campaign kind: ``context`` is what
+    the kind's task needs (harness, cipher, ...), ``buffers`` the
+    shared-memory result buffers to attach."""
     # One BLAS/OMP thread per worker (REPRO_BLAS_THREADS overrides): the
     # pool already claims every core, and nested threadpools thrash.
     pin_worker_threads()
@@ -678,149 +510,31 @@ def _init_collect_worker(acq, key_bytes, n_samples, buffers, store=None):
         segments[label] = seg
         arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
     _WORKER.clear()
-    _WORKER.update(
-        acq=acq,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        segments=segments,
-        arrays=arrays,
-        store=store,
-    )
+    _WORKER.update(context, segments=segments, arrays=arrays, store=store)
 
 
-def _collect_shard_task(shard: Shard, seed_seq, block_key=None) -> ShardMetrics:
+def _collect_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
     w = _WORKER
     a = w["arrays"]
     return _run_collect_shard(
-        w["acq"], w["aes"], w["n_samples"], shard, seed_seq,
+        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
         a["traces"], a["pts"], a["cts"],
-        store=w["store"], key=block_key,
+        store=w["store"], keys=block_keys,
     )
 
 
-def _init_stream_worker(
-    acq, key_bytes, n_samples, factory, chunk_size, boundaries, store=None
-):
-    pin_worker_threads()
-    _WORKER.clear()
-    _WORKER.update(
-        acq=acq,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        factory=factory,
-        chunk_size=chunk_size,
-        boundaries=boundaries,
-        store=store,
-    )
-
-
-def _stream_shard_task(shard: Shard, seed_seq, block_key=None):
+def _stream_shard_task(shard: Shard, seed_seq, block_keys=None):
     w = _WORKER
     return _run_stream_shard(
-        w["acq"], w["aes"], w["n_samples"], shard, seed_seq,
+        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
         w["factory"], w["chunk_size"], w["boundaries"],
-        store=w["store"], key=block_key,
+        store=w["store"], keys=block_keys,
     )
 
 
-def _init_characterize_worker(sensor, droop, noise, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        sensor=sensor, droop=droop, noise=noise,
-        segments=segments, arrays=arrays, store=store,
-    )
-
-
-def _characterize_shard_task(shard: Shard, seed_seq, block_key=None) -> ShardMetrics:
+def _characterize_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
     w = _WORKER
     return _run_characterize_shard(
-        w["sensor"], w["droop"], w["noise"], shard, seed_seq,
-        w["arrays"]["out"],
-        store=w["store"], key=block_key,
-    )
-
-
-def _init_collect_many_worker(msa, key_bytes, n_samples, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        msa=msa,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        segments=segments,
-        arrays=arrays,
-        store=store,
-    )
-
-
-def _collect_many_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
-    w = _WORKER
-    a = w["arrays"]
-    return _run_collect_many_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        a["traces"], a["pts"], a["cts"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _init_stream_many_worker(
-    msa, key_bytes, n_samples, factory, chunk_size, boundaries, store=None
-):
-    pin_worker_threads()
-    _WORKER.clear()
-    _WORKER.update(
-        msa=msa,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        factory=factory,
-        chunk_size=chunk_size,
-        boundaries=boundaries,
-        store=store,
-    )
-
-
-def _stream_many_shard_task(shard: Shard, seed_seq, block_keys=None):
-    w = _WORKER
-    return _run_stream_many_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        w["factory"], w["chunk_size"], w["boundaries"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _init_characterize_many_worker(sensors, droops, noises, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        sensors=sensors, droops=droops, noises=noises,
-        segments=segments, arrays=arrays, store=store,
-    )
-
-
-def _characterize_many_shard_task(
-    shard: Shard, seed_seq, block_keys=None
-) -> ShardMetrics:
-    w = _WORKER
-    return _run_characterize_many_shard(
         w["sensors"], w["droops"], w["noises"], shard, seed_seq,
         w["arrays"]["out"],
         store=w["store"], keys=block_keys,
@@ -1194,33 +908,43 @@ class Engine:
 
     def _shard_keys(
         self,
-        config_token: Optional[Dict],
+        tokens: Callable[[], Sequence[Dict]],
         shards: Sequence[Shard],
         seqs: Sequence[np.random.SeedSequence],
         **extra,
-    ) -> List[Optional[str]]:
-        """One content address per shard (``None``s with the cache off).
+    ) -> List[Optional[Tuple[str, ...]]]:
+        """Per-shard tuples of per-sensor content addresses (``None``s
+        with the cache off, when ``tokens`` is never called).
 
-        The key binds the full determinism contract: schema version,
-        acquisition config token, the shard's RNG lineage (root seed +
-        shard index, via the spawned child's spawn key) and the block
-        geometry.  Worker count and chunk size are *absent* — they
-        never change content.
+        Sensor ``i``'s key binds the full determinism contract: schema
+        version, its config token ``tokens()[i]``, the shard's RNG
+        lineage (root seed + shard index, via the spawned child's spawn
+        key) and the block geometry.  Worker count, chunk size, kernel
+        choice and fan-out width are *absent* — they never change
+        content — so a sensor's keys are the same alone or in a fan-out
+        of any width, and blocks flow freely between the two.
         """
         if self.cache is None:
             return [None] * len(shards)
-        return [
-            block_key(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "config": config_token,
-                    "lineage": seed_lineage(seq),
-                    "block_items": shard.size,
-                    **extra,
-                }
+        configs = tokens()
+        keys = []
+        for shard, seq in zip(shards, seqs):
+            lineage = seed_lineage(seq)
+            keys.append(
+                tuple(
+                    block_key(
+                        {
+                            "schema": SCHEMA_VERSION,
+                            "config": config,
+                            "lineage": lineage,
+                            "block_items": shard.size,
+                            **extra,
+                        }
+                    )
+                    for config in configs
+                )
             )
-            for shard, seq in zip(shards, seqs)
-        ]
+        return keys
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, done: int, total: int, shard: ShardMetrics) -> None:
@@ -1238,15 +962,28 @@ class Engine:
         n_items: int,
         shards: Sequence[Shard],
         seqs: Sequence[np.random.SeedSequence],
-        serial_body: Callable[[Shard, np.random.SeedSequence, Optional[str]], ShardMetrics],
+        keys: Sequence[Optional[Tuple[str, ...]]],
+        serial_body: Callable,
         pool_task: Callable,
-        pool_initializer: Callable,
-        pool_initargs: Tuple,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> EngineMetrics:
-        """Run a shard plan serially or on a pool, collecting metrics."""
-        if keys is None:
-            keys = [None] * len(shards)
+        context: Dict[str, object],
+        buffers: Optional[Dict[str, Tuple[Tuple[int, ...], np.dtype]]] = None,
+        fold: Optional[Callable[[ShardTask, object], ShardMetrics]] = None,
+        events: Sequence[SpanRecord] = (),
+    ) -> Dict[str, np.ndarray]:
+        """Run a shard plan serially or on a pool; returns the filled
+        result buffers.
+
+        ``buffers`` maps labels to the ``(shape, dtype)`` of the arrays
+        the shard bodies write into: plain arrays handed to
+        ``serial_body(arrays, shard, seq, keys)`` in-process, shared
+        memory attached once per pool worker (with ``context``, see
+        :func:`_init_worker`) otherwise.  ``fold(task, result)`` turns a
+        body's result into its metrics as shards arrive (stream bodies
+        also return accumulators); by default the result *is* the
+        metrics.  ``events`` (filled while the run folds) join the
+        campaign span.
+        """
+        buffers = buffers or {}
         tasks = [
             ShardTask(i, shard, seq, key)
             for i, (shard, seq, key) in enumerate(zip(shards, seqs, keys))
@@ -1257,31 +994,63 @@ class Engine:
             n_shards=len(shards),
             workers=min(self.workers, len(shards)),
         )
-        start = time.time()
-        t0 = time.perf_counter()
-        classes, prefetcher = self._plan_cache_traffic(tasks)
+        shared = _SharedBuffers(buffers) if self.workers > 1 else None
         try:
-            done = 0
-            for task, sm in dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                serial_body=serial_body,
-                pool_task=pool_task,
-                pool_initializer=pool_initializer,
-                pool_initargs=pool_initargs,
-                classes=classes,
-            ):
-                metrics.shards.append(sm)
-                self._publish_after(task, sm)
-                done += task.shard.size
-                self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
-                self._emit(kind, done, n_items, sm)
+            if shared is None:
+                arrays = {
+                    label: np.empty(shape, dtype=dtype)
+                    for label, (shape, dtype) in buffers.items()
+                }
+                body, initargs = partial(serial_body, arrays), ()
+            else:
+                body = None  # unused on the pool path
+                initargs = (context, shared.spec_for_worker, self._worker_cache())
+            start = time.time()
+            t0 = time.perf_counter()
+            classes, prefetcher = self._plan_cache_traffic(tasks)
+            try:
+                done = 0
+                for task, result in dispatch(
+                    tasks,
+                    workers=self.workers,
+                    schedule=self.schedule,
+                    serial_body=body,
+                    pool_task=pool_task,
+                    pool_initializer=_init_worker,
+                    pool_initargs=initargs,
+                    classes=classes,
+                ):
+                    sm = fold(task, result) if fold is not None else result
+                    metrics.shards.append(sm)
+                    self._publish_after(task, sm)
+                    done += task.shard.size
+                    self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
+                    self._emit(kind, done, n_items, sm)
+            finally:
+                self._metric_queue_depth.set(0)
+                if prefetcher is not None:
+                    prefetcher.stop()
+            self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
+            if shared is not None:
+                arrays = {label: shared.copy_out(label) for label in buffers}
+            return arrays
         finally:
-            self._metric_queue_depth.set(0)
-            if prefetcher is not None:
-                prefetcher.stop()
-        return self._finish_metrics(metrics, t0, start, prefetcher=prefetcher)
+            if shared is not None:
+                shared.close()
+
+    @staticmethod
+    def _as_multi(
+        acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
+    ) -> MultiSensorAcquisition:
+        """Normalize a spec/harness sequence to one fan-out harness, with
+        every model table workers would otherwise rebuild warmed (the
+        moments tables ship with the pickled sensors)."""
+        if not isinstance(acquisitions, MultiSensorAcquisition):
+            acquisitions = MultiSensorAcquisition(list(acquisitions))
+        for acq in acquisitions:
+            acq.sensor.precompute_moments()
+            acq.sensor.require_position()
+        return acquisitions
 
     # ------------------------------------------------------------------
     def collect(
@@ -1299,108 +1068,11 @@ class Engine:
         SeedSequence` (generators are rejected — see
         :func:`repro.runtime.sharding.root_sequence`).  For a fixed
         seed the returned :class:`TraceSet` is bit-identical at any
-        worker count.
+        worker count.  This is :meth:`collect_many` over one sensor.
         """
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = acquisition.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        # Warm every model cache workers would otherwise rebuild: the
-        # moments table ships with the pickled sensor.
-        acquisition.sensor.precompute_moments()
-        acquisition.sensor.require_position()
-        keys = self._shard_keys(
-            acquisition.cache_token() if self.cache is not None else None,
-            shards, seqs,
-            n_samples=n_samples,
-            aes_key=bytes(aes.key),
-        )
-
-        if self.workers == 1:
-            traces = np.empty((n_traces, n_samples), dtype=np.int16)
-            pts = np.empty((n_traces, 16), dtype=np.uint8)
-            cts = np.empty((n_traces, 16), dtype=np.uint8)
-            self._drive(
-                "collect", n_traces, shards, seqs,
-                lambda shard, seq, bkey: _run_collect_shard(
-                    acquisition, aes, n_samples, shard, seq, traces, pts, cts,
-                    store=self.cache, key=bkey,
-                ),
-                _collect_shard_task, _init_collect_worker, (),
-                keys=keys,
-            )
-        else:
-            buffers = _SharedBuffers(
-                {
-                    "traces": ((n_traces, n_samples), np.dtype(np.int16)),
-                    "pts": ((n_traces, 16), np.dtype(np.uint8)),
-                    "cts": ((n_traces, 16), np.dtype(np.uint8)),
-                }
-            )
-            try:
-                self._drive(
-                    "collect", n_traces, shards, seqs,
-                    lambda shard, seq, bkey: None,  # unused on the pool path
-                    _collect_shard_task,
-                    _init_collect_worker,
-                    (
-                        acquisition, bytes(aes.key), n_samples,
-                        buffers.spec_for_worker, self._worker_cache(),
-                    ),
-                    keys=keys,
-                )
-                traces = buffers.copy_out("traces")
-                pts = buffers.copy_out("pts")
-                cts = buffers.copy_out("cts")
-            finally:
-                buffers.close()
-
-        return TraceSet(
-            traces=traces,
-            plaintexts=pts,
-            ciphertexts=cts,
-            key=aes.key,
-            metadata=acquisition.trace_metadata(aes),
-        )
-
-    # ------------------------------------------------------------------
-    def _as_multi(
-        self,
-        acquisitions: Union[
-            MultiSensorAcquisition, Sequence[object]
-        ],
-    ) -> MultiSensorAcquisition:
-        """Normalize a spec/harness sequence to one fan-out harness."""
-        if isinstance(acquisitions, MultiSensorAcquisition):
-            return acquisitions
-        return MultiSensorAcquisition(list(acquisitions))
-
-    def _many_shard_keys(
-        self,
-        msa: MultiSensorAcquisition,
-        shards: Sequence[Shard],
-        seqs: Sequence[np.random.SeedSequence],
-        n_samples: int,
-        aes: AES128,
-    ) -> Optional[List[Tuple[Optional[str], ...]]]:
-        """Per-shard tuples of per-sensor block keys.
-
-        Each sensor's key is *exactly* the key a single-sensor campaign
-        over that (sensor, placement) pair would compute — kernel
-        choice, worker count and fan-out width are all absent — so
-        blocks flow freely between fan-out and single-sensor runs.
-        """
-        if self.cache is None:
-            return None
-        per_sensor = [
-            self._shard_keys(
-                token, shards, seqs,
-                n_samples=n_samples, aes_key=bytes(aes.key),
-            )
-            for token in msa.cache_tokens()
-        ]
-        return [tuple(shard_keys) for shard_keys in zip(*per_sensor)]
+        return self.collect_many(
+            [acquisition], n_traces, key=key, seed=seed, n_samples=n_samples
+        )[0]
 
     def collect_many(
         self,
@@ -1428,58 +1100,29 @@ class Engine:
             n_samples = msa.default_n_samples()
         shards = plan_shards(n_traces, self.shard_size)
         seqs = spawn_shard_sequences(seed, len(shards))
-        for acq in msa:
-            acq.sensor.precompute_moments()
-            acq.sensor.require_position()
-        keys = self._many_shard_keys(msa, shards, seqs, n_samples, aes)
-        n_sensors = len(msa)
-
-        if self.workers == 1:
-            traces = np.empty((n_sensors, n_traces, n_samples), dtype=np.int16)
-            pts = np.empty((n_traces, 16), dtype=np.uint8)
-            cts = np.empty((n_traces, 16), dtype=np.uint8)
-            self._drive(
-                "collect_many", n_traces, shards, seqs,
-                lambda shard, seq, bkeys: _run_collect_many_shard(
-                    msa, aes, n_samples, shard, seq, traces, pts, cts,
-                    store=self.cache, keys=bkeys,
-                ),
-                _collect_many_shard_task, _init_collect_many_worker, (),
-                keys=keys,
-            )
-        else:
-            buffers = _SharedBuffers(
-                {
-                    "traces": (
-                        (n_sensors, n_traces, n_samples), np.dtype(np.int16)
-                    ),
-                    "pts": ((n_traces, 16), np.dtype(np.uint8)),
-                    "cts": ((n_traces, 16), np.dtype(np.uint8)),
-                }
-            )
-            try:
-                self._drive(
-                    "collect_many", n_traces, shards, seqs,
-                    lambda shard, seq, bkeys: None,  # unused on the pool path
-                    _collect_many_shard_task,
-                    _init_collect_many_worker,
-                    (
-                        msa, bytes(aes.key), n_samples,
-                        buffers.spec_for_worker, self._worker_cache(),
-                    ),
-                    keys=keys,
-                )
-                traces = buffers.copy_out("traces")
-                pts = buffers.copy_out("pts")
-                cts = buffers.copy_out("cts")
-            finally:
-                buffers.close()
-
+        keys = self._shard_keys(
+            msa.cache_tokens, shards, seqs,
+            n_samples=n_samples, aes_key=bytes(aes.key),
+        )
+        out = self._drive(
+            "collect", n_traces, shards, seqs, keys,
+            lambda a, shard, seq, bkeys: _run_collect_shard(
+                msa, aes, n_samples, shard, seq, a["traces"], a["pts"], a["cts"],
+                store=self.cache, keys=bkeys,
+            ),
+            _collect_shard_task,
+            dict(msa=msa, aes=aes, n_samples=n_samples),
+            buffers={
+                "traces": ((len(msa), n_traces, n_samples), np.dtype(np.int16)),
+                "pts": ((n_traces, 16), np.dtype(np.uint8)),
+                "cts": ((n_traces, 16), np.dtype(np.uint8)),
+            },
+        )
         return [
             TraceSet(
-                traces=traces[i],
-                plaintexts=pts,
-                ciphertexts=cts,
+                traces=out["traces"][i],
+                plaintexts=out["pts"],
+                ciphertexts=out["cts"],
                 key=aes.key,
                 metadata=acq.trace_metadata(aes),
             )
@@ -1542,216 +1185,21 @@ class Engine:
         CPAAttack`) additionally memoize their folded state at every
         checkpoint: an identical later campaign is replayed from those
         snapshots without re-acquiring *or* re-accumulating a single
-        trace, bit-identically.
+        trace, bit-identically.  This is :meth:`stream_attack_many`
+        over one sensor.
         """
-        chunk_size = validate_chunk_size(chunk_size, allow_none=True)
-        boundaries = tuple(int(c) for c in checkpoints)
-        if list(boundaries) != sorted(set(boundaries)):
-            raise ConfigurationError("checkpoints must be strictly increasing")
-        if boundaries and not 0 < boundaries[0] <= boundaries[-1] <= n_traces:
-            raise ConfigurationError(
-                f"checkpoints must lie in 1..{n_traces}, got {boundaries}"
-            )
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = acquisition.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        acquisition.sensor.precompute_moments()
-        acquisition.sensor.require_position()
-        # Streamed and collected campaigns share block keys (and
-        # therefore stored blocks): the acquisition draws are identical.
-        keys = self._shard_keys(
-            acquisition.cache_token() if self.cache is not None else None,
-            shards, seqs,
-            n_samples=n_samples,
-            aes_key=bytes(aes.key),
-        )
+        relay = None
+        if on_checkpoint is not None:
+            def relay(_sensor: int, count: int, acc: object) -> None:
+                on_checkpoint(count, acc)
 
-        # Attack-state snapshots: with a store, a fresh consumer and an
-        # accumulator that can dump/restore its exact sums, the folded
-        # state at every checkpoint (plus the campaign end) is itself
-        # content-addressed — keyed by the attack configuration and the
-        # ordered block keys it covers.  A later identical run replays
-        # the whole campaign from those snapshots, skipping acquisition
-        # *and* re-accumulation; restored sums are bit-exact, so every
-        # derived correlation and key rank is unchanged.
-        state_keys: Dict[int, str] = {}
-        snap_points: List[int] = []
-        if self.cache is not None and consumer is None:
-            probe = consumer_factory()
-            if all(
-                hasattr(probe, m)
-                for m in ("cache_token", "state_arrays", "load_state_arrays")
-            ):
-                attack_token = probe.cache_token()
-                snap_points = sorted({*boundaries, n_traces})
-                stops = [s.stop for s in shards]
-                for end in snap_points:
-                    covering = next(
-                        i + 1 for i, stop in enumerate(stops) if stop >= end
-                    )
-                    state_keys[end] = block_key(
-                        {
-                            "kind": "attack-state",
-                            "schema": SCHEMA_VERSION,
-                            "attack": attack_token,
-                            "blocks": keys[:covering],
-                            "n_traces": end,
-                        }
-                    )
-        if state_keys and all(
-            self.cache.contains(k) for k in state_keys.values()
-        ):
-            replayed = self._replay_attack_states(
-                n_traces, snap_points, state_keys,
-                set(boundaries), on_checkpoint, consumer_factory,
-            )
-            if replayed is not None:
-                return replayed
+        return self._stream(
+            self._as_multi([acquisition]), n_traces, key=key,
+            consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
+            chunk_size=chunk_size, checkpoints=checkpoints, on_checkpoint=relay,
+            consumers=None if consumer is None else [consumer],
+        )[0]
 
-        master = consumer if consumer is not None else consumer_factory()
-        checkpoint_set = set(boundaries)
-        pending: Dict[int, List[Tuple[int, object]]] = {}
-        next_index = 0
-        events: List[SpanRecord] = []
-
-        metrics = EngineMetrics(
-            kind="stream",
-            n_items=n_traces,
-            n_shards=len(shards),
-            workers=min(self.workers, len(shards)),
-        )
-        start = time.time()
-        t0 = time.perf_counter()
-
-        def fold_ready() -> None:
-            """Merge completed shards in index order, firing checkpoints."""
-            nonlocal next_index
-            while next_index in pending:
-                for end, part in pending.pop(next_index):
-                    master.merge(part)
-                    if end in state_keys and not self.cache.contains(
-                        state_keys[end]
-                    ):
-                        # Snapshot the exact state *before* the
-                        # checkpoint callback sees it: the dump is the
-                        # first `end` traces, nothing else.
-                        self.cache.put(
-                            state_keys[end],
-                            master.state_arrays(),
-                            meta={"kind": "attack-state", "n_traces": end},
-                        )
-                    if end in checkpoint_set:
-                        events.append(_checkpoint_event(end, master))
-                        if on_checkpoint is not None:
-                            on_checkpoint(end, master)
-                next_index += 1
-
-        tasks = [
-            ShardTask(i, shard, seq, bkey)
-            for i, (shard, seq, bkey) in enumerate(zip(shards, seqs, keys))
-        ]
-        classes, prefetcher = self._plan_cache_traffic(tasks)
-        try:
-            done = 0
-            for task, (sm, segments) in dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                serial_body=lambda shard, seq, bkey: _run_stream_shard(
-                    acquisition, aes, n_samples, shard, seq,
-                    consumer_factory, chunk_size, boundaries,
-                    store=self.cache, key=bkey,
-                ),
-                pool_task=_stream_shard_task,
-                pool_initializer=_init_stream_worker,
-                pool_initargs=(
-                    acquisition, bytes(aes.key), n_samples,
-                    consumer_factory, chunk_size, boundaries,
-                    self._worker_cache(),
-                ),
-                classes=classes,
-            ):
-                metrics.shards.append(sm)
-                self._publish_after(task, sm)
-                pending[task.shard.index] = segments
-                fold_ready()
-                done += task.shard.size
-                self._emit("stream", done, n_traces, sm)
-        finally:
-            if prefetcher is not None:
-                prefetcher.stop()
-        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
-        return master
-
-    def _replay_attack_states(
-        self,
-        n_traces: int,
-        snap_points: Sequence[int],
-        state_keys: Dict[int, str],
-        checkpoint_set: set,
-        on_checkpoint: Optional[Callable[[int, object], None]],
-        consumer_factory: Callable[[], object],
-    ) -> Optional[object]:
-        """Serve a streamed campaign entirely from attack-state
-        snapshots.
-
-        Every snapshot is fetched (and digest-verified) *before* any
-        checkpoint callback fires, so a damaged state file cannot leave
-        callbacks half-replayed: on any missing or damaged snapshot this
-        returns ``None`` and the caller streams normally, republishing
-        snapshots as it goes.
-        """
-        blocks = {}
-        for end in snap_points:
-            # expect=True: contains() said yes moments ago, so a miss
-            # here is a prune race — counted as `expired`, then the
-            # caller streams the campaign normally.
-            block = self.cache.get(state_keys[end], expect=True)
-            if block is None:
-                return None
-            blocks[end] = block
-        master = consumer_factory()
-        metrics = EngineMetrics(
-            kind="stream",
-            n_items=n_traces,
-            n_shards=len(snap_points),
-            workers=1,
-        )
-        start = time.time()
-        t0 = time.perf_counter()
-        done = 0
-        events: List[SpanRecord] = []
-        for index, end in enumerate(snap_points):
-            state_start = time.time()
-            t_state = time.perf_counter()
-            block = blocks[end]
-            master.load_state_arrays(block.arrays)
-            seconds = time.perf_counter() - t_state
-            profile = StageProfile()
-            profile.add(
-                "cache", seconds, nbytes=block.nbytes, items=end - done
-            )
-            sm = _shard_metrics(
-                Shard(index=index, start=done, stop=end),
-                profile,
-                state_start,
-                seconds,
-                "hit",
-                block.nbytes,
-            )
-            metrics.shards.append(sm)
-            done = end
-            if end in checkpoint_set:
-                events.append(_checkpoint_event(end, master))
-                if on_checkpoint is not None:
-                    on_checkpoint(end, master)
-            self._emit("stream", done, n_traces, sm)
-        self._finish_metrics(metrics, t0, start, events)
-        return master
-
-    # ------------------------------------------------------------------
     def stream_attack_many(
         self,
         acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
@@ -1775,12 +1223,34 @@ class Engine:
         bit-identical to :meth:`stream_attack` over that sensor alone
         with the same seed, at any worker count and chunk size.
 
-        Unlike :meth:`stream_attack`, fan-out streaming does *not*
-        memoize attack-state snapshots — the per-sensor trace blocks
-        themselves are cached (under single-sensor-compatible keys), so
-        a warm rerun replays acquisition from the store; only the
-        accumulation is repeated.
+        Attack-state snapshots are memoized for a fan-out of one only:
+        at N > 1 the per-sensor trace blocks themselves are cached, so
+        a warm rerun replays acquisition from the store and repeats
+        only the accumulation.
         """
+        return self._stream(
+            self._as_multi(acquisitions), n_traces, key=key,
+            consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
+            chunk_size=chunk_size, checkpoints=checkpoints,
+            on_checkpoint=on_checkpoint,
+        )
+
+    def _stream(
+        self,
+        msa: MultiSensorAcquisition,
+        n_traces: int,
+        *,
+        key,
+        consumer_factory: Callable[[], object],
+        seed: SeedLike,
+        n_samples: Optional[int],
+        chunk_size: Optional[int],
+        checkpoints: Sequence[int],
+        on_checkpoint: Optional[Callable[[int, int, object], None]],
+        consumers: Optional[List[object]] = None,
+    ) -> List[object]:
+        """The stream campaign behind both public methods; ``consumers``
+        continues existing per-sensor accumulators."""
         chunk_size = validate_chunk_size(chunk_size, allow_none=True)
         boundaries = tuple(int(c) for c in checkpoints)
         if list(boundaries) != sorted(set(boundaries)):
@@ -1789,87 +1259,203 @@ class Engine:
             raise ConfigurationError(
                 f"checkpoints must lie in 1..{n_traces}, got {boundaries}"
             )
-        msa = self._as_multi(acquisitions)
         aes = AES128(key)
         if n_samples is None:
             n_samples = msa.default_n_samples()
         shards = plan_shards(n_traces, self.shard_size)
         seqs = spawn_shard_sequences(seed, len(shards))
-        for acq in msa:
-            acq.sensor.precompute_moments()
-            acq.sensor.require_position()
-        keys = self._many_shard_keys(msa, shards, seqs, n_samples, aes)
-        if keys is None:
-            keys = [None] * len(shards)
-
-        masters = [consumer_factory() for _ in range(len(msa))]
+        # Streamed and collected campaigns share block keys (and
+        # therefore stored blocks): the acquisition draws are identical.
+        keys = self._shard_keys(
+            msa.cache_tokens, shards, seqs,
+            n_samples=n_samples, aes_key=bytes(aes.key),
+        )
         checkpoint_set = set(boundaries)
+
+        # Attack-state snapshots, for a fresh campaign over one sensor
+        # (at N > 1 the snapshots would outweigh the trace blocks they
+        # summarize).  Replaying them skips acquisition *and*
+        # re-accumulation; restored sums are bit-exact, so every derived
+        # correlation and key rank is unchanged.
+        state_keys: List[Dict[int, str]] = []
+        if self.cache is not None and consumers is None and len(msa) == 1:
+            state_keys = self._attack_state_keys(
+                consumer_factory, keys, shards, sorted({*boundaries, n_traces})
+            )
+        if state_keys and all(
+            self.cache.contains(k) for ends in state_keys for k in ends.values()
+        ):
+            replayed = self._replay_attack_states(
+                n_traces, state_keys, checkpoint_set, on_checkpoint,
+                consumer_factory,
+            )
+            if replayed is not None:
+                return replayed
+
+        masters = list(consumers) if consumers is not None else [
+            consumer_factory() for _ in range(len(msa))
+        ]
         pending: Dict[int, List[List[Tuple[int, object]]]] = {}
         next_index = 0
         events: List[SpanRecord] = []
 
+        def fold(task: ShardTask, result) -> ShardMetrics:
+            """Merge completed shards in index order, snapshotting and
+            firing each checkpoint per sensor, in sensor order."""
+            nonlocal next_index
+            sm, per_sensor = result
+            pending[task.shard.index] = per_sensor
+            while next_index in pending:
+                per_sensor = pending.pop(next_index)
+                for pos, (end, _part) in enumerate(per_sensor[0]):
+                    for s_i, segments in enumerate(per_sensor):
+                        master = masters[s_i]
+                        master.merge(segments[pos][1])
+                        state_key = state_keys[s_i].get(end) if state_keys else None
+                        if state_key is not None and not self.cache.contains(state_key):
+                            # Snapshot the exact state *before* the
+                            # checkpoint callback sees it: the dump is
+                            # the first `end` traces, nothing else.
+                            self.cache.put(
+                                state_key,
+                                master.state_arrays(),
+                                meta={"kind": "attack-state", "n_traces": end},
+                            )
+                        if end in checkpoint_set:
+                            events.append(_checkpoint_event(end, master, s_i))
+                            if on_checkpoint is not None:
+                                on_checkpoint(s_i, end, master)
+                next_index += 1
+            return sm
+
+        self._drive(
+            "stream", n_traces, shards, seqs, keys,
+            lambda _a, shard, seq, bkeys: _run_stream_shard(
+                msa, aes, n_samples, shard, seq,
+                consumer_factory, chunk_size, boundaries,
+                store=self.cache, keys=bkeys,
+            ),
+            _stream_shard_task,
+            dict(
+                msa=msa, aes=aes, n_samples=n_samples, factory=consumer_factory,
+                chunk_size=chunk_size, boundaries=boundaries,
+            ),
+            fold=fold,
+            events=events,
+        )
+        return masters
+
+    def _attack_state_keys(
+        self,
+        consumer_factory: Callable[[], object],
+        keys: Sequence[Tuple[str, ...]],
+        shards: Sequence[Shard],
+        ends: Sequence[int],
+    ) -> List[Dict[int, str]]:
+        """Per-sensor ``{n_traces: key}`` of the attack-state snapshots
+        a streamed campaign memoizes at each of ``ends`` — or ``[]``
+        when the accumulator cannot dump and restore its exact sums.
+
+        A snapshot is content-addressed by the attack configuration and
+        the ordered block keys it covers, taken from the sensor's own
+        column of ``keys`` — so a sensor's snapshot keys are exactly
+        those of a single-sensor campaign over it.
+        """
+        probe = consumer_factory()
+        if not all(
+            hasattr(probe, m)
+            for m in ("cache_token", "state_arrays", "load_state_arrays")
+        ):
+            return []
+        attack_token = probe.cache_token()
+        stops = [s.stop for s in shards]
+        covering = {
+            end: next(i + 1 for i, stop in enumerate(stops) if stop >= end)
+            for end in ends
+        }
+        return [
+            {
+                end: block_key(
+                    {
+                        "kind": "attack-state",
+                        "schema": SCHEMA_VERSION,
+                        "attack": attack_token,
+                        "blocks": [k[s_i] for k in keys[: covering[end]]],
+                        "n_traces": end,
+                    }
+                )
+                for end in ends
+            }
+            for s_i in range(len(keys[0]))
+        ]
+
+    def _replay_attack_states(
+        self,
+        n_traces: int,
+        state_keys: List[Dict[int, str]],
+        checkpoint_set: set,
+        on_checkpoint: Optional[Callable[[int, int, object], None]],
+        consumer_factory: Callable[[], object],
+    ) -> Optional[List[object]]:
+        """Serve a streamed campaign entirely from attack-state
+        snapshots.
+
+        Every snapshot is fetched (and digest-verified) *before* any
+        checkpoint callback fires, so a damaged state file cannot leave
+        callbacks half-replayed: on any missing or damaged snapshot this
+        returns ``None`` and the caller streams normally, republishing
+        snapshots as it goes.
+        """
+        snap_points = sorted(state_keys[0])
+        blocks = []
+        for sensor_keys in state_keys:
+            sensor_blocks = {}
+            for end in snap_points:
+                # expect=True: contains() said yes moments ago, so a
+                # miss here is a prune race — counted as `expired`, then
+                # the caller streams the campaign normally.
+                block = self.cache.get(sensor_keys[end], expect=True)
+                if block is None:
+                    return None
+                sensor_blocks[end] = block
+            blocks.append(sensor_blocks)
+        masters = [consumer_factory() for _ in state_keys]
         metrics = EngineMetrics(
-            kind="stream_many",
+            kind="stream",
             n_items=n_traces,
-            n_shards=len(shards),
-            workers=min(self.workers, len(shards)),
+            n_shards=len(snap_points),
+            workers=1,
         )
         start = time.time()
         t0 = time.perf_counter()
-
-        def fold_ready() -> None:
-            """Merge completed shards in index order; per checkpoint,
-            fire every sensor's callback in sensor order."""
-            nonlocal next_index
-            while next_index in pending:
-                per_sensor = pending.pop(next_index)
-                ends = [end for end, _part in per_sensor[0]]
-                for pos, end in enumerate(ends):
-                    for s_i, segments in enumerate(per_sensor):
-                        masters[s_i].merge(segments[pos][1])
-                        if end in checkpoint_set:
-                            events.append(
-                                _checkpoint_event(end, masters[s_i], sensor=s_i)
-                            )
-                            if on_checkpoint is not None:
-                                on_checkpoint(s_i, end, masters[s_i])
-                next_index += 1
-
-        tasks = [
-            ShardTask(i, shard, seq, bkeys)
-            for i, (shard, seq, bkeys) in enumerate(zip(shards, seqs, keys))
-        ]
-        classes, prefetcher = self._plan_cache_traffic(tasks)
-        try:
-            done = 0
-            for task, (sm, per_sensor) in dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                serial_body=lambda shard, seq, bkeys: _run_stream_many_shard(
-                    msa, aes, n_samples, shard, seq,
-                    consumer_factory, chunk_size, boundaries,
-                    store=self.cache, keys=bkeys,
-                ),
-                pool_task=_stream_many_shard_task,
-                pool_initializer=_init_stream_many_worker,
-                pool_initargs=(
-                    msa, bytes(aes.key), n_samples,
-                    consumer_factory, chunk_size, boundaries,
-                    self._worker_cache(),
-                ),
-                classes=classes,
-            ):
-                metrics.shards.append(sm)
-                self._publish_after(task, sm)
-                pending[task.shard.index] = per_sensor
-                fold_ready()
-                done += task.shard.size
-                self._emit("stream_many", done, n_traces, sm)
-        finally:
-            if prefetcher is not None:
-                prefetcher.stop()
-        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
+        done = 0
+        events: List[SpanRecord] = []
+        for index, end in enumerate(snap_points):
+            state_start = time.time()
+            t_state = time.perf_counter()
+            for master, sensor_blocks in zip(masters, blocks):
+                master.load_state_arrays(sensor_blocks[end].arrays)
+            seconds = time.perf_counter() - t_state
+            nbytes = sum(sensor_blocks[end].nbytes for sensor_blocks in blocks)
+            profile = StageProfile()
+            profile.add("cache", seconds, nbytes=nbytes, items=end - done)
+            sm = _shard_metrics(
+                Shard(index=index, start=done, stop=end),
+                profile,
+                state_start,
+                seconds,
+                "hit",
+                bytes_read=nbytes,
+            )
+            metrics.shards.append(sm)
+            done = end
+            if end in checkpoint_set:
+                for s_i, master in enumerate(masters):
+                    events.append(_checkpoint_event(end, master, s_i))
+                    if on_checkpoint is not None:
+                        on_checkpoint(s_i, end, master)
+            self._emit("stream", done, n_traces, sm)
+        self._finish_metrics(metrics, t0, start, events)
         return masters
 
     # ------------------------------------------------------------------
@@ -1885,47 +1471,12 @@ class Engine:
         noise: Optional[NoiseModel] = None,
     ) -> np.ndarray:
         """Sharded equivalent of :func:`repro.traces.acquisition.
-        characterize_readouts` (deterministic at any worker count)."""
-        droop = characterize_droop(sensor, coupling, virus, active_groups)
-        noise = noise or NoiseModel(white_rms=sensor.constants.voltage_noise_rms)
-        shards = plan_shards(n_readouts, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        token = None
-        if self.cache is not None:
-            token = {
-                "kind": "characterize",
-                "sensor": sensor.cache_token(),
-                "droop": float(droop),
-                "noise": noise.cache_token(),
-            }
-        keys = self._shard_keys(token, shards, seqs)
-
-        if self.workers == 1:
-            out = np.empty(n_readouts, dtype=np.int64)
-            self._drive(
-                "characterize", n_readouts, shards, seqs,
-                lambda shard, seq, bkey: _run_characterize_shard(
-                    sensor, droop, noise, shard, seq, out,
-                    store=self.cache, key=bkey,
-                ),
-                _characterize_shard_task, _init_characterize_worker, (),
-                keys=keys,
-            )
-            return out
-
-        buffers = _SharedBuffers({"out": ((n_readouts,), np.dtype(np.int64))})
-        try:
-            self._drive(
-                "characterize", n_readouts, shards, seqs,
-                lambda shard, seq, bkey: None,
-                _characterize_shard_task,
-                _init_characterize_worker,
-                (sensor, droop, noise, buffers.spec_for_worker, self._worker_cache()),
-                keys=keys,
-            )
-            return buffers.copy_out("out")
-        finally:
-            buffers.close()
+        characterize_readouts` (deterministic at any worker count).
+        This is :meth:`characterize_many` over one sensor."""
+        return self.characterize_many(
+            [sensor], coupling, virus, active_groups, n_readouts,
+            seed=seed, noise=noise,
+        )[0]
 
     def characterize_many(
         self,
@@ -1945,9 +1496,9 @@ class Engine:
         over that sensor alone with the same seed — inside a shard the
         RNG is restored to its entry state between sensors — and each
         sensor's cache blocks use exactly its single-sensor key, so the
-        two paths share a warm store.  ``noise`` applies to all sensors
-        when given; otherwise each sensor gets its own white-noise
-        default from its constants (matching :meth:`characterize`).
+        two share a warm store.  ``noise`` applies to all sensors when
+        given; otherwise each sensor gets its own white-noise default
+        from its constants (matching :meth:`characterize`).
         """
         if not sensors:
             raise ConfigurationError("characterize_many needs >= 1 sensor")
@@ -1961,49 +1512,26 @@ class Engine:
         ]
         shards = plan_shards(n_readouts, self.shard_size)
         seqs = spawn_shard_sequences(seed, len(shards))
-        keys = None
-        if self.cache is not None:
-            per_sensor = [
-                self._shard_keys(
-                    {
-                        "kind": "characterize",
-                        "sensor": sensor.cache_token(),
-                        "droop": float(droop),
-                        "noise": sensor_noise.cache_token(),
-                    },
-                    shards, seqs,
-                )
+        keys = self._shard_keys(
+            lambda: [
+                {
+                    "kind": "characterize",
+                    "sensor": sensor.cache_token(),
+                    "droop": float(droop),
+                    "noise": sensor_noise.cache_token(),
+                }
                 for sensor, droop, sensor_noise in zip(sensors, droops, noises)
-            ]
-            keys = [tuple(shard_keys) for shard_keys in zip(*per_sensor)]
-
-        if self.workers == 1:
-            out = np.empty((len(sensors), n_readouts), dtype=np.int64)
-            self._drive(
-                "characterize_many", n_readouts, shards, seqs,
-                lambda shard, seq, bkeys: _run_characterize_many_shard(
-                    sensors, droops, noises, shard, seq, out,
-                    store=self.cache, keys=bkeys,
-                ),
-                _characterize_many_shard_task, _init_characterize_many_worker,
-                (),
-                keys=keys,
-            )
-            return [out[i] for i in range(len(sensors))]
-
-        buffers = _SharedBuffers(
-            {"out": ((len(sensors), n_readouts), np.dtype(np.int64))}
+            ],
+            shards, seqs,
         )
-        try:
-            self._drive(
-                "characterize_many", n_readouts, shards, seqs,
-                lambda shard, seq, bkeys: None,
-                _characterize_many_shard_task,
-                _init_characterize_many_worker,
-                (sensors, droops, noises, buffers.spec_for_worker, self._worker_cache()),
-                keys=keys,
-            )
-            out = buffers.copy_out("out")
-            return [out[i] for i in range(len(sensors))]
-        finally:
-            buffers.close()
+        out = self._drive(
+            "characterize", n_readouts, shards, seqs, keys,
+            lambda a, shard, seq, bkeys: _run_characterize_shard(
+                sensors, droops, noises, shard, seq, a["out"],
+                store=self.cache, keys=bkeys,
+            ),
+            _characterize_shard_task,
+            dict(sensors=sensors, droops=droops, noises=noises),
+            buffers={"out": ((len(sensors), n_readouts), np.dtype(np.int64))},
+        )["out"]
+        return [out[i] for i in range(len(sensors))]

@@ -45,9 +45,9 @@ class ShardMetrics:
     #: read, a plain miss all written; only fan-out partials mix).
     cache_bytes_read: int = 0
     cache_bytes_written: int = 0
-    #: Fan-out sub-block outcomes: per-sensor lookups within a fan-out
-    #: shard (a full N-sensor hit counts N sub-hits; single-sensor
-    #: shards leave both at 0 — their outcome is :attr:`cache` alone).
+    #: Sub-block outcomes: a shard counts one lookup per sensor (a full
+    #: N-sensor hit counts N sub-hits, a single-sensor hit one); shards
+    #: with the cache off and attack-state replays leave both at 0.
     cache_sub_hits: int = 0
     cache_sub_misses: int = 0
 

@@ -329,7 +329,7 @@ class TestNumbaBackend:
         from repro.fpga.placement import Pblock, Placer
         from repro.pdn.coupling import CouplingModel
         from repro.timing.sampling import ClockSpec
-        from repro.traces.acquisition import AESTraceAcquisition
+        from repro.traces.acquisition import AcquisitionSpec
         from repro.victims.aes import AES128, AESHardwareModel
 
         activate_backend("numba")
@@ -345,9 +345,10 @@ class TestNumbaBackend:
             hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
 
             def acquire(kernel):
-                acq = AESTraceAcquisition(
-                    sensor, coupling, hw, (10.0, 25.0), kernel=kernel
-                )
+                acq = AcquisitionSpec(
+                    sensor=sensor, coupling=coupling, hw_model=hw,
+                    aes_position=(10.0, 25.0), kernel=kernel,
+                ).build()
                 aes = AES128(bytes(range(16)))
                 pts = np.random.default_rng(11).integers(
                     0, 256, (256, 16), dtype=np.uint8

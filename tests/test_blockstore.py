@@ -24,7 +24,7 @@ from repro.kernels import default_kernel_name, set_default_kernel
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.blockstore import (
     SCHEMA_VERSION,
     BlockStore,
@@ -51,7 +51,9 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(
+        sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
+    ).build()
 
 
 def _first_block_path(store):
@@ -473,6 +475,27 @@ class TestEngineCache:
         assert engine.last_metrics.cache_hits == 2
         np.testing.assert_array_equal(off, cold)
         np.testing.assert_array_equal(cold, warm)
+
+    def test_characterize_accounts_cache_stage_bytes(self, tmp_path):
+        """The ``cache`` stage of a characterize shard carries the bytes
+        it moved, as collect and stream shards do."""
+        from repro.experiments import common
+
+        setup = common.Basys3Setup.create()
+        virus = common.make_virus(setup, n_instances=200, n_groups=4)
+        sensor = common.make_leakydsp(
+            setup, common.region_pblock(setup.device, 2), seed=9
+        )
+        engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        for _ in ("cold", "warm"):
+            engine.characterize(
+                sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+            )
+            m = engine.last_metrics
+            moved = m.cache_bytes_read + m.cache_bytes_written
+            assert moved > 0
+            assert m.stage_nbytes_totals()["cache"] == moved
+        assert m.cache_hits == 2 and m.cache_bytes_written == 0
 
     def test_shard_metrics_carry_cache_fields(self, acquisition, tmp_path):
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))

@@ -304,6 +304,7 @@ class TestEngineFanout:
         engine = Engine(workers=1, shard_size=SHARD)
         fanned = engine.collect_many(list(specs), 200, key=KEY, seed=5)
         assert len(fanned) == len(specs)
+        assert engine.last_metrics.kind == "collect"  # one name at any N
 
     @pytest.mark.parametrize("workers,chunk", [(1, None), (2, 128)])
     def test_streamed_curves_match_single_stream(self, multi, specs, workers, chunk):
@@ -345,6 +346,7 @@ class TestEngineFanout:
         )
         n = len(multi)
         assert seen == [(i, 256) for i in range(n)] + [(i, 512) for i in range(n)]
+        assert engine.last_metrics.kind == "stream"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_characterize_many_matches_characterize(self, workers):
@@ -355,6 +357,7 @@ class TestEngineFanout:
         outs = engine.characterize_many(
             sensors, setup.coupling, virus, 2, 600, seed=5
         )
+        assert engine.last_metrics.kind == "characterize"
         for sensor, out in zip(sensors, outs):
             solo = Engine(workers=1, shard_size=SHARD).characterize(
                 sensor, setup.coupling, virus, 2, 600, seed=5
@@ -398,6 +401,8 @@ class TestFanoutCache:
         solo = single.collect(specs[1].build(), N_TRACES, key=KEY, seed=5)
         assert single.cache_totals["hits"] == n_shards
         assert single.cache_totals["misses"] == 0
+        # A single-sensor shard is a fan-out of one: one sub-lookup each.
+        assert single.cache_totals["sub_hits"] == n_shards
         np.testing.assert_array_equal(solo.traces, cold_sets[1].traces)
 
     def test_partial_shard_accounting(self, multi, specs, tmp_path):

@@ -43,7 +43,7 @@ from repro.kernels import (
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.victims.aes import AES128, AESHardwareModel
 
 KEY = bytes(range(16))
@@ -65,7 +65,10 @@ def rig(basys3_device):
 def make_acquisition(rig, kernel, aes_freq=20e6, sensor_freq=300e6):
     sensor, coupling = rig
     hw = AESHardwareModel(ClockSpec(aes_freq), ClockSpec(sensor_freq))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0), kernel=kernel)
+    return AcquisitionSpec(
+        sensor=sensor, coupling=coupling, hw_model=hw,
+        aes_position=(10.0, 25.0), kernel=kernel,
+    ).build()
 
 
 # ----------------------------------------------------------------------
@@ -280,12 +283,14 @@ class TestFusedMatchesReference:
         sensor, coupling = rig
         hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
         noise = NoiseModel(white_rms=1.6e-3, drift_rms=8e-6)
-        acq_f = AESTraceAcquisition(
-            sensor, coupling, hw, (10.0, 25.0), noise=noise, kernel="fused"
-        )
-        acq_r = AESTraceAcquisition(
-            sensor, coupling, hw, (10.0, 25.0), noise=noise, kernel="reference"
-        )
+        acq_f = AcquisitionSpec(
+            sensor=sensor, coupling=coupling, hw_model=hw,
+            aes_position=(10.0, 25.0), noise=noise, kernel="fused",
+        ).build()
+        acq_r = AcquisitionSpec(
+            sensor=sensor, coupling=coupling, hw_model=hw,
+            aes_position=(10.0, 25.0), noise=noise, kernel="reference",
+        ).build()
         aes = AES128(KEY)
         n_samples = acq_f.default_n_samples()
         pts = np.random.default_rng(5).integers(0, 256, (64, 16), dtype=np.uint8)
@@ -402,7 +407,10 @@ class TestSensorRangeGuard:
         hw = AESHardwareModel(
             ClockSpec(20e6), ClockSpec(300e6), constants=constants
         )
-        acq = AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0), kernel=kernel)
+        acq = AcquisitionSpec(
+            sensor=sensor, coupling=coupling, hw_model=hw,
+            aes_position=(10.0, 25.0), kernel=kernel,
+        ).build()
         aes = AES128(KEY)
         pts = np.random.default_rng(0).integers(0, 256, (8, 16), dtype=np.uint8)
         with pytest.raises(SensorRangeError):

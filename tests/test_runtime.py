@@ -20,7 +20,7 @@ from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import (
-    AESTraceAcquisition,
+    AcquisitionSpec,
     characterize_readouts,
 )
 from repro.victims.aes import AESHardwareModel
@@ -38,7 +38,9 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(
+        sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
+    ).build()
 
 
 @pytest.fixture(scope="module")

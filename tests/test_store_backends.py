@@ -35,7 +35,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.sharding import Shard
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.blockstore import BlockStore, open_store, verify_blob
 from repro.traces.store_backends import (
     CacheServer,
@@ -67,7 +67,9 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(
+        sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
+    ).build()
 
 
 @pytest.fixture()

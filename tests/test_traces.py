@@ -10,7 +10,7 @@ from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.pdn.noise import NoiseModel
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition, characterize_readouts
+from repro.traces.acquisition import AcquisitionSpec, characterize_readouts
 from repro.traces.store import TraceSet
 from repro.victims.aes import AES128, AESHardwareModel
 from repro.victims.power_virus import PowerVirusBank
@@ -101,7 +101,9 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(
+        sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
+    ).build()
 
 
 class TestAESAcquisition:

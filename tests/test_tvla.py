@@ -14,7 +14,7 @@ from repro.errors import AttackError
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.victims.aes import AESHardwareModel
 
 KEY = bytes(range(16))
@@ -63,7 +63,9 @@ class TestAesAssessment:
         )
         calibrate(sensor, rng=0)
         hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-        return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+        return AcquisitionSpec(
+            sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
+        ).build()
 
     def test_aes_core_leaks_through_sensor(self, acquisition):
         result = assess_aes_leakage(acquisition, KEY, n_traces_per_class=1500, rng=5)
