@@ -5,11 +5,14 @@ that stands in for the paper's GPU CPA tool [8], useful for tracking
 regressions in the accumulator hot path.  Both accumulate engines are
 timed — ``batched`` (the stacked-GEMM production path) and ``per-byte``
 (the 16-GEMM reference path) — and their correlations are asserted
-bit-identical before the numbers are trusted.  Records
-machine-readable numbers (traces/second per engine, the batched
-speedup, correlation evaluations per second, peak RSS) in
-``BENCH_cpa.json`` next to ``BENCH_acquisition.json``;
-``scripts/check_cpa_regression.py`` gates CI on the speedup.
+bit-identical before the numbers are trusted.  A fan-out row times
+``N_SENSORS`` sensors sharing one ciphertext batch through
+``CPAAttack.update_many`` against the same sensors as separate
+attacks, asserted bit-identical too.  Records machine-readable numbers
+(traces/second per engine, the batched and fan-out speedups,
+correlation evaluations per second, peak RSS) in ``BENCH_cpa.json``
+next to ``BENCH_acquisition.json``; ``scripts/check_cpa_regression.py``
+gates CI on both speedups.
 """
 
 import json
@@ -25,6 +28,8 @@ from repro.attacks.cpa import CPAAttack, hypothesis_table, hypothesis_table_gath
 from conftest import full_scale, run_once
 
 N_TRACES, N_SAMPLES = 4000, 45
+#: Sensors of the fan-out row (the canonical Fig. 5 campaign has five).
+N_SENSORS = 5
 N_ROUNDS = 10 if full_scale() else 6
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_cpa.json"
 
@@ -48,10 +53,32 @@ def trace_batch():
     return traces, cts
 
 
+@pytest.fixture(scope="module")
+def sensor_batches(trace_batch):
+    """``N_SENSORS`` readout matrices observing one ciphertext batch."""
+    traces, cts = trace_batch
+    rng = np.random.default_rng(1)
+    others = [
+        rng.integers(0, 48, size=traces.shape).astype(np.int16)
+        for _ in range(N_SENSORS - 1)
+    ]
+    return [traces, *others], cts
+
+
 def _accumulate(traces, cts, mode):
     attack = CPAAttack(traces.shape[1], accumulate=mode)
     attack.add_traces(traces, cts)
     return attack
+
+
+def _fan_out(traces_list, cts):
+    attacks = [CPAAttack(t.shape[1]) for t in traces_list]
+    CPAAttack.update_many(attacks, traces_list, cts)
+    return attacks
+
+
+def _separate(traces_list, cts):
+    return [_accumulate(t, cts, "batched") for t in traces_list]
 
 
 def test_cpa_accumulate_throughput(benchmark, trace_batch):
@@ -70,6 +97,14 @@ def test_cpa_accumulate_per_byte_throughput(benchmark, trace_batch):
     assert attack.n_traces == traces.shape[0]
 
 
+def test_cpa_fanout_throughput(benchmark, sensor_batches):
+    traces_list, cts = sensor_batches
+
+    attacks = benchmark(_fan_out, traces_list, cts)
+    benchmark.extra_info["traces_per_round"] = N_SENSORS * len(cts)
+    assert [a.n_traces for a in attacks] == [len(cts)] * N_SENSORS
+
+
 def test_cpa_correlation_evaluation(benchmark, trace_batch):
     traces, cts = trace_batch
     attack = CPAAttack(traces.shape[1])
@@ -86,10 +121,10 @@ def test_cpa_correlation_evaluation(benchmark, trace_batch):
     assert np.all(np.abs(rho) <= 1.0 + 1e-9)
 
 
-def test_cpa_throughput_report(benchmark, trace_batch):
-    """Drive both accumulate engines and the correlation path directly
-    (one unmeasured warm-up plus ``N_ROUNDS`` measured rounds each) and
-    write ``BENCH_cpa.json``.
+def test_cpa_throughput_report(benchmark, trace_batch, sensor_batches):
+    """Drive both accumulate engines, the fan-out accumulate and the
+    correlation path directly (one unmeasured warm-up plus ``N_ROUNDS``
+    measured rounds each) and write ``BENCH_cpa.json``.
 
     Throughput is reported from the per-round *minimum* — the least
     load-sensitive estimator — alongside plain totals, matching
@@ -106,17 +141,34 @@ def test_cpa_throughput_report(benchmark, trace_batch):
             seconds.append(time.perf_counter() - t0)
         return seconds
 
-    def engine_stats(mode):
-        seconds = timed_rounds(lambda: _accumulate(traces, cts, mode))
+    def round_stats(fn, traces_per_round=N_TRACES):
+        seconds = timed_rounds(fn)
         return {
             "seconds_per_round": sum(seconds) / N_ROUNDS,
             "best_seconds_per_round": min(seconds),
-            "traces_per_second": N_ROUNDS * N_TRACES / sum(seconds),
-            "best_traces_per_second": N_TRACES / min(seconds),
+            "traces_per_second": N_ROUNDS * traces_per_round / sum(seconds),
+            "best_traces_per_second": traces_per_round / min(seconds),
         }
 
-    batched_stats = engine_stats("batched")
-    per_byte_stats = engine_stats("per-byte")
+    batched_stats = round_stats(lambda: _accumulate(traces, cts, "batched"))
+    per_byte_stats = round_stats(lambda: _accumulate(traces, cts, "per-byte"))
+
+    traces_list, fan_cts = sensor_batches
+    sensor_traces = N_SENSORS * N_TRACES
+    fanout_stats = round_stats(
+        lambda: _fan_out(traces_list, fan_cts), sensor_traces
+    )
+    separate_stats = round_stats(
+        lambda: _separate(traces_list, fan_cts), sensor_traces
+    )
+    # The fan-out speedup only counts if every sensor's state matches
+    # its separate attack bit for bit.
+    for fanned, alone in zip(
+        _fan_out(traces_list, fan_cts), _separate(traces_list, fan_cts)
+    ):
+        fanned_state, alone_state = fanned.state_arrays(), alone.state_arrays()
+        for name in alone_state:
+            assert np.array_equal(fanned_state[name], alone_state[name]), name
 
     attack = _accumulate(traces, cts, "batched")
     reference = _accumulate(traces, cts, "per-byte")
@@ -142,6 +194,12 @@ def test_cpa_throughput_report(benchmark, trace_batch):
             batched_stats["best_traces_per_second"]
             / per_byte_stats["best_traces_per_second"]
         ),
+        "accumulate_fanout": {"n_sensors": N_SENSORS, **fanout_stats},
+        "accumulate_separate": {"n_sensors": N_SENSORS, **separate_stats},
+        "fanout_speedup": (
+            fanout_stats["best_traces_per_second"]
+            / separate_stats["best_traces_per_second"]
+        ),
         "correlations": {
             "seconds_per_eval": sum(correlate_seconds) / N_ROUNDS,
             "best_seconds_per_eval": min(correlate_seconds),
@@ -161,6 +219,7 @@ def test_cpa_throughput_report(benchmark, trace_batch):
     benchmark.extra_info["batched_speedup"] = round(
         report["batched_speedup"], 2
     )
+    benchmark.extra_info["fanout_speedup"] = round(report["fanout_speedup"], 2)
     benchmark.extra_info["peak_rss_mb"] = round(
         report["peak_rss_bytes"] / 1e6
     )

@@ -25,19 +25,27 @@ Two accumulate engines drive the same exact sums (selected by the
 ``accumulate=`` argument, defaulting through :mod:`repro.backends`):
 
 ``"batched"`` (default)
-    One chunk is folded with **one** stacked GEMM over an
-    ``(m, 16*256)`` hypothesis matrix gathered from a cached
-    guess-contiguous table, and the trace sums are computed once per
-    chunk in a shared accumulator instead of 16 times.  The hypothesis
-    sums are taken on the integer side (narrow exact sums over the
-    uint8 gather) and the cross GEMM runs in float32 whenever an
-    exactness bound
-    proves every partial sum is an integer below 2**24 — narrower
-    arithmetic, identical bits.
+    Chunks are cut into row tiles; each tile is folded with **one**
+    stacked GEMM over an ``(m, 16*256)`` hypothesis matrix gathered
+    from a cached guess-contiguous table, and the trace sums are
+    computed once per tile in a shared accumulator instead of 16
+    times.  The hypothesis sums are taken on the integer side (narrow
+    exact sums over the uint8 gather) and the cross GEMM runs in
+    float32 whenever an exactness bound proves every partial sum is an
+    integer below 2**24 — narrower arithmetic, identical bits.
 ``"per-byte"``
     The legacy 16-small-GEMM engine over per-byte
     :class:`~repro.analysis.streaming.StreamingPearson` accumulators.
     Kept as the differential-testing oracle and benchmark baseline.
+
+Several sensors watching one victim see the same ciphertexts, and the
+hypotheses depend on nothing else.  :meth:`CPAAttack.update_many` folds
+one ciphertext batch into one attack per sensor: each tile's
+hypotheses (gather, hypothesis sums, float block) are prepared once and
+shared, and each attack folds the tile in its own ``update`` call —
+only its trace sums, exactness guard and GEMM are per sensor.  A single
+attack's ``update`` runs the same tiles through the same fold, so a
+fan-out of N is bit-identical to N separate attacks.
 
 Both engines keep the exact integer-in-float64 sums of the
 reproducibility contract, so correlations, key ranks and state
@@ -80,9 +88,9 @@ _MAX_HW = 8.0
 #: Process-wide scratch for the batched engine, shared by every
 #: :class:`CPAAttack` (engine workers build one attack per shard;
 #: per-instance buffers would re-fault ~25 MB of pages per shard).
-#: Buffers are grow-only, used only within one ``_add_traces_batched``
-#: call, and never carry state between calls, so sharing is safe even
-#: with interleaved attacks.
+#: Buffers are grow-only; the hypothesis blocks in them belong to one
+#: prepared tile at a time (see :class:`_HypothesisTile`), so sharing
+#: is safe even with interleaved attacks.
 _SCRATCH_POOL: dict = {}
 
 
@@ -133,15 +141,106 @@ def hypothesis_table_gather() -> np.ndarray:
     return _HYP_TABLE_GATHER
 
 
+def _checked_ciphertexts(ciphertexts) -> np.ndarray:
+    cts = np.asarray(ciphertexts, dtype=np.uint8)
+    if cts.ndim != 2 or cts.shape[1] != 16:
+        raise AttackError("ciphertexts must be (m, 16)")
+    if cts.shape[0] == 0:
+        raise AttackError("empty trace chunk; chunked feeds must skip empty chunks")
+    return cts
+
+
+#: ``id`` of the tile whose blocks occupy the shared scratch buffers
+#: (an id, not a reference: a finished tile must not pin its chunk).
+_SCRATCH_OWNER = 0
+
+
+class _HypothesisTile:
+    """The hypotheses of one ciphertext tile (at most
+    :data:`_BATCH_TILE_ROWS` rows), prepared on first use and shared by
+    every attack that folds the tile.
+
+    Preparing means one ``np.take`` gather of the uint8 hypothesis
+    block, its exact narrow sums (per tile ``s_x <= 8*rows < 2**16`` and
+    ``s_x2 <= 64*rows < 2**31``) and, per GEMM dtype asked for, one bulk
+    conversion into a scratch buffer.  The blocks live in the
+    process-wide scratch pool; a tile that finds the pool taken over by
+    another tile rebuilds them, so an older tile never reads a newer
+    tile's data.
+    """
+
+    __slots__ = ("cts", "_u8", "_blocks", "_sums")
+
+    def __init__(self, cts: np.ndarray) -> None:
+        self.cts = cts
+        self._u8: Optional[np.ndarray] = None
+        self._blocks: dict = {}
+        self._sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __len__(self) -> int:
+        return len(self.cts)
+
+    def _hypotheses(self) -> np.ndarray:
+        """The ``(rows, 16, 256)`` uint8 hypothesis block."""
+        global _SCRATCH_OWNER
+        if _SCRATCH_OWNER != id(self):
+            _SCRATCH_OWNER = id(self)
+            self._u8 = None
+            self._blocks = {}
+        if self._u8 is None:
+            rows = len(self.cts)
+            # (rows, 16) flat table codes: ct_target * 256 + ct_partner.
+            codes = self.cts.astype(np.int32)
+            codes <<= 8
+            codes |= self.cts[:, SHIFT_ROWS_IDX]
+            self._u8 = _pool_array(
+                "u8", (rows, CPAAttack.N_BYTES, CPAAttack.N_GUESSES), np.uint8
+            )
+            np.take(hypothesis_table_gather(), codes, axis=0, out=self._u8)
+        return self._u8
+
+    def sums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The tile's exact hypothesis sums ``(s_x, s_x2)``."""
+        if self._sums is None:
+            u8 = self._hypotheses()
+            sq = _pool_array("sq", u8.shape, np.uint8)
+            np.multiply(u8, u8, out=sq)  # HW <= 8, squares fit uint8
+            self._sums = (
+                u8.sum(axis=0, dtype=np.uint16), sq.sum(axis=0, dtype=np.int32)
+            )
+        return self._sums
+
+    def block(self, dtype) -> np.ndarray:
+        """The hypotheses as a ``(rows, 16 * 256)`` ``dtype`` matrix."""
+        u8 = self._hypotheses()
+        name = np.dtype(dtype).name
+        x = self._blocks.get(name)
+        if x is None:
+            rows = len(self.cts)
+            x = _pool_array(name, (rows, u8.shape[1] * u8.shape[2]), dtype)
+            np.copyto(x.reshape(u8.shape), u8, casting="unsafe")
+            self._blocks[name] = x
+        return x
+
+
+def _hypothesis_tiles(cts: np.ndarray):
+    """``(row slice, tile)`` pairs covering ``cts`` in order."""
+    for start in range(0, len(cts), _BATCH_TILE_ROWS):
+        rows = slice(start, min(start + _BATCH_TILE_ROWS, len(cts)))
+        yield rows, _HypothesisTile(cts[rows])
+
+
 class CPAAttack:
     """Incremental last-round CPA.
 
     A thin attack-specific shell over streaming Pearson accumulators
     (one :class:`~repro.analysis.streaming.StackedStreamingPearson` in
     batched mode, 16 per-byte :class:`~repro.analysis.streaming.
-    StreamingPearson` in reference mode): ``add_traces`` folds chunks
-    in, :meth:`merge` combines independently built attacks (the shard
-    path of :meth:`repro.runtime.Engine.stream_attack`), and because
+    StreamingPearson` in reference mode): ``update`` (alias
+    ``add_traces``) folds chunks in, :meth:`update_many` folds one chunk
+    into one attack per sensor, :meth:`merge` combines independently
+    built attacks (the shard path of :meth:`repro.runtime.Engine.
+    stream_attack`), and because
     readouts and hypotheses are small integers the accumulated sums —
     hence the correlations and key ranks — are bit-identical for any
     chunking, merge order or accumulate engine.
@@ -222,102 +321,106 @@ class CPAAttack:
         return {"n_traces": self.n_traces, "n_samples": self.n_samples}
 
     # ------------------------------------------------------------------
-    def add_traces(self, traces: np.ndarray, ciphertexts: np.ndarray) -> None:
-        """Accumulate a batch of traces and their ciphertexts."""
-        raw = np.asarray(traces)
-        traces = np.asarray(raw, dtype=np.float64)
-        cts = np.asarray(ciphertexts, dtype=np.uint8)
+    def _checked_traces(self, traces, m: int) -> np.ndarray:
+        """``traces`` validated against ``m`` rows of this attack."""
+        traces = np.asarray(traces)
         if traces.ndim != 2 or traces.shape[1] != self.n_samples:
             raise AttackError(
                 f"traces must be (m, {self.n_samples}), got {traces.shape}"
             )
-        if traces.shape[0] == 0:
-            raise AttackError("empty trace chunk; chunked feeds must skip empty chunks")
-        if cts.shape != (traces.shape[0], 16):
-            raise AttackError("ciphertexts must be (m, 16)")
+        if traces.shape[0] != m:
+            raise AttackError(f"{traces.shape[0]} traces for {m} ciphertexts")
+        return traces
+
+    def update(self, traces: np.ndarray, ciphertexts) -> None:
+        """Accumulate a batch of traces and their ciphertexts.
+
+        ``ciphertexts`` is the ``(m, 16)`` ciphertext array, or one
+        prepared tile of :meth:`update_many` (whose per-sensor folds
+        each run inside their own ``update`` call).
+        """
+        if isinstance(ciphertexts, _HypothesisTile):
+            self._fold(self._checked_traces(traces, len(ciphertexts)), ciphertexts)
+            return
+        cts = _checked_ciphertexts(ciphertexts)
+        traces = self._checked_traces(traces, len(cts))
+        for rows, tile in _hypothesis_tiles(cts):
+            self._fold(traces[rows], tile)
+
+    #: Historical name of :meth:`update`.
+    add_traces = update
+
+    @staticmethod
+    def update_many(
+        attacks: Sequence["CPAAttack"],
+        traces_list: Sequence[np.ndarray],
+        ciphertexts: np.ndarray,
+    ) -> None:
+        """Fold one ciphertext batch observed by several sensors, one
+        attack per sensor (``traces_list[i]`` into ``attacks[i]``).
+
+        Every sensor sees the same ciphertexts, so each row tile's
+        hypotheses (gather, hypothesis sums, float block) are prepared
+        once and shared by all attacks; each attack then folds the tile
+        in its own :meth:`update` call.  Each attack ends bit-identical
+        to a separate ``update(traces_list[i], ciphertexts)``.
+        """
+        if len(attacks) != len(traces_list):
+            raise AttackError(
+                f"{len(traces_list)} trace batches for {len(attacks)} attacks"
+            )
+        cts = _checked_ciphertexts(ciphertexts)
+        traces_list = [
+            attack._checked_traces(traces, len(cts))
+            for attack, traces in zip(attacks, traces_list)
+        ]
+        for rows, tile in _hypothesis_tiles(cts):
+            for attack, traces in zip(attacks, traces_list):
+                attack.update(traces[rows], tile)
+
+    def _fold(self, traces: np.ndarray, tile: "_HypothesisTile") -> None:
+        """Fold one tile's traces: the one accumulate body of both
+        engines.
+
+        The batched engine takes the trace sums, picks the narrowest
+        exact GEMM and folds the tile's shared hypothesis sums with it.
+        Every folded quantity equals the per-byte engine's sum bit for
+        bit: hypothesis values and integer readouts make all partial
+        sums exact, so neither summation order nor narrow accumulators
+        (uint16/int32 hypothesis sums, the float32 GEMM under the 2**24
+        bound) can change them.
+        """
+        integer_traces = np.issubdtype(traces.dtype, np.integer)
         if self.sample_window is not None:
             traces = traces[:, self.sample_window[0] : self.sample_window[1]]
+        y = np.asarray(traces, dtype=np.float64)
         self._corr_cache = None
-        if self._stacked is not None:
-            self._add_traces_batched(
-                traces, cts, np.issubdtype(raw.dtype, np.integer)
-            )
+        if self._stacked is None:
+            table = hypothesis_table()
+            cts = tile.cts
+            for j in range(self.N_BYTES):
+                partner = int(SHIFT_ROWS_IDX[j])
+                h = table[:, cts[:, j], cts[:, partner]]  # (256, m)
+                self._byte_corr[j].update(h.T, y)
             return
-        table = hypothesis_table()
-        for j in range(self.N_BYTES):
-            partner = int(SHIFT_ROWS_IDX[j])
-            h = table[:, cts[:, j], cts[:, partner]]  # (256, m)
-            self._byte_corr[j].update(h.T, traces)
-
-    #: Uniform accumulator-protocol alias used by the streaming engine.
-    update = add_traces
-
-    # ------------------------------------------------------------------
-    # Batched accumulate engine
-    # ------------------------------------------------------------------
-    def _add_traces_batched(
-        self, traces: np.ndarray, cts: np.ndarray, integer_traces: bool
-    ) -> None:
-        """Fold one chunk with the stacked-GEMM engine.
-
-        Per row tile: gather the uint8 hypothesis block with one
-        ``np.take``, take the hypothesis sums on the integer side, bulk
-        convert once, and run one stacked GEMM against the (windowed)
-        traces.  Every folded quantity equals the per-byte engine's sum
-        bit for bit: hypothesis values and integer readouts make all
-        partial sums exact, so neither summation order nor narrow
-        accumulators (uint16/int32 hypothesis sums, the float32 GEMM
-        under the 2**24 bound) can change them.
-        """
-        m = traces.shape[0]
+        rows = len(tile)
         width = self.N_BYTES * self.N_GUESSES
-        partner = cts[:, SHIFT_ROWS_IDX]
-        table = hypothesis_table_gather()
-        stacked = self._stacked
         window = self._window_size
-        for start in range(0, m, _BATCH_TILE_ROWS):
-            stop = min(start + _BATCH_TILE_ROWS, m)
-            rows = stop - start
-            # (rows, 16) flat table codes: ct_target * 256 + ct_partner.
-            codes = cts[start:stop].astype(np.int32)
-            codes <<= 8
-            codes |= partner[start:stop]
-            u8 = _pool_array("u8", (rows, self.N_BYTES, self.N_GUESSES), np.uint8)
-            np.take(table, codes, axis=0, out=u8)
-            # Exact narrow sums: per tile s_x <= 8*rows < 2**16 and
-            # s_x2 <= 64*rows < 2**31 (rows <= _BATCH_TILE_ROWS).
-            s_x = u8.sum(axis=0, dtype=np.uint16)
-            sq = _pool_array("sq", (rows, self.N_BYTES, self.N_GUESSES), np.uint8)
-            np.multiply(u8, u8, out=sq)  # HW <= 8, squares fit uint8
-            s_x2 = sq.sum(axis=0, dtype=np.int32)
-
-            y = traces[start:stop]
-            s_y = y.sum(axis=0)
-            s_y2 = np.einsum("ij,ij->j", y, y)
-
-            y_max = float(np.abs(y).max()) if y.size else 0.0
-            if integer_traces and rows * _MAX_HW * max(y_max, 1.0) < _F32_EXACT_LIMIT:
-                x = _pool_array("f32", (rows, width), np.float32)
-                np.copyto(
-                    x.reshape(rows, self.N_BYTES, self.N_GUESSES),
-                    u8,
-                    casting="unsafe",
-                )
-                s_xy = np.matmul(
-                    x.T, y.astype(np.float32),
-                    out=_pool_array("xy32", (width, window), np.float32),
-                )
-            else:
-                x = _pool_array("f64", (rows, width), np.float64)
-                np.copyto(
-                    x.reshape(rows, self.N_BYTES, self.N_GUESSES),
-                    u8,
-                    casting="unsafe",
-                )
-                s_xy = np.matmul(
-                    x.T, y, out=_pool_array("xy64", (width, window), np.float64)
-                )
-            stacked.fold_sums(rows, s_x, s_x2, s_xy, s_y, s_y2)
+        s_y = y.sum(axis=0)
+        s_y2 = np.einsum("ij,ij->j", y, y)
+        y_max = float(np.abs(y).max()) if y.size else 0.0
+        if integer_traces and rows * _MAX_HW * max(y_max, 1.0) < _F32_EXACT_LIMIT:
+            # Exact sums are order-free, so take the faster layout.
+            s_xy = np.matmul(
+                y.astype(np.float32).T, tile.block(np.float32),
+                out=_pool_array("yx32", (window, width), np.float32),
+            ).T
+        else:
+            s_xy = np.matmul(
+                tile.block(np.float64).T, y,
+                out=_pool_array("xy64", (width, window), np.float64),
+            )
+        self._stacked.fold_sums(rows, *tile.sums(), s_xy, s_y, s_y2)
 
     def add_trace_set(self, trace_set: TraceSet, limit: Optional[int] = None) -> None:
         """Accumulate (the first ``limit`` traces of) a

@@ -962,7 +962,8 @@ def _run_one(name: str, args, run_dir=None, trace_out=None) -> None:
             )
         ):
             print(
-                f"cache remote: hits={cache.get('remote_hits', 0)} "
+                f"cache remote: served={cache.get('remote_served', 0)} "
+                f"hits={cache.get('remote_hits', 0)} "
                 f"misses={cache.get('remote_misses', 0)} "
                 f"wire_read={cache.get('remote_bytes_read', 0) / 1e6:.1f}MB "
                 f"wire_written={cache.get('remote_bytes_written', 0) / 1e6:.1f}MB "

@@ -331,8 +331,9 @@ def run(
             k: engine.cache_totals[k] - cache_before[k]
             for k in engine.cache_totals
         }
-        lookups = cache["hits"] + cache["misses"] + cache.get("partial", 0)
-        cache["hit_rate"] = round(cache["hits"] / lookups, 4) if lookups else 0.0
+        served = cache["hits"] + cache["remote_served"]
+        lookups = served + cache["misses"] + cache["partial"]
+        cache["hit_rate"] = round(served / lookups, 4) if lookups else 0.0
         metadata["cache"] = cache
     result = ExperimentResult(
         name=name,

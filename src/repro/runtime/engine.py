@@ -358,11 +358,15 @@ def _run_stream_shard(
     traces a collected campaign would — it just never keeps them.  The
     shard is split at the global checkpoint ``boundaries`` so the
     parent can evaluate the attack at exact trace counts; each segment
-    becomes one fresh accumulator from ``consumer_factory``, fed in
-    ``chunk_size`` pieces.  Returns ``(metrics, per_sensor_segments)``
-    where ``per_sensor_segments[i]`` is sensor ``i``'s ``[(end,
-    accumulator), ...]`` list, ``end`` the global trace count the
-    segment closes at.
+    becomes one fresh accumulator per sensor from ``consumer_factory``,
+    fed in ``chunk_size`` pieces with the sensors innermost: every
+    sensor's chunk goes through one ``update_many`` call when the
+    accumulator type has one (shared per-ciphertext work, e.g.
+    :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else through
+    each accumulator's ``update``.  Returns ``(metrics,
+    per_sensor_segments)`` where ``per_sensor_segments[i]`` is sensor
+    ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the global trace
+    count the segment closes at.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
@@ -378,19 +382,22 @@ def _run_stream_shard(
     )
     cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
     edges = [0, *cuts, shard.size]
-    per_sensor: List[List[Tuple[int, object]]] = []
+    per_sensor: List[List[Tuple[int, object]]] = [[] for _ in readouts_list]
     with profile.stage("accumulate", items=shard.size):
-        for readouts in readouts_list:
-            segments: List[Tuple[int, object]] = []
-            for lo, hi in zip(edges, edges[1:]):
-                part = consumer_factory()
-                for sl in iter_chunk_slices(hi - lo, chunk_size):
-                    part.update(
-                        readouts[lo + sl.start : lo + sl.stop],
-                        shard_cts[lo + sl.start : lo + sl.stop],
+        for lo, hi in zip(edges, edges[1:]):
+            parts = [consumer_factory() for _ in readouts_list]
+            update_many = getattr(type(parts[0]), "update_many", None)
+            for sl in iter_chunk_slices(hi - lo, chunk_size):
+                rows = slice(lo + sl.start, lo + sl.stop)
+                if update_many is not None:
+                    update_many(
+                        parts, [r[rows] for r in readouts_list], shard_cts[rows]
                     )
+                else:
+                    for part, readouts in zip(parts, readouts_list):
+                        part.update(readouts[rows], shard_cts[rows])
+            for segments, part in zip(per_sensor, parts):
                 segments.append((shard.start + hi, part))
-            per_sensor.append(segments)
     metrics = _shard_metrics(
         shard, profile, start, time.perf_counter() - t0, cache, **stats
     )
@@ -630,14 +637,16 @@ class Engine:
         #: Metrics of the most recent run (:class:`EngineMetrics`).
         self.last_metrics: Optional[EngineMetrics] = None
         #: Cache activity accumulated over *all* runs of this engine
-        #: (``{"hits", "misses", "partial", "sub_hits", "sub_misses",
-        #: "bytes_read", "bytes_written"}`` plus the tiered-store
+        #: (``{"hits", "remote_served", "misses", "partial", "sub_hits",
+        #: "sub_misses", "bytes_read", "bytes_written"}`` — a served
+        #: shard is a local ``hits`` or a read-through ``remote_served``,
+        #: never both — plus the tiered-store
         #: counters: per-tier traffic (``remote_*``), prune races
         #: (``expired``), write-behind publishing and background
         #: prefetch (``prefetch_*``)) — ``last_metrics`` only covers
         #: the final campaign of a multi-campaign experiment.
         self.cache_totals: Dict[str, int] = {
-            "hits": 0, "misses": 0, "partial": 0,
+            "hits": 0, "remote_served": 0, "misses": 0, "partial": 0,
             "sub_hits": 0, "sub_misses": 0,
             "bytes_read": 0, "bytes_written": 0,
             "expired": 0,
@@ -706,14 +715,13 @@ class Engine:
 
     # ------------------------------------------------------------------
     def cache_hit_rate(self) -> float:
-        """Full-shard hits over lookups accumulated across this
-        engine's runs (partially-hit fan-out shards count as lookups)."""
-        lookups = (
-            self.cache_totals["hits"]
-            + self.cache_totals["misses"]
-            + self.cache_totals["partial"]
-        )
-        return self.cache_totals["hits"] / lookups if lookups else 0.0
+        """Full-shard hits from either tier over lookups accumulated
+        across this engine's runs (partially-hit fan-out shards count
+        as lookups)."""
+        totals = self.cache_totals
+        served = totals["hits"] + totals["remote_served"]
+        lookups = served + totals["misses"] + totals["partial"]
+        return served / lookups if lookups else 0.0
 
     def _finish_metrics(
         self,
@@ -763,6 +771,7 @@ class Engine:
         )
         self.telemetry.attach(metrics.span)
         self.cache_totals["hits"] += metrics.cache_hits
+        self.cache_totals["remote_served"] += metrics.cache_remote_served
         self.cache_totals["misses"] += metrics.cache_misses
         self.cache_totals["partial"] += metrics.cache_partial
         self.cache_totals["sub_hits"] += metrics.cache_sub_hits
@@ -811,7 +820,7 @@ class Engine:
         # local/remote split depends on prefetch timing, the union does
         # not).
         self._metric_cache_lookups.inc(
-            metrics.cache_hits + metrics.cache_remote_hits, outcome="hit"
+            metrics.cache_hits + metrics.cache_remote_served, outcome="hit"
         )
         self._metric_cache_lookups.inc(metrics.cache_misses, outcome="miss")
         self._metric_cache_lookups.inc(metrics.cache_partial, outcome="partial")
@@ -1152,8 +1161,12 @@ class Engine:
         into a mergeable accumulator (anything exposing ``update(traces,
         ciphertexts)`` and ``merge(other)``, e.g. :class:`~repro.attacks.
         cpa.CPAAttack`) as they complete, and the full ``(n_traces,
-        n_samples)`` matrix is never materialized.  Peak memory is one
-        shard block plus the accumulators, independent of ``n_traces``.
+        n_samples)`` matrix is never materialized.  An accumulator type
+        may also offer ``update_many(accumulators, traces_list,
+        ciphertexts)``, one call folding a chunk into one accumulator
+        per sensor; the engine then uses it instead of per-sensor
+        ``update`` calls.  Peak memory is one shard block plus the
+        accumulators, independent of ``n_traces``.
 
         Parameters
         ----------
@@ -1219,9 +1232,14 @@ class Engine:
         ``consumer_factory`` is called once per sensor for the masters
         (and per segment inside workers); ``on_checkpoint(sensor_index,
         count, accumulator)`` fires per sensor at each checkpoint, in
-        sensor order within a checkpoint.  Each returned accumulator is
-        bit-identical to :meth:`stream_attack` over that sensor alone
-        with the same seed, at any worker count and chunk size.
+        sensor order within a checkpoint.  Each chunk reaches the
+        sensors' accumulators through one ``update_many`` call when
+        their type defines it (:meth:`~repro.attacks.cpa.CPAAttack.
+        update_many` prepares the chunk's hypotheses once for all
+        sensors), and through per-sensor ``update`` calls otherwise.
+        Each returned accumulator is bit-identical to
+        :meth:`stream_attack` over that sensor alone with the same
+        seed, at any worker count and chunk size.
 
         Attack-state snapshots are memoized for a fan-out of one only:
         at N > 1 the per-sensor trace blocks themselves are cached, so

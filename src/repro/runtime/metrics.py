@@ -99,6 +99,12 @@ class ShardMetrics:
         )
 
 
+def _read_through(shard: ShardMetrics) -> bool:
+    """Whether the shard's reads reached the remote tier (its body
+    stamps the remote-tier delta on its span)."""
+    return shard.span is not None and shard.span.counter("cache_remote_hits") > 0
+
+
 @dataclass
 class EngineMetrics:
     """Aggregate metrics for one engine run."""
@@ -152,8 +158,21 @@ class EngineMetrics:
 
     @property
     def cache_hits(self) -> int:
-        """Shards served from the block store."""
-        return sum(1 for s in self.shards if s.cache == "hit")
+        """Shards served from the local tier of the block store alone.
+
+        A served shard counts here or in :attr:`cache_remote_served`,
+        never both."""
+        return sum(
+            1 for s in self.shards if s.cache == "hit" and not _read_through(s)
+        )
+
+    @property
+    def cache_remote_served(self) -> int:
+        """Shards served from the block store where at least one
+        sub-block was read through from the remote tier (at N > 1
+        :attr:`cache_remote_hits` counts those sub-blocks, so it is no
+        shard count)."""
+        return sum(1 for s in self.shards if s.cache == "hit" and _read_through(s))
 
     @property
     def cache_misses(self) -> int:
@@ -179,11 +198,12 @@ class EngineMetrics:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Full-shard hits over cache-visible shards (partially-hit
-        fan-out shards count as lookups, not hits; 0.0 with the cache
-        off)."""
-        lookups = self.cache_hits + self.cache_misses + self.cache_partial
-        return self.cache_hits / lookups if lookups else 0.0
+        """Full-shard hits from either tier over cache-visible shards
+        (partially-hit fan-out shards count as lookups, not hits; 0.0
+        with the cache off)."""
+        served = self.cache_hits + self.cache_remote_served
+        lookups = served + self.cache_misses + self.cache_partial
+        return served / lookups if lookups else 0.0
 
     @property
     def cache_bytes_read(self) -> int:
@@ -229,6 +249,7 @@ class EngineMetrics:
         return {
             "enabled": self.cache_enabled,
             "hits": self.cache_hits,
+            "remote_served": self.cache_remote_served,
             "misses": self.cache_misses,
             "partial": self.cache_partial,
             "sub_hits": self.cache_sub_hits,
@@ -257,9 +278,10 @@ class EngineMetrics:
         split = ", ".join(f"{k} {v:.2f}s" for k, v in sorted(stages.items()))
         cache = ""
         if self.cache_enabled:
-            lookups = self.cache_hits + self.cache_misses + self.cache_partial
+            served = self.cache_hits + self.cache_remote_served
+            lookups = served + self.cache_misses + self.cache_partial
             cache = (
-                f"; cache {self.cache_hits}/{lookups}"
+                f"; cache {served}/{lookups}"
                 f" hits ({self.cache_hit_rate:.0%})"
             )
             if self.cache_partial:

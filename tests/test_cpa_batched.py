@@ -9,9 +9,14 @@ window, or dtype-narrowing decision inside the batched tile loop; and
 state snapshots written by either engine restore into either engine.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.attacks import cpa
 from repro.attacks.cpa import (
     CPAAttack,
     _BATCH_TILE_ROWS,
@@ -153,6 +158,169 @@ class TestBitIdentity:
         assert np.array_equal(
             a.byte_ranks(key10), np.zeros(16, dtype=np.int64)
         )
+
+
+def assert_same_state(a, b):
+    sa, sb = a.state_arrays(), b.state_arrays()
+    assert sa.keys() == sb.keys()
+    for name in sa:
+        assert np.array_equal(sa[name], sb[name]), name
+    assert np.array_equal(a.correlations(), b.correlations())
+
+
+def fan_out_vs_solo(traces_list, cts, cuts, window=None, mode="batched"):
+    """Fold each sensor's traces chunk by chunk (cut at ``cuts``) with
+    one ``update_many`` per chunk and with separate ``add_traces``
+    calls; returns ``(fanned, solo)`` attack lists."""
+    fanned = [CPAAttack(S, window, accumulate=mode) for _ in traces_list]
+    solo = [CPAAttack(S, window, accumulate=mode) for _ in traces_list]
+    edges = [0, *cuts, len(cts)]
+    for lo, hi in zip(edges, edges[1:]):
+        CPAAttack.update_many(
+            fanned, [t[lo:hi] for t in traces_list], cts[lo:hi]
+        )
+        for attack, traces in zip(solo, traces_list):
+            attack.add_traces(traces[lo:hi], cts[lo:hi])
+    return fanned, solo
+
+
+def sensor_traces(n, m, seed=0, high=2048, dtype=np.int16):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, high, size=(m, S)).astype(dtype) for _ in range(n)]
+
+
+class TestFanOut:
+    """``update_many`` shares each tile's hypotheses across sensors;
+    every sensor must end bit-identical to its own ``add_traces``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("window", [None, (3, 17)])
+    @pytest.mark.parametrize("mode", ["batched", "per-byte"])
+    def test_bit_identical_to_separate_attacks(self, batch, n, window, mode):
+        _, cts = batch
+        traces_list = sensor_traces(n, len(cts))
+        fanned, solo = fan_out_vs_solo(
+            traces_list, cts, [100, 333], window, mode
+        )
+        for a, b in zip(fanned, solo):
+            assert_same_state(a, b)
+        # ... and to the per-byte oracle.
+        oracle = CPAAttack(S, window, accumulate="per-byte")
+        oracle.add_traces(traces_list[-1], cts)
+        assert np.array_equal(fanned[-1].correlations(), oracle.correlations())
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_chunks_not_multiples_of_the_tile(self, n):
+        m = 2 * _BATCH_TILE_ROWS + 301
+        cts = np.random.default_rng(1).integers(0, 256, (m, 16), dtype=np.uint8)
+        traces_list = sensor_traces(n, m, seed=2, high=64, dtype=np.uint8)
+        cuts = [_BATCH_TILE_ROWS - 7, _BATCH_TILE_ROWS + 500]
+        fanned, solo = fan_out_vs_solo(traces_list, cts, cuts, (2, 20))
+        for a, b in zip(fanned, solo):
+            assert_same_state(a, b)
+
+    def test_one_sensor_beyond_the_f32_bound(self, batch):
+        # Sensor 1 defeats the float32 exactness bound inside a tile the
+        # others fold in float32: only its GEMM falls back to float64.
+        _, cts = batch
+        traces_list = sensor_traces(3, len(cts), seed=3, high=64)
+        traces_list[1] = np.random.default_rng(4).integers(
+            -(2**22), 2**22, size=(len(cts), S)
+        )
+        fanned, solo = fan_out_vs_solo(traces_list, cts, [350])
+        for a, b in zip(fanned, solo):
+            assert_same_state(a, b)
+        oracle = CPAAttack(S, accumulate="per-byte")
+        oracle.add_traces(traces_list[1], cts)
+        assert np.array_equal(fanned[1].correlations(), oracle.correlations())
+
+    @pytest.mark.parametrize("mode", ["batched", "per-byte"])
+    def test_non_integer_floats(self, batch, mode):
+        traces, cts = batch
+        traces_list = [traces + 0.375, traces * 0.5 - 0.125]
+        fanned, solo = fan_out_vs_solo(traces_list, cts, [123], (3, 17), mode)
+        for a, b in zip(fanned, solo):
+            assert_same_state(a, b)
+
+    def test_mixed_engines_share_a_tile(self, batch):
+        traces, cts = batch
+        mixed = [CPAAttack(S, accumulate=m) for m in ("per-byte", "batched")]
+        CPAAttack.update_many(mixed, [traces, traces], cts)
+        assert np.array_equal(mixed[0].correlations(), mixed[1].correlations())
+
+    def test_sensor_folds_run_in_update(self, batch, monkeypatch):
+        # Each sensor's fold is its own update call, once per tile.
+        traces, cts = batch
+        calls = []
+        real = CPAAttack.update
+
+        def spy(self, chunk, tile):
+            calls.append((id(self), len(chunk)))
+            return real(self, chunk, tile)
+
+        monkeypatch.setattr(CPAAttack, "update", spy)
+        attacks = [CPAAttack(S) for _ in range(3)]
+        CPAAttack.update_many(attacks, [traces] * 3, cts)
+        assert calls == [(id(a), len(traces)) for a in attacks]
+
+    def test_stale_tile_rebuilds_its_hypotheses(self, batch):
+        # Tiles share scratch buffers; a tile folded after a newer tile
+        # took them over must not read the newer tile's hypotheses.
+        from repro.attacks.cpa import _hypothesis_tiles
+
+        traces, cts = batch
+        (_, first), = _hypothesis_tiles(cts[:300])
+        (_, second), = _hypothesis_tiles(cts[300:600])
+        a, b, c = (CPAAttack(S) for _ in range(3))
+        a.update(traces[:300], first)
+        b.update(traces[300:600], second)
+        c.update(traces[:300], first)
+        reference = CPAAttack(S)
+        reference.add_traces(traces[:300], cts[:300])
+        assert_same_state(a, reference)
+        assert_same_state(c, reference)
+
+    def test_rejects_mismatched_inputs_before_folding(self, batch):
+        traces, cts = batch
+        attacks = [CPAAttack(S), CPAAttack(S)]
+        with pytest.raises(AttackError):
+            CPAAttack.update_many(attacks, [traces], cts)
+        with pytest.raises(AttackError):
+            CPAAttack.update_many(attacks, [traces, traces[:-1]], cts)
+        with pytest.raises(AttackError):
+            CPAAttack.update_many(attacks, [traces, traces[:, :-1]], cts)
+        with pytest.raises(AttackError):
+            CPAAttack.update_many(attacks, [traces[:0]] * 2, cts[:0])
+        assert all(a.n_traces == 0 for a in attacks)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(2, 90),
+    tile_rows=st.integers(1, 40),
+    cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=3),
+    window=st.sampled_from(WINDOWS),
+    mode=st.sampled_from(["batched", "per-byte"]),
+    scale=st.sampled_from([1, 2**19]),
+    seed=st.integers(0, 2**16),
+)
+def test_fan_out_matches_separate_attacks_property(
+    n, m, tile_rows, cut_fracs, window, mode, scale, seed
+):
+    # Small tiles make every draw cross tile seams; the large scale
+    # pushes some tiles past the float32 exactness bound.
+    rng = np.random.default_rng(seed)
+    cts = rng.integers(0, 256, (m, 16), dtype=np.uint8)
+    traces_list = [rng.integers(-scale, scale + 1, (m, S)) for _ in range(n)]
+    cuts = sorted({int(f * (m - 1)) + 1 for f in cut_fracs} - {m})
+    with mock.patch.object(cpa, "_BATCH_TILE_ROWS", tile_rows):
+        fanned, solo = fan_out_vs_solo(traces_list, cts, cuts, window, mode)
+    oracle = CPAAttack(S, window, accumulate="per-byte")
+    oracle.add_traces(traces_list[0], cts)
+    for a, b in zip(fanned, solo):
+        assert_same_state(a, b)
+    assert np.array_equal(fanned[0].correlations(), oracle.correlations())
 
 
 class TestStateMigration:

@@ -69,7 +69,7 @@ class TestCommon:
 
 class TestFig3:
     def test_shape_matches_paper(self):
-        result = fig3_sensitivity.run(n_readouts=300)
+        result = fig3_sensitivity.run_fig3(n_readouts=300)
         dsp = result.curves["LeakyDSP"]
         tdc = result.curves["TDC"]
         # Strong negative linear relationship for both sensors ...
@@ -79,13 +79,13 @@ class TestFig3:
         assert abs(dsp.regression_coefficient) > 2 * abs(tdc.regression_coefficient)
 
     def test_rows_render(self):
-        result = fig3_sensitivity.run(n_readouts=100)
+        result = fig3_sensitivity.run_fig3(n_readouts=100)
         assert len(result.rows()) == 2
 
 
 class TestFig4:
     def test_shape_matches_paper(self):
-        result = fig4_placement.run(n_readouts=300, include_tdc=False)
+        result = fig4_placement.run_fig4(n_readouts=300, include_tdc=False)
         points = result.points["LeakyDSP"]
         assert len(points) == 6
         assert all(p.delta > 2 for p in points)  # sensed everywhere
@@ -96,7 +96,7 @@ class TestFig4:
 
 class TestTable1:
     def test_best_placement_breaks_key(self):
-        result = table1_traces.run(
+        result = table1_traces.run_table1(
             placements=("P6",), n_traces=25_000, step=5_000, include_tdc=False
         )
         row = result.rows[0]
@@ -104,7 +104,7 @@ class TestTable1:
         assert row.traces_to_break <= 25_000
 
     def test_formatted_table(self):
-        result = table1_traces.run(
+        result = table1_traces.run_table1(
             placements=("P6",), n_traces=15_000, step=5_000, include_tdc=False
         )
         lines = result.formatted()
@@ -114,7 +114,7 @@ class TestTable1:
 
 class TestFig5:
     def test_rank_decreases_with_traces(self):
-        result = fig5_keyrank.run(
+        result = fig5_keyrank.run_fig5(
             placements=("P6",), n_traces=20_000, step=5_000, rating_at=10_000
         )
         n, lo, hi = result.series("P6")
@@ -124,7 +124,7 @@ class TestFig5:
 
 class TestFig6:
     def test_low_frequency_easier(self):
-        result = fig6_frequency.run(
+        result = fig6_frequency.run_fig6(
             frequencies=(20e6, 100e6), n_traces=30_000, extension=0, step=5_000
         )
         low, high = result.points
@@ -136,7 +136,7 @@ class TestFig6:
 
 class TestFig7:
     def test_shape_matches_paper(self):
-        result = fig7_covert.run(
+        result = fig7_covert.run_fig7(
             bit_times=(2e-3, 4e-3, 7.5e-3), payload_bits=3_000, n_runs=2
         )
         p2, p4, p75 = result.points
@@ -145,25 +145,25 @@ class TestFig7:
         assert p2.transmission_rate > p4.transmission_rate > p75.transmission_rate
 
     def test_paper_rate_at_4ms_with_10kb(self):
-        result = fig7_covert.run(bit_times=(4e-3,), payload_bits=10_000, n_runs=1)
+        result = fig7_covert.run_fig7(bit_times=(4e-3,), payload_bits=10_000, n_runs=1)
         assert result.at(4e-3).transmission_rate == pytest.approx(247.94, abs=0.01)
 
 
 class TestAblations:
     def test_chain_swing_grows(self):
-        result = ablation_chain.run(chain_lengths=(1, 3), n_readouts=300)
+        result = ablation_chain.run_ablation_chain(chain_lengths=(1, 3), n_readouts=300)
         swings = {p.n_blocks: p.activity_swing for p in result.points}
         assert swings[3] > swings[1]
 
     def test_calibration_rescues_dead_placements(self):
-        result = ablation_calib.run(n_readouts=300)
+        result = ablation_calib.run_ablation_calib(n_readouts=300)
         assert result.worst_calibrated_swing > 5.0
         assert result.worst_uncalibrated_swing < result.worst_calibrated_swing
 
 
 class TestSensorZoo:
     def test_landscape(self):
-        result = sensor_zoo.run(n_readouts=200)
+        result = sensor_zoo.run_sensor_zoo(n_readouts=200)
         assert {r.sensor for r in result.rows} == {"LeakyDSP", "TDC", "RDS", "RO"}
         leaky = result.row("LeakyDSP")
         assert leaky.passes_bitstream_check
@@ -172,32 +172,32 @@ class TestSensorZoo:
         assert not result.row("TDC").passes_bitstream_check
 
     def test_formatted_table(self):
-        result = sensor_zoo.run(n_readouts=100)
+        result = sensor_zoo.run_sensor_zoo(n_readouts=100)
         lines = result.formatted()
         assert len(lines) == 5
 
 
 class TestPdnValidation:
     def test_metrics_in_range(self):
-        result = pdn_validation.run(nx=17, ny=17)
+        result = pdn_validation.run_pdn_validation(nx=17, ny=17)
         assert result.near_field_error < 0.2
         assert result.superposition_error < 1e-9
         assert 0 < result.fitted_floor < 1
         assert result.step_rise_time >= 0
 
     def test_formatted(self):
-        result = pdn_validation.run(nx=15, ny=15)
+        result = pdn_validation.run_pdn_validation(nx=15, ny=15)
         assert len(result.formatted()) == 5
 
 
 class TestDefenseStudy:
     def test_paper_evasion_story(self):
-        result = defense_study.run(fence_sizes=(500,))
+        result = defense_study.run_defense_study(fence_sizes=(500,))
         assert result.outcome("RO", False).rules_fired
         assert result.outcome("TDC", False).rules_fired
         assert not result.outcome("LeakyDSP", False).rules_fired
         assert result.outcome("LeakyDSP", True).rules_fired
 
     def test_fence_inflation_above_one(self):
-        result = defense_study.run(fence_sizes=(2000,))
+        result = defense_study.run_defense_study(fence_sizes=(2000,))
         assert result.fence[0].trace_inflation > 1.0

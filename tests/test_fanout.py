@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.streaming import iter_chunk_slices
 from repro.attacks.metrics import streamed_rank_curve, streamed_rank_curves
 from repro.errors import AcquisitionError, ConfigurationError
 from repro.kernels import (
@@ -327,6 +328,47 @@ class TestEngineFanout:
             for got, expected in zip(curve.as_arrays(), solo_curve.as_arrays()):
                 np.testing.assert_array_equal(got, expected)
             assert attack.n_traces == solo_attack.n_traces
+
+    @pytest.mark.parametrize("chunk", [None, 64, 100, 256])
+    def test_update_fallback_feeds_each_sensor_its_chunks(self, multi, chunk):
+        # A consumer type without update_many gets one update call per
+        # sensor per chunk: the chunk sequence each sensor sees does not
+        # depend on the fan-out loop order.
+        class Recorder:
+            def __init__(self):
+                self.chunks = []
+
+            def update(self, traces, cts):
+                self.chunks.append((np.array(traces), np.array(cts)))
+
+            def merge(self, other):
+                self.chunks += other.chunks
+                return self
+
+        checkpoints = [200, 300, 600]
+        masters = Engine(workers=1, shard_size=SHARD).stream_attack_many(
+            multi, N_TRACES, key=KEY, consumer_factory=Recorder, seed=5,
+            chunk_size=chunk, checkpoints=checkpoints,
+        )
+        collected = Engine(workers=1, shard_size=SHARD).collect_many(
+            multi, N_TRACES, key=KEY, seed=5
+        )
+        expected = []
+        for start in range(0, N_TRACES, SHARD):
+            stop = min(start + SHARD, N_TRACES)
+            edges = [start, *(c for c in checkpoints if start < c < stop), stop]
+            for lo, hi in zip(edges, edges[1:]):
+                expected += [
+                    (lo + sl.start, lo + sl.stop)
+                    for sl in iter_chunk_slices(hi - lo, chunk)
+                ]
+        for master, ts in zip(masters, collected):
+            assert [len(c) for c, _ in master.chunks] == [
+                hi - lo for lo, hi in expected
+            ]
+            for (traces, cts), (lo, hi) in zip(master.chunks, expected):
+                np.testing.assert_array_equal(traces, ts.traces[lo:hi])
+                np.testing.assert_array_equal(cts, ts.ciphertexts[lo:hi])
 
     def test_checkpoint_callback_order(self, multi):
         engine = Engine(workers=1, shard_size=SHARD)

@@ -494,6 +494,56 @@ class TestEngineSchedules:
             # won) or remote (read-through won).
             assert b.cache_totals["hits"] + b.cache_totals["remote_hits"] == 3
 
+    def test_read_through_shard_counts_once(
+        self, acquisition, tmp_path, server, monkeypatch
+    ):
+        # With prefetch starved, every shard of host B is served by
+        # worker read-through: a remote-served shard, not a local hit.
+        from repro.runtime import engine as engine_mod
+
+        real = engine_mod.RemotePrefetcher
+        monkeypatch.setattr(
+            engine_mod, "RemotePrefetcher", lambda store, keys: real(store, [])
+        )
+        Engine(
+            workers=1, shard_size=SHARD,
+            cache=open_store(str(tmp_path / "a"), remote=server.url),
+        ).collect(acquisition, N_TRACES, key=KEY, seed=3)
+        b = Engine(
+            workers=1, shard_size=SHARD,
+            cache=open_store(str(tmp_path / "b"), remote=server.url),
+        )
+        b.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        totals = b.cache_totals
+        assert totals["hits"] == 0
+        assert totals["remote_served"] == totals["remote_hits"] == 3
+        assert totals["misses"] == totals["prefetch_fetched"] == 0
+        assert b.cache_hit_rate() == b.last_metrics.cache_hit_rate == 1.0
+        assert b.last_metrics.cache_summary()["remote_served"] == 3
+
+    def test_remote_split_is_per_shard_at_fanout(self):
+        # At N sensors a shard reads N sub-blocks; the local/remote
+        # split still counts each served shard exactly once.
+        from repro.runtime.metrics import EngineMetrics, ShardMetrics
+        from repro.telemetry.spans import SpanRecord
+
+        def served(index, remote_sub_hits):
+            counters = {"cache_remote_hits": remote_sub_hits} if remote_sub_hits else {}
+            return ShardMetrics(
+                shard_index=index, n_items=SHARD, seconds=0.0, cache="hit",
+                span=SpanRecord(name="shard", start=0.0, counters=counters),
+                cache_sub_hits=5,
+            )
+
+        metrics = EngineMetrics(
+            kind="stream", n_items=3 * SHARD, n_shards=3, workers=1,
+            shards=[served(0, 0), served(1, 5), served(2, 2)],
+        )
+        assert metrics.cache_hits == 1
+        assert metrics.cache_remote_served == 2
+        assert metrics.cache_remote_hits == 7
+        assert metrics.cache_hit_rate == 1.0
+
     def test_static_schedule_matches_stealing_serially(
         self, acquisition, tmp_path
     ):
