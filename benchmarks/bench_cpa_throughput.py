@@ -8,11 +8,15 @@ timed — ``batched`` (the stacked-GEMM production path) and ``per-byte``
 bit-identical before the numbers are trusted.  A fan-out row times
 ``N_SENSORS`` sensors sharing one ciphertext batch through
 ``CPAAttack.update_many`` against the same sensors as separate
-attacks, asserted bit-identical too.  Records machine-readable numbers
-(traces/second per engine, the batched and fan-out speedups,
-correlation evaluations per second, peak RSS) in ``BENCH_cpa.json``
-next to ``BENCH_acquisition.json``; ``scripts/check_cpa_regression.py``
-gates CI on both speedups.
+attacks, asserted bit-identical too.  A key-rank row times
+``key_rank_bounds`` (the tail-only convolution) against the full
+15-step convolution chain on a fixed mix of score sets, from no
+leakage to a fully recovered key, asserted bit-identical as well.
+Records machine-readable numbers (traces/second per engine, the
+batched and fan-out speedups, correlation evaluations per second,
+key-rank seconds per evaluation and speedup, peak RSS) in
+``BENCH_cpa.json`` next to ``BENCH_acquisition.json``;
+``scripts/check_cpa_regression.py`` gates CI on all three speedups.
 """
 
 import json
@@ -25,12 +29,16 @@ import numpy as np
 import pytest
 
 from repro.attacks.cpa import CPAAttack, hypothesis_table, hypothesis_table_gather
+from repro.attacks.key_rank import key_rank_bounds
 from conftest import full_scale, run_once
 
 N_TRACES, N_SAMPLES = 4000, 45
 #: Sensors of the fan-out row (the canonical Fig. 5 campaign has five).
 N_SENSORS = 5
 N_ROUNDS = 10 if full_scale() else 6
+#: True-byte score boosts of the key-rank mix: no leakage up to every
+#: byte far above its competitors (a fully recovered key).
+KEYRANK_BOOSTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_cpa.json"
 
 
@@ -81,6 +89,58 @@ def _separate(traces_list, cts):
     return [_accumulate(t, cts, "batched") for t in traces_list]
 
 
+@pytest.fixture(scope="module")
+def score_sets():
+    """Fisher-style ``(16, 256)`` scores with the true key's bytes
+    raised by each of ``KEYRANK_BOOSTS``: the span of rank
+    evaluations a campaign makes on its way to disclosure."""
+    rng = np.random.default_rng(2)
+    rows = np.arange(16)
+    sets = []
+    for boost in KEYRANK_BOOSTS:
+        scores = rng.normal(0.0, 1.0, (16, 256))
+        true = rng.integers(0, 256, 16)
+        scores[rows, true] += boost
+        sets.append((scores, true))
+    return sets
+
+
+def _full_chain_bounds(scores, true, n_bins=1024):
+    """Key-rank bounds from the full convolution chain: every bin of
+    all 15 ``np.convolve`` steps, then a reverse cumulative sum.  The
+    reference ``key_rank_bounds`` must match bit for bit."""
+    lo, hi = scores.min(), scores.max()
+    width = (hi - lo) / (n_bins - 1)
+    bins_down = np.clip(
+        np.floor((scores - lo) / width).astype(np.int64), 0, n_bins - 1
+    )
+    bins_up = bins_down + 1
+    rows = np.arange(16)
+
+    def mass_at_or_above(bins, b):
+        dist = np.zeros(n_bins + 1)
+        np.add.at(dist, bins[0], 1.0)
+        for j in range(1, 16):
+            h = np.zeros(n_bins + 1)
+            np.add.at(h, bins[j], 1.0)
+            dist = np.convolve(dist, h)
+        cum_from_top = np.cumsum(dist[::-1])[::-1]
+        return float(cum_from_top[max(b, 0)]) if b < dist.shape[0] else 0.0
+
+    upper = float(np.log2(max(
+        mass_at_or_above(bins_up, int(bins_down[rows, true].sum())), 1.0
+    )))
+    lower = float(np.log2(max(
+        mass_at_or_above(bins_down, int(bins_up[rows, true].sum()) + 1) + 1.0,
+        1.0,
+    )))
+    return (min(lower, upper), upper)
+
+
+def _rank_all(rank, sets):
+    return [rank(scores, true) for scores, true in sets]
+
+
 def test_cpa_accumulate_throughput(benchmark, trace_batch):
     traces, cts = trace_batch
 
@@ -121,10 +181,18 @@ def test_cpa_correlation_evaluation(benchmark, trace_batch):
     assert np.all(np.abs(rho) <= 1.0 + 1e-9)
 
 
-def test_cpa_throughput_report(benchmark, trace_batch, sensor_batches):
-    """Drive both accumulate engines, the fan-out accumulate and the
-    correlation path directly (one unmeasured warm-up plus ``N_ROUNDS``
-    measured rounds each) and write ``BENCH_cpa.json``.
+def test_key_rank_evaluation(benchmark, score_sets):
+    bounds = benchmark(_rank_all, key_rank_bounds, score_sets)
+    assert all(lo <= hi for lo, hi in bounds)
+
+
+def test_cpa_throughput_report(
+    benchmark, trace_batch, sensor_batches, score_sets
+):
+    """Drive both accumulate engines, the fan-out accumulate, the
+    correlation path and the key rank directly (one unmeasured warm-up
+    plus ``N_ROUNDS`` measured rounds each) and write
+    ``BENCH_cpa.json``.
 
     Throughput is reported from the per-round *minimum* — the least
     load-sensitive estimator — alongside plain totals, matching
@@ -182,6 +250,21 @@ def test_cpa_throughput_report(benchmark, trace_batch, sensor_batches):
 
     correlate_seconds = timed_rounds(correlate)
 
+    # The key-rank speedup only counts if both bounds of every score
+    # set match the full chain's bit for bit.
+    for got, want in zip(
+        _rank_all(key_rank_bounds, score_sets),
+        _rank_all(_full_chain_bounds, score_sets),
+    ):
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    n_sets = len(score_sets)
+    keyrank_seconds = timed_rounds(
+        lambda: _rank_all(key_rank_bounds, score_sets)
+    )
+    full_chain_seconds = timed_rounds(
+        lambda: _rank_all(_full_chain_bounds, score_sets)
+    )
+
     report = {
         "config": {
             "n_traces": N_TRACES,
@@ -205,6 +288,17 @@ def test_cpa_throughput_report(benchmark, trace_batch, sensor_batches):
             "best_seconds_per_eval": min(correlate_seconds),
             "evals_per_second": N_ROUNDS / sum(correlate_seconds),
         },
+        "key_rank": {
+            "n_score_sets": n_sets,
+            "seconds_per_eval": sum(keyrank_seconds) / (N_ROUNDS * n_sets),
+            "best_seconds_per_eval": min(keyrank_seconds) / n_sets,
+        },
+        "key_rank_full_chain": {
+            "n_score_sets": n_sets,
+            "seconds_per_eval": sum(full_chain_seconds) / (N_ROUNDS * n_sets),
+            "best_seconds_per_eval": min(full_chain_seconds) / n_sets,
+        },
+        "keyrank_speedup": min(full_chain_seconds) / min(keyrank_seconds),
         "peak_rss_bytes": peak_rss_bytes(),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -220,6 +314,9 @@ def test_cpa_throughput_report(benchmark, trace_batch, sensor_batches):
         report["batched_speedup"], 2
     )
     benchmark.extra_info["fanout_speedup"] = round(report["fanout_speedup"], 2)
+    benchmark.extra_info["keyrank_speedup"] = round(
+        report["keyrank_speedup"], 2
+    )
     benchmark.extra_info["peak_rss_mb"] = round(
         report["peak_rss_bytes"] / 1e6
     )

@@ -1,4 +1,4 @@
-"""Gate the batched CPA accumulate engine's speedups in CI.
+"""Gate the CPA accumulate and key-rank speedups in CI.
 
 Reads the ``BENCH_cpa.json`` written by
 ``benchmarks/bench_cpa_throughput.py`` (which itself asserts the
@@ -9,18 +9,22 @@ compared paths bit-identical before reporting) and fails unless
   and
 * folding one ciphertext batch into several sensors' attacks with
   ``CPAAttack.update_many`` beats the same sensors as separate attacks
-  by at least ``--min-fanout-speedup``.
+  by at least ``--min-fanout-speedup``, and
+* ``key_rank_bounds`` (the tail-only convolution) beats the full
+  convolution chain by at least ``--min-keyrank-speedup`` on best-round
+  time over the bench's mix of score sets.
 
-These are the regression gates for the accumulate hot path: a change
-that quietly collapses it back to per-byte speed, or stops sharing the
-hypotheses across sensors, turns this red instead of shipping.  Both
-are single-process measurements, so they hold on any core count.
+These are the regression gates for the accumulate and key-rank hot
+paths: a change that quietly collapses the accumulate back to per-byte
+speed, stops sharing the hypotheses across sensors, or convolves the
+whole key-score distribution again turns this red instead of shipping.
+All are single-process measurements, so they hold on any core count.
 
 Exits non-zero on a missing/stale report or an insufficient speedup.
 Used by CI's bench-quick job after the benchmark run::
 
     PYTHONPATH=src python scripts/check_cpa_regression.py \
-        --min-speedup 2 --min-fanout-speedup 1.5
+        --min-speedup 2 --min-fanout-speedup 1.5 --min-keyrank-speedup 1.4
 """
 
 import argparse
@@ -51,6 +55,12 @@ def main(argv=None) -> int:
         default=1.5,
         help="required fan-out/separate-attacks accumulate throughput ratio",
     )
+    parser.add_argument(
+        "--min-keyrank-speedup",
+        type=float,
+        default=1.4,
+        help="required full-chain/tail-only key-rank time ratio",
+    )
     args = parser.parse_args(argv)
 
     if not args.report.is_file():
@@ -63,9 +73,11 @@ def main(argv=None) -> int:
         speedup = report["batched_speedup"]
         fanout = report["fanout_speedup"]
         n_sensors = report["accumulate_fanout"]["n_sensors"]
+        keyrank = report["keyrank_speedup"]
+        keyrank_ms = report["key_rank"]["best_seconds_per_eval"] * 1e3
     except KeyError as exc:
         print(
-            f"FAIL: {args.report} predates the split accumulate report "
+            f"FAIL: {args.report} predates the current CPA report "
             f"(missing {exc}); re-run the CPA benchmark"
         )
         return 1
@@ -80,6 +92,10 @@ def main(argv=None) -> int:
         (
             f"fan-out of {n_sensors} vs separate attacks",
             fanout, args.min_fanout_speedup,
+        ),
+        (
+            f"key rank {keyrank_ms:.1f} ms/eval vs the full convolution chain",
+            keyrank, args.min_keyrank_speedup,
         ),
     ):
         verdict = "ok" if value >= required else "FAIL"

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.attacks.key_rank import key_rank_bounds, scores_from_correlations
+from repro.attacks.key_rank import (
+    _tail_mass,
+    key_rank_bounds,
+    scores_from_correlations,
+)
 from repro.errors import AttackError
 
 
@@ -54,6 +60,13 @@ class TestScores:
     def test_bad_shape_rejected(self):
         with pytest.raises(AttackError):
             scores_from_correlations(np.zeros((16, 99)), 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_correlation_rejected(self, bad):
+        rho = np.zeros((16, 256))
+        rho[3, 7] = bad
+        with pytest.raises(AttackError, match="finite"):
+            scores_from_correlations(rho, 100)
 
 
 class TestRankBounds:
@@ -116,3 +129,149 @@ class TestRankBounds:
             key_rank_bounds(np.zeros((16, 99)), np.zeros(16, dtype=np.intp))
         with pytest.raises(AttackError):
             key_rank_bounds(np.zeros((16, 256)), np.zeros(15, dtype=np.intp))
+
+    @pytest.mark.parametrize("byte", [-1, 256, 1000])
+    def test_key_byte_out_of_range_rejected(self, byte):
+        true = np.zeros(16, dtype=np.int64)
+        true[5] = byte
+        with pytest.raises(AttackError, match="0..255"):
+            key_rank_bounds(np.random.default_rng(0).normal(size=(16, 256)), true)
+
+    @pytest.mark.parametrize("byte", [3.7, np.nan, np.inf])
+    def test_non_integer_key_byte_rejected(self, byte):
+        true = np.zeros(16)
+        true[2] = byte
+        with pytest.raises(AttackError, match="integers"):
+            key_rank_bounds(np.random.default_rng(0).normal(size=(16, 256)), true)
+
+    def test_integral_key_bytes_of_any_dtype_accepted(self):
+        scores = np.random.default_rng(2).normal(size=(16, 256))
+        true = np.random.default_rng(3).integers(0, 256, 16)
+        want = key_rank_bounds(scores, true)
+        assert key_rank_bounds(scores, true.astype(np.uint8)) == want
+        assert key_rank_bounds(scores, true.astype(np.float64)) == want
+        assert key_rank_bounds(scores, true.tolist()) == want
+
+    @pytest.mark.parametrize("n_bins", [1, 0, -4, 16.0, "1024"])
+    def test_bad_bin_count_rejected(self, n_bins):
+        with pytest.raises(AttackError, match="n_bins"):
+            key_rank_bounds(
+                np.random.default_rng(0).normal(size=(16, 256)),
+                np.zeros(16, dtype=np.intp),
+                n_bins=n_bins,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.random.default_rng(0).normal(size=(16, 256))
+        scores[9, 100] = bad
+        with pytest.raises(AttackError, match="finite"):
+            key_rank_bounds(scores, np.zeros(16, dtype=np.intp))
+
+
+def _full_chain_mass(bins, n_bins, b):
+    """The rank read of the full convolution chain, the oracle
+    ``_tail_mass`` must match bit for bit: all 15 ``np.convolve`` steps
+    over every bin, then the reverse cumulative sum read at ``b``."""
+    size = n_bins + 1
+    dist = np.zeros(size)
+    np.add.at(dist, bins[0], 1.0)
+    for j in range(1, 16):
+        h = np.zeros(size)
+        np.add.at(h, bins[j], 1.0)
+        dist = np.convolve(dist, h)
+    cum_from_top = np.cumsum(dist[::-1])[::-1]
+    if b <= 0:
+        return float(cum_from_top[0])
+    if b >= dist.shape[0]:
+        return 0.0
+    return float(cum_from_top[b])
+
+
+def _rank_reads(scores, true, n_bins):
+    """The two ``(bins, threshold)`` reads behind the upper and the
+    lower bound, binned as ``key_rank_bounds`` bins them."""
+    lo, hi = scores.min(), scores.max()
+    width = (hi - lo) / (n_bins - 1)
+    bins_down = np.clip(
+        np.floor((scores - lo) / width).astype(np.int64), 0, n_bins - 1
+    )
+    bins_up = bins_down + 1
+    rows = np.arange(16)
+    return [
+        (bins_up, int(bins_down[rows, true].sum())),
+        (bins_down, int(bins_up[rows, true].sum()) + 1),
+    ]
+
+
+def _bounds(upper_mass, lower_mass):
+    upper = float(np.log2(max(upper_mass, 1.0)))
+    lower = float(np.log2(max(lower_mass + 1.0, 1.0)))
+    return (min(lower, upper), upper)
+
+
+SCORE_KINDS = ("noise", "boosted", "top", "bottom")
+
+
+def _score_case(kind, seed, boost, n_boosted):
+    """One score set of a kind: plain noise, ``n_boosted`` true bytes
+    raised by ``boost``, or every true byte at the top (the lower
+    bound's threshold lands past the last bin) or the bottom bin (the
+    upper bound's threshold is 0)."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(0.0, 1.0, (16, 256))
+    true = rng.integers(0, 256, 16)
+    rows = np.arange(16)
+    if kind == "boosted":
+        scores[rows[:n_boosted], true[:n_boosted]] += boost
+    elif kind == "top":
+        scores[rows, true] = scores.max()
+    elif kind == "bottom":
+        scores[rows, true] = scores.min()
+    return scores, true
+
+
+class TestTailOnlyConvolution:
+    """The tail-only convolution is an exact rewrite of the full chain:
+    the rank digests hash ``float.hex`` of the bounds, and the golden
+    rank curves compare only to a tolerance, so these tests pin the
+    bits."""
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    @pytest.mark.parametrize(
+        "n_bins, examples", [(2, 15), (16, 15), (256, 10), (1024, 4), (4096, 1)]
+    )
+    def test_bit_identical_to_full_chain(self, n_bins, examples, kind):
+        @settings(max_examples=examples)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            boost=st.floats(0.0, 8.0),
+            n_boosted=st.integers(1, 16),
+        )
+        def check(seed, boost, n_boosted):
+            scores, true = _score_case(kind, seed, boost, n_boosted)
+            reads = _rank_reads(scores, true, n_bins)
+            want = [_full_chain_mass(bins, n_bins, b) for bins, b in reads]
+            got = [_tail_mass(bins, n_bins, b) for bins, b in reads]
+            assert [m.hex() for m in got] == [m.hex() for m in want]
+            bounds = key_rank_bounds(scores, true, n_bins=n_bins)
+            assert [v.hex() for v in bounds] == [v.hex() for v in _bounds(*want)]
+
+        check()
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 16])
+    def test_every_threshold_matches(self, n_bins):
+        # Every b from below 0 to past the last bin, so each step's
+        # slice start meets both of its clamps.
+        bins = np.random.default_rng(n_bins).integers(0, n_bins + 1, (16, 256))
+        for b in range(-3, 16 * n_bins + 4):
+            got = _tail_mass(bins, n_bins, b)
+            assert got.hex() == _full_chain_mass(bins, n_bins, b).hex(), b
+
+    @pytest.mark.parametrize("n_bins", [256, 1024])
+    def test_edge_thresholds_match(self, n_bins):
+        bins = np.random.default_rng(n_bins).integers(0, n_bins + 1, (16, 256))
+        last = 16 * n_bins
+        for b in (-1, 0, 1, n_bins, last - n_bins, last - 1, last, last + 1, last + 9):
+            got = _tail_mass(bins, n_bins, b)
+            assert got.hex() == _full_chain_mass(bins, n_bins, b).hex(), b
