@@ -21,22 +21,16 @@ earlier work, and it is fully vectorized — hypotheses for all 256
 guesses of a byte come from one precomputed ``(256, 256, 256)`` lookup
 table (the numpy stand-in for the paper's GPU CPA tool [8]).
 
-Two accumulate engines drive the same exact sums (selected by the
-``accumulate=`` argument, defaulting through :mod:`repro.backends`):
-
-``"batched"`` (default)
-    Chunks are cut into row tiles; each tile is folded with **one**
-    stacked GEMM over an ``(m, 16*256)`` hypothesis matrix gathered
-    from a cached guess-contiguous table, and the trace sums are
-    computed once per tile in a shared accumulator instead of 16
-    times.  The hypothesis sums are taken on the integer side (narrow
-    exact sums over the uint8 gather) and the cross GEMM runs in
-    float32 whenever an exactness bound proves every partial sum is an
-    integer below 2**24 — narrower arithmetic, identical bits.
-``"per-byte"``
-    The legacy 16-small-GEMM engine over per-byte
-    :class:`~repro.analysis.streaming.StreamingPearson` accumulators.
-    Kept as the differential-testing oracle and benchmark baseline.
+Chunks are cut into row tiles; each tile is folded with **one**
+stacked GEMM over an ``(m, 16*256)`` hypothesis matrix gathered from a
+cached guess-contiguous table, and the trace sums are computed once per
+tile in a shared accumulator instead of 16 times.  The hypothesis sums
+are taken on the integer side (narrow exact sums over the uint8 gather)
+and the cross GEMM runs in float32 whenever an exactness bound proves
+every partial sum is an integer below 2**24 — narrower arithmetic,
+identical bits.  The legacy 16-small-GEMM per-byte engine is kept only
+as the test oracle (``tests/oracles.py``) and as the CPA bench's timed
+reference.
 
 Several sensors watching one victim see the same ciphertexts, and the
 hypotheses depend on nothing else.  :meth:`CPAAttack.update_many` folds
@@ -47,20 +41,20 @@ only its trace sums, exactness guard and GEMM are per sensor.  A single
 attack's ``update`` runs the same tiles through the same fold, so a
 fan-out of N is bit-identical to N separate attacks.
 
-Both engines keep the exact integer-in-float64 sums of the
+The engine keeps the exact integer-in-float64 sums of the
 reproducibility contract, so correlations, key ranks and state
-snapshots are bit-identical between them at any chunk size or merge
-order — the property ``tests/test_cpa_batched.py`` pins down.
+snapshots equal the per-byte oracle's bit for bit at any chunk size or
+merge order — the property ``tests/test_cpa_batched.py`` pins down.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.streaming import StackedStreamingPearson, StreamingPearson
-from repro.backends import cpa_accumulate_mode
+from repro.analysis.streaming import StackedStreamingPearson
 from repro.errors import AttackError
 from repro.traces.store import TraceSet
 from repro.victims.aes.core import SHIFT_ROWS_IDX
@@ -230,35 +224,36 @@ def _hypothesis_tiles(cts: np.ndarray):
         yield rows, _HypothesisTile(cts[rows])
 
 
+def _checked_count(name: str, value) -> int:
+    """``value`` as a plain int; non-integral values (floats, bools)
+    raise :class:`~repro.errors.AttackError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise AttackError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class CPAAttack:
     """Incremental last-round CPA.
 
-    A thin attack-specific shell over streaming Pearson accumulators
-    (one :class:`~repro.analysis.streaming.StackedStreamingPearson` in
-    batched mode, 16 per-byte :class:`~repro.analysis.streaming.
-    StreamingPearson` in reference mode): ``update`` (alias
-    ``add_traces``) folds chunks in, :meth:`update_many` folds one chunk
-    into one attack per sensor, :meth:`merge` combines independently
-    built attacks (the shard path of :meth:`repro.runtime.Engine.
-    stream_attack`), and because
+    A thin attack-specific shell over one
+    :class:`~repro.analysis.streaming.StackedStreamingPearson`
+    accumulator: ``update`` (alias ``add_traces``) folds chunks in,
+    :meth:`update_many` folds one chunk into one attack per sensor,
+    :meth:`merge` combines independently built attacks (the shard path
+    of :meth:`repro.runtime.Engine.stream_attack`), and because
     readouts and hypotheses are small integers the accumulated sums —
     hence the correlations and key ranks — are bit-identical for any
-    chunking, merge order or accumulate engine.
+    chunking or merge order.
 
     Parameters
     ----------
     n_samples:
-        Samples per trace.
+        Samples per trace (an integer).
     sample_window:
-        Optional ``(start, stop)`` restriction of the correlated sample
-        range (the attacker knows the trigger-to-last-round timing, so
-        correlating the whole trace is wasted work; ``None`` correlates
-        everything).
-    accumulate:
-        ``"batched"``, ``"per-byte"``, or ``None`` to resolve through
-        the active compute backend (``REPRO_BACKEND``): the ``numpy``
-        backend selects the per-byte reference engine, everything else
-        the batched engine.
+        Optional integer ``(start, stop)`` restriction of the correlated
+        sample range (the attacker knows the trigger-to-last-round
+        timing, so correlating the whole trace is wasted work; ``None``
+        correlates everything).
     """
 
     N_BYTES = 16
@@ -268,33 +263,25 @@ class CPAAttack:
         self,
         n_samples: int,
         sample_window: Optional[Tuple[int, int]] = None,
-        *,
-        accumulate: Optional[str] = None,
     ) -> None:
+        n_samples = _checked_count("n_samples", n_samples)
         if n_samples <= 0:
             raise AttackError("n_samples must be positive")
         if sample_window is not None:
-            start, stop = sample_window
+            start, stop = (
+                _checked_count("sample window bound", bound)
+                for bound in sample_window
+            )
             if not 0 <= start < stop <= n_samples:
                 raise AttackError(
                     f"sample window {sample_window} invalid for {n_samples} samples"
                 )
+            sample_window = (start, stop)
         self.n_samples = n_samples
         self.sample_window = sample_window
-        self.accumulate = cpa_accumulate_mode(accumulate)
-        if self.accumulate == "batched":
-            self._stacked: Optional[StackedStreamingPearson] = (
-                StackedStreamingPearson(
-                    self.N_BYTES, self.N_GUESSES, self._window_size
-                )
-            )
-            self._byte_corr: Optional[list] = None
-        else:
-            self._stacked = None
-            self._byte_corr = [
-                StreamingPearson(self.N_GUESSES, self._window_size)
-                for _ in range(self.N_BYTES)
-            ]
+        self._stacked = StackedStreamingPearson(
+            self.N_BYTES, self.N_GUESSES, self._window_size
+        )
         self._corr_cache: Optional[np.ndarray] = None
 
     # -- pickling: keep shard result pipes slim ------------------------
@@ -312,9 +299,7 @@ class CPAAttack:
     @property
     def n_traces(self) -> int:
         """Traces accumulated so far."""
-        if self._stacked is not None:
-            return self._stacked.n
-        return self._byte_corr[0].n
+        return self._stacked.n
 
     def telemetry_counters(self) -> dict:
         """Numeric progress counters for checkpoint telemetry spans."""
@@ -379,11 +364,10 @@ class CPAAttack:
                 attack.update(traces[rows], tile)
 
     def _fold(self, traces: np.ndarray, tile: "_HypothesisTile") -> None:
-        """Fold one tile's traces: the one accumulate body of both
-        engines.
+        """Fold one tile's traces: take the trace sums, pick the
+        narrowest exact GEMM and fold the tile's shared hypothesis sums
+        with it.
 
-        The batched engine takes the trace sums, picks the narrowest
-        exact GEMM and folds the tile's shared hypothesis sums with it.
         Every folded quantity equals the per-byte engine's sum bit for
         bit: hypothesis values and integer readouts make all partial
         sums exact, so neither summation order nor narrow accumulators
@@ -395,14 +379,6 @@ class CPAAttack:
             traces = traces[:, self.sample_window[0] : self.sample_window[1]]
         y = np.asarray(traces, dtype=np.float64)
         self._corr_cache = None
-        if self._stacked is None:
-            table = hypothesis_table()
-            cts = tile.cts
-            for j in range(self.N_BYTES):
-                partner = int(SHIFT_ROWS_IDX[j])
-                h = table[:, cts[:, j], cts[:, partner]]  # (256, m)
-                self._byte_corr[j].update(h.T, y)
-            return
         rows = len(tile)
         width = self.N_BYTES * self.N_GUESSES
         window = self._window_size
@@ -431,13 +407,15 @@ class CPAAttack:
     def merge(self, other: "CPAAttack") -> "CPAAttack":
         """Fold another attack's accumulated sums in.
 
-        Both attacks must share ``n_samples``, ``sample_window`` and
-        accumulate engine.  Merging is exact, so shard-local attacks
+        Both attacks must be of the same type and share ``n_samples``
+        and ``sample_window``.  Merging is exact, so shard-local attacks
         merged in any order equal one attack fed the same traces
         serially, bit for bit.
         """
-        if not isinstance(other, CPAAttack):
-            raise AttackError(f"cannot merge {type(other).__name__} into CPAAttack")
+        if type(other) is not type(self):
+            raise AttackError(
+                f"cannot merge {type(other).__name__} into {type(self).__name__}"
+            )
         if (
             other.n_samples != self.n_samples
             or other.sample_window != self.sample_window
@@ -445,17 +423,8 @@ class CPAAttack:
             raise AttackError(
                 "cannot merge CPA attacks with different sample configuration"
             )
-        if other.accumulate != self.accumulate:
-            raise AttackError(
-                f"cannot merge a {other.accumulate!r}-engine attack into a "
-                f"{self.accumulate!r}-engine attack"
-            )
         self._corr_cache = None
-        if self._stacked is not None:
-            self._stacked.merge(other._stacked)
-        else:
-            for mine, theirs in zip(self._byte_corr, other._byte_corr):
-                mine.merge(theirs)
+        self._stacked.merge(other._stacked)
         return self
 
     # ------------------------------------------------------------------
@@ -469,88 +438,49 @@ class CPAAttack:
         besides the traces themselves (the content-address companion of
         the acquisition's ``cache_token``).
 
-        The accumulate engine is deliberately absent: both engines
-        accumulate bit-identical sums and :meth:`load_state_arrays`
-        reads either layout, so snapshots are interchangeable between
-        them (including pre-batched-engine dumps).
+        No engine is named: :meth:`load_state_arrays` also reads the
+        per-byte layout that older builds wrote, so their snapshots
+        replay under the same key.
         """
         return {
             "type": type(self).__name__,
-            "n_samples": int(self.n_samples),
+            "n_samples": self.n_samples,
             "sample_window": (
-                None
-                if self.sample_window is None
-                else [int(self.sample_window[0]), int(self.sample_window[1])]
+                None if self.sample_window is None else list(self.sample_window)
             ),
         }
 
     def state_arrays(self) -> dict:
-        """The full accumulator state as named arrays.
+        """The full accumulator state as named arrays (the compact
+        stacked layout: one shared copy of the trace sums).
 
         The sums are exact (see :mod:`repro.analysis.streaming`), so
         restoring a dump reproduces :meth:`correlations` — and every
-        rank derived from it — bit for bit.  The batched engine dumps
-        the compact stacked layout (one shared copy of the trace sums);
-        the per-byte engine keeps the legacy ``b{j:02d}_*`` layout.
+        rank derived from it — bit for bit.
         """
-        if self._stacked is not None:
-            return self._stacked.state_arrays()
-        out = {}
-        for j, corr in enumerate(self._byte_corr):
-            for name, arr in corr.state_arrays().items():
-                out[f"b{j:02d}_{name}"] = arr
-        return out
+        return self._stacked.state_arrays()
 
     def load_state_arrays(self, arrays) -> "CPAAttack":
-        """Overwrite this attack with a :meth:`state_arrays` dump.
-
-        Accepts both dump layouts regardless of this attack's engine —
-        the migration shim that keeps attack-state snapshots written by
-        the per-byte engine (every pre-batched block store) replayable
-        by batched attacks, and vice versa.
-        """
+        """Overwrite this attack with a :meth:`state_arrays` dump."""
         self._corr_cache = None
-        if "s_xy" in arrays:
-            stacked = self._as_stacked_arrays_noop(arrays)
-        elif "b00_s_xy" in arrays:
-            stacked = self._stack_per_byte_arrays(arrays)
-        else:
-            raise AttackError(
-                "unrecognized CPA state dump: expected stacked arrays "
-                "('s_xy', ...) or per-byte arrays ('b00_s_xy', ...)"
-            )
-        if self._stacked is not None:
-            self._stacked.load_state_arrays(stacked)
-            return self
-        w = self._window_size
-        s_xy = np.asarray(stacked["s_xy"], dtype=np.float64).reshape(
-            self.N_BYTES, self.N_GUESSES, w
-        )
-        s_x = np.asarray(stacked["s_x"], dtype=np.float64).reshape(
-            self.N_BYTES, self.N_GUESSES
-        )
-        s_x2 = np.asarray(stacked["s_x2"], dtype=np.float64).reshape(
-            self.N_BYTES, self.N_GUESSES
-        )
-        for j, corr in enumerate(self._byte_corr):
-            corr.load_state_arrays(
-                {
-                    "n": stacked["n"],
-                    "s_x": s_x[j],
-                    "s_x2": s_x2[j],
-                    "s_y": stacked["s_y"],
-                    "s_y2": stacked["s_y2"],
-                    "s_xy": s_xy[j],
-                }
-            )
+        self._stacked.load_state_arrays(self._stacked_layout(arrays))
         return self
 
-    @staticmethod
-    def _as_stacked_arrays_noop(arrays) -> dict:
-        return {
-            name: arrays[name]
-            for name in ("n", "s_x", "s_x2", "s_y", "s_y2", "s_xy")
-        }
+    def _stacked_layout(self, arrays) -> dict:
+        """A dump in the stacked layout, whichever layout it was
+        written in: per-byte ``b{j:02d}_*`` dumps (from older builds)
+        are restacked."""
+        if "s_xy" in arrays:
+            return {
+                name: arrays[name]
+                for name in ("n", "s_x", "s_x2", "s_y", "s_y2", "s_xy")
+            }
+        if "b00_s_xy" in arrays:
+            return self._stack_per_byte_arrays(arrays)
+        raise AttackError(
+            "unrecognized CPA state dump: expected stacked arrays "
+            "('s_xy', ...) or per-byte arrays ('b00_s_xy', ...)"
+        )
 
     def _stack_per_byte_arrays(self, arrays) -> dict:
         """Convert a legacy per-byte dump into the stacked layout.
@@ -596,15 +526,9 @@ class CPAAttack:
         """
         if self.n_traces < 2:
             raise AttackError("need at least two traces to correlate")
-        if self._corr_cache is not None:
-            return self._corr_cache
-        if self._stacked is not None:
-            rho = self._stacked.finalize()
-        else:
-            rho = np.stack([corr.finalize() for corr in self._byte_corr])
-            rho.flags.writeable = False
-        self._corr_cache = rho
-        return rho
+        if self._corr_cache is None:
+            self._corr_cache = self._stacked.finalize()
+        return self._corr_cache
 
     def peak_correlations(self) -> np.ndarray:
         """Per (byte, guess) |correlation| maximized over samples:

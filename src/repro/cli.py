@@ -96,30 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: whole shard segments; any value is bit-identical)"
         ),
     )
-    from repro.backends import all_backends, default_backend_name
-    from repro.kernels import available_kernels, default_kernel_name
-
-    parser.add_argument(
-        "--backend",
-        choices=all_backends(),
-        default=None,
-        help=(
-            "compute backend: acquisition kernel + sampler + CPA "
-            f"accumulate engine (default: {default_backend_name()}, or "
-            "the REPRO_BACKEND environment variable; 'numpy' is the "
-            "pure-numpy differential oracle)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help=(
-            "acquisition kernel for trace generation "
-            f"(default: {default_kernel_name()}; 'reference' is the "
-            "unfused oracle path; overrides the backend's kernel)"
-        ),
-    )
     parser.add_argument(
         "--run-dir",
         default=None,
@@ -1000,26 +976,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from repro.errors import ReproError
     from repro.experiments import registry
-    from repro.kernels import set_default_kernel
 
     known = registry.names()
     try:
-        if args.backend is not None:
-            from repro.backends import activate_backend
-
-            activate_backend(args.backend)
-        elif os.environ.get("REPRO_BACKEND"):
-            # Validate eagerly: a mistyped REPRO_BACKEND must fail here,
-            # not pass silently on experiments that never resolve a
-            # backend seam.
-            from repro.backends import get_backend
-
-            get_backend(None)
-        if args.kernel is not None:
-            # Experiments build their own acquisition harnesses; steering
-            # the process default is how the flag reaches all of them.
-            # Applied after the backend so an explicit --kernel wins.
-            set_default_kernel(args.kernel)
         if args.experiment == "list":
             for name in known:
                 print(name)

@@ -18,10 +18,9 @@ sensor_zoo        (extension) LeakyDSP/TDC/RDS/RO on one workload
 
 Every module registers itself with :mod:`repro.experiments.registry`
 and exposes the uniform entry point ``run(config: ExperimentConfig,
-engine: Engine) -> ExperimentResult``; the historical keyword signature
-(``run(n_readouts=...)``) still works through a deprecation shim and
-the underlying implementation lives on as ``run_<name>`` (accepting an
-optional ``engine=`` for parallel acquisition).  Each module also keeps
+engine: Engine) -> ExperimentResult``; the underlying implementation
+lives on as ``run_<name>`` (accepting an optional ``engine=`` for
+parallel acquisition).  Each module also keeps
 a ``main()`` that prints the paper-style rows.  Benchmarks in
 ``benchmarks/`` call ``run_<name>`` with scaled-down defaults; set
 ``REPRO_FULL=1`` to run paper-scale workloads.

@@ -160,7 +160,7 @@ def _run_protocol(
     )
 
 
-run = registry.protocol_entry("ablation-calib", run_ablation_calib)
+run = registry.protocol_entry("ablation-calib")
 
 
 def main() -> None:

@@ -158,7 +158,7 @@ def _run_protocol(
     )
 
 
-run = registry.protocol_entry("ablation-chain", run_ablation_chain)
+run = registry.protocol_entry("ablation-chain")
 
 
 def main() -> None:

@@ -142,7 +142,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig3Resu
     return run_fig3(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("fig3", run_fig3)
+run = registry.protocol_entry("fig3")
 
 
 def main() -> None:

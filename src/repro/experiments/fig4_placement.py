@@ -162,7 +162,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig4Resu
     return run_fig4(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("fig4", run_fig4)
+run = registry.protocol_entry("fig4")
 
 
 def main() -> None:

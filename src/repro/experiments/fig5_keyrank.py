@@ -193,7 +193,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig5Resu
     return run_fig5(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("fig5", run_fig5)
+run = registry.protocol_entry("fig5")
 
 
 def main() -> None:

@@ -193,7 +193,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig6Resu
     return run_fig6(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("fig6", run_fig6)
+run = registry.protocol_entry("fig6")
 
 
 def main() -> None:

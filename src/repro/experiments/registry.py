@@ -6,9 +6,7 @@ entry-point protocol::
     run(config: ExperimentConfig, engine: Engine) -> ExperimentResult
 
 replacing the historical per-module signatures (``run(n_readouts=...)``,
-``run(placements=..., n_traces=...)``, ...).  The old keyword style
-still works through a deprecation shim on each module's ``run`` and
-warns once per call site.
+``run(placements=..., n_traces=...)``, ...).
 
 Typical use::
 
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -413,49 +410,29 @@ def _persist_run(
         result.metadata["trace_out"] = str(trace_out)
 
 
-def protocol_entry(name: str, legacy_fn: Callable) -> Callable:
-    """Build a module's public ``run``: new protocol plus legacy shim.
+def protocol_entry(name: str) -> Callable:
+    """Build a module's public ``run``: ``run(config, engine=None)``
+    with an :class:`ExperimentConfig`, dispatched through the registry
+    to return an :class:`ExperimentResult`."""
 
-    Called as ``run(config, engine)`` (or ``run(config)``) with an
-    :class:`ExperimentConfig`, it dispatches through the registry and
-    returns an :class:`ExperimentResult`.  Called with the module's
-    historical keyword arguments (or bare), it emits a
-    :class:`DeprecationWarning` and returns the legacy result object
-    unchanged.
-    """
-
-    def run_entry(config=None, engine=None, **kwargs):
-        if isinstance(config, ExperimentConfig):
-            if kwargs:
-                raise TypeError(
-                    "pass per-experiment overrides via ExperimentConfig."
-                    "options, not keyword arguments"
-                )
-            return run(name, config, engine)
-        if config is not None:
+    def run_entry(config, engine=None, **kwargs):
+        if not isinstance(config, ExperimentConfig):
             raise TypeError(
                 f"{name}.run() takes an ExperimentConfig as its first "
-                f"argument (got {type(config).__name__}); legacy "
-                "parameters must be passed by keyword"
+                f"argument (got {type(config).__name__})"
             )
-        if engine is not None:
-            kwargs["engine"] = engine
-        warnings.warn(
-            f"calling {name}.run() with legacy keyword arguments is "
-            "deprecated; use run(ExperimentConfig(...)) or "
-            "repro.experiments.registry.run()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy_fn(**kwargs)
+        if kwargs:
+            raise TypeError(
+                "pass per-experiment overrides via ExperimentConfig."
+                "options, not keyword arguments"
+            )
+        return run(name, config, engine)
 
     run_entry.__name__ = "run"
     run_entry.__qualname__ = "run"
     run_entry.__doc__ = (
-        f"Uniform entry point for the {name!r} experiment.\n\n"
+        f"Uniform entry point for the {name!r} experiment: "
         "``run(config: ExperimentConfig, engine: Engine = None) -> "
-        "ExperimentResult`` is the supported protocol; the historical "
-        "keyword signature still works but is deprecated:\n\n"
-        + (legacy_fn.__doc__ or "")
+        "ExperimentResult``."
     )
     return run_entry

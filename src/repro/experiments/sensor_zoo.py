@@ -202,7 +202,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> SensorZo
     )
 
 
-run = registry.protocol_entry("sensor-zoo", run_sensor_zoo)
+run = registry.protocol_entry("sensor-zoo")
 
 
 def main() -> None:

@@ -332,7 +332,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Table1Re
     return run_table1(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("table1", run_table1)
+run = registry.protocol_entry("table1")
 
 
 def main() -> None:

@@ -1,33 +1,27 @@
-"""Fused acquisition kernels and stage-level profiling.
+"""The fused acquisition kernel and stage-level profiling.
 
 The hot path of every campaign is ``acquire_block`` — AES round states,
 switching currents, the PDN low-pass, and the sensor's moment-matched
-readout draw.  This package holds the swappable implementations of that
-path (:mod:`repro.kernels.aes_trace`), the shared-pass fan-out layer
-that amortises one AES+PDN pass across N sensors
+readout draw.  This package holds the fused implementation of that path
+(:mod:`repro.kernels.aes_trace`), the shared-pass fan-out layer that
+amortises one AES+PDN pass across N sensors
 (:mod:`repro.kernels.fanout`, with an optional self-tested C inner loop
 in :mod:`repro.kernels._csampler`), the precomputed PDN step-response
 basis the fused kernel multiplies against (:mod:`repro.kernels.basis`),
-and the structured per-stage cost accounting that replaced the ad-hoc
-``timings`` dicts (:mod:`repro.kernels.profile`).
+and the structured per-stage cost accounting
+(:mod:`repro.kernels.profile`).
 
-Third-party compute backends plug in through
-:func:`~repro.kernels.aes_trace.register_kernel`; anything registered
-is addressable wherever a ``kernel=`` argument or ``--kernel`` flag is
-accepted.
+There is one compute path: an acquisition's ``kernel=None`` resolves to
+the shared :class:`FusedAcquisitionKernel`.  Passing an
+:class:`AcquisitionKernel` instance instead is the seam the
+differential tests use to run the unfused oracle.
 """
 
 from repro.kernels.aes_trace import (
     LEAD_IN_CYCLES,
     AcquisitionKernel,
     FusedAcquisitionKernel,
-    ReferenceAcquisitionKernel,
-    available_kernels,
-    default_kernel_name,
     get_kernel,
-    register_kernel,
-    set_default_kernel,
-    unregister_kernel,
 )
 from repro.kernels.basis import StepResponseBasis, step_response_basis, unit_boxcars
 from repro.kernels.profile import StageAccount, StageProfile, StageStats
@@ -36,17 +30,11 @@ __all__ = [
     "LEAD_IN_CYCLES",
     "AcquisitionKernel",
     "FusedAcquisitionKernel",
-    "ReferenceAcquisitionKernel",
     "StageAccount",
     "StageProfile",
     "StageStats",
     "StepResponseBasis",
-    "available_kernels",
-    "default_kernel_name",
     "get_kernel",
-    "register_kernel",
-    "set_default_kernel",
     "step_response_basis",
     "unit_boxcars",
-    "unregister_kernel",
 ]

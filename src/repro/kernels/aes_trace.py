@@ -1,49 +1,44 @@
-"""Acquisition kernels: the trace-generation hot path, swappable.
+"""The acquisition kernel: the trace-generation hot path.
 
-Two implementations of the same model pipeline (AES round states ->
-switching currents -> PDN low-pass -> sensor sampling):
+:class:`FusedAcquisitionKernel` computes the model pipeline (AES round
+states -> switching currents -> PDN low-pass -> sensor sampling) as an
+algebraically fused rewrite of the literal pipeline:
 
-* :class:`ReferenceAcquisitionKernel` (``"reference"``) — the literal
-  pipeline: dense per-sample current matrix, sequential
-  ``scipy.signal.lfilter`` recurrence, ``numpy.interp`` moments lookup.
-  Kept as the differential-testing oracle.
-* :class:`FusedAcquisitionKernel` (``"fused"``, the default) — the
-  algebraically fused rewrite:
+- the PDN droop is a single BLAS matmul against the precomputed
+  step-response basis (:mod:`repro.kernels.basis`) instead of filtering
+  an ``(m, n_samples)`` current matrix — the dense current matrix is
+  never materialized;
+- the moments-table lookup exploits the table's *uniform* grid: one
+  shared index/fraction computation replaces two binary-searching
+  ``numpy.interp`` passes;
+- the readout draw is one ``standard_normal`` fill plus two fused
+  in-place passes (bit-identical to ``Generator.normal(mu, sigma)``,
+  which computes ``loc + scale * z`` elementwise).
 
-  - the PDN droop is a single BLAS matmul against the precomputed
-    step-response basis (:mod:`repro.kernels.basis`) instead of
-    filtering an ``(m, n_samples)`` matrix — the dense current matrix
-    is never materialized;
-  - the moments-table lookup exploits the table's *uniform* grid: one
-    shared index/fraction computation replaces two binary-searching
-    ``numpy.interp`` passes;
-  - the readout draw is one ``standard_normal`` fill plus two fused
-    in-place passes (bit-identical to ``Generator.normal(mu, sigma)``,
-    which computes ``loc + scale * z`` elementwise).
-
-Both kernels consume the *identical* RNG stream (same draws, same
-order), so for a fixed seed they differ only by floating-point
+It consumes the RNG stream of the literal pipeline (same draws, same
+order), so for a fixed seed the two differ only by floating-point
 summation order — a few ULPs of voltage, which virtually never moves a
-rounded integer readout.  Determinism across worker counts and chunk
-sizes is inherited unchanged: a kernel is a pure function of (block,
-rng), and the engine's shard plan fixes both.
+rounded integer readout.  The literal pipeline lives on as the test
+oracle (``tests/oracles.py``), injected through the
+:class:`AcquisitionKernel` seam.  Determinism across worker counts and
+chunk sizes is inherited unchanged: a kernel is a pure function of
+(block, rng), and the engine's shard plan fixes both.
 
-Kernels are stateless apart from caches; instances are shared via
-:func:`get_kernel` and travel to worker processes with the pickled
-acquisition harness (caches are dropped on pickle and rebuilt once per
-worker).
+Kernels are stateless apart from caches; ``kernel=None`` resolves to
+one shared instance (:func:`get_kernel`), which travels to worker
+processes with the pickled acquisition harness (caches are dropped on
+pickle and rebuilt once per worker).
 """
 
 from __future__ import annotations
 
 import abc
-import os
 import weakref
 from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.sensor import SamplingMethod, check_table_range
+from repro.core.sensor import check_table_range
 from repro.errors import ConfigurationError
 from repro.kernels import fanout
 from repro.kernels.basis import step_response_basis
@@ -56,7 +51,7 @@ from repro.victims.aes.core import AES128
 LEAD_IN_CYCLES = 1
 
 #: Floor applied to the interpolated readout sigma (matches the
-#: reference ``sample_readouts`` floor).
+#: ``VoltageSensor.sample_readouts`` floor).
 SIGMA_FLOOR = 1e-9
 
 #: Elements per tile in the fused sensor stage.  The stage is ~15
@@ -71,7 +66,7 @@ SENSOR_TILE = 1 << 16
 class AcquisitionKernel(abc.ABC):
     """One implementation of the AES-trace acquisition block."""
 
-    #: Registry name of the kernel.
+    #: Kernel name recorded in trace-set metadata.
     name: ClassVar[str] = ""
 
     @abc.abstractmethod
@@ -150,43 +145,6 @@ def _aes_stage(hw_model, aes: AES128, plaintexts, profile, acct):
     return hd, cts
 
 
-class ReferenceAcquisitionKernel(AcquisitionKernel):
-    """The unfused pipeline, kept as the differential-testing oracle."""
-
-    name: ClassVar[str] = "reference"
-
-    def acquire(
-        self,
-        acquisition,
-        aes: AES128,
-        plaintexts: np.ndarray,
-        rng: np.random.Generator,
-        n_samples: int,
-        profile: Optional[StageProfile] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        profile = profile if profile is not None else StageProfile()
-        m = plaintexts.shape[0]
-        sensor = acquisition.sensor
-        sensor_pos = sensor.require_position()
-        kappa = acquisition.coupling.kappa(sensor_pos, acquisition.aes_position)
-        dt = acquisition.hw_model.sensor_clock.period
-
-        with profile.stage("aes", items=m) as acct:
-            hd, cts = _aes_stage(acquisition.hw_model, aes, plaintexts, profile, acct)
-        with profile.stage("pdn", items=m) as acct:
-            currents = acquisition.hw_model.current_waveform(hd, n_samples=n_samples)
-            droop = kappa * acquisition.coupling.filter_currents(currents, dt)
-            acct.account(currents, droop)
-        with profile.stage("sensor", items=m) as acct:
-            volts = sensor.constants.v_nominal - droop
-            volts += acquisition.noise.sample(m * n_samples, rng).reshape(m, n_samples)
-            readouts = sensor.sample_readouts(
-                volts, rng=rng, method=SamplingMethod.NORMAL
-            ).astype(np.int16)
-            acct.account(volts, readouts)
-        return readouts, cts
-
-
 class _TableInterpolant:
     """Uniform-grid view of a sensor's voltage->moments table.
 
@@ -224,7 +182,7 @@ def _table_interpolant(sensor) -> _TableInterpolant:
 
 
 class FusedAcquisitionKernel(AcquisitionKernel):
-    """Fused LTI acquisition kernel (the default).
+    """Fused LTI acquisition kernel.
 
     See the module docstring for the algebra.  Per-configuration
     weights — the sign-folded, gain-scaled basis and the nominal-voltage
@@ -374,7 +332,7 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         interp = _table_interpolant(sensor)
         check_table_range(sensor, flat, interp.table[0])
 
-        # One RNG fill for the whole block, up front: the reference
+        # One RNG fill for the whole block, up front: sample_readouts
         # draws all its readout gaussians in one call, and a sequential
         # fill is the same stream.
         full_draw = ws["draw"]
@@ -529,124 +487,24 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         return results
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_KERNEL_TYPES: Dict[str, type] = {
-    FusedAcquisitionKernel.name: FusedAcquisitionKernel,
-    ReferenceAcquisitionKernel.name: ReferenceAcquisitionKernel,
-}
-_INSTANCES: Dict[str, AcquisitionKernel] = {}
-
-#: Kernel each built-in compute backend (``REPRO_BACKEND``) implies at
-#: import time.  The ``numba`` backend starts on the fused kernel and
-#: upgrades to its JIT kernel when :func:`repro.backends.
-#: activate_backend` registers it (it cannot be probed this early).
-_ENV_BACKEND_KERNELS = {
-    "numpy": ReferenceAcquisitionKernel.name,
-    "fused": FusedAcquisitionKernel.name,
-    "numba": FusedAcquisitionKernel.name,
-}
-
-#: Process-wide default kernel name; overridable via the
-#: ``REPRO_KERNEL`` environment variable (which wins over the
-#: ``REPRO_BACKEND`` mapping) or :func:`set_default_kernel` (the CLI's
-#: ``--kernel`` / ``--backend`` flags).
-_DEFAULT_KERNEL = os.environ.get("REPRO_KERNEL") or _ENV_BACKEND_KERNELS.get(
-    os.environ.get("REPRO_BACKEND", ""), FusedAcquisitionKernel.name
-)
 
 
-def available_kernels() -> Tuple[str, ...]:
-    """Registered kernel names, sorted."""
-    return tuple(sorted(_KERNEL_TYPES))
+#: The process-wide fused kernel that ``kernel=None`` resolves to.
+_SHARED_FUSED = FusedAcquisitionKernel()
 
 
-def default_kernel_name() -> str:
-    """The name new acquisition harnesses resolve ``kernel=None`` to."""
-    return _DEFAULT_KERNEL
+def get_kernel(kernel: Optional[AcquisitionKernel] = None) -> AcquisitionKernel:
+    """Resolve an acquisition's ``kernel`` argument.
 
-
-def set_default_kernel(name: str) -> str:
-    """Set the process-wide default kernel; returns the previous name."""
-    global _DEFAULT_KERNEL
-    if name not in _KERNEL_TYPES:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; available: {', '.join(available_kernels())}"
-        )
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = name
-    return previous
-
-
-def get_kernel(kernel=None) -> AcquisitionKernel:
-    """Resolve a kernel argument to a (shared) kernel instance.
-
-    Accepts ``None`` (the process default), a registered name, or an
-    :class:`AcquisitionKernel` instance (returned unchanged).
+    ``None`` is the shared :class:`FusedAcquisitionKernel`; an
+    :class:`AcquisitionKernel` instance is returned unchanged (the seam
+    differential tests use to inject an oracle kernel).  Anything else
+    raises :class:`~repro.errors.ConfigurationError`.
     """
+    if kernel is None:
+        return _SHARED_FUSED
     if isinstance(kernel, AcquisitionKernel):
         return kernel
-    if kernel is None:
-        kernel = _DEFAULT_KERNEL
-    try:
-        kernel_type = _KERNEL_TYPES[kernel]
-    except (KeyError, TypeError):
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; available: {', '.join(available_kernels())}"
-        ) from None
-    instance = _INSTANCES.get(kernel)
-    if instance is None:
-        instance = _INSTANCES[kernel] = kernel_type()
-    return instance
-
-
-_BUILTIN_KERNELS = frozenset(_KERNEL_TYPES)
-
-
-def register_kernel(kernel_type: type, *, replace: bool = False) -> str:
-    """Register an :class:`AcquisitionKernel` subclass as a compute
-    backend, under its class-level ``name``.
-
-    This is the extension seam for alternative backends (a numba or
-    cupy kernel, an instrumented wrapper): once registered, the name is
-    accepted everywhere a ``kernel=`` argument is — acquisition specs,
-    ``get_kernel``, ``set_default_kernel``, the CLI's ``--kernel``
-    flag.  Backends must honour the bit-exactness contract of
-    :meth:`AcquisitionKernel.acquire` (and ``acquire_many``'s RNG
-    contract, or inherit the generic fallback).  Returns the registered
-    name.
-    """
-    if not (isinstance(kernel_type, type) and issubclass(kernel_type, AcquisitionKernel)):
-        raise ConfigurationError(
-            "register_kernel expects an AcquisitionKernel subclass"
-        )
-    name = kernel_type.name
-    if not name:
-        raise ConfigurationError(
-            f"{kernel_type.__name__} needs a non-empty class-level 'name'"
-        )
-    if name in _BUILTIN_KERNELS:
-        raise ConfigurationError(f"kernel name {name!r} is reserved (built-in)")
-    if name in _KERNEL_TYPES and not replace:
-        raise ConfigurationError(
-            f"kernel {name!r} is already registered (pass replace=True)"
-        )
-    _KERNEL_TYPES[name] = kernel_type
-    _INSTANCES.pop(name, None)
-    return name
-
-
-def unregister_kernel(name: str) -> None:
-    """Remove a backend registered via :func:`register_kernel`."""
-    if name in _BUILTIN_KERNELS:
-        raise ConfigurationError(f"cannot unregister built-in kernel {name!r}")
-    if name not in _KERNEL_TYPES:
-        raise ConfigurationError(f"unknown kernel {name!r}")
-    if name == _DEFAULT_KERNEL:
-        raise ConfigurationError(
-            f"kernel {name!r} is the process default; set another default first"
-        )
-    del _KERNEL_TYPES[name]
-    _INSTANCES.pop(name, None)
+    raise ConfigurationError(
+        f"kernel must be None or an AcquisitionKernel instance, got {kernel!r}"
+    )

@@ -59,28 +59,6 @@ def make_scratch(tile: int = FANOUT_TILE) -> Dict[str, np.ndarray]:
     }
 
 
-#: Pluggable sampler provider (``None`` -> the default C sampler
-#: resolution).  :func:`repro.backends.activate_backend` points this at
-#: the numba sampler or at "nothing" (pure-numpy reference backend).
-_SAMPLER_PROVIDER = None
-
-
-def set_sampler_provider(provider) -> None:
-    """Install a zero-argument callable returning a sampler (an object
-    with the :meth:`repro.kernels._csampler.CSampler.sample` interface)
-    or ``None`` for the tiled numpy path.  ``provider=None`` restores
-    the default C-sampler resolution."""
-    global _SAMPLER_PROVIDER
-    _SAMPLER_PROVIDER = provider
-
-
-def _active_sampler():
-    """Indirection point so tests and backends can steer the path."""
-    if _SAMPLER_PROVIDER is not None:
-        return _SAMPLER_PROVIDER()
-    return _get_csampler()
-
-
 def sample_sensor(
     sensor,
     interp,
@@ -100,7 +78,7 @@ def sample_sensor(
     exactly when the single-sensor path would.
     """
     grid = interp.table[0]
-    sampler = _active_sampler()
+    sampler = _get_csampler()
     if sampler is not None:
         vmin = sampler.sample(
             flat, noise, draw, offset, interp, sigma_floor,

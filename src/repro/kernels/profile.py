@@ -1,14 +1,12 @@
 """Stage-level profiling for the acquisition hot path.
 
 Campaign throughput questions ("where did the cores go", "is the PDN
-filter or the sensor model the ceiling") used to be answered by ad-hoc
-``timings`` dicts threaded through ``acquire_block``.  This module
-answers them with spans: every ``stage()`` call records one
-:class:`~repro.telemetry.spans.SpanRecord` — start timestamp, wall
-seconds, bytes/items/calls counters — and the familiar aggregate views
-(:class:`StageStats`, ``stage_seconds()``, ``summary()``) are computed
-*from those records*, so the profile, the JSONL run log and the
-Perfetto trace can never disagree.
+filter or the sensor model the ceiling") are answered with spans: every
+``stage()`` call records one :class:`~repro.telemetry.spans.SpanRecord`
+— start timestamp, wall seconds, bytes/items/calls counters — and the
+familiar aggregate views (:class:`StageStats`, ``stage_seconds()``,
+``summary()``) are computed *from those records*, so the profile, the
+JSONL run log and the Perfetto trace can never disagree.
 
 * :class:`StageStats` — aggregated wall seconds, bytes of arrays
   produced, items processed and call count for one pipeline stage (a
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
@@ -123,27 +120,6 @@ def stats_from_spans(records: List[SpanRecord]) -> Dict[str, StageStats]:
         stats.items += int(rec.counter("items"))
         stats.calls += int(rec.counter("calls", 1))
     return stages
-
-
-def profile_from_timings(timings: Dict[str, float]) -> "StageProfile":
-    """Deprecated: lift a legacy ``{stage: seconds}`` timings dict into
-    a :class:`StageProfile`.
-
-    Timing dicts predate the span API; construct a profile and record
-    through :meth:`StageProfile.stage` / :meth:`StageProfile.add`
-    instead — spans carry bytes, items and timeline position, which a
-    bare dict cannot.
-    """
-    warnings.warn(
-        "passing raw timings dicts is deprecated; record stages through "
-        "the span API (StageProfile.stage()/add(), repro.telemetry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    profile = StageProfile()
-    for name, seconds in timings.items():
-        profile.add(name, float(seconds))
-    return profile
 
 
 class StageProfile:
@@ -235,7 +211,7 @@ class StageProfile:
         return sum(rec.seconds for rec in self.records)
 
     def stage_seconds(self) -> Dict[str, float]:
-        """``{stage: seconds}`` (the historical ``timings`` dict shape)."""
+        """``{stage: seconds}``."""
         return {name: stats.seconds for name, stats in self.stages.items()}
 
     def stage_nbytes(self) -> Dict[str, int]:

@@ -33,7 +33,6 @@ own plaintext, exactly as chaining would leave it).
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -50,18 +49,6 @@ from repro.timing.sampling import ClockSpec
 from repro.traces.store import TraceSet
 from repro.victims.aes import AES128, AESHardwareModel
 from repro.victims.power_virus import PowerVirusBank
-
-
-def _warn_timings_dict() -> None:
-    """Deprecation warning for the pre-span ``timings`` dict plumbing."""
-    warnings.warn(
-        "the timings={} dict argument is deprecated; pass a "
-        "repro.kernels.StageProfile via profile= instead — stages are "
-        "recorded as telemetry spans (repro.telemetry) with bytes, "
-        "items and timeline position",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _coerce_group_count(active_groups, n_groups: int) -> int:
@@ -121,9 +108,9 @@ class AcquisitionSpec:
         Voltage noise model; ``None`` means white noise at the sensor
         constants' RMS level.
     kernel:
-        Compute backend for :meth:`AESTraceAcquisition.acquire_block`:
-        ``None`` (the process default, normally ``"fused"``), a
-        registered name, or an
+        The kernel behind :meth:`AESTraceAcquisition.acquire_block`:
+        ``None`` (the shared :class:`~repro.kernels.
+        FusedAcquisitionKernel`) or an
         :class:`~repro.kernels.AcquisitionKernel` instance.
     """
 
@@ -132,7 +119,7 @@ class AcquisitionSpec:
     hw_model: AESHardwareModel
     aes_position: Tuple[float, float]
     noise: Optional[NoiseModel] = None
-    kernel: Optional[Union[str, AcquisitionKernel]] = None
+    kernel: Optional[AcquisitionKernel] = None
 
     def build(self) -> "AESTraceAcquisition":
         """Construct the acquisition harness this spec describes."""
@@ -142,37 +129,18 @@ class AcquisitionSpec:
 class AESTraceAcquisition:
     """Collect AES power traces through an on-chip sensor.
 
-    Canonically constructed from a single :class:`AcquisitionSpec`::
+    Constructed from a single :class:`AcquisitionSpec`::
 
         acq = AESTraceAcquisition(spec=spec)   # or spec.build()
 
-    The original positional/keyword signature ``(sensor, coupling,
-    hw_model, aes_position, noise=None, kernel=None)`` still works but
-    is deprecated; it routes the arguments through ``AcquisitionSpec``
-    and emits a :class:`DeprecationWarning`.  See the spec's field
-    documentation for parameter semantics.
+    See the spec's field documentation for parameter semantics.
     """
 
-    def __init__(self, *args, spec: Optional[AcquisitionSpec] = None, **kwargs) -> None:
-        if spec is not None:
-            if args or kwargs:
-                raise TypeError(
-                    "AESTraceAcquisition(spec=...) does not accept additional "
-                    "arguments — put everything in the AcquisitionSpec"
-                )
-            if not isinstance(spec, AcquisitionSpec):
-                raise TypeError(
-                    f"spec must be an AcquisitionSpec, got {type(spec).__name__}"
-                )
-        else:
-            warnings.warn(
-                "constructing AESTraceAcquisition from individual arguments "
-                "is deprecated; build an AcquisitionSpec and pass spec=... "
-                "(or call spec.build())",
-                DeprecationWarning,
-                stacklevel=2,
+    def __init__(self, *, spec: AcquisitionSpec) -> None:
+        if not isinstance(spec, AcquisitionSpec):
+            raise TypeError(
+                f"spec must be an AcquisitionSpec, got {type(spec).__name__}"
             )
-            spec = AcquisitionSpec(*args, **kwargs)
         self.sensor = spec.sensor
         self.coupling = spec.coupling
         self.hw_model = spec.hw_model
@@ -213,10 +181,10 @@ class AESTraceAcquisition:
         Combines the behavioral tokens of the sensor, the PDN
         surrogate, the hardware model and the noise model with the AES
         placement.  The acquisition *kernel* is deliberately excluded:
-        kernels are bit-identical by construction (differentially
-        tested in ``tests/test_kernels.py``), so a block acquired under
-        one kernel is valid for all — and switching kernels must not
-        invalidate a warm cache.
+        a kernel must be bit-identical to the literal pipeline
+        (differentially tested against the oracle in
+        ``tests/test_kernels.py``), so a block is valid whichever
+        kernel computed it.
         """
         return {
             "kind": "aes-trace",
@@ -233,7 +201,6 @@ class AESTraceAcquisition:
         plaintexts: np.ndarray,
         rng: np.random.Generator,
         n_samples: int,
-        timings: Optional[Dict[str, float]] = None,
         profile: Optional[StageProfile] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One fully vectorized acquisition block.
@@ -241,30 +208,15 @@ class AESTraceAcquisition:
         Runs the model pipeline (AES round states -> switching currents
         -> PDN filter -> sensor sampling) for a batch of plaintexts,
         drawing noise and sampling randomness from ``rng``.  The work is
-        delegated to the harness's :attr:`kernel` (fused by default; the
-        reference path is available as ``kernel="reference"``).
-
-        Per-stage costs accumulate into ``profile`` when given; the
-        legacy ``timings`` dict still receives this call's ``"aes"``,
-        ``"pdn"`` and ``"sensor"`` wall seconds, but is deprecated in
-        favour of the span-recording ``profile``.
+        delegated to the harness's :attr:`kernel`; per-stage costs
+        accumulate into ``profile`` when given.
 
         Returns ``(readouts, ciphertexts)`` with shapes
         ``(m, n_samples)`` int16 and ``(m, 16)`` uint8.
         """
-        if timings is not None:
-            _warn_timings_dict()
-        if profile is None:
-            profile = StageProfile()
-        before = profile.stage_seconds() if timings is not None else None
-        readouts, cts = self.kernel.acquire(
+        return self.kernel.acquire(
             self, aes, plaintexts, rng, n_samples, profile=profile
         )
-        if timings is not None:
-            for name, seconds in profile.stage_seconds().items():
-                delta = seconds - before.get(name, 0.0)
-                timings[name] = timings.get(name, 0.0) + delta
-        return readouts, cts
 
     def trace_metadata(self, key) -> Dict[str, object]:
         """The acquisition-parameter metadata attached to trace sets."""
@@ -504,26 +456,18 @@ def characterize_block(
     noise: NoiseModel,
     n_readouts: int,
     rng: np.random.Generator,
-    timings: Optional[Dict[str, float]] = None,
     profile: Optional[StageProfile] = None,
 ) -> np.ndarray:
     """One vectorized characterization block: noisy voltages around a
     precomputed droop, sampled with the exact per-bit method."""
-    if timings is not None:
-        _warn_timings_dict()
     if profile is None:
         profile = StageProfile()
-    before = profile.stage_seconds() if timings is not None else None
     with profile.stage("pdn", items=n_readouts) as acct:
         volts = sensor.constants.v_nominal - droop + noise.sample(n_readouts, rng)
         acct.account(volts)
     with profile.stage("sensor", items=n_readouts) as acct:
         readouts = sensor.sample_readouts(volts, rng=rng, method=SamplingMethod.EXACT)
         acct.account(readouts)
-    if timings is not None:
-        for name, seconds in profile.stage_seconds().items():
-            delta = seconds - before.get(name, 0.0)
-            timings[name] = timings.get(name, 0.0) + delta
     return readouts
 
 

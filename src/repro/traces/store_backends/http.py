@@ -25,7 +25,10 @@ Everything is stdlib ``http.client`` — no third-party dependency.  One
 keep-alive connection is held per thread (the tiered store's prefetch
 and publish threads each get their own); transient transport failures
 are retried once with a fresh connection before surfacing as
-:class:`~repro.errors.RemoteCacheError`.  Instances pickle as their
+:class:`~repro.errors.RemoteCacheError`.  The open connections are
+closed when the backend is garbage-collected (or at interpreter exit),
+so a dropped backend never leaves its sockets to the socket
+finalizer's ``ResourceWarning``.  Instances pickle as their
 configuration, so a backend rides into engine worker processes the
 same way a :class:`~repro.traces.blockstore.BlockStore` does.
 """
@@ -38,6 +41,7 @@ import os
 import socket
 import threading
 import time
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -47,6 +51,14 @@ from repro.telemetry.tracing import TRACE_HEADER, current_trace_id
 from repro.traces.store_backends.base import validate_key
 
 _BLOCKS = "/v1/blocks"
+
+
+def _close_all(conns) -> None:
+    for conn in list(conns):
+        try:
+            conn.close()
+        except Exception:
+            pass
 
 
 def _client_metrics():
@@ -110,6 +122,10 @@ class HTTPBackend:
         self._netloc = parts.netloc
         self._prefix = parts.path.rstrip("/")
         self._local = threading.local()
+        # Every connection any thread opened, closed when self is
+        # collected (thread-local slots alone would drop them unclosed).
+        self._conns: List[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._conns)
 
     # One keep-alive connection per thread; pickling drops them.
     def __getstate__(self):
@@ -140,9 +156,10 @@ class HTTPBackend:
     def _close(self) -> None:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
+            _close_all([conn])
             try:
-                conn.close()
-            except Exception:
+                self._conns.remove(conn)
+            except ValueError:
                 pass
         self._local.conn = None
 
@@ -175,6 +192,7 @@ class HTTPBackend:
                 self._local.conn = None
             if conn is None:
                 conn = self._connect()
+                self._conns.append(conn)
                 self._local.conn = conn
                 self._local.pid = os.getpid()
             try:

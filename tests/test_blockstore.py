@@ -6,6 +6,7 @@ cost.  Corruption must surface as a typed warning plus re-acquisition,
 never as a crash or silently wrong data.
 """
 
+import dataclasses
 import os
 import threading
 import warnings
@@ -20,7 +21,6 @@ from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
 from repro.errors import CacheError, CacheIntegrityWarning
 from repro.fpga.placement import Pblock, Placer
-from repro.kernels import default_kernel_name, set_default_kernel
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
@@ -35,6 +35,7 @@ from repro.traces.blockstore import (
 )
 from repro.traces.store import TraceSet
 from repro.victims.aes import AESHardwareModel
+from tests.oracles import REFERENCE_KERNEL
 
 KEY = bytes(range(16))
 N_TRACES = 600
@@ -54,6 +55,11 @@ def acquisition(basys3_device):
     return AcquisitionSpec(
         sensor=sensor, coupling=coupling, hw_model=hw, aes_position=(10.0, 25.0)
     ).build()
+
+
+def with_reference_kernel(acquisition):
+    """The same harness computing on the reference oracle kernel."""
+    return dataclasses.replace(acquisition.spec, kernel=REFERENCE_KERNEL).build()
 
 
 def _first_block_path(store):
@@ -97,15 +103,11 @@ class TestCanonicalKeys:
     def test_kernel_is_not_part_of_the_acquisition_token(self, acquisition):
         """Kernels are bit-identical by construction, so a block
         acquired by one must serve all."""
-        default = default_kernel_name()
-        try:
-            set_default_kernel("reference")
-            ref_token = acquisition.cache_token()
-            set_default_kernel("fused")
-            fused_token = acquisition.cache_token()
-        finally:
-            set_default_kernel(default)
-        assert block_key(ref_token) == block_key(fused_token)
+        oracle = with_reference_kernel(acquisition)
+        assert oracle.kernel is not acquisition.kernel
+        assert block_key(oracle.cache_token()) == block_key(
+            acquisition.cache_token()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -380,16 +382,12 @@ class TestEngineCache:
         assert engine.cache_totals["misses"] == 9
 
     def test_blocks_shared_between_kernels(self, acquisition, tmp_path):
-        default = default_kernel_name()
-        try:
-            set_default_kernel("reference")
-            cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-            cold = cold_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-            set_default_kernel("fused")
-            warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-            warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        finally:
-            set_default_kernel(default)
+        cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        cold = cold_engine.collect(
+            with_reference_kernel(acquisition), N_TRACES, key=KEY, seed=3
+        )
+        warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
         assert warm_engine.last_metrics.cache_hits == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 

@@ -57,6 +57,25 @@ class TestValidation:
         with pytest.raises(AttackError):
             CPAAttack(10, sample_window=(7, 7))
 
+    @pytest.mark.parametrize(
+        "n_samples,window",
+        [(10.5, None), (10.0, None), (True, None), (10, (2.0, 5.0)),
+         (10, (2, 5.0)), (10, (False, 5)), ("10", None)],
+    )
+    def test_non_integral_configuration_rejected(self, n_samples, window):
+        # Rejected up front, not by a bare TypeError on the first
+        # update or a silent int() truncation in the cache token.
+        with pytest.raises(AttackError, match="integer"):
+            CPAAttack(n_samples, sample_window=window)
+
+    def test_numpy_integers_accepted(self):
+        attack = CPAAttack(np.int64(10), sample_window=(np.int32(2), np.uint8(5)))
+        assert attack.cache_token()["sample_window"] == [2, 5]
+        attack.add_traces(
+            np.zeros((2, 10), dtype=np.int16), np.zeros((2, 16), dtype=np.uint8)
+        )
+        assert attack.n_traces == 2
+
     def test_trace_shape_mismatch(self):
         attack = CPAAttack(5)
         with pytest.raises(AttackError):

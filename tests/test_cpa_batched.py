@@ -1,12 +1,13 @@
 """Differential tests for the batched CPA accumulate engine.
 
 The contract under test (see :mod:`repro.attacks.cpa`): the batched
-stacked-GEMM engine and the per-byte reference engine accumulate the
-**same exact sums**, so on integer-valued traces — the acquisition
-regime — correlations, peak correlations, guesses and ranks are
-bit-identical between engines for any chunking, merge order, sample
-window, or dtype-narrowing decision inside the batched tile loop; and
-state snapshots written by either engine restore into either engine.
+stacked-GEMM engine accumulates the **same exact sums** as the per-byte
+oracle (:class:`tests.oracles.PerByteCPA`), so on integer-valued
+traces — the acquisition regime — correlations, peak correlations,
+guesses and ranks are bit-identical between them for any chunking,
+merge order, sample window, or dtype-narrowing decision inside the
+batched tile loop; and state snapshots written by either restore into
+either.
 """
 
 from unittest import mock
@@ -23,7 +24,8 @@ from repro.attacks.cpa import (
     hypothesis_table,
     hypothesis_table_gather,
 )
-from repro.errors import AttackError, ConfigurationError
+from repro.errors import AttackError
+from tests.oracles import PerByteCPA
 
 S = 23
 WINDOWS = [None, (0, S), (3, 17), (10, 11)]
@@ -37,11 +39,12 @@ def batch():
     return traces, cts
 
 
-def engines(window=None, **kwargs):
-    return (
-        CPAAttack(S, sample_window=window, accumulate="batched", **kwargs),
-        CPAAttack(S, sample_window=window, accumulate="per-byte", **kwargs),
-    )
+#: The production engine and its oracle, by the names the tests use.
+ENGINES = {"batched": CPAAttack, "per-byte": PerByteCPA}
+
+
+def engines(window=None):
+    return CPAAttack(S, sample_window=window), PerByteCPA(S, sample_window=window)
 
 
 class TestGatherTable:
@@ -74,7 +77,7 @@ class TestBitIdentity:
         whole, _ = engines()
         whole.add_traces(traces, cts)
         for cuts in ([100], [1, 699], [250, 251, 400]):
-            chunked = CPAAttack(S, accumulate="batched")
+            chunked = CPAAttack(S)
             for lo, hi in zip([0] + cuts, cuts + [len(traces)]):
                 chunked.add_traces(traces[lo:hi], cts[lo:hi])
             assert np.array_equal(chunked.correlations(), whole.correlations())
@@ -85,7 +88,7 @@ class TestBitIdentity:
         whole.add_traces(traces, cts)
         parts = []
         for lo, hi in ((0, 200), (200, 450), (450, 700)):
-            part = CPAAttack(S, accumulate="batched")
+            part = CPAAttack(S)
             part.add_traces(traces[lo:hi], cts[lo:hi])
             parts.append(part)
         merged = parts[2].merge(parts[0]).merge(parts[1])
@@ -172,8 +175,8 @@ def fan_out_vs_solo(traces_list, cts, cuts, window=None, mode="batched"):
     """Fold each sensor's traces chunk by chunk (cut at ``cuts``) with
     one ``update_many`` per chunk and with separate ``add_traces``
     calls; returns ``(fanned, solo)`` attack lists."""
-    fanned = [CPAAttack(S, window, accumulate=mode) for _ in traces_list]
-    solo = [CPAAttack(S, window, accumulate=mode) for _ in traces_list]
+    fanned = [ENGINES[mode](S, window) for _ in traces_list]
+    solo = [ENGINES[mode](S, window) for _ in traces_list]
     edges = [0, *cuts, len(cts)]
     for lo, hi in zip(edges, edges[1:]):
         CPAAttack.update_many(
@@ -205,7 +208,7 @@ class TestFanOut:
         for a, b in zip(fanned, solo):
             assert_same_state(a, b)
         # ... and to the per-byte oracle.
-        oracle = CPAAttack(S, window, accumulate="per-byte")
+        oracle = PerByteCPA(S, window)
         oracle.add_traces(traces_list[-1], cts)
         assert np.array_equal(fanned[-1].correlations(), oracle.correlations())
 
@@ -230,7 +233,7 @@ class TestFanOut:
         fanned, solo = fan_out_vs_solo(traces_list, cts, [350])
         for a, b in zip(fanned, solo):
             assert_same_state(a, b)
-        oracle = CPAAttack(S, accumulate="per-byte")
+        oracle = PerByteCPA(S)
         oracle.add_traces(traces_list[1], cts)
         assert np.array_equal(fanned[1].correlations(), oracle.correlations())
 
@@ -244,7 +247,7 @@ class TestFanOut:
 
     def test_mixed_engines_share_a_tile(self, batch):
         traces, cts = batch
-        mixed = [CPAAttack(S, accumulate=m) for m in ("per-byte", "batched")]
+        mixed = [PerByteCPA(S), CPAAttack(S)]
         CPAAttack.update_many(mixed, [traces, traces], cts)
         assert np.array_equal(mixed[0].correlations(), mixed[1].correlations())
 
@@ -316,7 +319,7 @@ def test_fan_out_matches_separate_attacks_property(
     cuts = sorted({int(f * (m - 1)) + 1 for f in cut_fracs} - {m})
     with mock.patch.object(cpa, "_BATCH_TILE_ROWS", tile_rows):
         fanned, solo = fan_out_vs_solo(traces_list, cts, cuts, window, mode)
-    oracle = CPAAttack(S, window, accumulate="per-byte")
+    oracle = PerByteCPA(S, window)
     oracle.add_traces(traces_list[0], cts)
     for a, b in zip(fanned, solo):
         assert_same_state(a, b)
@@ -329,9 +332,9 @@ class TestStateMigration:
         traces, cts = batch
         a, b = engines(window)
         a.add_traces(traces, cts)
-        restored = CPAAttack(
-            S, sample_window=window, accumulate="per-byte"
-        ).load_state_arrays(a.state_arrays())
+        restored = PerByteCPA(S, sample_window=window).load_state_arrays(
+            a.state_arrays()
+        )
         b.add_traces(traces, cts)
         assert np.array_equal(restored.correlations(), b.correlations())
 
@@ -340,18 +343,18 @@ class TestStateMigration:
         traces, cts = batch
         a, b = engines(window)
         b.add_traces(traces, cts)
-        restored = CPAAttack(
-            S, sample_window=window, accumulate="batched"
-        ).load_state_arrays(b.state_arrays())
+        restored = CPAAttack(S, sample_window=window).load_state_arrays(
+            b.state_arrays()
+        )
         a.add_traces(traces, cts)
         assert np.array_equal(restored.correlations(), a.correlations())
 
     def test_same_engine_round_trips(self, batch):
         traces, cts = batch
-        for mode in ("batched", "per-byte"):
-            src = CPAAttack(S, accumulate=mode)
+        for engine in ENGINES.values():
+            src = engine(S)
             src.add_traces(traces, cts)
-            dst = CPAAttack(S, accumulate=mode).load_state_arrays(
+            dst = engine(S).load_state_arrays(
                 src.state_arrays()
             )
             assert np.array_equal(dst.correlations(), src.correlations())
@@ -372,34 +375,28 @@ class TestStateMigration:
         dump = dict(b.state_arrays())
         dump["b07_s_y"] = dump["b07_s_y"] + 1.0
         with pytest.raises(AttackError, match="byte 7"):
-            CPAAttack(S, accumulate="batched").load_state_arrays(dump)
+            CPAAttack(S).load_state_arrays(dump)
 
 
 class TestEngineSelection:
-    def test_unknown_accumulate_rejected(self):
-        with pytest.raises(ConfigurationError, match="accumulate"):
-            CPAAttack(S, accumulate="vectorized")
-
-    def test_backend_resolves_default_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert CPAAttack(S).accumulate == "batched"
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert CPAAttack(S).accumulate == "per-byte"
+    """The production engine and the oracle side by side."""
 
     def test_cross_engine_merge_rejected(self, batch):
         traces, cts = batch
         a, b = engines()
         a.add_traces(traces[:100], cts[:100])
         b.add_traces(traces[100:200], cts[100:200])
-        with pytest.raises(AttackError, match="engine"):
+        with pytest.raises(AttackError, match="cannot merge PerByteCPA"):
             a.merge(b)
+        with pytest.raises(AttackError, match="cannot merge CPAAttack"):
+            b.merge(a)
 
     def test_pickle_round_trip_both_engines(self, batch):
         import pickle
 
         traces, cts = batch
-        for mode in ("batched", "per-byte"):
-            attack = CPAAttack(S, accumulate=mode)
+        for engine in ENGINES.values():
+            attack = engine(S)
             attack.add_traces(traces, cts)
             clone = pickle.loads(pickle.dumps(attack))
             assert np.array_equal(clone.correlations(), attack.correlations())
@@ -408,8 +405,8 @@ class TestEngineSelection:
 class TestCorrelationCache:
     def test_repeat_calls_reuse_the_matrix(self, batch):
         traces, cts = batch
-        for mode in ("batched", "per-byte"):
-            attack = CPAAttack(S, accumulate=mode)
+        for engine in ENGINES.values():
+            attack = engine(S)
             attack.add_traces(traces, cts)
             rho = attack.correlations()
             assert attack.correlations() is rho

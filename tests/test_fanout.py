@@ -2,13 +2,12 @@
 
 The load-bearing contract: fanning one AES+PDN pass out to N sensors
 is purely a cost optimization — every per-sensor result is
-bit-identical to the N independent single-sensor runs it replaces, at
-every kernel, worker count and chunking.  Alongside the differential
-tests this module covers the :class:`AcquisitionSpec` construction
-path (including the deprecated positional shim), the
+bit-identical to the N independent single-sensor runs it replaces, for
+the fused kernel and the reference oracle, at every worker count and
+chunking.  Alongside the differential tests this module covers the
+:class:`AcquisitionSpec` construction path, the
 :class:`MultiSensorAcquisition` validation rules, the engine's fan-out
-campaign methods, the per-sensor sub-block cache accounting, and the
-backend-registration seam.
+campaign methods and the per-sensor sub-block cache accounting.
 """
 
 import dataclasses
@@ -22,14 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis.streaming import iter_chunk_slices
 from repro.attacks.metrics import streamed_rank_curve, streamed_rank_curves
 from repro.errors import AcquisitionError, ConfigurationError
-from repro.kernels import (
-    AcquisitionKernel,
-    FusedAcquisitionKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-    unregister_kernel,
-)
+from repro.kernels import FusedAcquisitionKernel, get_kernel
 from repro.kernels import fanout
 from repro.pdn.noise import NoiseModel
 from repro.runtime import Engine
@@ -41,6 +33,7 @@ from repro.traces.acquisition import (
 from repro.traces.blockstore import BlockStore, peek_block_meta
 from repro.experiments import common
 from repro.victims.aes import AES128
+from tests.oracles import KERNELS
 
 KEY = bytes(range(16))
 PLACEMENTS = ("P1", "P2", "P6")
@@ -70,7 +63,7 @@ def fresh_rng(seed=0):
 
 
 # ----------------------------------------------------------------------
-# AcquisitionSpec and the deprecated positional shim
+# AcquisitionSpec
 # ----------------------------------------------------------------------
 
 
@@ -84,34 +77,16 @@ class TestAcquisitionSpec:
         assert also.sensor is specs[0].sensor
         assert acq.kernel is get_kernel(None)
 
-    def test_positional_construction_warns_and_matches_spec(self, specs):
+    def test_spec_plus_args_rejected(self, specs):
         spec = specs[0]
-        with pytest.warns(DeprecationWarning, match="AcquisitionSpec"):
-            legacy = AESTraceAcquisition(
+        with pytest.raises(TypeError, match="positional"):
+            AESTraceAcquisition(spec.sensor, spec=spec)
+        with pytest.raises(TypeError, match="positional"):
+            AESTraceAcquisition(
                 spec.sensor, spec.coupling, spec.hw_model, spec.aes_position
             )
-        built = spec.build()
-        assert legacy.sensor is built.sensor
-        assert legacy.coupling is built.coupling
-        assert legacy.hw_model is built.hw_model
-        assert legacy.kernel is built.kernel
-        assert legacy.noise.cache_token() == built.noise.cache_token()
-
-    def test_keyword_construction_warns_too(self, specs):
-        spec = specs[0]
-        with pytest.warns(DeprecationWarning):
-            AESTraceAcquisition(
-                sensor=spec.sensor,
-                coupling=spec.coupling,
-                hw_model=spec.hw_model,
-                aes_position=spec.aes_position,
-            )
-
-    def test_spec_plus_args_rejected(self, specs):
-        with pytest.raises(TypeError, match="does not accept"):
-            AESTraceAcquisition(specs[0].sensor, spec=specs[0])
-        with pytest.raises(TypeError, match="does not accept"):
-            AESTraceAcquisition(spec=specs[0], kernel="fused")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            AESTraceAcquisition(spec=spec, kernel=None)
 
     def test_spec_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="AcquisitionSpec"):
@@ -179,12 +154,11 @@ class TestMultiSensorValidation:
 
 
 def with_kernel(specs, name):
-    kernel = get_kernel(name)
-    return [dataclasses.replace(spec, kernel=kernel) for spec in specs]
+    return [dataclasses.replace(spec, kernel=KERNELS[name]) for spec in specs]
 
 
 class TestAcquireMany:
-    @pytest.mark.parametrize("kernel_name", sorted(available_kernels()))
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
     def test_bit_identical_to_independent(self, specs, kernel_name):
         msa = MultiSensorAcquisition(with_kernel(specs, kernel_name))
         n_samples = msa.default_n_samples()
@@ -199,7 +173,7 @@ class TestAcquireMany:
             np.testing.assert_array_equal(readouts, solo_r)
             np.testing.assert_array_equal(cts, solo_c)
 
-    @pytest.mark.parametrize("kernel_name", sorted(available_kernels()))
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
     def test_rng_end_state_matches_one_acquire(self, specs, kernel_name):
         msa = MultiSensorAcquisition(with_kernel(specs, kernel_name))
         n_samples = msa.default_n_samples()
@@ -234,7 +208,7 @@ class TestAcquireMany:
         pts = fresh_rng(11).integers(0, 256, size=(96, 16), dtype=np.uint8)
 
         with_c = multi.acquire_block_many(aes, pts, fresh_rng(5), n_samples)
-        monkeypatch.setattr(fanout, "_active_sampler", lambda: None)
+        monkeypatch.setattr(fanout, "_get_csampler", lambda: None)
         without_c = multi.acquire_block_many(aes, pts, fresh_rng(5), n_samples)
         for got, expected in zip(without_c, with_c):
             np.testing.assert_array_equal(got[0], expected[0])
@@ -491,55 +465,3 @@ class TestFanoutCache:
         bad.write_bytes(b"not a block at all")
         with pytest.raises(ValueError):
             peek_block_meta(bad)
-
-
-# ----------------------------------------------------------------------
-# Backend registration
-# ----------------------------------------------------------------------
-
-
-class TestKernelRegistry:
-    def test_register_and_use_custom_backend(self, specs):
-        class TracingKernel(FusedAcquisitionKernel):
-            name = "tracing"
-
-        registered = register_kernel(TracingKernel)
-        try:
-            assert registered == "tracing"
-            kernel = get_kernel("tracing")
-            assert isinstance(kernel, TracingKernel)
-            acq = dataclasses.replace(specs[0], kernel="tracing").build()
-            assert acq.kernel is kernel
-        finally:
-            unregister_kernel("tracing")
-        with pytest.raises(ConfigurationError):
-            get_kernel("tracing")
-
-    def test_builtin_names_are_reserved(self):
-        class Impostor(FusedAcquisitionKernel):
-            name = "fused"
-
-        with pytest.raises(ConfigurationError, match="reserved"):
-            register_kernel(Impostor)
-        with pytest.raises(ConfigurationError, match="built-in"):
-            unregister_kernel("fused")
-
-    def test_register_rejects_non_kernel(self):
-        with pytest.raises(ConfigurationError, match="subclass"):
-            register_kernel(dict)
-
-    def test_duplicate_registration_needs_replace(self):
-        class First(FusedAcquisitionKernel):
-            name = "dup-test"
-
-        class Second(FusedAcquisitionKernel):
-            name = "dup-test"
-
-        register_kernel(First)
-        try:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_kernel(Second)
-            register_kernel(Second, replace=True)
-            assert isinstance(get_kernel("dup-test"), Second)
-        finally:
-            unregister_kernel("dup-test")

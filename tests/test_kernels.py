@@ -4,9 +4,13 @@ The load-bearing properties:
 
 * the precomputed step-response basis is the reference filter's exact
   zero-state response (basis-vs-lfilter equivalence);
-* the fused kernel and the reference kernel produce identical readouts
-  and ciphertexts from the same RNG stream (differential tests, plus a
-  hypothesis property over trace length, clock ratio and batch size);
+* the fused kernel and the reference oracle
+  (:class:`tests.oracles.ReferenceAcquisitionKernel`) produce identical
+  readouts and ciphertexts from the same RNG stream (differential
+  tests, plus a hypothesis property over trace length, clock ratio and
+  batch size);
+* ``kernel=None`` resolves to the shared fused kernel, an injected
+  instance is used as is, and nothing else is accepted;
 * worker count and kernel choice commute with the engine's determinism
   guarantees;
 * the profiling layer accumulates and merges stage costs correctly.
@@ -29,14 +33,9 @@ from repro.errors import ConfigurationError, SensorRangeError
 from repro.fpga.placement import Pblock, Placer
 from repro.kernels import (
     LEAD_IN_CYCLES,
-    AcquisitionKernel,
     FusedAcquisitionKernel,
-    ReferenceAcquisitionKernel,
     StageProfile,
-    available_kernels,
-    default_kernel_name,
     get_kernel,
-    set_default_kernel,
     step_response_basis,
     unit_boxcars,
 )
@@ -45,6 +44,7 @@ from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec
 from repro.victims.aes import AES128, AESHardwareModel
+from tests.oracles import KERNELS
 
 KEY = bytes(range(16))
 
@@ -63,6 +63,8 @@ def rig(basys3_device):
 
 
 def make_acquisition(rig, kernel, aes_freq=20e6, sensor_freq=300e6):
+    """``kernel`` is ``"fused"``, ``"reference"`` or an instance."""
+    kernel = KERNELS.get(kernel, kernel)
     sensor, coupling = rig
     hw = AESHardwareModel(ClockSpec(aes_freq), ClockSpec(sensor_freq))
     return AcquisitionSpec(
@@ -180,40 +182,30 @@ class TestFilterDesignCache:
 
 
 # ----------------------------------------------------------------------
-# Kernel registry
+# Kernel resolution
 # ----------------------------------------------------------------------
 
 
 class TestKernelRegistry:
-    def test_available_and_default(self):
-        assert set(available_kernels()) == {"fused", "reference"}
-        assert default_kernel_name() in available_kernels()
+    def test_get_none_resolves_default(self, rig):
+        assert isinstance(get_kernel(None), FusedAcquisitionKernel)
+        assert get_kernel(None) is get_kernel(None)
+        assert make_acquisition(rig, None).kernel is get_kernel(None)
 
-    def test_get_by_name_is_shared_instance(self):
-        assert get_kernel("fused") is get_kernel("fused")
-        assert isinstance(get_kernel("fused"), FusedAcquisitionKernel)
-        assert isinstance(get_kernel("reference"), ReferenceAcquisitionKernel)
-
-    def test_get_none_resolves_default(self):
-        assert get_kernel(None).name == default_kernel_name()
-
-    def test_instance_passthrough(self):
+    def test_instance_passthrough(self, rig):
         kernel = FusedAcquisitionKernel()
         assert get_kernel(kernel) is kernel
+        assert make_acquisition(rig, kernel).kernel is kernel
 
-    def test_unknown_kernel_rejected(self):
+    def test_unknown_kernel_rejected(self, rig):
+        # Names are not a selection mechanism: even the production
+        # kernel's own name is refused.
+        for name in ("vectorized", "fused", "reference"):
+            with pytest.raises(ConfigurationError, match="AcquisitionKernel"):
+                get_kernel(name)
+        spec = make_acquisition(rig, None).spec
         with pytest.raises(ConfigurationError):
-            get_kernel("vectorized")
-        with pytest.raises(ConfigurationError):
-            set_default_kernel("vectorized")
-
-    def test_set_default_round_trips(self):
-        previous = set_default_kernel("reference")
-        try:
-            assert default_kernel_name() == "reference"
-            assert get_kernel(None).name == "reference"
-        finally:
-            set_default_kernel(previous)
+            dataclasses.replace(spec, kernel="fused").build()
 
     def test_fused_kernel_pickles_without_caches(self, rig):
         acq = make_acquisition(rig, "fused")
@@ -285,11 +277,11 @@ class TestFusedMatchesReference:
         noise = NoiseModel(white_rms=1.6e-3, drift_rms=8e-6)
         acq_f = AcquisitionSpec(
             sensor=sensor, coupling=coupling, hw_model=hw,
-            aes_position=(10.0, 25.0), noise=noise, kernel="fused",
+            aes_position=(10.0, 25.0), noise=noise,
         ).build()
         acq_r = AcquisitionSpec(
             sensor=sensor, coupling=coupling, hw_model=hw,
-            aes_position=(10.0, 25.0), noise=noise, kernel="reference",
+            aes_position=(10.0, 25.0), noise=noise, kernel=KERNELS["reference"],
         ).build()
         aes = AES128(KEY)
         n_samples = acq_f.default_n_samples()
@@ -338,18 +330,6 @@ class TestFusedMatchesReference:
             results.append(attack.correlations())
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
-
-    def test_timings_dict_back_compat(self, rig):
-        acq = make_acquisition(rig, "fused")
-        aes = AES128(KEY)
-        pts = np.random.default_rng(0).integers(0, 256, (16, 16), dtype=np.uint8)
-        timings = {}
-        with pytest.warns(DeprecationWarning, match="span"):
-            acq.acquire_block(
-                aes, pts, np.random.default_rng(0), 60, timings=timings
-            )
-        assert {"aes", "pdn", "sensor"} <= set(timings)
-        assert all(v >= 0 for v in timings.values())
 
     def test_metadata_records_kernel(self, rig):
         assert make_acquisition(rig, "fused").trace_metadata(KEY)["kernel"] == "fused"
@@ -409,7 +389,7 @@ class TestSensorRangeGuard:
         )
         acq = AcquisitionSpec(
             sensor=sensor, coupling=coupling, hw_model=hw,
-            aes_position=(10.0, 25.0), kernel=kernel,
+            aes_position=(10.0, 25.0), kernel=KERNELS[kernel],
         ).build()
         aes = AES128(KEY)
         pts = np.random.default_rng(0).integers(0, 256, (8, 16), dtype=np.uint8)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import registry
-from repro.kernels.profile import StageProfile, profile_from_timings
+from repro.kernels.profile import StageProfile
 from repro.runtime.metrics import EngineMetrics, ShardMetrics
 from repro.telemetry import (
     RUN_SCHEMA_VERSION,
@@ -137,17 +137,6 @@ def test_zero_second_stage_stats_are_finite():
     profile = StageProfile()
     profile.add("pdn", 0.0, items=50)
     assert profile.stages["pdn"].items_per_second == 0.0
-
-
-# ----------------------------------------------------------------------
-# Deprecation shim for legacy timings dicts.
-# ----------------------------------------------------------------------
-
-
-def test_profile_from_timings_warns_and_converts():
-    with pytest.warns(DeprecationWarning, match="span"):
-        profile = profile_from_timings({"aes": 1.0, "pdn": 2.0})
-    assert profile.stage_seconds() == {"aes": 1.0, "pdn": 2.0}
 
 
 # ----------------------------------------------------------------------
