@@ -77,14 +77,17 @@ class TestAcquisitionSpec:
         assert also.sensor is specs[0].sensor
         assert acq.kernel is get_kernel(None)
 
-    def test_spec_plus_args_rejected(self, specs):
+    def test_positional_construction_rejected(self, specs):
         spec = specs[0]
-        with pytest.raises(TypeError, match="positional"):
-            AESTraceAcquisition(spec.sensor, spec=spec)
         with pytest.raises(TypeError, match="positional"):
             AESTraceAcquisition(
                 spec.sensor, spec.coupling, spec.hw_model, spec.aes_position
             )
+
+    def test_spec_plus_args_rejected(self, specs):
+        spec = specs[0]
+        with pytest.raises(TypeError, match="positional"):
+            AESTraceAcquisition(spec.sensor, spec=spec)
         with pytest.raises(TypeError, match="unexpected keyword"):
             AESTraceAcquisition(spec=spec, kernel=None)
 

@@ -88,12 +88,16 @@ class TestProtocolEntry:
         assert result.name == "pdn-validation"
 
     def test_legacy_kwargs_rejected(self):
+        with pytest.raises(TypeError):
+            pdn_validation.run(nx=13, ny=13)
+
+    def test_bare_call_rejected(self):
         from repro.experiments import defense_study
 
         with pytest.raises(TypeError):
-            pdn_validation.run(nx=13, ny=13)
-        with pytest.raises(TypeError):
             defense_study.run()
+        with pytest.raises(TypeError):
+            defense_study.run(fence_sizes=(500,))
 
     def test_config_plus_kwargs_rejected(self):
         with pytest.raises(TypeError):
