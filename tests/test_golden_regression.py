@@ -194,6 +194,83 @@ class TestEngineBlockKeysGolden:
         check_golden("engine_block_keys", payload, update_goldens)
 
 
+class TestCacheCountersGolden:
+    """Every engine-side cache count of a tiny 2-sensor streamed
+    fan-out on a local store, in four cache states at workers 1 and 2:
+    ``cache_totals``, ``last_metrics.cache_summary()`` and the engine's
+    registry series (read from a fresh registry, so zero-valued series
+    the engine creates are pinned too).  On a local store every one of
+    these counts is a function of the workload, the seed and the cache
+    contents alone."""
+
+    N_TRACES = 600
+    SHARD = 256
+    STATES = ("off", "cold", "warm", "partial")
+
+    def _campaign(self, engine, specs):
+        from functools import partial
+
+        from repro.attacks.cpa import CPAAttack
+        from repro.traces.acquisition import MultiSensorAcquisition
+
+        multi = MultiSensorAcquisition(specs)
+        engine.stream_attack_many(
+            multi, self.N_TRACES, key=bytes(range(16)), seed=5,
+            consumer_factory=partial(
+                CPAAttack, specs[0].build().default_n_samples()
+            ),
+            checkpoints=[300, self.N_TRACES],
+        )
+
+    def _counts(self, state, workers, specs, root, monkeypatch):
+        import repro.runtime.engine as engine_mod
+        from repro.telemetry.metrics import MetricsRegistry
+
+        store = None if state == "off" else str(root)
+        if state == "warm":
+            self._campaign(Engine(workers=1, shard_size=self.SHARD, cache=store), specs)
+        elif state == "partial":
+            self._campaign(
+                Engine(workers=1, shard_size=self.SHARD, cache=store), specs[:1]
+            )
+        registry = MetricsRegistry(enabled=True)
+        monkeypatch.setattr(engine_mod, "get_registry", lambda: registry)
+        engine = Engine(workers=workers, shard_size=self.SHARD, cache=store)
+        monkeypatch.undo()
+        self._campaign(engine, specs)
+        deterministic = registry.snapshot(deterministic_only=True)
+        tier = {
+            series: value
+            for series, value in registry.snapshot()["counters"].items()
+            if series.startswith("repro_cache_tier_total")
+        }
+        return {
+            "cache_totals": dict(engine.cache_totals),
+            "cache_summary": engine.last_metrics.cache_summary(),
+            "registry": {
+                "counters": deterministic["counters"],
+                "histograms": deterministic["histograms"],
+                "tier": tier,
+            },
+        }
+
+    def test_cache_counters(self, tmp_path, monkeypatch, update_goldens):
+        from repro.experiments import common
+
+        specs = common.placement_specs(("P1", "P6"))
+        payload = {
+            state: {
+                f"w{workers}": self._counts(
+                    state, workers, specs,
+                    tmp_path / f"{state}-w{workers}", monkeypatch,
+                )
+                for workers in (1, 2)
+            }
+            for state in self.STATES
+        }
+        check_golden("cache_counters", payload, update_goldens)
+
+
 class TestTvlaGolden:
     def test_t_values(self, update_goldens):
         from repro.analysis.tvla import assess_aes_leakage
