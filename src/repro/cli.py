@@ -920,12 +920,9 @@ def _run_one(name: str, args, run_dir=None, trace_out=None) -> None:
         )
         # Fan-out campaigns additionally report partially-hit shards
         # and their per-sensor sub-block split.
-        if cache.get("partial") or cache.get("sub_hits") or cache.get("sub_misses"):
-            line += (
-                f" partial={cache.get('partial', 0)} "
-                f"sub_hits={cache.get('sub_hits', 0)} "
-                f"sub_misses={cache.get('sub_misses', 0)}"
-            )
+        fanout = ("partial", "sub_hits", "sub_misses")
+        if any(cache[k] for k in fanout):
+            line += "".join(f" {k}={cache[k]}" for k in fanout)
         print(line)
         # Tiered-store runs additionally report per-tier traffic:
         # read-through hits, wire bytes both ways, write-behind

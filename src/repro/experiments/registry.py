@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.streaming import validate_chunk_size
 from repro.errors import ConfigurationError
 from repro.runtime import Engine, ProgressFn, validate_schedule
+from repro.runtime.metrics import hit_rate
 
 #: Recognized workload scales.  ``"paper"`` matches the paper-scale
 #: defaults the modules have always used; ``"quick"`` is the scaled-down
@@ -328,9 +329,7 @@ def run(
             k: engine.cache_totals[k] - cache_before[k]
             for k in engine.cache_totals
         }
-        served = cache["hits"] + cache["remote_served"]
-        lookups = served + cache["misses"] + cache["partial"]
-        cache["hit_rate"] = round(served / lookups, 4) if lookups else 0.0
+        cache["hit_rate"] = round(hit_rate(cache).rate, 4)
         metadata["cache"] = cache
     result = ExperimentResult(
         name=name,

@@ -53,7 +53,15 @@ from repro.errors import ConfigurationError
 from repro.kernels import StageProfile
 from repro.pdn.coupling import CouplingModel
 from repro.pdn.noise import NoiseModel
-from repro.runtime.metrics import EngineMetrics, ShardMetrics
+from repro.runtime.metrics import (
+    CACHE_COUNTS,
+    CACHE_SERIES,
+    LOOKUPS,
+    SHARD_COUNTS,
+    EngineMetrics,
+    ShardMetrics,
+    hit_rate,
+)
 from repro.runtime.scheduler import (
     RemotePrefetcher,
     ShardTask,
@@ -146,70 +154,105 @@ def _block_meta(
     return meta
 
 
-def _cache_outcome(sub_hits: int, n_sensors: int) -> str:
-    return "hit" if sub_hits == n_sensors else "partial" if sub_hits else "miss"
+class _ShardCache:
+    """One shard body's traffic with the block store, and its counts.
+
+    Construction looks up every sensor's sub-block under the ``cache``
+    stage (``blocks[i]`` is ``None`` on a miss, and always without a
+    store); :meth:`put` publishes acquired ones.  :meth:`metrics`
+    stamps the shard's counts on its span, including the deltas of the
+    store's ``"store"``-sourced counters: worker store counters never
+    travel back to the parent, so the deltas ride the span instead.
+    """
+
+    def __init__(
+        self,
+        store: Optional[BlockStore],
+        keys: Optional[Sequence[str]],
+        profile: StageProfile,
+        shard: Shard,
+        n_sensors: int,
+    ) -> None:
+        self.store, self.keys, self.profile, self.shard = store, keys, profile, shard
+        self.blocks: List[Optional[object]] = [None] * n_sensors
+        #: ``"hit"``, ``"partial"``, ``"miss"`` or ``""`` (no store).
+        self.outcome = ""
+        self.counts: Dict[str, int] = {}
+        self._snap: Dict[str, int] = {}
+        if store is None:
+            return
+        deltas = (c.key for c in SHARD_COUNTS if c.source == "store")
+        self._snap = {key: getattr(store.counters, key) for key in deltas}
+        with profile.stage("cache", items=shard.size) as acct:
+            self.blocks = [store.get(k) for k in keys]
+            acct.nbytes += sum(b.nbytes for b in self.blocks if b is not None)
+        sub_hits = sum(b is not None for b in self.blocks)
+        self.outcome = (
+            "hit" if sub_hits == n_sensors else "partial" if sub_hits else "miss"
+        )
+        self.counts = dict(
+            bytes_read=acct.nbytes, bytes_written=0,
+            sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
+        )
+
+    def put(self, blocks: Sequence[Tuple[int, Dict[str, np.ndarray], Dict]]) -> None:
+        """Publish ``(sensor, arrays, meta)`` sub-blocks in one stage."""
+        if self.store is None:
+            return
+        with self.profile.stage("cache", items=self.shard.size) as acct:
+            before = self.store.counters.bytes_written
+            for i, arrays, meta in blocks:
+                self.store.put(self.keys[i], arrays, meta=meta)
+            acct.nbytes += self.store.counters.bytes_written - before
+        self.counts["bytes_written"] += acct.nbytes
+
+    def metrics(self, start: float, seconds: float) -> ShardMetrics:
+        """The finished shard's metrics (call once, after the body)."""
+        for key, before in self._snap.items():
+            self.counts[key] = getattr(self.store.counters, key) - before
+        return _shard_metrics(
+            self.shard, self.profile, start, seconds, self.outcome, self.counts
+        )
 
 
 def _acquire_or_replay(
     msa: MultiSensorAcquisition,
     aes: AES128,
     n_samples: int,
-    shard: Shard,
     seed_seq: np.random.SeedSequence,
-    profile: StageProfile,
-    store: Optional[BlockStore],
-    keys: Optional[Sequence[str]],
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, str, Dict[str, int]]:
+    cache: _ShardCache,
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
     """One shard's per-sensor readouts, with a per-sensor cache.
 
-    Returns ``(readouts_list, pts, cts, cache, cache_stats)`` where
-    ``cache_stats`` carries the keyword arguments of
-    :func:`_shard_metrics` (byte split plus sub-block counters).  Hit
-    arrays are read-only memmap views over the block files: consumers
-    stream from the page cache without a copy.
+    Returns ``(readouts_list, pts, cts)``.  Hit arrays are read-only
+    memmap views over the block files: consumers stream from the page
+    cache without a copy.
     """
-    n_sensors = len(msa)
-    blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            blocks = [store.get(k) for k in keys]
-            bytes_read = sum(b.nbytes for b in blocks if b is not None)
-            acct.nbytes += bytes_read
-    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
-    if store is not None and len(skip) == n_sensors:
+    shard, blocks = cache.shard, cache.blocks
+    if cache.outcome == "hit":
         first = blocks[0].arrays
-        readouts = [b.arrays["traces"] for b in blocks]
-        stats = dict(bytes_read=bytes_read, sub_hits=n_sensors)
-        return readouts, first["pts"], first["cts"], "hit", stats
+        return [b.arrays["traces"] for b in blocks], first["pts"], first["cts"]
+    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
     rng = np.random.default_rng(seed_seq)
     shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
     results = msa.acquire_block_many(
-        aes, shard_pts, rng, n_samples, profile=profile, skip=skip
+        aes, shard_pts, rng, n_samples, profile=cache.profile, skip=skip
     )
     shard_cts = next(r[1] for r in results if r is not None)
     readouts = [
         blocks[i].arrays["traces"] if i in skip else results[i][0]
-        for i in range(n_sensors)
+        for i in range(len(msa))
     ]
-    if store is None:
-        return readouts, shard_pts, shard_cts, "", {}
-    with profile.stage("cache", items=shard.size) as acct:
-        before = store.counters.bytes_written
-        for i in range(n_sensors):
-            if i not in skip:
-                store.put(
-                    keys[i],
-                    {"traces": readouts[i], "pts": shard_pts, "cts": shard_cts},
-                    meta=_block_meta(seed_seq, n_sensors, i, block_items=shard.size),
-                )
-        bytes_written = store.counters.bytes_written - before
-        acct.nbytes += bytes_written
-    stats = dict(
-        bytes_read=bytes_read, bytes_written=bytes_written,
-        sub_hits=len(skip), sub_misses=n_sensors - len(skip),
-    )
-    return readouts, shard_pts, shard_cts, _cache_outcome(len(skip), n_sensors), stats
+    cache.put([
+        (
+            i,
+            {"traces": readouts[i], "pts": shard_pts, "cts": shard_cts},
+            _block_meta(seed_seq, len(msa), i, block_items=shard.size),
+        )
+        for i in range(len(msa))
+        if i not in skip
+    ])
+    return readouts, shard_pts, shard_cts
 
 
 def _shard_metrics(
@@ -218,24 +261,19 @@ def _shard_metrics(
     start: float,
     seconds: float,
     cache: str,
-    *,
-    bytes_read: int = 0,
-    bytes_written: int = 0,
-    sub_hits: int = 0,
-    sub_misses: int = 0,
+    counts: Dict[str, int],
 ) -> ShardMetrics:
     """Lift a shard's profile into its span subtree + metrics view.
 
-    The sub-block counters appear in the span only when nonzero (shards
-    with the cache off and attack-state replays carry none).
+    The shard span records the cache outcome as its ``cache`` attribute
+    and ``counts`` (keyed by :data:`~repro.runtime.metrics.CACHE_COUNTS`)
+    as ``cache_*`` counters.  Only nonzero counts are stamped, so shards
+    with the cache off and local-only runs keep their exact span shapes.
     """
-    cache_nbytes = bytes_read + bytes_written
-    counters: Dict[str, float] = {
-        "items": shard.size, "cache_nbytes": cache_nbytes
-    }
-    if sub_hits or sub_misses:
-        counters["cache_sub_hits"] = sub_hits
-        counters["cache_sub_misses"] = sub_misses
+    counters: Dict[str, float] = {"items": shard.size}
+    for c in SHARD_COUNTS:
+        if c.span is not None and counts.get(c.key):
+            counters[c.span] = counts[c.key]
     span = profile.to_span(
         "shard",
         start=start,
@@ -244,51 +282,8 @@ def _shard_metrics(
         counters=counters,
     )
     return ShardMetrics(
-        shard_index=shard.index,
-        n_items=shard.size,
-        seconds=seconds,
-        span=span,
-        cache=cache,
-        cache_nbytes=cache_nbytes,
-        cache_bytes_read=bytes_read,
-        cache_bytes_written=bytes_written,
-        cache_sub_hits=sub_hits,
-        cache_sub_misses=sub_misses,
+        shard_index=shard.index, n_items=shard.size, seconds=seconds, span=span
     )
-
-
-def _remote_snapshot(store: Optional[BlockStore]):
-    """Remote-tier counters before a shard body runs (or ``None``)."""
-    if store is None:
-        return None
-    c = store.counters
-    return (c.remote_hits, c.remote_misses, c.remote_bytes_read, c.expired)
-
-
-def _attach_remote_delta(
-    metrics: ShardMetrics, store: Optional[BlockStore], snap
-) -> ShardMetrics:
-    """Stamp a shard span with the remote-tier traffic its body caused.
-
-    Worker-process store counters never travel back to the parent as
-    objects; the per-shard delta rides the span instead (only nonzero
-    counters are attached, so local-only runs keep their exact span
-    shapes).  :class:`~repro.runtime.metrics.EngineMetrics` sums these
-    into the per-run remote totals.
-    """
-    if store is None or snap is None or metrics.span is None:
-        return metrics
-    c = store.counters
-    deltas = {
-        "cache_remote_hits": c.remote_hits - snap[0],
-        "cache_remote_misses": c.remote_misses - snap[1],
-        "cache_remote_bytes_read": c.remote_bytes_read - snap[2],
-        "cache_expired": c.expired - snap[3],
-    }
-    for name, value in deltas.items():
-        if value:
-            metrics.span.add_counter(name, value)
-    return metrics
 
 
 def _checkpoint_event(n_traces: int, consumer: object, sensor: int) -> SpanRecord:
@@ -323,19 +318,15 @@ def _run_collect_shard(
     ``(n_sensors, n_traces, n_samples)`` buffer."""
     start = time.time()
     t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts, shard_pts, shard_cts, cache, stats = _acquire_or_replay(
-        msa, aes, n_samples, shard, seed_seq, profile, store, keys
+    cache = _ShardCache(store, keys, StageProfile(), shard, len(msa))
+    readouts, shard_pts, shard_cts = _acquire_or_replay(
+        msa, aes, n_samples, seed_seq, cache
     )
     for i, block in enumerate(readouts):
         traces[i][shard.slice] = block
     pts[shard.slice] = shard_pts
     cts[shard.slice] = shard_cts
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap)
+    return cache.metrics(start, time.perf_counter() - t0)
 
 
 def _run_stream_shard(
@@ -375,15 +366,14 @@ def _run_stream_shard(
     """
     start = time.time()
     t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts_list, _shard_pts, shard_cts, cache, stats = _acquire_or_replay(
-        msa, aes, n_samples, shard, seed_seq, profile, store, keys
+    cache = _ShardCache(store, keys, StageProfile(), shard, len(msa))
+    readouts_list, _shard_pts, shard_cts = _acquire_or_replay(
+        msa, aes, n_samples, seed_seq, cache
     )
     cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = [[] for _ in readouts_list]
-    with profile.stage("accumulate", items=shard.size):
+    with cache.profile.stage("accumulate", items=shard.size):
         for lo, hi in zip(edges, edges[1:]):
             parts = [consumer_factory() for _ in readouts_list]
             update_many = getattr(type(parts[0]), "update_many", None)
@@ -398,10 +388,7 @@ def _run_stream_shard(
                         part.update(readouts[rows], shard_cts[rows])
             for segments, part in zip(per_sensor, parts):
                 segments.append((shard.start + hi, part))
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap), per_sensor
+    return cache.metrics(start, time.perf_counter() - t0), per_sensor
 
 
 def _run_characterize_shard(
@@ -423,21 +410,14 @@ def _run_characterize_shard(
     """
     start = time.time()
     t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
     profile = StageProfile()
     n_sensors = len(sensors)
-    blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = bytes_written = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            blocks = [store.get(k) for k in keys]
-            bytes_read = sum(b.nbytes for b in blocks if b is not None)
-            acct.nbytes += bytes_read
+    cache = _ShardCache(store, keys, profile, shard, n_sensors)
     rng: Optional[np.random.Generator] = None
     entry_state = None
-    for i in range(n_sensors):
-        if blocks[i] is not None:
-            out[i][shard.slice] = blocks[i].arrays["readouts"]
+    for i, block in enumerate(cache.blocks):
+        if block is not None:
+            out[i][shard.slice] = block.arrays["readouts"]
             continue
         if rng is None:
             rng = np.random.default_rng(seed_seq)
@@ -448,28 +428,8 @@ def _run_characterize_shard(
             sensors[i], droops[i], noises[i], shard.size, rng, profile=profile
         )
         out[i][shard.slice] = readouts
-        if store is not None:
-            with profile.stage("cache", items=shard.size) as acct:
-                before = store.counters.bytes_written
-                store.put(
-                    keys[i],
-                    {"readouts": readouts},
-                    meta=_block_meta(seed_seq, n_sensors, i),
-                )
-                acct.nbytes += store.counters.bytes_written - before
-            bytes_written += acct.nbytes
-    cache, stats = "", {}
-    if store is not None:
-        sub_hits = sum(1 for b in blocks if b is not None)
-        cache = _cache_outcome(sub_hits, n_sensors)
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=bytes_written,
-            sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
-        )
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap)
+        cache.put([(i, {"readouts": readouts}, _block_meta(seed_seq, n_sensors, i))])
+    return cache.metrics(start, time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------
@@ -636,31 +596,15 @@ class Engine:
         self.schedule = validate_schedule(schedule)
         #: Metrics of the most recent run (:class:`EngineMetrics`).
         self.last_metrics: Optional[EngineMetrics] = None
-        #: Cache activity accumulated over *all* runs of this engine
-        #: (``{"hits", "remote_served", "misses", "partial", "sub_hits",
-        #: "sub_misses", "bytes_read", "bytes_written"}`` — a served
-        #: shard is a local ``hits`` or a read-through ``remote_served``,
-        #: never both — plus the tiered-store
-        #: counters: per-tier traffic (``remote_*``), prune races
-        #: (``expired``), write-behind publishing and background
-        #: prefetch (``prefetch_*``)) — ``last_metrics`` only covers
-        #: the final campaign of a multi-campaign experiment.
-        self.cache_totals: Dict[str, int] = {
-            "hits": 0, "remote_served": 0, "misses": 0, "partial": 0,
-            "sub_hits": 0, "sub_misses": 0,
-            "bytes_read": 0, "bytes_written": 0,
-            "expired": 0,
-            "remote_hits": 0, "remote_misses": 0,
-            "remote_bytes_read": 0, "remote_bytes_written": 0,
-            "remote_puts": 0, "remote_publish_skipped": 0,
-            "remote_publish_dropped": 0, "remote_errors": 0,
-            "prefetch_fetched": 0, "prefetch_local": 0,
-            "prefetch_missed": 0, "prefetch_bytes": 0,
-        }
-        # High-water mark of the parent store's publish-side counters:
-        # _finish_metrics folds the delta since the previous campaign
-        # into cache_totals (publishing happens only in this process —
-        # worker views have it off — so the delta is exact).
+        #: Cache activity accumulated over *all* runs of this engine,
+        #: one entry per :data:`~repro.runtime.metrics.CACHE_COUNTS`
+        #: count — ``last_metrics`` only covers the final campaign of a
+        #: multi-campaign experiment.
+        self.cache_totals = dict.fromkeys((c.key for c in CACHE_COUNTS), 0)
+        # High-water mark of the parent store's publish-side counters
+        # (the write-behind thread and any serial-path sync publish run
+        # in this process, never in workers — see
+        # TieredStore.for_worker — so each campaign's delta is exact).
         self._pub_mark: Dict[str, int] = {}
         # Live metrics (process-wide registry).  The deterministic ones
         # (items, shards, shard-size histogram, cache lookups/bytes)
@@ -696,32 +640,18 @@ class Engine:
             "Shards that ran outside their static-partition run "
             "(work actually stolen vs the baseline assignment).",
         )
-        self._metric_cache_lookups = registry.counter(
-            "repro_cache_lookups_total",
-            "Shard cache lookups by outcome (hit counts any warm tier).",
-            labelnames=("outcome",), deterministic=True,
-        )
-        self._metric_cache_bytes = registry.counter(
-            "repro_cache_bytes_total",
-            "Block-cache payload traffic by direction.",
-            labelnames=("direction",), deterministic=True,
-        )
-        self._metric_tier = registry.counter(
-            "repro_cache_tier_total",
-            "Tiered-store counter deltas (hit/miss/wire/publish/"
-            "prefetch per tier) — timing-dependent, not deterministic.",
-            labelnames=("counter",),
-        )
+        self._metric_cache = {
+            name: registry.counter(
+                name, help, labelnames=(label,), deterministic=deterministic
+            )
+            for name, (help, label, deterministic) in CACHE_SERIES.items()
+        }
 
     # ------------------------------------------------------------------
     def cache_hit_rate(self) -> float:
-        """Full-shard hits from either tier over lookups accumulated
-        across this engine's runs (partially-hit fan-out shards count
-        as lookups)."""
-        totals = self.cache_totals
-        served = totals["hits"] + totals["remote_served"]
-        lookups = served + totals["misses"] + totals["partial"]
-        return served / lookups if lookups else 0.0
+        """:func:`~repro.runtime.metrics.hit_rate` over every run of
+        this engine."""
+        return hit_rate(self.cache_totals).rate
 
     def _finish_metrics(
         self,
@@ -770,40 +700,27 @@ class Engine:
             + extra,
         )
         self.telemetry.attach(metrics.span)
-        self.cache_totals["hits"] += metrics.cache_hits
-        self.cache_totals["remote_served"] += metrics.cache_remote_served
-        self.cache_totals["misses"] += metrics.cache_misses
-        self.cache_totals["partial"] += metrics.cache_partial
-        self.cache_totals["sub_hits"] += metrics.cache_sub_hits
-        self.cache_totals["sub_misses"] += metrics.cache_sub_misses
-        self.cache_totals["bytes_read"] += metrics.cache_bytes_read
-        self.cache_totals["bytes_written"] += metrics.cache_bytes_written
-        self.cache_totals["expired"] += metrics.cache_expired
-        self.cache_totals["remote_hits"] += metrics.cache_remote_hits
-        self.cache_totals["remote_misses"] += metrics.cache_remote_misses
-        self.cache_totals["remote_bytes_read"] += metrics.cache_remote_bytes_read
-        for name, value in prefetch_snap.items():
-            self.cache_totals[name] += value
-        pub_delta: Dict[str, int] = {}
         if self.cache is not None:
             self.cache.flush()
-            pub = self._publish_counters()
-            pub_delta = {
-                name: value - self._pub_mark.get(name, 0)
-                for name, value in pub.items()
-            }
-            for name, value in pub_delta.items():
-                self.cache_totals[name] += value
-            self._pub_mark = pub
-        self._record_campaign_metrics(metrics, prefetch_snap, pub_delta)
+        # One campaign's CACHE_COUNTS: the shard spans' fold, the
+        # prefetch snapshot and the publish-side delta since the
+        # previous campaign (no store: no publish counters, all 0).
+        counters = self.cache.counters if self.cache is not None else None
+        folded = {**metrics.cache_summary(), **prefetch_snap}
+        campaign: Dict[str, int] = {}
+        for c in CACHE_COUNTS:
+            if c.source == "publish":
+                mark = int(getattr(counters, c.key, 0))
+                folded[c.key] = mark - self._pub_mark.get(c.key, 0)
+                self._pub_mark[c.key] = mark
+            campaign[c.key] = folded.get(c.key, 0)
+            self.cache_totals[c.key] += campaign[c.key]
+        self._record_campaign_metrics(metrics, campaign)
         self.last_metrics = metrics
         return metrics
 
     def _record_campaign_metrics(
-        self,
-        metrics: EngineMetrics,
-        prefetch_snap: Dict[str, int],
-        pub_delta: Dict[str, int],
+        self, metrics: EngineMetrics, campaign: Dict[str, int]
     ) -> None:
         """Mirror one campaign's totals onto the live registry."""
         self._metric_items.inc(metrics.n_items, kind=metrics.kind)
@@ -819,33 +736,12 @@ class Engine:
         # Deterministic view: a hit from any warm tier is a hit (the
         # local/remote split depends on prefetch timing, the union does
         # not).
-        self._metric_cache_lookups.inc(
-            metrics.cache_hits + metrics.cache_remote_served, outcome="hit"
-        )
-        self._metric_cache_lookups.inc(metrics.cache_misses, outcome="miss")
-        self._metric_cache_lookups.inc(metrics.cache_partial, outcome="partial")
-        self._metric_cache_lookups.inc(metrics.cache_sub_hits, outcome="sub_hit")
-        self._metric_cache_lookups.inc(
-            metrics.cache_sub_misses, outcome="sub_miss"
-        )
-        self._metric_cache_bytes.inc(
-            metrics.cache_bytes_read, direction="read"
-        )
-        self._metric_cache_bytes.inc(
-            metrics.cache_bytes_written, direction="written"
-        )
-        tier_deltas = {
-            "local_hits": metrics.cache_hits,
-            "remote_hits": metrics.cache_remote_hits,
-            "remote_misses": metrics.cache_remote_misses,
-            "remote_bytes_read": metrics.cache_remote_bytes_read,
-            "expired": metrics.cache_expired,
-            **prefetch_snap,
-            **pub_delta,
-        }
-        for name, value in tier_deltas.items():
-            if value:
-                self._metric_tier.inc(value, counter=name)
+        self._metric_cache[LOOKUPS].inc(hit_rate(campaign).served, outcome="hit")
+        for c in CACHE_COUNTS:
+            value = campaign[c.key]
+            if c.series is not None and (value or c.deterministic):
+                metric = self._metric_cache[c.series]
+                metric.inc(value, **{metric.labelnames[0]: c.label})
 
     def _count_steals(self, metrics: EngineMetrics) -> int:
         """Shards whose worker differs from the previous shard of the
@@ -860,20 +756,6 @@ class Engine:
                 if pids[a] != pids[b]:
                     steals += 1
         return steals
-
-    def _publish_counters(self) -> Dict[str, int]:
-        """Current publish-side counters of the parent store (the
-        write-behind thread and any serial-path sync publish run here,
-        never in workers — see :meth:`TieredStore.for_worker`)."""
-        counters = self.cache.counters
-        return {
-            name: int(getattr(counters, name, 0))
-            for name in (
-                "remote_puts", "remote_bytes_written",
-                "remote_publish_skipped", "remote_publish_dropped",
-                "remote_errors",
-            )
-        }
 
     def _worker_cache(self) -> Optional["BlockStore"]:
         """The store view shipped to pool workers: read-through stays
@@ -1463,7 +1345,7 @@ class Engine:
                 state_start,
                 seconds,
                 "hit",
-                bytes_read=nbytes,
+                {"bytes_read": nbytes},
             )
             metrics.shards.append(sm)
             done = end

@@ -3,11 +3,18 @@
 Every shard carries the span subtree its worker recorded
 (:class:`~repro.telemetry.spans.SpanRecord`: the shard span with one
 child per kernel stage / cache lookup), and every number these classes
-report — stage splits, byte totals, cache hit rates — is *derived from
+report — stage splits, byte totals, cache counts — is *derived from
 those spans*, never kept as parallel bookkeeping.  The engine grafts
 the shard subtrees into one campaign span (``EngineMetrics.span``) in
 shard-index order, which is what the run log flattens and the Perfetto
 export draws.
+
+Block-cache counts have one vocabulary, :data:`CACHE_COUNTS`: each
+entry names a count once — where it is recorded, its key in
+``Engine.cache_totals``, :meth:`EngineMetrics.cache_summary` and the
+run log's ``cache`` event, and the registry series it is mirrored
+onto.  Every cache surface of the engine is a fold or a loop over that
+table, and every hit rate comes from :func:`hit_rate`.
 
 Shard seconds are measured inside the worker; the aggregate wall clock
 is measured by the engine around the whole run, so ``sum(shard seconds)
@@ -19,9 +26,106 @@ sub-millisecond shards stay finite in logs and JSONL output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from repro.telemetry.spans import SpanRecord
+
+LOOKUPS = "repro_cache_lookups_total"
+BYTES = "repro_cache_bytes_total"
+TIER = "repro_cache_tier_total"
+#: The registry counters the cache counts are mirrored onto (the
+#: engine registers them): name -> (help, label name, deterministic).
+CACHE_SERIES = {
+    LOOKUPS: (
+        "Shard cache lookups by outcome (hit counts any warm tier).",
+        "outcome", True,
+    ),
+    BYTES: ("Block-cache payload traffic by direction.", "direction", True),
+    TIER: (
+        "Tiered-store counter deltas (hit/miss/wire/publish/prefetch per "
+        "tier) — timing-dependent, not deterministic.",
+        "counter", False,
+    ),
+}
+
+
+class CacheCount(NamedTuple):
+    """One per-campaign block-cache count and every name it goes by.
+
+    ``key`` names it in ``Engine.cache_totals``,
+    ``EngineMetrics.cache_summary()`` and the run log's ``cache`` event.
+    ``source`` says where it is recorded: ``"outcome"`` — counted from
+    each shard span's ``cache`` attribute; ``"shard"`` — stamped on the
+    shard span by the shard body; ``"store"`` — the shard's delta of the
+    block-store counter ``key``, stamped on the shard span;
+    ``"publish"`` / ``"prefetch"`` — the parent's write-behind publishing
+    and background prefetch, folded once per campaign.  The count is
+    mirrored onto the registry counter ``series`` under ``label``: even
+    when 0 if it is ``deterministic`` (a function of workload, seed and
+    cache contents; the local/remote split, prefetch and publishing
+    depend on timing), else only when nonzero.
+    """
+
+    key: str
+    source: str
+    series: Optional[str] = None
+    label: Optional[str] = None
+    deterministic: bool = False
+
+    @property
+    def span(self) -> Optional[str]:
+        """The shard-span counter the count is recorded under."""
+        return f"cache_{self.key}" if self.source in ("shard", "store") else None
+
+
+#: Every per-campaign cache count, in ``cache_totals`` order.  A served
+#: shard is a local ``hits`` or a read-through ``remote_served``, never
+#: both; ``remote_hits`` counts read-through *blocks* (up to N per
+#: N-sensor shard).  Sub-lookups count one per sensor per shard.
+CACHE_COUNTS = (
+    CacheCount("hits", "outcome", TIER, "local_hits"),
+    CacheCount("remote_served", "outcome"),
+    CacheCount("misses", "outcome", LOOKUPS, "miss", True),
+    CacheCount("partial", "outcome", LOOKUPS, "partial", True),
+    CacheCount("sub_hits", "shard", LOOKUPS, "sub_hit", True),
+    CacheCount("sub_misses", "shard", LOOKUPS, "sub_miss", True),
+    CacheCount("bytes_read", "shard", BYTES, "read", True),
+    CacheCount("bytes_written", "shard", BYTES, "written", True),
+    # Lookups of keys the store expected to hold but had lost
+    # (pruned/evicted between ``contains`` and read).
+    CacheCount("expired", "store", TIER, "expired"),
+    CacheCount("remote_hits", "store", TIER, "remote_hits"),
+    CacheCount("remote_misses", "store", TIER, "remote_misses"),
+    CacheCount("remote_bytes_read", "store", TIER, "remote_bytes_read"),
+    CacheCount("remote_bytes_written", "publish", TIER, "remote_bytes_written"),
+    CacheCount("remote_puts", "publish", TIER, "remote_puts"),
+    CacheCount("remote_publish_skipped", "publish", TIER, "remote_publish_skipped"),
+    CacheCount("remote_publish_dropped", "publish", TIER, "remote_publish_dropped"),
+    CacheCount("remote_errors", "publish", TIER, "remote_errors"),
+    CacheCount("prefetch_fetched", "prefetch", TIER, "prefetch_fetched"),
+    CacheCount("prefetch_local", "prefetch", TIER, "prefetch_local"),
+    CacheCount("prefetch_missed", "prefetch", TIER, "prefetch_missed"),
+    CacheCount("prefetch_bytes", "prefetch", TIER, "prefetch_bytes"),
+)
+
+#: The counts a shard records (on its span), i.e. those of
+#: :meth:`EngineMetrics.cache_summary`.
+SHARD_COUNTS = tuple(c for c in CACHE_COUNTS if c.source not in ("publish", "prefetch"))
+_OUTCOME_KEYS = {"hit": "hits", "miss": "misses", "partial": "partial"}
+
+
+HitRate = NamedTuple("HitRate", [("served", int), ("lookups", int), ("rate", float)])
+
+
+def hit_rate(counts: Mapping[str, object]) -> HitRate:
+    """Full-shard hits from either tier over shard lookups, from any
+    mapping keyed by :data:`CACHE_COUNTS` (``cache_totals``,
+    ``cache_summary()``, a run-log ``cache`` event; absent keys count
+    0).  Partially-hit fan-out shards count as lookups, not hits; the
+    rate is 0.0 with no lookups."""
+    served = counts.get("hits", 0) + counts.get("remote_served", 0)
+    lookups = served + counts.get("misses", 0) + counts.get("partial", 0)
+    return HitRate(served, lookups, served / lookups if lookups else 0.0)
 
 
 @dataclass(frozen=True)
@@ -34,22 +138,28 @@ class ShardMetrics:
     #: The shard's span subtree: one child span per pipeline stage
     #: ("aes", "pdn", "sensor", "cache"), recorded by the worker.
     span: Optional[SpanRecord] = None
-    #: Block-cache outcome for this shard: ``"hit"`` (served from the
-    #: store), ``"miss"`` (acquired and published), ``"partial"`` (a
-    #: fan-out shard where some sensors' sub-blocks hit and the rest
-    #: were acquired) or ``""`` (cache off).
-    cache: str = ""
-    #: Bytes read from plus bytes written to the block store.
-    cache_nbytes: int = 0
-    #: The read/write split of :attr:`cache_nbytes` (a plain hit is all
-    #: read, a plain miss all written; only fan-out partials mix).
-    cache_bytes_read: int = 0
-    cache_bytes_written: int = 0
-    #: Sub-block outcomes: a shard counts one lookup per sensor (a full
-    #: N-sensor hit counts N sub-hits, a single-sensor hit one); shards
-    #: with the cache off and attack-state replays leave both at 0.
-    cache_sub_hits: int = 0
-    cache_sub_misses: int = 0
+
+    @property
+    def cache(self) -> str:
+        """Block-cache outcome: ``"hit"`` (served from the store),
+        ``"miss"`` (acquired and published), ``"partial"`` (a fan-out
+        shard where some sensors' sub-blocks hit and the rest were
+        acquired) or ``""`` (cache off)."""
+        return self.span.attrs.get("cache", "") if self.span is not None else ""
+
+    def cache_counts(self) -> Dict[str, int]:
+        """This shard's :data:`SHARD_COUNTS`, read from its span (all 0
+        with the cache off or no span)."""
+        counters = self.span.counters if self.span is not None else {}
+        counts = {
+            c.key: int(counters.get(c.span, 0)) if c.span else 0 for c in SHARD_COUNTS
+        }
+        if self.cache:
+            # A served shard with any sub-block read through from the
+            # remote tier is remote-served, else a local hit.
+            read_through = self.cache == "hit" and counts["remote_hits"]
+            counts["remote_served" if read_through else _OUTCOME_KEYS[self.cache]] = 1
+        return counts
 
     @property
     def stage_seconds(self) -> Dict[str, float]:
@@ -88,7 +198,9 @@ class ShardMetrics:
                 part += f"/{nbytes / 1e6:.0f}MB"
             parts.append(part)
         if self.cache:
-            parts.append(f"cache {self.cache} {self.cache_nbytes / 1e6:.1f}MB")
+            counts = self.cache_counts()
+            moved = counts["bytes_read"] + counts["bytes_written"]
+            parts.append(f"cache {self.cache} {moved / 1e6:.1f}MB")
         split = f" ({', '.join(parts)})" if parts else ""
         rate = (
             f"{self.items_per_second:,.0f}/s" if self.seconds > 0 else "n/a"
@@ -97,12 +209,6 @@ class ShardMetrics:
             f"shard {self.shard_index}: {self.n_items} items in "
             f"{self.seconds:.3f}s ({rate}){split}"
         )
-
-
-def _read_through(shard: ShardMetrics) -> bool:
-    """Whether the shard's reads reached the remote tier (its body
-    stamps the remote-tier delta on its span)."""
-    return shard.span is not None and shard.span.counter("cache_remote_hits") > 0
 
 
 @dataclass
@@ -151,117 +257,23 @@ class EngineMetrics:
         return totals
 
     # -- block-cache views ------------------------------------------------
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether this run went through a block store."""
-        return any(s.cache for s in self.shards)
-
-    @property
-    def cache_hits(self) -> int:
-        """Shards served from the local tier of the block store alone.
-
-        A served shard counts here or in :attr:`cache_remote_served`,
-        never both."""
-        return sum(
-            1 for s in self.shards if s.cache == "hit" and not _read_through(s)
-        )
-
-    @property
-    def cache_remote_served(self) -> int:
-        """Shards served from the block store where at least one
-        sub-block was read through from the remote tier (at N > 1
-        :attr:`cache_remote_hits` counts those sub-blocks, so it is no
-        shard count)."""
-        return sum(1 for s in self.shards if s.cache == "hit" and _read_through(s))
-
-    @property
-    def cache_misses(self) -> int:
-        """Shards acquired live (and published to the store)."""
-        return sum(1 for s in self.shards if s.cache == "miss")
-
-    @property
-    def cache_partial(self) -> int:
-        """Fan-out shards where only some sensors' sub-blocks hit."""
-        return sum(1 for s in self.shards if s.cache == "partial")
-
-    @property
-    def cache_sub_hits(self) -> int:
-        """Per-sensor sub-block hits across all shards (distinct from
-        :attr:`cache_hits`, which counts whole shards where *every*
-        sensor hit)."""
-        return sum(s.cache_sub_hits for s in self.shards)
-
-    @property
-    def cache_sub_misses(self) -> int:
-        """Per-sensor sub-block misses across all shards."""
-        return sum(s.cache_sub_misses for s in self.shards)
+    def cache_summary(self) -> Dict[str, object]:
+        """Flat JSON-friendly cache view of this run: ``enabled``, the
+        :data:`SHARD_COUNTS` summed over shards, and ``hit_rate``."""
+        totals = dict.fromkeys((c.key for c in SHARD_COUNTS), 0)
+        for shard in self.shards:
+            for key, value in shard.cache_counts().items():
+                totals[key] += value
+        return {
+            "enabled": any(s.cache for s in self.shards),
+            **totals,
+            "hit_rate": round(hit_rate(totals).rate, 4),
+        }
 
     @property
     def cache_hit_rate(self) -> float:
-        """Full-shard hits from either tier over cache-visible shards
-        (partially-hit fan-out shards count as lookups, not hits; 0.0
-        with the cache off)."""
-        served = self.cache_hits + self.cache_remote_served
-        lookups = served + self.cache_misses + self.cache_partial
-        return served / lookups if lookups else 0.0
-
-    @property
-    def cache_bytes_read(self) -> int:
-        """Bytes served from the store across all shards."""
-        return sum(s.cache_bytes_read for s in self.shards)
-
-    @property
-    def cache_bytes_written(self) -> int:
-        """Bytes published to the store across all shards."""
-        return sum(s.cache_bytes_written for s in self.shards)
-
-    def _span_counter_total(self, name: str) -> int:
-        """Sum one span counter across shard spans (tiered-store
-        shard bodies stamp remote activity there — a shard that never
-        touched the remote tier carries no such counter)."""
-        return int(
-            sum(s.span.counter(name) for s in self.shards if s.span is not None)
-        )
-
-    @property
-    def cache_remote_hits(self) -> int:
-        """Blocks served by read-through from the remote tier."""
-        return self._span_counter_total("cache_remote_hits")
-
-    @property
-    def cache_remote_misses(self) -> int:
-        """Remote-tier lookups that found nothing usable."""
-        return self._span_counter_total("cache_remote_misses")
-
-    @property
-    def cache_remote_bytes_read(self) -> int:
-        """Wire bytes pulled from the remote tier during this run."""
-        return self._span_counter_total("cache_remote_bytes_read")
-
-    @property
-    def cache_expired(self) -> int:
-        """Lookups of keys the store *expected* to hold but had lost
-        (pruned/evicted between ``contains`` and read)."""
-        return self._span_counter_total("cache_expired")
-
-    def cache_summary(self) -> Dict[str, object]:
-        """Flat JSON-friendly cache view of this run."""
-        return {
-            "enabled": self.cache_enabled,
-            "hits": self.cache_hits,
-            "remote_served": self.cache_remote_served,
-            "misses": self.cache_misses,
-            "partial": self.cache_partial,
-            "sub_hits": self.cache_sub_hits,
-            "sub_misses": self.cache_sub_misses,
-            "hit_rate": round(self.cache_hit_rate, 4),
-            "bytes_read": self.cache_bytes_read,
-            "bytes_written": self.cache_bytes_written,
-            "remote_hits": self.cache_remote_hits,
-            "remote_misses": self.cache_remote_misses,
-            "remote_bytes_read": self.cache_remote_bytes_read,
-            "expired": self.cache_expired,
-        }
+        """:func:`hit_rate` of this run (0.0 with the cache off)."""
+        return hit_rate(self.cache_summary()).rate
 
     def stage_items_per_second(self) -> Dict[str, float]:
         """Per-stage throughput: campaign items over that stage's
@@ -277,17 +289,14 @@ class EngineMetrics:
         stages = self.stage_totals()
         split = ", ".join(f"{k} {v:.2f}s" for k, v in sorted(stages.items()))
         cache = ""
-        if self.cache_enabled:
-            served = self.cache_hits + self.cache_remote_served
-            lookups = served + self.cache_misses + self.cache_partial
-            cache = (
-                f"; cache {served}/{lookups}"
-                f" hits ({self.cache_hit_rate:.0%})"
-            )
-            if self.cache_partial:
+        counts = self.cache_summary()
+        if counts["enabled"]:
+            hits = hit_rate(counts)
+            cache = f"; cache {hits.served}/{hits.lookups} hits ({hits.rate:.0%})"
+            if counts["partial"]:
                 cache += (
-                    f", {self.cache_partial} partial"
-                    f" ({self.cache_sub_hits} sub-hits)"
+                    f", {counts['partial']} partial"
+                    f" ({counts['sub_hits']} sub-hits)"
                 )
         rate = (
             f"{self.items_per_second:.0f}/s" if self.wall_seconds > 0 else "n/a"

@@ -47,6 +47,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.metrics import CACHE_COUNTS
 from repro.runtime.sharding import Shard
 
 #: Engine scheduling modes.
@@ -237,10 +238,7 @@ class RemotePrefetcher:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self.counters: Dict[str, int] = {
-            "prefetch_fetched": 0,
-            "prefetch_local": 0,
-            "prefetch_missed": 0,
-            "prefetch_bytes": 0,
+            c.key: 0 for c in CACHE_COUNTS if c.source == "prefetch"
         }
         self.busy_seconds = 0.0
         self._threads = [

@@ -52,6 +52,7 @@ from repro.service.jobs import (
     JobState,
 )
 from repro.service.quota import QuotaLedger, TenantQuota
+from repro.runtime.metrics import hit_rate
 from repro.service.scheduler import CacheAwareScheduler
 from repro.telemetry.metrics import LATENCY_BUCKETS, get_registry
 from repro.telemetry.tracing import new_trace_id
@@ -444,10 +445,7 @@ class CampaignService:
             # The run's own counters prove the footprint's blocks are
             # in the store (written on miss, present on hit) — confirm
             # the warmth dispatch assumed optimistically.
-            if any(
-                cache.get(k)
-                for k in ("hits", "misses", "partial", "remote_hits")
-            ):
+            if hit_rate(cache).lookups:
                 self.scheduler.note_warm(job.footprint)
         members = [job, *job.followers]
         for member in members:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.runtime.metrics import hit_rate
 from repro.telemetry.metrics import histogram_quantile
 from repro.telemetry.runlog import RunRecord, read_run
 
@@ -98,9 +99,10 @@ class RunSummary:
             )
             out.append(f"  stages: {split}")
         if self.cache.get("enabled"):
+            hits = hit_rate(self.cache)
             out.append(
-                f"  cache: {self.cache['hits']}/{self.cache['hits'] + self.cache['misses']}"
-                f" hits ({self.cache['hit_rate']:.0%}), "
+                f"  cache: {hits.served}/{hits.lookups}"
+                f" hits ({hits.rate:.0%}), "
                 f"read {self.cache['bytes_read'] / 1e6:.1f}MB, "
                 f"written {self.cache['bytes_written'] / 1e6:.1f}MB"
             )
@@ -297,7 +299,7 @@ def diff_runs(
 
     # 4. Cache behaviour.
     if a.cache.get("enabled") and b.cache.get("enabled"):
-        hr_a, hr_b = a.cache["hit_rate"], b.cache["hit_rate"]
+        hr_a, hr_b = hit_rate(a.cache).rate, hit_rate(b.cache).rate
         kind = "regression" if hr_a - hr_b > 0.05 else "ok"
         report.verdicts.append(
             Verdict(kind, "cache_hit_rate", f"{hr_a:.2%}", f"{hr_b:.2%}")

@@ -31,8 +31,11 @@ RUN_SCHEMA_VERSION`) — every line carries ``type`` and ``schema``:
     across worker counts for a fixed seed), ``full`` adds the timing
     histograms and wall-clock-dependent counters.
 ``cache``
-    Block-cache totals for the run (``enabled``, ``hits``, ``misses``,
-    ``hit_rate``, ``bytes_read``, ``bytes_written``).
+    Block-cache totals for the run: ``enabled``, one key per
+    :data:`repro.runtime.metrics.CACHE_COUNTS` count and ``hit_rate``
+    (:func:`repro.runtime.metrics.hit_rate`).  With the cache off only
+    ``enabled``, ``hits``, ``misses``, ``hit_rate``, ``bytes_read`` and
+    ``bytes_written`` are written, all zero.
 ``run_end``
     ``wall_seconds``, ``n_items``, ``items_per_second``,
     ``peak_rss_kb`` (self + children max RSS), ``status``.

@@ -63,10 +63,6 @@ class SpanRecord:
         """One counter's value (``default`` when absent)."""
         return self.counters.get(name, default)
 
-    def add_counter(self, name: str, value: float) -> None:
-        """Accumulate into one counter."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
-
     def child(self, name: str) -> Optional["SpanRecord"]:
         """First direct child with ``name`` (``None`` when absent)."""
         for rec in self.children:

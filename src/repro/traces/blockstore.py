@@ -330,41 +330,6 @@ class CacheCounters:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly view."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "integrity_failures": self.integrity_failures,
-            "expired": self.expired,
-            "remote_hits": self.remote_hits,
-            "remote_misses": self.remote_misses,
-            "remote_bytes_read": self.remote_bytes_read,
-            "remote_bytes_written": self.remote_bytes_written,
-            "remote_puts": self.remote_puts,
-            "remote_publish_skipped": self.remote_publish_skipped,
-            "remote_publish_dropped": self.remote_publish_dropped,
-            "remote_errors": self.remote_errors,
-        }
-
-    def telemetry_counters(self) -> Dict[str, float]:
-        """Numeric counter view for telemetry span attachment.
-
-        The engine's per-shard ``cache`` spans carry hit/miss bytes
-        already; this is the whole-store view (e.g. one process's
-        session), suitable for ``SpanRecord.counters``.
-        """
-        return {
-            key: float(value)
-            for key, value in self.as_dict().items()
-            if isinstance(value, (int, float))
-        }
-
 
 @dataclass(frozen=True)
 class StoreStats:

@@ -351,13 +351,13 @@ class TestEngineCache:
         )
         cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         cold = cold_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert cold_engine.last_metrics.cache_misses == 3
-        assert cold_engine.last_metrics.cache_hits == 0
+        assert cold_engine.last_metrics.cache_summary()["misses"] == 3
+        assert cold_engine.last_metrics.cache_summary()["hits"] == 0
 
         warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert warm_engine.last_metrics.cache_hits == 3
-        assert warm_engine.last_metrics.cache_misses == 0
+        assert warm_engine.last_metrics.cache_summary()["hits"] == 3
+        assert warm_engine.last_metrics.cache_summary()["misses"] == 0
         assert warm_engine.cache_hit_rate() == 1.0
 
         for a, b in ((off, cold), (cold, warm)):
@@ -370,7 +370,7 @@ class TestEngineCache:
         cold = serial.collect(acquisition, N_TRACES, key=KEY, seed=3)
         pooled = Engine(workers=2, shard_size=SHARD, cache=str(tmp_path))
         warm = pooled.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert pooled.last_metrics.cache_hits == 3
+        assert pooled.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 
     def test_seed_and_config_invalidate_blocks(self, acquisition, tmp_path):
@@ -388,7 +388,7 @@ class TestEngineCache:
         )
         warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert warm_engine.last_metrics.cache_hits == 3
+        assert warm_engine.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 
     def test_damaged_block_reacquired_with_warning(self, acquisition, tmp_path):
@@ -402,13 +402,13 @@ class TestEngineCache:
         with pytest.warns(CacheIntegrityWarning):
             warm = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
         np.testing.assert_array_equal(cold.traces, warm.traces)
-        assert engine.last_metrics.cache_hits == 2
-        assert engine.last_metrics.cache_misses == 1
+        assert engine.last_metrics.cache_summary()["hits"] == 2
+        assert engine.last_metrics.cache_summary()["misses"] == 1
         # The damaged block was re-published; a third run is all hits.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert engine.last_metrics.cache_hits == 3
+        assert engine.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, again.traces)
 
     def test_stream_identical_off_cold_warm_any_chunking(
@@ -449,8 +449,8 @@ class TestEngineCache:
             acquisition, N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, n_samples), seed=3,
         )
-        assert engine.last_metrics.cache_hits == 3
-        assert engine.last_metrics.cache_misses == 0
+        assert engine.last_metrics.cache_summary()["hits"] == 3
+        assert engine.last_metrics.cache_summary()["misses"] == 0
 
     def test_characterize_identical_cold_warm(self, tmp_path):
         from repro.experiments import common
@@ -470,7 +470,7 @@ class TestEngineCache:
         warm = engine.characterize(
             sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
         )
-        assert engine.last_metrics.cache_hits == 2
+        assert engine.last_metrics.cache_summary()["hits"] == 2
         np.testing.assert_array_equal(off, cold)
         np.testing.assert_array_equal(cold, warm)
 
@@ -490,17 +490,21 @@ class TestEngineCache:
                 sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
             )
             m = engine.last_metrics
-            moved = m.cache_bytes_read + m.cache_bytes_written
+            counts = m.cache_summary()
+            moved = counts["bytes_read"] + counts["bytes_written"]
             assert moved > 0
             assert m.stage_nbytes_totals()["cache"] == moved
-        assert m.cache_hits == 2 and m.cache_bytes_written == 0
+        assert counts["hits"] == 2 and counts["bytes_written"] == 0
 
     def test_shard_metrics_carry_cache_fields(self, acquisition, tmp_path):
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
         shard = engine.last_metrics.shards[0]
         assert shard.cache == "miss"
-        assert shard.cache_nbytes > 0
+        assert (
+            shard.span.counter("cache_bytes_read")
+            + shard.span.counter("cache_bytes_written")
+        ) > 0
         assert "cache miss" in shard.summary()
         summary = engine.last_metrics.summary()
         assert "cache 0/3 hits" in summary
@@ -535,14 +539,14 @@ class TestAttackStateSnapshots:
         cold_engine, cold_attack, cold_points = self._run(
             acquisition, str(tmp_path)
         )
-        assert cold_engine.last_metrics.cache_misses == 3
+        assert cold_engine.last_metrics.cache_summary()["misses"] == 3
 
         warm_engine, warm_attack, warm_points = self._run(
             acquisition, str(tmp_path)
         )
         # Replay is served from state snapshots: all hits, no misses.
-        assert warm_engine.last_metrics.cache_hits > 0
-        assert warm_engine.last_metrics.cache_misses == 0
+        assert warm_engine.last_metrics.cache_summary()["hits"] > 0
+        assert warm_engine.last_metrics.cache_summary()["misses"] == 0
         assert warm_engine.cache_hit_rate() == 1.0
         assert warm_attack.n_traces == cold_attack.n_traces
         np.testing.assert_array_equal(
@@ -570,8 +574,8 @@ class TestAttackStateSnapshots:
         with pytest.warns(CacheIntegrityWarning):
             warm_engine, warm_attack, _ = self._run(acquisition, str(tmp_path))
         # Fell back to streaming the (intact) trace blocks.
-        assert warm_engine.last_metrics.cache_hits == 3
-        assert warm_engine.last_metrics.cache_misses == 0
+        assert warm_engine.last_metrics.cache_summary()["hits"] == 3
+        assert warm_engine.last_metrics.cache_summary()["misses"] == 0
         np.testing.assert_array_equal(
             cold_attack.correlations(), warm_attack.correlations()
         )
@@ -656,7 +660,7 @@ class TestConcurrentWriters:
 
         warm = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         again = warm.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        assert warm.last_metrics.cache_hits == 3
+        assert warm.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(results[0], again.traces)
 
 

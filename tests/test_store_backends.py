@@ -528,20 +528,25 @@ class TestEngineSchedules:
         from repro.telemetry.spans import SpanRecord
 
         def served(index, remote_sub_hits):
-            counters = {"cache_remote_hits": remote_sub_hits} if remote_sub_hits else {}
+            counters = {"cache_sub_hits": 5}
+            if remote_sub_hits:
+                counters["cache_remote_hits"] = remote_sub_hits
             return ShardMetrics(
-                shard_index=index, n_items=SHARD, seconds=0.0, cache="hit",
-                span=SpanRecord(name="shard", start=0.0, counters=counters),
-                cache_sub_hits=5,
+                shard_index=index, n_items=SHARD, seconds=0.0,
+                span=SpanRecord(
+                    name="shard", start=0.0, attrs={"cache": "hit"},
+                    counters=counters,
+                ),
             )
 
         metrics = EngineMetrics(
             kind="stream", n_items=3 * SHARD, n_shards=3, workers=1,
             shards=[served(0, 0), served(1, 5), served(2, 2)],
         )
-        assert metrics.cache_hits == 1
-        assert metrics.cache_remote_served == 2
-        assert metrics.cache_remote_hits == 7
+        summary = metrics.cache_summary()
+        assert summary["hits"] == 1
+        assert summary["remote_served"] == 2
+        assert summary["remote_hits"] == 7
         assert metrics.cache_hit_rate == 1.0
 
     def test_static_schedule_matches_stealing_serially(

@@ -305,6 +305,35 @@ def test_summarize_run(tiny_runs):
     assert any("wall" in line for line in summary.lines())
 
 
+@pytest.mark.parametrize(
+    "counts, expected",
+    [
+        # A warm replay read through from the remote tier: every shard
+        # served, none of them from the local tier.
+        (dict(hits=0, remote_served=3, misses=0, partial=0), "3/3 hits (100%)"),
+        # A fan-out where one sensor's sub-blocks were warm: every
+        # shard is a lookup, none a full hit.
+        (dict(hits=0, remote_served=0, misses=0, partial=3), "0/3 hits (0%)"),
+        (dict(hits=1, remote_served=1, misses=1, partial=1), "2/4 hits (50%)"),
+    ],
+)
+def test_report_cache_line_counts_served_over_lookups(tmp_path, counts, expected):
+    manifest = build_manifest(
+        "fig5", scale="quick", seed=0, workers=1, shard_size=64
+    )
+    write_run_log(
+        tmp_path, manifest=manifest,
+        roots=[SpanRecord(name="run.fig5", seconds=1.0)],
+        metrics={"rank": 1.0}, wall_seconds=1.0, n_items=10,
+        cache=dict(
+            enabled=True, bytes_read=0, bytes_written=0, hit_rate=0.0, **counts
+        ),
+    )
+    lines = [l for l in summarize(tmp_path).lines() if "cache:" in l]
+    assert len(lines) == 1
+    assert f"cache: {expected}," in lines[0]
+
+
 def test_diff_identical_runs_is_ok(tiny_runs):
     # A run diffed against itself is the exact-fixed-point case.
     report = diff_runs(tiny_runs / "w1", tiny_runs / "w1")
