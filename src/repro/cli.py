@@ -273,6 +273,10 @@ def _cache_main(argv) -> int:
             )
         return 0
     if args.action == "verify":
+        if not os.path.isdir(cache_dir):
+            # A mistyped path must not verify vacuously as "0 bad".
+            print(f"error: no block cache at {cache_dir}", file=sys.stderr)
+            return 2
         report = store.verify(delete_bad=args.delete_bad)
         print(f"{store.root}: {report.n_ok} blocks ok, {len(report.bad)} bad")
         for line in report.bad:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants, RngLike, make_rng
 from repro.core.sensor import VoltageSensor
@@ -147,7 +147,7 @@ class LeakyDSP(VoltageSensor):
         n = self.output_width
         sigma = self.constants.dsp_bit_spread * self.constants.dsp_block_delay
         quantiles = (np.arange(n) + 0.5) / n
-        ramp = sigma * stats.norm.ppf(quantiles)
+        ramp = sigma * ndtri(quantiles)  # normal quantiles (norm.ppf)
         jitter = rng.normal(0.0, PROCESS_JITTER_FRACTION * sigma, size=n)
         return ramp + jitter
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.experiments import registry
 from repro.pdn.coupling import fit_to_mesh
-from repro.pdn.mesh import PDNMesh
 from repro.runtime import Engine
 
 
@@ -72,6 +71,8 @@ def run_pdn_validation(
     ranges — acceptable because the experiments' voltage deltas are
     dominated by the near field plus the floor, both captured well.
     """
+    from repro.pdn.mesh import PDNMesh
+
     mesh = PDNMesh(nx, ny, r_grid=r_grid, r_via=r_via)
     center = (nx // 2, ny // 2)
 

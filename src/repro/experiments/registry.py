@@ -26,6 +26,7 @@ result object (``payload``) together with uniform metadata and a flat
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -55,9 +56,10 @@ class ExperimentConfig:
         ``"paper"`` (default; the modules' historical full-scale
         parameters) or ``"quick"`` (scaled-down).
     seed:
-        Root seed.  Every experiment spawns its campaign streams from
-        this via :class:`numpy.random.SeedSequence`, so one integer
-        pins down an entire run at any worker count.
+        Root seed, a non-negative integer.  Every experiment spawns its
+        campaign streams from this via
+        :class:`numpy.random.SeedSequence`, so one integer pins down an
+        entire run at any worker count.
     workers:
         Acquisition worker processes (used when no explicit engine is
         passed to :func:`run`).
@@ -134,6 +136,14 @@ class ExperimentConfig:
         if self.scale not in SCALES:
             raise ConfigurationError(
                 f"unknown scale {self.scale!r}; expected one of {SCALES}"
+            )
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or self.seed < 0
+        ):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
             )
         validate_chunk_size(self.chunk_size, allow_none=True)
         validate_schedule(self.schedule)

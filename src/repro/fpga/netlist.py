@@ -11,9 +11,7 @@ TDC-style carry/FF ladders, unregistered DSP cascades).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
 from repro.fpga.primitives import (
@@ -24,6 +22,9 @@ from repro.fpga.primitives import (
     LUT,
     Primitive,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A pin is a (cell name, port name) pair.
 Pin = Tuple[str, str]
@@ -167,6 +168,8 @@ class Netlist:
         """Cell-level connectivity graph: an edge u->v for every net
         driven by cell u with a sink on cell v.  Ports appear as nodes
         of type ``PORT``."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for cell in self.cells.values():
             g.add_node(cell.name, type=cell.type)
@@ -188,6 +191,8 @@ class Netlist:
         performs to reject ring oscillators; LeakyDSP contains none,
         which is the paper's evasion argument.
         """
+        import networkx as nx
+
         g = self.graph()
         barrier_nodes = {
             c.name

@@ -1,8 +1,9 @@
 """Precomputed PDN step-response basis for piecewise-constant loads.
 
 The acquisition hot path used to low-pass filter a dense ``(m,
-n_samples)`` current matrix per chunk (`scipy.signal.lfilter`, a
-sequential recurrence along the sample axis).  But the PDN surrogate's
+n_samples)`` current matrix per chunk (the reference filter,
+:meth:`repro.pdn.coupling.CouplingModel.filter_currents`, a sequential
+recurrence along the sample axis).  But the PDN surrogate's
 filter is *linear and time-invariant*, and the AES current waveform is
 piecewise constant over exactly ``AES128.CYCLES_PER_BLOCK`` victim
 cycles:
@@ -26,6 +27,12 @@ least one lead-in cycle.
 The decomposition is exact in real arithmetic; in floats the matmul
 reorders sums, so fused results differ from the reference recurrence at
 the level of a few ULPs (see ``tests/test_kernels.py`` for the bound).
+
+The basis rows are filtered by a numpy one-pole recurrence
+(:func:`one_pole_lowpass`) rather than ``scipy.signal.lfilter``: it runs
+the same float operations in the same order, so the rows are
+bit-identical to ``lfilter``'s (``tests/test_kernels.py`` pins this),
+and a campaign never has to import ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.errors import ConfigurationError
 
@@ -96,6 +102,21 @@ def unit_boxcars(
     return out
 
 
+def one_pole_lowpass(x: np.ndarray, pole: float) -> np.ndarray:
+    """Zero-state first-order low-pass of ``x`` along its last axis:
+    ``y[..., n] = x[..., n] * (1 - pole) + y[..., n-1] * pole``.
+
+    This is the recurrence ``scipy.signal.lfilter([1 - pole], [1, -pole],
+    x, axis=-1)`` runs, in the same float operations, so the result is
+    bit-identical to it."""
+    b0 = 1.0 - pole
+    y = np.empty(x.shape, dtype=np.float64)
+    y[..., 0] = x[..., 0] * b0
+    for n in range(1, x.shape[-1]):
+        y[..., n] = x[..., n] * b0 + y[..., n - 1] * pole
+    return y
+
+
 def step_response_basis(
     n_cycles: int,
     samples_per_cycle: int,
@@ -107,9 +128,9 @@ def step_response_basis(
 
     ``pole`` is ``exp(-dt / tau)`` — the same coefficient the reference
     :meth:`repro.pdn.coupling.CouplingModel.filter_currents` derives —
-    and the rows are filtered with the identical ``scipy.signal.lfilter``
-    recurrence (zero initial state), so the basis is the reference
-    filter's exact zero-state response to each cycle window.
+    and the rows are filtered with the identical first-order recurrence
+    (zero initial state, :func:`one_pole_lowpass`), so the basis is the
+    reference filter's exact zero-state response to each cycle window.
     """
     if n_cycles < 1:
         raise ConfigurationError("basis needs at least one cycle")
@@ -129,9 +150,7 @@ def step_response_basis(
         return cached
 
     boxcars = unit_boxcars(n_cycles, samples_per_cycle, n_samples, lead_in_cycles)
-    b = [1.0 - pole]
-    den = [1.0, -pole]
-    matrix = signal.lfilter(b, den, boxcars, axis=-1)
+    matrix = one_pole_lowpass(boxcars, float(pole))
     matrix.setflags(write=False)
     basis = StepResponseBasis(
         n_cycles=n_cycles,

@@ -22,15 +22,16 @@ afford a mesh solve per sample.  This surrogate collapses the mesh into:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants
 from repro.errors import ConfigurationError
 from repro.fpga.device import DeviceModel
-from repro.pdn.mesh import PDNMesh
+
+if TYPE_CHECKING:
+    from repro.pdn.mesh import PDNMesh
 
 #: Per-device, per-clock-region supply-strength factors.  Values < 1
 #: mean a locally weaker supply (more droop seen by a sensor placed
@@ -187,6 +188,8 @@ class CouplingModel:
         dt = float(dt)
         design = self._filter_designs.get(dt)
         if design is None:
+            from scipy import signal
+
             pole = float(np.exp(-dt / self.constants.pdn_tau))
             b = [1.0 - pole]
             den = [1.0, -pole]
@@ -202,6 +205,8 @@ class CouplingModel:
         The filter starts in steady state at the first sample's value so
         that constant inputs pass through unchanged.
         """
+        from scipy import signal
+
         currents = np.asarray(currents, dtype=float)
         b, den, zi = self.filter_design(dt)
         x0 = currents[..., :1]

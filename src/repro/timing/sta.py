@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.errors import NetlistError
 from repro.fpga.netlist import Cell, Netlist
 from repro.fpga.placement import Placement
@@ -119,6 +117,8 @@ class TimingAnalyzer:
 
     def analyze(self, clock: ClockSpec) -> TimingReport:
         """Run setup analysis against one declared clock."""
+        import networkx as nx
+
         report = TimingReport(clock=clock)
         cells = self.netlist.cells
         ports = self.netlist.ports

@@ -743,6 +743,16 @@ class TestCacheCLI:
         assert main(["cache", "stats"]) == 2
         assert "REPRO_CACHE_DIR" in capsys.readouterr().err
 
+    def test_verify_missing_directory_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "no-such-cache"
+        assert main(["cache", "verify", "--cache-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: no block cache at {missing}"
+        assert "blocks ok" not in captured.out
+        assert not missing.exists()
+
     def test_cache_dir_from_environment(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 

@@ -16,6 +16,13 @@ class TestCli:
         assert main(["frobnicate"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_a_usage_error(self, seed, capsys):
+        assert main(["fig5", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert "Traceback" not in err
+
     def test_parser_help_mentions_full_scale(self):
         parser = build_parser()
         assert "REPRO_FULL" in parser.description

@@ -30,6 +30,7 @@ from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
 from repro.core.sensor import SamplingMethod, check_table_range
 from repro.errors import ConfigurationError, SensorRangeError
+from repro.experiments import common
 from repro.fpga.placement import Pblock, Placer
 from repro.kernels import (
     LEAD_IN_CYCLES,
@@ -39,6 +40,7 @@ from repro.kernels import (
     step_response_basis,
     unit_boxcars,
 )
+from repro.kernels.basis import one_pole_lowpass
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
@@ -76,6 +78,24 @@ def make_acquisition(rig, kernel, aes_freq=20e6, sensor_freq=300e6):
 # ----------------------------------------------------------------------
 # Step-response basis
 # ----------------------------------------------------------------------
+
+
+def lfilter_basis(boxcars, pole):
+    """The basis rows as ``scipy.signal.lfilter`` filters them."""
+    return signal.lfilter([1.0 - pole], [1.0, -pole], boxcars, axis=-1)
+
+
+def campaign_basis_shape():
+    """The basis the fig5 and table1 campaigns build, at quick and paper
+    scale alike: the scale changes trace counts and placements, while
+    the basis depends only on the AES and sensor clocks."""
+    hw = common.make_hw_model(common.AES_CLOCK)
+    n_samples = hw.samples_per_block + 2 * hw.samples_per_cycle
+    pole = float(np.exp(-hw.sensor_clock.period / DEFAULT_CONSTANTS.pdn_tau))
+    return (
+        AES128.CYCLES_PER_BLOCK, hw.samples_per_cycle, n_samples,
+        LEAD_IN_CYCLES, pole,
+    )
 
 
 class TestStepResponseBasis:
@@ -119,6 +139,34 @@ class TestStepResponseBasis:
         # Exact in real arithmetic; ULP-level float differences from the
         # matmul's summation order.
         np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+    def test_campaign_basis_is_lfilter_bit_for_bit(self):
+        n_cycles, spc, n_samples, lead_in, pole = campaign_basis_shape()
+        assert (n_cycles, spc, n_samples, lead_in) == (11, 15, 195, 1)
+        basis = step_response_basis(n_cycles, spc, n_samples, lead_in, pole)
+        boxcars = unit_boxcars(n_cycles, spc, n_samples, lead_in)
+        np.testing.assert_array_equal(
+            basis.matrix, lfilter_basis(boxcars, pole)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pole=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        n_cycles=st.integers(1, 12),
+        samples_per_cycle=st.integers(1, 24),
+        n_samples=st.integers(1, 400),
+        lead_in=st.integers(0, 2),
+    )
+    def test_recurrence_is_lfilter_bit_for_bit(
+        self, pole, n_cycles, samples_per_cycle, n_samples, lead_in
+    ):
+        boxcars = unit_boxcars(n_cycles, samples_per_cycle, n_samples, lead_in)
+        expected = lfilter_basis(boxcars, pole)
+        np.testing.assert_array_equal(one_pole_lowpass(boxcars, pole), expected)
+        basis = step_response_basis(
+            n_cycles, samples_per_cycle, n_samples, lead_in, pole
+        )
+        np.testing.assert_array_equal(basis.matrix, expected)
 
     def test_cache_returns_same_object(self):
         a = step_response_basis(11, 15, 195, 1, 0.7)

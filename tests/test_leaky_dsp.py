@@ -3,9 +3,11 @@ behaviour and the tap interface."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
-from repro.config import DEFAULT_CONSTANTS
-from repro.core.leaky_dsp import LeakyDSP
+from repro.config import DEFAULT_CONSTANTS, make_rng
+from repro.core.leaky_dsp import PROCESS_JITTER_FRACTION, LeakyDSP
 from repro.errors import ConfigurationError
 from repro.fpga.device import SiteType, zu3eg
 from repro.fpga.placement import Placer
@@ -48,6 +50,32 @@ class TestConstruction:
         a = LeakyDSP(device=basys3_device, seed=5)
         b = LeakyDSP(device=basys3_device, seed=6)
         assert not np.array_equal(a._bit_offsets, b._bit_offsets)
+
+
+class TestBitOffsetRamp:
+    """The settle-time ramp is ``scipy.special.ndtri`` of the bit
+    quantiles, so building a sensor never imports ``scipy.stats``; it
+    must stay bit-identical to the ``norm.ppf`` ramp it replaced."""
+
+    def test_ndtri_matches_norm_ppf_for_every_width(self, sensor):
+        widths = sorted(set(range(1, 257)) | {sensor.output_width})
+        for n in widths:
+            quantiles = (np.arange(n) + 0.5) / n
+            np.testing.assert_array_equal(
+                ndtri(quantiles), norm.ppf(quantiles), err_msg=f"width {n}"
+            )
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 5])
+    def test_offsets_match_norm_ppf_ramp(self, basys3_device, n_blocks):
+        sensor = LeakyDSP(device=basys3_device, n_blocks=n_blocks, seed=5)
+        n = sensor.output_width
+        c = sensor.constants
+        sigma = c.dsp_bit_spread * c.dsp_block_delay
+        rng = make_rng(5)
+        expected = sigma * norm.ppf((np.arange(n) + 0.5) / n) + rng.normal(
+            0.0, PROCESS_JITTER_FRACTION * sigma, size=n
+        )
+        np.testing.assert_array_equal(sensor._bit_offsets, expected)
 
 
 class TestNetlistStructure:

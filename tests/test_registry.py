@@ -60,6 +60,15 @@ class TestRegistry:
         result = registry.run("pdn-validation", config)
         assert result.metadata["options"] == {"nx": 13, "ny": 13}
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            registry.ExperimentConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, np.int64(5)])
+    def test_integral_seed_accepted(self, seed):
+        assert registry.ExperimentConfig(seed=seed).seed == seed
+
     def test_params_merging(self):
         config = registry.ExperimentConfig(scale="quick", options={"b": 9})
         assert config.params(quick={"a": 1, "b": 2}, paper={}) == {"a": 1, "b": 9}
