@@ -8,15 +8,21 @@ oversubscription — each GEMM gets slower, not faster).
 
 ``threadpoolctl`` is used when it is installed.  Otherwise a small
 ctypes fallback walks the shared libraries already loaded into the
-process (``/proc/self/maps`` on Linux) and calls the
-``*_set_num_threads`` entry point of any recognised BLAS/OpenMP
-runtime directly — this covers forked workers, where the libraries are
-inherited already-loaded and environment variables are read too late
-to matter.  The usual environment variables are always exported as
-well so spawn-mode children and late-loaded libraries comply.
+process (``/proc/self/maps`` on Linux) and calls the setter of every
+recognised BLAS/OpenMP runtime directly — this covers forked workers,
+where the libraries are inherited already-loaded and environment
+variables are read too late to matter.  Each runtime is known by a
+(setter, getter) symbol pair, and a pin counts only once the getter
+reads the new count back: the wheels prefix their exports
+differently (numpy's ``libscipy_openblas64_`` exports
+``scipy_openblas_set_num_threads64_``, scipy's ``libscipy_openblas``
+``scipy_openblas_set_num_threads``), and a setter that silently misses
+must show up as an empty report, not as a claimed pin.  The usual
+environment variables are always exported as well so spawn-mode
+children and late-loaded libraries comply.
 
 Everything here is best-effort by design: pinning failures must never
-take down a campaign, so every entry point swallows per-library errors
+take down a campaign, so every entry point swallows its errors
 and reports what it actually managed to pin.
 """
 
@@ -25,9 +31,10 @@ from __future__ import annotations
 import ctypes
 import os
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "blas_threads",
     "set_blas_threads",
     "pin_worker_threads",
     "thread_env_vars",
@@ -43,23 +50,22 @@ _ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-#: Loaded-library filename patterns -> candidate setter symbols.  The
-#: scipy/numpy OpenBLAS wheels prefix their exported symbols, so
-#: several spellings are tried per library.
-_LIB_SETTERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+#: Loaded-library filename pattern -> candidate (setter, getter) symbol
+#: pairs, tried in order; the first pair the library exports is used.
+_LIB_SETTERS: Tuple[Tuple[str, Tuple[Tuple[str, str], ...]], ...] = (
     (
         r"openblas",
         (
-            "openblas_set_num_threads",
-            "openblas_set_num_threads64_",
-            "scipy_openblas64_set_num_threads",
-            "scipy_openblas32_set_num_threads",
-            "goto_set_num_threads",
+            ("openblas_set_num_threads", "openblas_get_num_threads"),
+            ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+            # numpy wheels (ILP64) and scipy wheels (LP64).
+            ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+            ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
         ),
     ),
-    (r"mkl_rt", ("MKL_Set_Num_Threads",)),
-    (r"blis", ("bli_thread_set_num_threads",)),
-    (r"(libgomp|libomp|libiomp)", ("omp_set_num_threads",)),
+    (r"mkl_rt", (("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),)),
+    (r"blis", (("bli_thread_set_num_threads", "bli_thread_get_num_threads"),)),
+    (r"(libgomp|libomp|libiomp)", (("omp_set_num_threads", "omp_get_max_threads"),)),
 )
 
 
@@ -83,48 +89,68 @@ def _loaded_library_paths() -> List[str]:
     return paths
 
 
-def _pin_via_threadpoolctl(n: int) -> Optional[Dict[str, int]]:
-    """Pin through threadpoolctl when available; None when it is not."""
+def _via_threadpoolctl(n: Optional[int]) -> Optional[Dict[str, int]]:
+    """Limit every pool to ``n`` threads (``None``: leave them) through
+    threadpoolctl and read the counts back; None when it is not
+    installed or fails."""
     try:
         import threadpoolctl
     except ImportError:
         return None
     try:
-        threadpoolctl.threadpool_limits(limits=n)
+        if n is not None:
+            threadpoolctl.threadpool_limits(limits=n)
         return {
-            f"{info.get('internal_api', 'unknown')}": n
+            os.path.basename(info["filepath"]).lower(): int(info["num_threads"])
             for info in threadpoolctl.threadpool_info()
         }
     except Exception:
         return None
 
 
-def _pin_via_ctypes(n: int) -> Dict[str, int]:
-    """Call the setter of every recognised, already-loaded runtime."""
-    pinned: Dict[str, int] = {}
+def _runtimes() -> Iterator[Tuple[str, Callable[[int], None], Callable[[], int]]]:
+    """``(library, setter, getter)`` of every recognised runtime already
+    loaded into this process."""
     for path in _loaded_library_paths():
         base = os.path.basename(path).lower()
-        for pattern, symbols in _LIB_SETTERS:
+        for pattern, pairs in _LIB_SETTERS:
             if not re.search(pattern, base):
                 continue
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
-                continue
-            for symbol in symbols:
-                fn = getattr(lib, symbol, None)
-                if fn is None:
+                break
+            for set_name, get_name in pairs:
+                setter = getattr(lib, set_name, None)
+                getter = getattr(lib, get_name, None)
+                if setter is None or getter is None:
                     continue
-                try:
-                    fn.argtypes = [ctypes.c_int]
-                    fn.restype = None
-                    fn(int(n))
-                    pinned[base] = int(n)
-                except Exception:
-                    continue
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                yield base, setter, getter
                 break
             break
-    return pinned
+
+
+def _via_ctypes(n: Optional[int]) -> Dict[str, int]:
+    """Call the setter (unless ``n`` is None), then the getter, of every
+    recognised, already-loaded runtime."""
+    counts: Dict[str, int] = {}
+    try:
+        for name, setter, getter in _runtimes():
+            if n is not None:
+                setter(n)
+            counts[name] = getter()
+    except Exception:
+        pass
+    return counts
+
+
+def blas_threads() -> Dict[str, int]:
+    """``{runtime: threads}`` as read back from every recognised BLAS/
+    OpenMP runtime loaded into this process.  Never raises."""
+    counts = _via_threadpoolctl(None)
+    return _via_ctypes(None) if counts is None else counts
 
 
 def set_blas_threads(n: int) -> Dict[str, int]:
@@ -133,32 +159,23 @@ def set_blas_threads(n: int) -> Dict[str, int]:
     Exports the standard environment variables (for children and
     late-loaded libraries), then limits the pools already loaded into
     this process — via threadpoolctl when installed, via direct ctypes
-    calls otherwise.  Returns a ``{runtime: threads}`` report of what
-    was actually pinned; an empty report means only the environment
-    was set.  Never raises.
+    calls otherwise — and reads each count back.  Returns a
+    ``{runtime: threads}`` report of the verified pins only; an empty
+    report means only the environment was set.  Never raises.
     """
     n = max(1, int(n))
     os.environ.update(thread_env_vars(n))
-    report = _pin_via_threadpoolctl(n)
-    if report is not None:
-        return report
-    try:
-        return _pin_via_ctypes(n)
-    except Exception:
-        return {}
+    counts = _via_threadpoolctl(n)
+    if counts is None:
+        counts = _via_ctypes(n)
+    return {name: threads for name, threads in counts.items() if threads == n}
 
 
-def pin_worker_threads(n: Optional[int] = None) -> Dict[str, int]:
-    """Pin this *worker process* to its thread budget.
+def pin_worker_threads() -> Dict[str, int]:
+    """Pin this *worker process* to one BLAS/OpenMP thread.
 
-    Called from the engine's pool initializers.  The budget defaults to
-    the ``REPRO_BLAS_THREADS`` environment variable, or 1 — one BLAS
-    thread per worker, the right setting whenever the process pool is
-    doing the parallelism.
+    Called from the engine's pool initializers: the process pool does
+    the parallelism, and nested threadpools thrash.  The parent is left
+    alone — pinning it beside the workers gained nothing measurable.
     """
-    if n is None:
-        try:
-            n = int(os.environ.get("REPRO_BLAS_THREADS", "1"))
-        except ValueError:
-            n = 1
-    return set_blas_threads(n)
+    return set_blas_threads(1)

@@ -467,8 +467,8 @@ def _init_worker(context: Dict[str, object], buffers, store):
     """Pool initializer for every campaign kind: ``context`` is what
     the kind's task needs (harness, cipher, ...), ``buffers`` the
     shared-memory result buffers to attach."""
-    # One BLAS/OMP thread per worker (REPRO_BLAS_THREADS overrides): the
-    # pool already claims every core, and nested threadpools thrash.
+    # One BLAS/OMP thread per worker: the pool already claims every
+    # core, and nested threadpools thrash.
     pin_worker_threads()
     segments = {}
     arrays = {}
