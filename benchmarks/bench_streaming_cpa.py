@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 from conftest import full_scale, run_once
-from repro.attacks.cpa import CPAAttack, hypothesis_table
+from repro.attacks.cpa import CPAAttack, hypothesis_table_gather
 
 N_TRACES = 500_000 if full_scale() else 120_000
 N_SAMPLES = 45
@@ -64,7 +64,7 @@ def measure(fn, *args):
 
 
 def test_streaming_cpa_memory_and_throughput(benchmark):
-    hypothesis_table()  # build the shared table outside any measurement
+    hypothesis_table_gather()  # build the shared table outside any measurement
     batch_peaks, batch_secs, batch_mem = measure(run_batch, N_TRACES)
     stream_peaks, stream_secs, stream_mem = measure(run_streaming, N_TRACES)
 

@@ -103,8 +103,8 @@ def _pool_array(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
 
 
 def hypothesis_table() -> np.ndarray:
-    """The ``(guess, ct_target, ct_partner) -> HW`` lookup table
-    (16 MiB, built once per process)."""
+    """The ``(guess, ct_target, ct_partner) -> HW`` lookup table of the
+    per-byte oracle and the benches (16 MiB, built on first use)."""
     global _HYP_TABLE
     if _HYP_TABLE is None:
         g = np.arange(256, dtype=np.uint8)[:, None]
@@ -129,9 +129,13 @@ def hypothesis_table_gather() -> np.ndarray:
     """
     global _HYP_TABLE_GATHER
     if _HYP_TABLE_GATHER is None:
-        _HYP_TABLE_GATHER = np.ascontiguousarray(
-            hypothesis_table().transpose(1, 2, 0)
-        ).reshape(256 * 256, 256)
+        # One ct_target block (64 KiB) at a time: no 16 MiB temporary.
+        table = np.empty((256, 256, 256), dtype=HW8.dtype)
+        codes = np.arange(256, dtype=np.uint8)
+        for target in range(256):
+            pred = INV_SBOX[codes ^ np.uint8(target)]  # per guess
+            np.take(HW8, codes[:, None] ^ pred, out=table[target])
+        _HYP_TABLE_GATHER = table.reshape(256 * 256, 256)
     return _HYP_TABLE_GATHER
 
 

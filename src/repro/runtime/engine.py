@@ -215,6 +215,24 @@ class _ShardCache:
         )
 
 
+def _put_attack_state(
+    store: BlockStore, span: SpanRecord, key: str, arrays, end: int
+) -> None:
+    """Publish an attack-state snapshot from the parent, charging the
+    write to ``span`` (the shard whose fold it snapshots) as a ``cache``
+    stage and its ``bytes_written`` count, as :meth:`_ShardCache.put`
+    does for a worker's blocks."""
+    profile = StageProfile()
+    with profile.stage("cache") as acct:
+        before = store.counters.bytes_written
+        store.put(key, arrays, meta={"kind": "attack-state", "n_traces": end})
+        acct.nbytes += store.counters.bytes_written - before
+    span.children.extend(profile.records)
+    span.counters["cache_bytes_written"] = (
+        span.counter("cache_bytes_written") + acct.nbytes
+    )
+
+
 def _acquire_or_replay(
     msa: MultiSensorAcquisition,
     aes: AES128,
@@ -912,6 +930,7 @@ class Engine:
                     classes=classes,
                 ):
                     sm = fold(task, result) if fold is not None else result
+                    del result  # folded: free it before the next shard runs
                     metrics.shards.append(sm)
                     self._publish_after(task, sm)
                     done += task.shard.size
@@ -1195,7 +1214,7 @@ class Engine:
         masters = list(consumers) if consumers is not None else [
             consumer_factory() for _ in range(len(msa))
         ]
-        pending: Dict[int, List[List[Tuple[int, object]]]] = {}
+        pending: Dict[int, Tuple[ShardMetrics, List[List[Tuple[int, object]]]]] = {}
         next_index = 0
         events: List[SpanRecord] = []
 
@@ -1203,10 +1222,9 @@ class Engine:
             """Merge completed shards in index order, snapshotting and
             firing each checkpoint per sensor, in sensor order."""
             nonlocal next_index
-            sm, per_sensor = result
-            pending[task.shard.index] = per_sensor
+            pending[task.shard.index] = result
             while next_index in pending:
-                per_sensor = pending.pop(next_index)
+                folded_sm, per_sensor = pending.pop(next_index)
                 for pos, (end, _part) in enumerate(per_sensor[0]):
                     for s_i, segments in enumerate(per_sensor):
                         master = masters[s_i]
@@ -1216,17 +1234,16 @@ class Engine:
                             # Snapshot the exact state *before* the
                             # checkpoint callback sees it: the dump is
                             # the first `end` traces, nothing else.
-                            self.cache.put(
-                                state_key,
-                                master.state_arrays(),
-                                meta={"kind": "attack-state", "n_traces": end},
+                            _put_attack_state(
+                                self.cache, folded_sm.span, state_key,
+                                master.state_arrays(), end,
                             )
                         if end in checkpoint_set:
                             events.append(_checkpoint_event(end, master, s_i))
                             if on_checkpoint is not None:
                                 on_checkpoint(s_i, end, master)
                 next_index += 1
-            return sm
+            return result[0]
 
         self._drive(
             "stream", n_traces, shards, seqs, keys,

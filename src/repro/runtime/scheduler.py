@@ -157,7 +157,7 @@ def static_groups(n_tasks: int, workers: int) -> List[List[int]]:
 
 
 def run_task_group(task_fn: Callable, triples: Sequence[Tuple]) -> List:
-    """Run a static group's shards inside one worker, in order.
+    """Run a group of shards inside one worker, in order.
 
     Module-level so a ``ProcessPoolExecutor`` can pickle it by
     reference along with the (equally module-level) shard task.
@@ -183,7 +183,8 @@ def dispatch(
     pool, ``"stealing"`` submits every shard to the shared queue in
     :func:`steal_order`; ``"static"`` pre-partitions the plan into
     contiguous per-worker groups.  Completion (yield) order is
-    arrival order either way — consumers already tolerate it.
+    arrival order either way — consumers already tolerate it.  No
+    result is kept once yielded, so consumers hold only what they keep.
     """
     if workers == 1:
         for task in tasks:
@@ -197,27 +198,21 @@ def dispatch(
     ) as pool:
         if schedule == "static":
             groups = static_groups(len(tasks), max_workers)
-            futures = {
-                pool.submit(
-                    run_task_group,
-                    pool_task,
-                    [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
-                ): group
-                for group in groups
-            }
-            for future in as_completed(futures):
-                for i, result in zip(futures[future], future.result()):
-                    yield tasks[i], result
         else:
-            order = steal_order(tasks, classes)
-            futures = {
-                pool.submit(
-                    pool_task, tasks[i].shard, tasks[i].seq, tasks[i].key
-                ): i
-                for i in order
-            }
-            for future in as_completed(futures):
-                yield tasks[futures[future]], future.result()
+            groups = [[i] for i in steal_order(tasks, classes)]
+        futures = {
+            pool.submit(
+                run_task_group,
+                pool_task,
+                [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
+            ): group
+            for group in groups
+        }
+        for future in as_completed(futures):
+            group, results = futures.pop(future), future.result()
+            del future
+            for i in group:
+                yield tasks[i], results.pop(0)
 
 
 class RemotePrefetcher:

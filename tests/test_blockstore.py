@@ -580,6 +580,32 @@ class TestAttackStateSnapshots:
             cold_attack.correlations(), warm_attack.correlations()
         )
 
+    def test_snapshot_writes_are_counted(self, acquisition, tmp_path, monkeypatch):
+        """Snapshots the parent publishes count as written bytes on
+        every campaign surface, charged to the cache stage."""
+        import repro.runtime.engine as engine_mod
+        from repro.telemetry.metrics import MetricsRegistry
+
+        registry = MetricsRegistry(enabled=True)
+        monkeypatch.setattr(engine_mod, "get_registry", lambda: registry)
+        engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        engine.stream_attack(
+            acquisition, N_TRACES, key=KEY,
+            consumer_factory=partial(CPAAttack, acquisition.default_n_samples()),
+            seed=3, checkpoints=(200, 512, 600),
+        )
+        written = engine.cache.counters.bytes_written
+        m = engine.last_metrics
+        counts = m.cache_summary()
+        # Three trace blocks and three snapshots (200, 512, 600).
+        assert engine.cache.stats().n_blocks == 6
+        assert written > 0
+        assert engine.cache_totals["bytes_written"] == written
+        assert counts["bytes_written"] == written
+        assert m.stage_nbytes_totals()["cache"] == counts["bytes_read"] + written
+        series = registry.snapshot(deterministic_only=True)["counters"]
+        assert series['repro_cache_bytes_total{direction="written"}'] == written
+
     def test_continuation_is_not_snapshotted(self, acquisition, tmp_path):
         n_samples = acquisition.default_n_samples()
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))

@@ -12,6 +12,7 @@ campaign methods and the per-sensor sub-block cache accounting.
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -366,6 +367,35 @@ class TestEngineFanout:
         n = len(multi)
         assert seen == [(i, 256) for i in range(n)] + [(i, 512) for i in range(n)]
         assert engine.last_metrics.kind == "stream"
+
+    def test_serial_stream_frees_folded_segments(self, multi):
+        """A folded shard's segment accumulators are released before
+        the next shard runs: when shard k's segments are created, none
+        of an earlier shard's is alive."""
+        n = len(multi)
+        made, stale = [], []
+
+        class Consumer:
+            def update(self, traces, cts):
+                pass
+
+            def merge(self, other):
+                return self
+
+        def factory():
+            shard = len(made) // n - 1  # the first n calls make the masters
+            stale.extend(s for s, ref in made if 0 <= s < shard and ref())
+            consumer = Consumer()
+            made.append((shard, weakref.ref(consumer)))
+            return consumer
+
+        # Checkpoints on shard edges: one segment per sensor per shard.
+        Engine(workers=1, shard_size=SHARD).stream_attack_many(
+            multi, 3 * SHARD, key=KEY, consumer_factory=factory, seed=5,
+            checkpoints=[SHARD, 2 * SHARD, 3 * SHARD],
+        )
+        assert len(made) == 4 * n
+        assert stale == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_characterize_many_matches_characterize(self, workers):

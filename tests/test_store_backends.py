@@ -13,6 +13,7 @@ import multiprocessing
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.runtime.scheduler import (
+    SCHEDULES,
     RemotePrefetcher,
     ShardTask,
     classify_tasks,
@@ -368,6 +370,11 @@ def _tasks(n, keyed=True):
     ]
 
 
+def _array_task(shard, seq, key):
+    """A pool task with a result worth freeing."""
+    return np.full(4096, shard.index, dtype=np.int64)
+
+
 class TestSchedulerPrimitives:
     def test_validate_schedule(self):
         assert validate_schedule("stealing") == "stealing"
@@ -425,6 +432,22 @@ class TestSchedulerPrimitives:
             )
         ]
         assert seen == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_pool_dispatch_frees_each_result_once_consumed(self, schedule):
+        """Dispatch keeps no yielded result: once the consumer drops
+        result k and pulls k + 1, result k is gone."""
+        previous = None
+        for task, result in dispatch(
+            _tasks(6, keyed=False), workers=2, schedule=schedule,
+            serial_body=None, pool_task=_array_task,
+            pool_initializer=None, pool_initargs=(),
+        ):
+            assert previous is None or previous() is None
+            assert result[0] == task.shard.index
+            previous = weakref.ref(result)
+        del result
+        assert previous() is None
 
     def test_prefetcher_pulls_remote_keys(self, tmp_path, server):
         a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
