@@ -6,14 +6,15 @@ the incremental CPA, watch the key rank collapse, and recover the
 master key from the attacked last-round key.
 
 Run: ``python examples/aes_key_recovery.py``
-(~30 s; uses 30 k traces at the best sensor placement)
+(a few seconds; uses 30 k traces at the best sensor placement)
 """
 
 import numpy as np
 
 from repro.attacks import CPAAttack, key_rank_bounds, scores_from_correlations
 from repro.experiments import common
-from repro.experiments.table1_traces import collect_placement_traces
+from repro.experiments.table1_traces import placement_acquisition
+from repro.runtime import Engine
 from repro.victims.aes.key_schedule import expand_key
 
 
@@ -22,7 +23,9 @@ def main() -> None:
     n_traces = 30_000
 
     print(f"collecting {n_traces} traces at placement P6 (best) ...")
-    traces = collect_placement_traces("P6", n_traces, key=secret_key, rng=11)
+    traces = Engine().collect(
+        placement_acquisition("P6"), n_traces, key=secret_key, seed=11
+    )
     print(f"trace matrix: {traces.traces.shape}, "
           f"AES @ {traces.metadata['aes_frequency_hz']/1e6:.0f} MHz, "
           f"sensor @ {traces.metadata['sensor_frequency_hz']/1e6:.0f} MHz")

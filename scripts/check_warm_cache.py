@@ -1,10 +1,12 @@
-"""Validate the trace block cache on a small fig5 campaign.
+"""Validate the trace block cache on one small experiment (default fig5).
 
 Runs the same experiment twice against one cache directory — a cold
 pass (all misses, blocks published) and a warm pass (served entirely
 from the store) — then asserts:
 
-* the warm pass has a 100% hit rate,
+* the warm pass has a 100% hit rate — or, for an experiment whose
+  cold pass makes no cache lookups at all (it acquires no traces), that
+  the warm pass makes none either,
 * every experiment metric (key ranks, correlations) is identical
   across the two passes — checked both in memory and through the
   telemetry run logs' result digests (``repro.telemetry``),
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from repro.experiments import registry
+    from repro.runtime.metrics import hit_rate
     from repro.telemetry import read_run
     from repro.traces.blockstore import BlockStore
 
@@ -95,12 +98,17 @@ def main(argv=None) -> int:
         warm, warm_seconds = run_pass("warm")
 
         failures = []
+        lookups = {}
         for label, result in (("cold", cold), ("warm", warm)):
             cache = result.metadata["cache"]
-            print(
-                f"{label}: {result.seconds:.2f}s hits={cache['hits']} "
-                f"misses={cache['misses']} hit_rate={cache['hit_rate']:.2%}"
+            lookups[label] = hit_rate(cache).lookups
+            counts = (
+                f"hits={cache['hits']} misses={cache['misses']} "
+                f"hit_rate={cache['hit_rate']:.2%}"
+                if lookups[label]
+                else "no cache lookups"
             )
+            print(f"{label}: {result.seconds:.2f}s {counts}")
         cold_cache = cold.metadata["cache"]
         warm_cache = warm.metadata["cache"]
         if cold_cache["hits"] != 0:
@@ -108,7 +116,15 @@ def main(argv=None) -> int:
                 f"cold pass expected 0 hits, saw {cold_cache['hits']} "
                 "(stale cache directory?)"
             )
-        if warm_cache["hit_rate"] != 1.0:
+        if not lookups["cold"]:
+            # Nothing acquired, so nothing to serve: a warm pass must not
+            # start looking blocks up either.
+            if lookups["warm"]:
+                failures.append(
+                    f"cold pass made no cache lookups, warm pass made "
+                    f"{lookups['warm']}"
+                )
+        elif warm_cache["hit_rate"] != 1.0:
             failures.append(
                 f"warm pass hit rate {warm_cache['hit_rate']:.2%}, "
                 "expected 100%"

@@ -201,19 +201,24 @@ class VoltageSensor(abc.ABC):
         moves table entries and therefore the token; cosmetic changes
         (renamed attributes, refactors) do not.
         """
-        import dataclasses
         import hashlib
 
         grid, mu, sigma = self._moments_table()
         digest = hashlib.sha256()
         for arr in (grid, mu, sigma):
             digest.update(np.ascontiguousarray(arr).tobytes())
+        return {**self._base_token(), "moments_digest": digest.hexdigest()}
+
+    def _base_token(self) -> dict:
+        """The :meth:`cache_token` fields every sensor shares: its type,
+        output width, position and physical constants."""
+        import dataclasses
+
         return {
             "type": type(self).__name__,
             "output_width": int(self.output_width),
             "position": [float(p) for p in self.require_position()],
             "constants": dataclasses.asdict(self.constants),
-            "moments_digest": digest.hexdigest(),
         }
 
     # -- sampling --------------------------------------------------------

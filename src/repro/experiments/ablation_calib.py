@@ -19,12 +19,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.config import RngLike, make_rng
+from repro.config import make_rng
 from repro.core import LeakyDSP, calibrate
 from repro.experiments import common, registry
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
-from repro.traces.acquisition import characterize_readouts
+from repro.runtime.sharding import SeedLike, root_sequence
 
 
 @dataclass
@@ -63,40 +62,29 @@ class AblationCalibResult:
         return out
 
 
-def _swing(sensor, setup, virus, n_readouts, rng=None, engine=None, seeds=None) -> float:
-    if engine is None:
-        off = characterize_readouts(
-            sensor, setup.coupling, virus, 0, n_readouts, rng=rng
-        )
-        on = characterize_readouts(
-            sensor, setup.coupling, virus, virus.n_groups, n_readouts, rng=rng
-        )
-    else:
-        off = engine.characterize(
-            sensor, setup.coupling, virus, 0, n_readouts, seed=next(seeds)
-        )
-        on = engine.characterize(
-            sensor, setup.coupling, virus, virus.n_groups, n_readouts, seed=next(seeds)
-        )
+def _swing(engine, sensor, setup, virus, n_readouts, seeds) -> float:
+    off = engine.characterize(
+        sensor, setup.coupling, virus, 0, n_readouts, seed=next(seeds)
+    )
+    on = engine.characterize(
+        sensor, setup.coupling, virus, virus.n_groups, n_readouts, seed=next(seeds)
+    )
     return float(np.mean(off) - np.mean(on))
 
 
 def run_ablation_calib(
     n_readouts: int = 1000,
     seed: int = 7,
-    rng: RngLike = 31,
+    rng: SeedLike = 31,
     engine: Optional[Engine] = None,
 ) -> AblationCalibResult:
     """Measure calibrated vs. uncalibrated swings across the six
     regions.  Each region uses a distinct sensor seed, so the
-    uncalibrated phase is a representative sample of process spread."""
-    if engine is None:
-        gen = make_rng(rng)
-        seeds = None
-    else:
-        # Per region: calibrate + 2x2 characterize calls.
-        seeds = iter(root_sequence(rng).spawn(5 * len(common.FIG4_REGIONS)))
-        gen = None
+    uncalibrated phase is a representative sample of process spread.
+    Without an ``engine`` the campaigns run on a serial one."""
+    engine = engine or Engine()
+    # Per region: calibrate + 2x2 characterize calls.
+    seeds = iter(root_sequence(rng).spawn(5 * len(common.FIG4_REGIONS)))
     setup = common.Basys3Setup.create()
     virus = common.make_virus(setup)
     result = AblationCalibResult()
@@ -110,14 +98,10 @@ def run_ablation_calib(
             name=f"leakydsp_cal_{index}",
         )
         sensor.place(setup.placer, pblock=pblock)
-        cal_rng = gen if engine is None else make_rng(next(seeds))
-        swing_raw = _swing(
-            sensor, setup, virus, n_readouts, rng=gen, engine=engine, seeds=seeds
-        )
+        cal_rng = make_rng(next(seeds))
+        swing_raw = _swing(engine, sensor, setup, virus, n_readouts, seeds)
         calibrate(sensor, rng=cal_rng)
-        swing_cal = _swing(
-            sensor, setup, virus, n_readouts, rng=gen, engine=engine, seeds=seeds
-        )
+        swing_cal = _swing(engine, sensor, setup, virus, n_readouts, seeds)
         result.points.append(
             CalibPoint(
                 region_index=index,
@@ -161,15 +145,3 @@ def _run_protocol(
 
 
 run = registry.protocol_entry("ablation-calib")
-
-
-def main() -> None:
-    """Print the calibration ablation."""
-    result = run_ablation_calib()
-    print("Ablation — IDELAY calibration vs. none (readout swing, 8 groups)")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

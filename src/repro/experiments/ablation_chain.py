@@ -19,13 +19,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import RngLike, make_rng
+from repro.config import make_rng
 from repro.core import LeakyDSP, calibrate
 from repro.errors import CalibrationError
 from repro.experiments import common, registry
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
-from repro.traces.acquisition import characterize_readouts
+from repro.runtime.sharding import SeedLike, root_sequence
 
 
 @dataclass
@@ -61,32 +60,13 @@ def run_ablation_chain(
     chain_lengths: Sequence[int] = (1, 2, 3, 4, 5, 6),
     n_readouts: int = 1000,
     seed: int = 7,
-    rng: RngLike = 29,
+    rng: SeedLike = 29,
     engine: Optional[Engine] = None,
 ) -> AblationChainResult:
-    """Sweep the DSP chain length on the Fig. 3 testbed."""
-    if engine is None:
-        gen = make_rng(rng)
-
-        def calibration_rng(_seq):
-            return gen
-
-        def sample(sensor, virus, level, _seq, setup):
-            return characterize_readouts(
-                sensor, setup.coupling, virus, level, n_readouts, rng=gen
-            )
-
-    else:
-        seeds = iter(root_sequence(rng).spawn(3 * len(chain_lengths)))
-
-        def calibration_rng(seq):
-            return make_rng(seq)
-
-        def sample(sensor, virus, level, seq, setup):
-            return engine.characterize(
-                sensor, setup.coupling, virus, level, n_readouts, seed=seq
-            )
-
+    """Sweep the DSP chain length on the Fig. 3 testbed.  Without an
+    ``engine`` the campaigns run on a serial one."""
+    engine = engine or Engine()
+    seeds = iter(root_sequence(rng).spawn(3 * len(chain_lengths)))
     result = AblationChainResult()
     for n in chain_lengths:
         setup = common.Basys3Setup.create()
@@ -101,20 +81,19 @@ def run_ablation_chain(
             name=f"leakydsp_n{n}",
         )
         sensor.place(setup.placer, pblock=pblock)
-        cal_seq, off_seq, on_seq = (
-            (None, None, None)
-            if engine is None
-            else (next(seeds), next(seeds), next(seeds))
-        )
         try:
-            cal = calibrate(sensor, rng=calibration_rng(cal_seq))
+            cal = calibrate(sensor, rng=make_rng(next(seeds)))
             calibrated = True
             step = cal.best_step
         except CalibrationError:
             calibrated = False
             step = 0.0
-        off = sample(sensor, virus, 0, off_seq, setup)
-        on = sample(sensor, virus, virus.n_groups, on_seq, setup)
+        off, on = (
+            engine.characterize(
+                sensor, setup.coupling, virus, level, n_readouts, seed=next(seeds)
+            )
+            for level in (0, virus.n_groups)
+        )
         result.points.append(
             ChainPoint(
                 n_blocks=n,
@@ -159,15 +138,3 @@ def _run_protocol(
 
 
 run = registry.protocol_entry("ablation-chain")
-
-
-def main() -> None:
-    """Print the chain-length ablation."""
-    result = run_ablation_chain()
-    print("Ablation — DSP chain length (paper picks n = 3)")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -194,15 +194,3 @@ def _run_protocol(
 
 
 run = registry.protocol_entry("defense")
-
-
-def main() -> None:
-    """Print the defense study."""
-    result = run_defense_study()
-    print("Section V — defense study")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

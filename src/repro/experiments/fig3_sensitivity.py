@@ -19,11 +19,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.stats import linear_regression
-from repro.config import RngLike, make_rng
 from repro.experiments import common, registry
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
-from repro.traces.acquisition import characterize_readouts
+from repro.runtime.sharding import SeedLike, root_sequence
 
 
 @dataclass
@@ -61,17 +59,17 @@ def run_fig3(
     n_groups: int = 8,
     n_readouts: int = 2000,
     seed: int = 7,
-    rng: RngLike = 17,
+    rng: SeedLike = 17,
     engine: Optional[Engine] = None,
 ) -> Fig3Result:
     """Reproduce Fig. 3.
 
     Both sensors are placed in the same region (the paper's fixed
     "given placement"): LeakyDSP in region 2's DSP columns, the TDC in
-    region 2's fabric.  With an ``engine``, readout sampling runs on
-    the sharded acquisition runtime (``rng`` must then be an integer
-    seed or a :class:`numpy.random.SeedSequence`).
+    region 2's fabric.  Readout sampling runs on ``engine`` (a serial
+    one when omitted).
     """
+    engine = engine or Engine()
     setup = common.Basys3Setup.create()
     virus = common.make_virus(setup, n_instances, n_groups)
     pblock = common.region_pblock(setup.device, 2)
@@ -81,21 +79,12 @@ def run_fig3(
     }
 
     levels = list(range(n_groups + 1))
-    if engine is None:
-        gen = make_rng(rng)
+    seeds = iter(root_sequence(rng).spawn(len(sensors) * len(levels)))
 
-        def sample(sensor, level):
-            return characterize_readouts(
-                sensor, setup.coupling, virus, level, n_readouts, rng=gen
-            )
-
-    else:
-        seeds = iter(root_sequence(rng).spawn(len(sensors) * len(levels)))
-
-        def sample(sensor, level):
-            return engine.characterize(
-                sensor, setup.coupling, virus, level, n_readouts, seed=next(seeds)
-            )
+    def sample(sensor, level):
+        return engine.characterize(
+            sensor, setup.coupling, virus, level, n_readouts, seed=next(seeds)
+        )
 
     instances_per_group = n_instances // n_groups
     result = Fig3Result()
@@ -143,15 +132,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig3Resu
 
 
 run = registry.protocol_entry("fig3")
-
-
-def main() -> None:
-    """Print the Fig. 3 reproduction."""
-    result = run_fig3()
-    print("Fig. 3 — sensitivity under different victim activities")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

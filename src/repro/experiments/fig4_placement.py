@@ -18,11 +18,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.config import RngLike, make_rng
 from repro.experiments import common, registry
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
-from repro.traces.acquisition import characterize_readouts
+from repro.runtime.sharding import SeedLike, root_sequence
 
 
 @dataclass
@@ -66,19 +64,19 @@ def run_fig4(
     n_groups: int = 8,
     n_readouts: int = 2000,
     seed: int = 7,
-    rng: RngLike = 23,
+    rng: SeedLike = 23,
     include_tdc: bool = True,
     engine: Optional[Engine] = None,
 ) -> Fig4Result:
     """Reproduce Fig. 4 for LeakyDSP (and optionally the TDC).
 
-    On the serial path every (sensor, region, level) sample is an
-    independent :func:`characterize_readouts` call.  With an
-    ``engine``, each sensor family characterizes all six regions in
-    *two* fan-out campaigns (virus off, virus on) through
-    :meth:`~repro.runtime.Engine.characterize_many` — per-region
-    results identical to six single-sensor campaigns with those seeds.
+    Each sensor family characterizes all six regions in *two* fan-out
+    campaigns (virus off, virus on) through
+    :meth:`~repro.runtime.Engine.characterize_many` on ``engine`` (a
+    serial one when omitted) — per-region results identical to six
+    single-sensor campaigns with those seeds.
     """
+    engine = engine or Engine()
     setup = common.Basys3Setup.create()
     virus = common.make_virus(setup, n_instances, n_groups)
 
@@ -87,32 +85,6 @@ def run_fig4(
         sensor_makers["TDC"] = common.make_tdc
 
     result = Fig4Result()
-    if engine is None:
-        gen = make_rng(rng)
-
-        def sample(sensor, level):
-            return characterize_readouts(
-                sensor, setup.coupling, virus, level, n_readouts, rng=gen
-            )
-
-        for name, maker in sensor_makers.items():
-            points: List[PlacementPoint] = []
-            for index, region_name in common.FIG4_REGIONS.items():
-                pblock = common.region_pblock(setup.device, index)
-                sensor = maker(setup, pblock, seed=seed + index)
-                off = sample(sensor, 0)
-                on = sample(sensor, n_groups)
-                points.append(
-                    PlacementPoint(
-                        region_index=index,
-                        region_name=region_name,
-                        readout_off=float(np.mean(off)),
-                        readout_on=float(np.mean(on)),
-                    )
-                )
-            result.points[name] = points
-        return result
-
     seeds = iter(root_sequence(rng).spawn(2 * len(sensor_makers)))
     for name, maker in sensor_makers.items():
         sensors = common.region_sensors(setup, maker, seed=seed)
@@ -163,15 +135,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig4Resu
 
 
 run = registry.protocol_entry("fig4")
-
-
-def main() -> None:
-    """Print the Fig. 4 reproduction."""
-    result = run_fig4()
-    print("Fig. 4 — sensitivity under different placements")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -17,15 +17,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.attacks.metrics import RankCurve
-from repro.config import RngLike, make_rng
 from repro.experiments import common, registry
-from repro.experiments.table1_traces import (
-    collect_placement_traces,
-    disclosure_curve,
-    streamed_placement_curves,
-)
+from repro.experiments.table1_traces import streamed_placement_curves
 from repro.runtime import Engine, ProgressEvent
-from repro.runtime.sharding import root_sequence
+from repro.runtime.sharding import SeedLike, root_sequence
 
 
 @dataclass
@@ -92,14 +87,14 @@ def run_fig5(
     step: int = 2_500,
     rating_at: int = 20_000,
     seed: int = 7,
-    rng: RngLike = 3,
+    rng: SeedLike = 3,
     engine: Optional[Engine] = None,
     chunk_size: Optional[int] = None,
 ) -> Fig5Result:
     """Reproduce Fig. 5 for the selected placements.
 
-    With an ``engine``, campaigns stream shard-by-shard into the CPA
-    accumulators — bit-identical rank curves, peak memory bounded by
+    Campaigns run on ``engine`` (a serial one when omitted) and stream
+    shard-by-shard into the CPA accumulators — peak memory bounded by
     one shard instead of the whole campaign, and key-rank progress
     reported incrementally through the engine's progress hook.  All
     placements ride one fan-out campaign
@@ -108,22 +103,8 @@ def run_fig5(
     shard) on RNG child 0, so each placement's curve (and its cache
     blocks) is identical to streaming that placement alone.
     """
+    engine = engine or Engine()
     result = Fig5Result(rating_at=rating_at)
-    if engine is None:
-        gen = make_rng(rng)
-        campaign_rngs = iter(lambda: gen, None)
-        for placement in placements:
-            ts = collect_placement_traces(
-                placement,
-                n_traces,
-                "LeakyDSP",
-                seed=seed,
-                rng=next(campaign_rngs),
-                engine=engine,
-            )
-            result.curves[placement] = disclosure_curve(ts, step)
-        return result
-
     campaign_rng = root_sequence(rng).spawn(1)[0]
     progress = [_rank_progress(p, n_traces, engine) for p in placements]
 
@@ -194,15 +175,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig5Resu
 
 
 run = registry.protocol_entry("fig5")
-
-
-def main() -> None:
-    """Print the Fig. 5 reproduction."""
-    result = run_fig5()
-    print("Fig. 5 — key-rank estimation per placement")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -18,15 +18,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import RngLike, make_rng
 from repro.experiments import common, registry
-from repro.experiments.table1_traces import (
-    collect_placement_traces,
-    disclosure_curve,
-    streamed_placement_curve,
-)
+from repro.experiments.table1_traces import streamed_placement_curve
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
+from repro.runtime.sharding import SeedLike, root_sequence
 from repro.timing.sampling import ClockSpec
 
 
@@ -66,7 +61,7 @@ def run_fig6(
     extension: int = 20_000,
     step: int = 2_500,
     seed: int = 7,
-    rng: RngLike = 3,
+    rng: SeedLike = 3,
     engine: Optional[Engine] = None,
     chunk_size: Optional[int] = None,
 ) -> Fig6Result:
@@ -74,80 +69,47 @@ def run_fig6(
     extending the campaign (like the paper's extra 20 k traces at
     100 MHz) whenever the default budget fails.
 
-    With an ``engine``, campaigns stream into the CPA accumulator
-    shard-by-shard (bit-identical rank curves, bounded memory), and an
-    extension simply keeps folding into the same accumulator — the
-    batch path instead re-reduces the concatenated 80 k-trace matrix.
+    Campaigns run on ``engine`` (a serial one when omitted) and stream
+    into the CPA accumulator shard-by-shard; an extension simply keeps
+    folding into the same accumulator.
     """
-    if engine is None:
-        gen = make_rng(rng)
-        campaign_rngs = iter(lambda: gen, None)
-    else:
-        # Two potential campaigns (main + extension) per frequency.
-        campaign_rngs = iter(root_sequence(rng).spawn(2 * len(frequencies)))
+    engine = engine or Engine()
+    # Two potential campaigns (main + extension) per frequency.
+    campaign_rngs = iter(root_sequence(rng).spawn(2 * len(frequencies)))
     result = Fig6Result(placement=placement)
     for freq in frequencies:
         clock = ClockSpec(freq)
-        if engine is None:
-            ts = collect_placement_traces(
-                placement,
-                n_traces,
-                "LeakyDSP",
-                aes_clock=clock,
-                seed=seed,
-                rng=next(campaign_rngs),
-                engine=engine,
-            )
-            curve = disclosure_curve(ts, step, aes_clock=clock)
-            extension_rng = next(campaign_rngs)
-            extended = False
-            n_collected = len(ts)
-            if curve.traces_to_disclosure is None and extension > 0:
-                extra = collect_placement_traces(
-                    placement,
-                    extension,
-                    "LeakyDSP",
-                    aes_clock=clock,
-                    seed=seed,
-                    rng=extension_rng,
-                    engine=engine,
-                )
-                ts = ts.extend(extra)
-                curve = disclosure_curve(ts, step, aes_clock=clock)
-                extended = True
-                n_collected = len(ts)
-        else:
-            curve, attack = streamed_placement_curve(
+        curve, attack = streamed_placement_curve(
+            engine,
+            placement,
+            n_traces,
+            step,
+            "LeakyDSP",
+            aes_clock=clock,
+            seed=seed,
+            rng=next(campaign_rngs),
+            chunk_size=chunk_size,
+        )
+        extension_rng = next(campaign_rngs)
+        extended = False
+        n_collected = n_traces
+        if curve.traces_to_disclosure is None and extension > 0:
+            more, attack = streamed_placement_curve(
                 engine,
                 placement,
-                n_traces,
+                extension,
                 step,
                 "LeakyDSP",
                 aes_clock=clock,
                 seed=seed,
-                rng=next(campaign_rngs),
+                rng=extension_rng,
                 chunk_size=chunk_size,
+                attack=attack,
+                trace_offset=n_traces,
             )
-            extension_rng = next(campaign_rngs)
-            extended = False
-            n_collected = n_traces
-            if curve.traces_to_disclosure is None and extension > 0:
-                more, attack = streamed_placement_curve(
-                    engine,
-                    placement,
-                    extension,
-                    step,
-                    "LeakyDSP",
-                    aes_clock=clock,
-                    seed=seed,
-                    rng=extension_rng,
-                    chunk_size=chunk_size,
-                    attack=attack,
-                    trace_offset=n_traces,
-                )
-                curve.points.extend(more.points)
-                extended = True
-                n_collected = n_traces + extension
+            curve.points.extend(more.points)
+            extended = True
+            n_collected = n_traces + extension
         result.points.append(
             FrequencyPoint(
                 frequency_hz=freq,
@@ -194,15 +156,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig6Resu
 
 
 run = registry.protocol_entry("fig6")
-
-
-def main() -> None:
-    """Print the Fig. 6 reproduction."""
-    result = run_fig6()
-    print("Fig. 6 — impact of the AES frequency on the attack")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -143,15 +143,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig7Resu
 
 
 run = registry.protocol_entry("fig7")
-
-
-def main() -> None:
-    """Print the Fig. 7 reproduction."""
-    result = run_fig7()
-    print("Fig. 7 — covert channel: BER and TR vs. bit time")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

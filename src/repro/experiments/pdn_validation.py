@@ -148,15 +148,3 @@ def _run_protocol(
 
 
 run = registry.protocol_entry("pdn-validation")
-
-
-def main() -> None:
-    """Print the PDN validation."""
-    result = run_pdn_validation()
-    print("Ablation — PDN surrogate vs. RC-mesh reference")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -22,16 +22,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.stats import linear_regression
-from repro.config import RngLike, make_rng
+from repro.config import make_rng
 from repro.core import LeakyDSP, calibrate
 from repro.defense.checker import BitstreamChecker
 from repro.experiments import common, registry
 from repro.fpga.bitstream import generate_bitstream
-from repro.fpga.placement import Placer
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
+from repro.runtime.sharding import SeedLike, root_sequence
 from repro.sensors import RDS, RingOscillatorSensor, TDC
-from repro.traces.acquisition import characterize_readouts
 
 
 @dataclass
@@ -86,10 +84,18 @@ def _resource_counts(netlist) -> Dict[str, int]:
 def run_sensor_zoo(
     n_readouts: int = 1000,
     seed: int = 7,
-    rng: RngLike = 43,
+    rng: SeedLike = 43,
     engine: Optional[Engine] = None,
 ) -> SensorZooResult:
-    """Characterize every sensor family on the Fig. 3 workload."""
+    """Characterize every sensor family on the Fig. 3 workload.
+
+    Every sensor is placed and calibrated up front (one seed per
+    non-RO calibration), then the whole zoo is characterized per
+    activity level in one fan-out campaign on ``engine`` (a serial one
+    when omitted) — each sensor's readouts identical to a
+    single-sensor ``engine.characterize`` at that seed.
+    """
+    engine = engine or Engine()
     setup = common.Basys3Setup.create()
     virus = common.make_virus(setup)
     pblock = common.region_pblock(setup.device, 2)
@@ -132,36 +138,12 @@ def run_sensor_zoo(
             passes_bitstream_check=checker.accepts(bitstream),
         )
 
-    if engine is None:
-        gen = make_rng(rng)
-        for name, sensor in sensors.items():
-            placement = sensor.place(setup.placer, pblock=pblock)
-            if name != "RO":  # the RO counter needs no phase calibration
-                calibrate(sensor, rng=gen)
-            means = [
-                float(
-                    np.mean(
-                        characterize_readouts(
-                            sensor, setup.coupling, virus, int(level),
-                            n_readouts, rng=gen,
-                        )
-                    )
-                )
-                for level in levels
-            ]
-            result.rows.append(zoo_row(name, sensor, means, placement))
-        return result
-
-    # Engine path: place and calibrate every sensor up front (one seed
-    # per non-RO calibration), then characterize the whole zoo per
-    # activity level in one fan-out campaign — each sensor's readouts
-    # identical to a single-sensor engine.characterize at that seed.
     n_calibrations = sum(1 for name in sensors if name != "RO")
     seeds = iter(root_sequence(rng).spawn(n_calibrations + len(levels)))
     placements = {}
     for name, sensor in sensors.items():
         placements[name] = sensor.place(setup.placer, pblock=pblock)
-        if name != "RO":
+        if name != "RO":  # the RO counter needs no phase calibration
             calibrate(sensor, rng=make_rng(next(seeds)))
     means: Dict[str, List[float]] = {name: [] for name in sensors}
     for level in levels:
@@ -203,15 +185,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> SensorZo
 
 
 run = registry.protocol_entry("sensor-zoo")
-
-
-def main() -> None:
-    """Print the sensor-zoo comparison."""
-    result = run_sensor_zoo()
-    print("Extension — the sensor zoo on the Fig. 3 workload")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -16,14 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.attacks.metrics import RankCurve, rank_curve
-from repro.config import RngLike, make_rng
 from repro.experiments import common, registry
 from repro.runtime import Engine
-from repro.runtime.sharding import root_sequence
+from repro.runtime.sharding import SeedLike, root_sequence
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AESTraceAcquisition
-from repro.traces.store import TraceSet
 
 #: Default ground-truth key for the campaigns (any key works; CPA does
 #: not exploit its structure).
@@ -44,32 +41,6 @@ def placement_acquisition(
     return common.placement_spec(placement, sensor_type, aes_clock, seed).build()
 
 
-def collect_placement_traces(
-    placement: str,
-    n_traces: int,
-    sensor_type: str = "LeakyDSP",
-    aes_clock: ClockSpec = common.AES_CLOCK,
-    key: bytes = DEFAULT_KEY,
-    seed: int = 7,
-    rng: RngLike = 3,
-    engine: Optional[Engine] = None,
-) -> TraceSet:
-    """Collect an AES trace campaign with a sensor at one named
-    placement.
-
-    With an ``engine``, collection runs on the sharded acquisition
-    runtime (``rng`` must then be an integer seed or a
-    :class:`numpy.random.SeedSequence`).
-    """
-    acq = placement_acquisition(placement, sensor_type, aes_clock, seed)
-    if engine is None:
-        trace_set = acq.collect(n_traces, key=key, rng=rng)
-    else:
-        trace_set = engine.collect(acq, n_traces, key=key, seed=rng)
-    trace_set.metadata["placement"] = placement
-    return trace_set
-
-
 def streamed_placement_curve(
     engine: Engine,
     placement: str,
@@ -79,17 +50,16 @@ def streamed_placement_curve(
     aes_clock: ClockSpec = common.AES_CLOCK,
     key: bytes = DEFAULT_KEY,
     seed: int = 7,
-    rng: RngLike = 3,
+    rng: SeedLike = 3,
     chunk_size: Optional[int] = None,
     on_point=None,
     attack=None,
     trace_offset: int = 0,
 ):
-    """Streamed equivalent of :func:`collect_placement_traces` +
-    :func:`disclosure_curve`: same campaign (same shard plan and random
-    streams, so bit-identical ranks), but the traces flow straight into
-    the CPA accumulator and the rank curve grows incrementally — the
-    full trace matrix never exists.
+    """Rank curve of one AES campaign with a sensor at one named
+    placement, on a uniform ``step`` checkpoint grid.  The traces flow
+    straight into the CPA accumulator and the rank curve grows
+    incrementally — the full trace matrix never exists.
 
     Returns ``(RankCurve, CPAAttack)``; pass the attack back (with
     ``trace_offset``) to extend the campaign, Fig. 6 style.
@@ -127,7 +97,7 @@ def streamed_placement_curves(
     aes_clock: ClockSpec = common.AES_CLOCK,
     key: bytes = DEFAULT_KEY,
     seed: int = 7,
-    rng: RngLike = 3,
+    rng: SeedLike = 3,
     chunk_size: Optional[int] = None,
     on_point=None,
 ):
@@ -162,18 +132,6 @@ def streamed_placement_curves(
         chunk_size=chunk_size,
         on_point=on_point,
     )
-
-
-def disclosure_curve(
-    trace_set: TraceSet,
-    step: int,
-    aes_clock: ClockSpec = common.AES_CLOCK,
-) -> RankCurve:
-    """Rank curve on a uniform checkpoint grid over a campaign."""
-    hw = common.make_hw_model(aes_clock)
-    window = common.last_round_window(hw, trace_set.n_samples)
-    checkpoints = list(range(step, len(trace_set) + 1, step))
-    return rank_curve(trace_set, checkpoints, sample_window=window)
 
 
 @dataclass
@@ -219,7 +177,7 @@ def run_table1(
     include_tdc: bool = True,
     tdc_placement: str = "P6",
     seed: int = 7,
-    rng: RngLike = 3,
+    rng: SeedLike = 3,
     engine: Optional[Engine] = None,
 ) -> Table1Result:
     """Reproduce Table I.
@@ -229,48 +187,14 @@ def run_table1(
     TDC "in one setting" only, since TDC and LeakyDSP cannot occupy the
     same sites for a like-for-like spot.
 
-    On the serial path (``engine=None``) every placement is an
-    independent campaign drawn from one generator.  With an ``engine``,
-    all LeakyDSP placements ride a *single* fan-out campaign
-    (:func:`streamed_placement_curves`, RNG child 0 — so a
-    single-placement table keeps its historical seeds) and the TDC
+    All LeakyDSP placements ride a *single* fan-out campaign on
+    ``engine`` (a serial one when omitted) —
+    :func:`streamed_placement_curves`, RNG child 0, so a
+    single-placement table keeps its historical seeds — and the TDC
     baseline streams separately (child 1).
     """
+    engine = engine or Engine()
     result = Table1Result()
-    if engine is None:
-        gen = make_rng(rng)
-        campaign_rngs = iter(lambda: gen, None)
-        for placement in placements:
-            ts = collect_placement_traces(
-                placement,
-                n_traces,
-                "LeakyDSP",
-                seed=seed,
-                rng=next(campaign_rngs),
-                engine=engine,
-            )
-            curve = disclosure_curve(ts, step)
-            result.rows.append(
-                Table1Row(placement, "LeakyDSP", curve.traces_to_disclosure, n_traces)
-            )
-        if include_tdc:
-            ts = collect_placement_traces(
-                tdc_placement,
-                n_traces + 20_000,
-                "TDC",
-                seed=seed,
-                rng=next(campaign_rngs),
-                engine=engine,
-            )
-            curve = disclosure_curve(ts, step)
-            result.rows.append(
-                Table1Row(
-                    tdc_placement, "TDC", curve.traces_to_disclosure,
-                    n_traces + 20_000,
-                )
-            )
-        return result
-
     seeds = root_sequence(rng).spawn(2)
     pairs = streamed_placement_curves(
         engine, placements, n_traces, step, "LeakyDSP",
@@ -333,15 +257,3 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Table1Re
 
 
 run = registry.protocol_entry("table1")
-
-
-def main() -> None:
-    """Print the Table I reproduction."""
-    result = run_table1()
-    print("Table I — traces required to break the full AES-128 key")
-    for line in render(result):
-        print(line)
-
-
-if __name__ == "__main__":
-    main()

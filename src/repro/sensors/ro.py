@@ -117,6 +117,22 @@ class RingOscillatorSensor(VoltageSensor):
             "expected_readout/sample_readouts directly"
         )
 
+    def cache_token(self) -> dict:
+        """Deterministic fingerprint of this sensor's sampling behavior
+        (for :mod:`repro.traces.blockstore` keys).
+
+        A count has no moments table to hash, so the token lists every
+        parameter that shapes one instead: the loop length and its
+        delay, the counting window, plus the counter width, position
+        and constants every sensor token carries.
+        """
+        return {
+            **self._base_token(),
+            "n_inverters": int(self.n_inverters),
+            "loop_delay": float(self._loop_delay),
+            "window": float(self.window),
+        }
+
     def expected_readout(self, voltages) -> np.ndarray:
         """Expected oscillation count in one window (clipped to the
         counter width)."""

@@ -818,3 +818,27 @@ class TestRegistryCacheConfig:
         assert cache is not None
         assert cache["hits"] + cache["misses"] >= 0
         assert 0.0 <= cache["hit_rate"] <= 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sensor_zoo_identical_off_cold_warm(self, tmp_path, monkeypatch, workers):
+        # The zoo includes the RO counter sensor, whose block key cannot
+        # come from a moments table.
+        from repro.experiments import registry
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+        def run(cache_dir=None):
+            return registry.run(
+                "sensor-zoo",
+                registry.ExperimentConfig(
+                    scale="quick", seed=1, workers=workers, cache_dir=cache_dir
+                ),
+            )
+
+        off = run()
+        cold = run(str(tmp_path))
+        warm = run(str(tmp_path))
+        assert off.payload == cold.payload == warm.payload
+        assert cold.metadata["cache"]["hits"] == 0
+        assert warm.metadata["cache"]["misses"] == 0
+        assert warm.metadata["cache"]["hit_rate"] == 1.0

@@ -1,5 +1,7 @@
 """Tests for the uniform experiment API (registry + protocol entry)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,41 @@ EXPECTED_NAMES = {
     "sensor-zoo",
     "table1",
 }
+
+#: Each engine-backed experiment's module, ``run_<name>`` function and
+#: the quick-scale keyword arguments its registered runner passes.
+QUICK_RUNS = {
+    "ablation-calib": ("ablation_calib", "run_ablation_calib", {"n_readouts": 300}),
+    "ablation-chain": (
+        "ablation_chain",
+        "run_ablation_chain",
+        {"chain_lengths": (1, 3), "n_readouts": 300},
+    ),
+    "fig3": ("fig3_sensitivity", "run_fig3", {"n_readouts": 300}),
+    "fig4": ("fig4_placement", "run_fig4", {"n_readouts": 300}),
+    "fig5": (
+        "fig5_keyrank",
+        "run_fig5",
+        {"placements": ("P6",), "n_traces": 20_000, "step": 5_000, "rating_at": 10_000},
+    ),
+    "fig6": (
+        "fig6_frequency",
+        "run_fig6",
+        {"frequencies": (20e6, 100e6), "n_traces": 30_000, "extension": 0, "step": 5_000},
+    ),
+    "sensor-zoo": ("sensor_zoo", "run_sensor_zoo", {"n_readouts": 200}),
+    "table1": (
+        "table1_traces",
+        "run_table1",
+        {"placements": ("P6",), "n_traces": 30_000, "step": 5_000, "include_tdc": False},
+    ),
+}
+
+
+def _run_function(name):
+    module, function, params = QUICK_RUNS[name]
+    module = importlib.import_module(f"repro.experiments.{module}")
+    return getattr(module, function), params
 
 
 class TestRegistry:
@@ -138,3 +175,24 @@ class TestProtocolEntry:
                 serial.payload.curves[name].mean_readouts
                 == pooled.payload.curves[name].mean_readouts
             )
+
+
+class TestFunctionApi:
+    """``run_<name>`` without an engine computes what the registry
+    computes: both run on the engine, from the same seed tree."""
+
+    @pytest.mark.parametrize("name", sorted(QUICK_RUNS))
+    def test_matches_registry(self, name, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        run_function, params = _run_function(name)
+        direct = run_function(rng=np.random.SeedSequence(5), **params)
+        via_registry = registry.run(
+            name, registry.ExperimentConfig(scale="quick", seed=5)
+        )
+        assert direct == via_registry.payload
+
+    def test_generator_rejected(self):
+        from repro.experiments import fig5_keyrank
+
+        with pytest.raises(ConfigurationError, match="Generator"):
+            fig5_keyrank.run_fig5(rng=np.random.default_rng(0))

@@ -1,8 +1,11 @@
 """Tests for the ring-oscillator counter sensor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_CONSTANTS
 from repro.errors import ConfigurationError
 from repro.sensors.ro import RingOscillatorSensor
 
@@ -63,3 +66,39 @@ class TestBehaviour:
     def test_scalar_shape_passthrough(self, ro, rng):
         r = ro.sample_readouts(1.0, rng=rng)
         assert r.shape == ()
+
+
+class TestCacheToken:
+    def test_token_needs_no_moments_table(self, basys3_device):
+        # bit_probabilities raises for a counter, so the base class's
+        # moments-table digest cannot serve as the token.
+        sensor = RingOscillatorSensor(device=basys3_device)
+        sensor.position = (10.0, 20.0)
+        token = sensor.cache_token()
+        assert token["type"] == "RingOscillatorSensor"
+        assert token["position"] == [10.0, 20.0]
+        assert "moments_digest" not in token
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_inverters": 3},
+            {"window": 2e-6},
+            {"counter_bits": 12},
+            {"constants": dataclasses.replace(DEFAULT_CONSTANTS, alpha=1.4)},
+        ],
+    )
+    def test_every_readout_parameter_moves_the_token(self, basys3_device, change):
+        def token(**kwargs):
+            sensor = RingOscillatorSensor(device=basys3_device, **kwargs)
+            sensor.position = (10.0, 20.0)
+            return sensor.cache_token()
+
+        assert token() == token()
+        assert token(**change) != token()
+
+    def test_position_moves_the_token(self, basys3_device):
+        a = RingOscillatorSensor(device=basys3_device)
+        b = RingOscillatorSensor(device=basys3_device)
+        a.position, b.position = (10.0, 20.0), (11.0, 20.0)
+        assert a.cache_token() != b.cache_token()
