@@ -12,12 +12,16 @@ compared paths bit-identical before reporting) and fails unless
   by at least ``--min-fanout-speedup``, and
 * ``key_rank_bounds`` (the tail-only convolution) beats the full
   convolution chain by at least ``--min-keyrank-speedup`` on best-round
-  time over the bench's mix of score sets.
+  time over the bench's mix of score sets, and
+* ``key_rank_bounds`` beats the full chain on score sets that all rank
+  below 2^53 (where it counts the tail exactly) by at least the
+  ``min_speedup`` the bench records in ``keyrank_below_2_53_gate``.
 
 These are the regression gates for the accumulate and key-rank hot
 paths: a change that quietly collapses the accumulate back to per-byte
-speed, stops sharing the hypotheses across sensors, or convolves the
-whole key-score distribution again turns this red instead of shipping.
+speed, stops sharing the hypotheses across sensors, convolves the
+whole key-score distribution again, or sends ranks below 2^53 back to
+the float chain turns this red instead of shipping.
 All are single-process measurements, so they hold on any core count.
 
 Exits non-zero on a missing/stale report or an insufficient speedup.
@@ -75,6 +79,9 @@ def main(argv=None) -> int:
         n_sensors = report["accumulate_fanout"]["n_sensors"]
         keyrank = report["keyrank_speedup"]
         keyrank_ms = report["key_rank"]["best_seconds_per_eval"] * 1e3
+        exact = report["keyrank_below_2_53_speedup"]
+        exact_ms = report["key_rank_below_2_53"]["best_seconds_per_eval"] * 1e3
+        exact_gate = report["keyrank_below_2_53_gate"]
     except KeyError as exc:
         print(
             f"FAIL: {args.report} predates the current CPA report "
@@ -97,10 +104,17 @@ def main(argv=None) -> int:
             f"key rank {keyrank_ms:.1f} ms/eval vs the full convolution chain",
             keyrank, args.min_keyrank_speedup,
         ),
+        (
+            f"key rank below 2^53 {exact_ms:.2f} ms/eval vs the full chain",
+            exact, exact_gate["min_speedup"],
+        ),
     ):
         verdict = "ok" if value >= required else "FAIL"
         ok = ok and verdict == "ok"
         print(f"{verdict}: {label} -> {value:.2f}x (required >= {required:.2f}x)")
+    if not exact_gate["enforced"]:
+        print("FAIL: the below-2^53 key-rank gate is recorded as not enforced")
+        ok = False
     return 0 if ok else 1
 
 

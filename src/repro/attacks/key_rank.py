@@ -9,12 +9,18 @@ get the distribution of full-key scores, and reads the rank off as the
 mass above the true key's score.  Binning introduces bounded error,
 which is why the metric is reported as an upper and a lower bound —
 exactly the two curves in the paper's Fig. 5 and Fig. 6.
+
+Each bound reads one tail mass.  Below 2^53 it is counted exactly
+from the reachable tail alone, which is what the float convolution
+chain computes there too; past 2^53 the chain computes it, over the
+tail region only.  Either way the bits equal those of convolving the
+whole distribution.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +46,50 @@ def scores_from_correlations(peak_correlations: np.ndarray, n_traces: int) -> np
     return np.arctanh(clipped) * np.sqrt(n_traces - 3)
 
 
-def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
-    """Mass of the 16-fold convolution of the per-byte histograms of
-    ``bins`` at or above full-key bin ``b``.
+#: Float64 represents every integer below this exactly.
+_EXACT_LIMIT = float(2**53)
+
+
+def _byte_histograms(bins: np.ndarray, size: int) -> np.ndarray:
+    """``(16, size)`` float counts of each byte's bins."""
+    flat = (bins + size * np.arange(16)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=16 * size).reshape(16, size)
+    return counts.astype(np.float64)
+
+
+def _exact_tail_count(
+    bins: np.ndarray, hists: np.ndarray, b: int
+) -> Optional[float]:
+    """Number of keys whose bin sum is at least ``b``, as a float, or
+    ``None`` once it is known to reach 2^53.
+
+    Only the reachable tail is convolved.  With ``slack`` the distance
+    from ``b`` to the highest reachable bin sum, byte ``j`` can feed
+    the tail only from its top ``slack + 1`` bins, and after byte ``j``
+    only the top ``slack + 1`` prefix sums are still live; both are cut
+    to that.  Every live value counts prefixes that all reach the
+    tail, so the live sum is at most the tail count.  While it stays
+    below 2^53, every product and partial sum is an integer below 2^53
+    and float64 holds it exactly, whatever the summation order; and
+    since rounding is monotone and 2^53 is a float, the computed live
+    sum reaches 2^53 exactly when the true one does.
+    """
+    tops = bins.max(axis=1)
+    slack = int(tops.sum()) - b
+    if slack < 0:
+        return 0.0
+    starts = np.maximum(bins.min(axis=1), tops - slack)
+    dist = hists[0, starts[0] : tops[0] + 1]
+    for j in range(1, 16):
+        dist = np.convolve(dist, hists[j, starts[j] : tops[j] + 1])[-(slack + 1):]
+        total = float(dist.sum())
+        if total >= _EXACT_LIMIT:
+            return None
+    return total
+
+
+def _chain_tail_mass(hists: np.ndarray, n_bins: int, b: int) -> float:
+    """Tail mass read off the 15-step float convolution chain.
 
     Direct convolution: each output bin is a dot product of
     non-negative terms, so its floating-point error is relative to its
@@ -64,11 +111,6 @@ def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
     from the top bin down, the order of the full ``cumsum``.
     """
     size = n_bins + 1
-    if b >= 16 * n_bins + 1:
-        return 0.0
-    b = max(b, 0)
-    hists = np.zeros((16, size))
-    np.add.at(hists, (np.arange(16)[:, None], bins), 1.0)
     dist, offset = hists[0], 0  # dist[i] is full-key bin offset + i
     for j in range(1, 16):
         need = b - (15 - j) * n_bins
@@ -79,6 +121,32 @@ def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
             start += n_bins
         dist, offset = out, start
     return float(np.cumsum(dist[b - offset:][::-1])[-1])
+
+
+def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
+    """Mass of the 16-fold convolution of the per-byte histograms of
+    ``bins`` at or above full-key bin ``b``, bit-identical to reading
+    it off the full 15-step float convolution chain.
+
+    Exact path first: below 2^53 the chain is exact too.  Every chain
+    value is a sum of products of non-negative integer counts, and any
+    value that feeds the tail with nonzero weight is at most the tail
+    mass, so when the tail mass is below 2^53 every term and partial
+    sum behind it is an integer float64 holds exactly; terms of zero
+    weight add +0.0.  The chain then returns the exact count, which
+    :func:`_exact_tail_count` computes from the reachable tail alone.
+    The check is on the tail *sum*: each bin can be below 2^53 while
+    their sum is not, and then the chain's rounded sum is what counts.
+    Past 2^53 :func:`_chain_tail_mass` computes it.
+    """
+    if b >= 16 * n_bins + 1:
+        return 0.0
+    b = max(b, 0)
+    hists = _byte_histograms(bins, n_bins + 1)
+    count = _exact_tail_count(bins, hists, b)
+    if count is not None:
+        return count
+    return _chain_tail_mass(hists, n_bins, b)
 
 
 def key_rank_bounds(

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import key_rank
 from repro.attacks.key_rank import (
+    _byte_histograms,
+    _chain_tail_mass,
     _tail_mass,
     key_rank_bounds,
     scores_from_correlations,
@@ -275,3 +278,68 @@ class TestTailOnlyConvolution:
         for b in (-1, 0, 1, n_bins, last - n_bins, last - 1, last, last + 1, last + 9):
             got = _tail_mass(bins, n_bins, b)
             assert got.hex() == _full_chain_mass(bins, n_bins, b).hex(), b
+
+
+class TestExactTailCount:
+    """Below 2^53 the tail mass is counted exactly from the reachable
+    tail; at or past it the float chain computes it.  Both must give
+    the full chain's bits."""
+
+    def test_tail_sum_past_2_53_with_every_bin_below_falls_back(self):
+        # Every tail bin is below 2^53 but their sum, ~2^55, is not: a
+        # count that checked only the bins would return its own float
+        # sum here, a different last bit from the chain's top-down sum.
+        n_bins, b = 256, 4034
+        bins = np.random.default_rng(0).integers(0, n_bins + 1, (16, 256))
+        dist = np.zeros(n_bins + 1)
+        np.add.at(dist, bins[0], 1.0)
+        for j in range(1, 16):
+            h = np.zeros(n_bins + 1)
+            np.add.at(h, bins[j], 1.0)
+            dist = np.convolve(dist, h)
+        assert dist[b:].max() < 2**53 <= dist[b:].sum()
+        got = _tail_mass(bins, n_bins, b)
+        assert got.hex() == _full_chain_mass(bins, n_bins, b).hex()
+
+    def test_boost_sweep_matches_full_chain(self):
+        # True-byte boosts whose upper bounds run from ~2^100 down to a
+        # recovered key, across the 2^53 switch between the two paths.
+        uppers = []
+        for boost in np.arange(1.25, 4.01, 0.125):
+            scores, true = _score_case("boosted", 7, boost, 16)
+            reads = _rank_reads(scores, true, 1024)
+            want = [_full_chain_mass(bins, 1024, b) for bins, b in reads]
+            got = [_tail_mass(bins, 1024, b) for bins, b in reads]
+            assert [m.hex() for m in got] == [m.hex() for m in want], boost
+            uppers.append(key_rank_bounds(scores, true)[1])
+        assert min(uppers) <= 1.0 and max(uppers) >= 100.0
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    @pytest.mark.parametrize("n_bins", [2, 16, 256])
+    def test_chain_alone_matches_full_chain(self, n_bins, kind):
+        # The fallback stays pinned on inputs the exact path now takes.
+        for seed in range(3):
+            scores, true = _score_case(kind, seed, 3.0, 12)
+            for bins, b in _rank_reads(scores, true, n_bins):
+                if b >= 16 * n_bins + 1:
+                    continue
+                hists = _byte_histograms(bins, n_bins + 1)
+                got = _chain_tail_mass(hists, n_bins, max(b, 0))
+                assert got.hex() == _full_chain_mass(bins, n_bins, b).hex()
+
+    @pytest.mark.parametrize(
+        "case, low, high",
+        [
+            (lambda: _scores_with_true_ranks([0] * 16), 0.0, 0.0),
+            (lambda: _score_case("boosted", 7, 2.6, 16), 38.0, 41.0),
+        ],
+        ids=["recovered", "rank-2^40"],
+    )
+    def test_exact_path_taken(self, monkeypatch, case, low, high):
+        def chain(*args):
+            raise AssertionError("rank below 2^53 sent to the float chain")
+
+        scores, true = case()
+        monkeypatch.setattr(key_rank, "_chain_tail_mass", chain)
+        lo, hi = key_rank_bounds(scores, true)
+        assert low <= lo <= hi <= high
