@@ -236,13 +236,39 @@ def test_key_rank_evaluation(benchmark, score_sets):
     assert all(lo <= hi for lo, hi in bounds)
 
 
+def interleaved_rounds(*fns):
+    """Per-round seconds of each of ``fns``: one unmeasured warm-up
+    call each (hypothesis gathers, scratch buffers, BLAS threads), then
+    ``N_ROUNDS`` rounds that each time every fn once, in turn.  Paired
+    rows alternate this way so a host-speed phase lands on both sides
+    of a ratio alike instead of on one back-to-back block."""
+    for fn in fns:
+        fn()
+    seconds = [[] for _ in fns]
+    for _ in range(N_ROUNDS):
+        for fn, rounds in zip(fns, seconds):
+            t0 = time.perf_counter()
+            fn()
+            rounds.append(time.perf_counter() - t0)
+    return seconds
+
+
+def round_stats(seconds, traces_per_round=N_TRACES):
+    return {
+        "seconds_per_round": sum(seconds) / N_ROUNDS,
+        "best_seconds_per_round": min(seconds),
+        "traces_per_second": N_ROUNDS * traces_per_round / sum(seconds),
+        "best_traces_per_second": traces_per_round / min(seconds),
+    }
+
+
 def test_cpa_throughput_report(
     benchmark, trace_batch, sensor_batches, score_sets, exact_score_sets
 ):
     """Drive both accumulate engines, the fan-out accumulate, the
     correlation path and the key rank directly (one unmeasured warm-up
-    plus ``N_ROUNDS`` measured rounds each) and write
-    ``BENCH_cpa.json``.
+    plus ``N_ROUNDS`` measured rounds each, the two sides of every
+    speedup in alternating rounds) and write ``BENCH_cpa.json``.
 
     Throughput is reported from the per-round *minimum* — the least
     load-sensitive estimator — alongside plain totals, matching
@@ -250,35 +276,21 @@ def test_cpa_throughput_report(
     """
     traces, cts = trace_batch
 
-    def timed_rounds(fn):
-        fn()  # warm-up: hypothesis gathers, scratch buffers, BLAS threads
-        seconds = []
-        for _ in range(N_ROUNDS):
-            t0 = time.perf_counter()
-            fn()
-            seconds.append(time.perf_counter() - t0)
-        return seconds
-
-    def round_stats(fn, traces_per_round=N_TRACES):
-        seconds = timed_rounds(fn)
-        return {
-            "seconds_per_round": sum(seconds) / N_ROUNDS,
-            "best_seconds_per_round": min(seconds),
-            "traces_per_second": N_ROUNDS * traces_per_round / sum(seconds),
-            "best_traces_per_second": traces_per_round / min(seconds),
-        }
-
-    batched_stats = round_stats(lambda: _accumulate(traces, cts))
-    per_byte_stats = round_stats(lambda: _accumulate_per_byte(traces, cts))
+    batched_seconds, per_byte_seconds = interleaved_rounds(
+        lambda: _accumulate(traces, cts),
+        lambda: _accumulate_per_byte(traces, cts),
+    )
+    batched_stats = round_stats(batched_seconds)
+    per_byte_stats = round_stats(per_byte_seconds)
 
     traces_list, fan_cts = sensor_batches
     sensor_traces = N_SENSORS * N_TRACES
-    fanout_stats = round_stats(
-        lambda: _fan_out(traces_list, fan_cts), sensor_traces
+    fanout_seconds, separate_seconds = interleaved_rounds(
+        lambda: _fan_out(traces_list, fan_cts),
+        lambda: _separate(traces_list, fan_cts),
     )
-    separate_stats = round_stats(
-        lambda: _separate(traces_list, fan_cts), sensor_traces
-    )
+    fanout_stats = round_stats(fanout_seconds, sensor_traces)
+    separate_stats = round_stats(separate_seconds, sensor_traces)
     # The fan-out speedup only counts if every sensor's state matches
     # its separate attack bit for bit.
     for fanned, alone in zip(
@@ -298,7 +310,7 @@ def test_cpa_throughput_report(
         attack._stacked._rho = None
         return attack.correlations()
 
-    correlate_seconds = timed_rounds(correlate)
+    (correlate_seconds,) = interleaved_rounds(correlate)
 
     def keyrank_rows(sets):
         """Per-eval key-rank and full-chain rows, and their speedup.
@@ -309,14 +321,17 @@ def test_cpa_throughput_report(
             _rank_all(_full_chain_bounds, sets),
         ):
             assert [v.hex() for v in got] == [v.hex() for v in want]
-        rows = []
-        for rank in (key_rank_bounds, _full_chain_bounds):
-            seconds = timed_rounds(lambda: _rank_all(rank, sets))
-            rows.append({
+        rows = [
+            {
                 "n_score_sets": len(sets),
                 "seconds_per_eval": sum(seconds) / (N_ROUNDS * len(sets)),
                 "best_seconds_per_eval": min(seconds) / len(sets),
-            })
+            }
+            for seconds in interleaved_rounds(
+                lambda: _rank_all(key_rank_bounds, sets),
+                lambda: _rank_all(_full_chain_bounds, sets),
+            )
+        ]
         speedup = rows[1]["best_seconds_per_eval"] / rows[0]["best_seconds_per_eval"]
         return rows[0], rows[1], speedup
 

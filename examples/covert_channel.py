@@ -52,19 +52,6 @@ def main() -> None:
         print(f"  {bt * 1e3:4.1f} ms: BER {r.ber * 100:5.2f}%, "
               f"TR {r.transmission_rate:6.1f} b/s")
 
-    # A framed transfer fixes residual corruption: packets, CRC-8 and
-    # rate-3 repetition deliver the message intact at a goodput cost.
-    from repro.attacks.covert_protocol import FramedCovertChannel
-
-    framed = FramedCovertChannel(channel, packet_payload_bits=168, repetition=3)
-    transfer = framed.transfer(payload, bit_time, rng=123)
-    print("\nframed transfer (CRC-8 + rate-3 repetition):")
-    print(f"  received : {bits_to_text(transfer.decoded)}")
-    print(f"  packets: {len(transfer.packets)}, "
-          f"PER {transfer.packet_error_rate * 100:.1f}%, "
-          f"residual BER {transfer.residual_ber * 100:.2f}%, "
-          f"goodput {transfer.goodput:.1f} b/s")
-
 
 if __name__ == "__main__":
     main()

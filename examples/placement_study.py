@@ -11,7 +11,6 @@ Run: ``python examples/placement_study.py``
 import numpy as np
 
 from repro.experiments import common
-from repro.fpga.floorplan import Floorplan
 from repro.traces import characterize_readouts
 
 
@@ -20,16 +19,6 @@ def main() -> None:
     virus = common.make_virus(setup)
     print(f"victim: {virus.n_instances} power-virus instances, "
           f"{virus.n_groups} groups, bottom of the die\n")
-
-    # Die map: victim boxes at the bottom, the six sensor regions above.
-    fp = Floorplan(setup.device, width=42, height=24)
-    for pblock in common.victim_pblocks(setup.device):
-        fp.draw_pblock(pblock, label="VIRUS")
-    for index in common.FIG4_REGIONS:
-        region = common.region_pblock(setup.device, index)
-        fp.draw_marker(*region.center, glyph=str(index))
-    print(fp.render())
-    print()
 
     print("region  position        off     on      swing")
     for index, region_name in common.FIG4_REGIONS.items():

@@ -9,7 +9,6 @@ from repro.analysis.stats import (
 from repro.analysis.streaming import (
     SharedTraceMoments,
     StackedStreamingPearson,
-    StreamingDiffMeans,
     StreamingPearson,
     StreamingWelchT,
     SumMoments,
@@ -26,7 +25,6 @@ __all__ = [
     "welch_t_test",
     "SharedTraceMoments",
     "StackedStreamingPearson",
-    "StreamingDiffMeans",
     "StreamingPearson",
     "StreamingWelchT",
     "SumMoments",

@@ -1,8 +1,8 @@
 """Streaming one-pass statistics for large trace campaigns.
 
-Every attack statistic in this repository — Pearson correlation (CPA),
-Welch's t (TVLA) and difference-of-means (DPA) — reduces to a handful of
-running sums over the trace stream.  The classes here maintain exactly
+Every attack statistic in this repository — Pearson correlation (CPA)
+and Welch's t (TVLA) — reduces to a handful of running sums over the
+trace stream.  The classes here maintain exactly
 those sums behind a uniform ``update(chunk) / merge(other) / finalize()``
 protocol, so trace matrices never have to be materialized: shards from
 :class:`repro.runtime.Engine` (or chunks from any other producer) can be
@@ -42,7 +42,6 @@ __all__ = [
     "StreamingPearson",
     "StackedStreamingPearson",
     "StreamingWelchT",
-    "StreamingDiffMeans",
 ]
 
 
@@ -748,71 +747,3 @@ class StreamingWelchT:
         with np.errstate(invalid="ignore", divide="ignore"):
             t = (fixed.mean - rand.mean) / np.sqrt(se2)
         return np.nan_to_num(t, nan=0.0)
-
-
-# ----------------------------------------------------------------------
-# Difference of means — the DPA statistic.
-# ----------------------------------------------------------------------
-
-
-class StreamingDiffMeans:
-    """One-pass difference-of-means over a binary partition per
-    hypothesis variable.
-
-    ``update(bits, y)`` takes an ``(m, n_vars)`` 0/1 partition chunk
-    and an ``(m, n_samples)`` trace chunk; ``finalize()`` returns the
-    ``(n_vars, n_samples)`` difference between the partition-1 and
-    partition-0 mean traces.  Empty partitions contribute a zero mean,
-    matching the batch DPA convention.
-    """
-
-    def __init__(self, n_vars: int, n_samples: int) -> None:
-        if n_vars <= 0 or n_samples <= 0:
-            raise AttackError("n_vars and n_samples must be positive")
-        self.n_vars = int(n_vars)
-        self.n_samples = int(n_samples)
-        self.n = 0
-        self._count = np.zeros((self.n_vars, 2))
-        self._sums = np.zeros((self.n_vars, 2, self.n_samples))
-
-    def update(self, bits, y) -> "StreamingDiffMeans":
-        """Fold one chunk in: ``bits`` is ``(m, n_vars)`` of 0/1,
-        ``y`` is ``(m, n_samples)``."""
-        y = _as_chunk(y, "trace", self.n_samples)
-        bits = np.asarray(bits)
-        if bits.ndim != 2 or bits.shape != (y.shape[0], self.n_vars):
-            raise AttackError(
-                f"bits chunk must be ({y.shape[0]}, {self.n_vars}), "
-                f"got {bits.shape}"
-            )
-        self.n += y.shape[0]
-        for value in (0, 1):
-            mask = bits == value  # (m, n_vars)
-            self._count[:, value] += mask.sum(axis=0)
-            self._sums[:, value] += mask.T.astype(np.float64) @ y
-        return self
-
-    def merge(self, other: "StreamingDiffMeans") -> "StreamingDiffMeans":
-        """Fold another accumulator in."""
-        _check_mergeable(self, other, ("n_vars", "n_samples"))
-        self.n += other.n
-        self._count += other._count
-        self._sums += other._sums
-        return self
-
-    def telemetry_counters(self) -> dict:
-        """Numeric progress counters for checkpoint telemetry spans."""
-        return {
-            "n_traces": self.n,
-            "n_vars": self.n_vars,
-            "n_samples": self.n_samples,
-        }
-
-    def finalize(self) -> np.ndarray:
-        """The ``(n_vars, n_samples)`` difference-of-means matrix."""
-        if self.n < 2:
-            raise AttackError("need at least two rows before evaluating")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = self._sums / self._count[..., None]
-        means = np.nan_to_num(means, nan=0.0)
-        return means[:, 1, :] - means[:, 0, :]

@@ -12,10 +12,6 @@
 
 from repro.attacks.cpa import CPAAttack
 from repro.attacks.covert import CovertChannel, CovertChannelConfig, CovertResult
-from repro.attacks.covert_protocol import FramedCovertChannel
-from repro.attacks.dpa import DPAAttack
-from repro.attacks.enumeration import enumerate_keys, enumeration_rank
-from repro.attacks.fingerprint import WorkloadFingerprinter
 from repro.attacks.key_rank import key_rank_bounds, scores_from_correlations
 from repro.attacks.metrics import (
     evaluate_rank_point,
@@ -28,14 +24,9 @@ from repro.attacks.metrics import (
 
 __all__ = [
     "CPAAttack",
-    "DPAAttack",
     "CovertChannel",
     "CovertChannelConfig",
     "CovertResult",
-    "FramedCovertChannel",
-    "WorkloadFingerprinter",
-    "enumerate_keys",
-    "enumeration_rank",
     "key_rank_bounds",
     "scores_from_correlations",
     "evaluate_rank_point",

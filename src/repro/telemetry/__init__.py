@@ -36,7 +36,6 @@ from repro.telemetry.spans import (  # noqa: F401  (stdlib-only, safe eager)
     SpanRecord,
     Telemetry,
     leaf_totals,
-    sum_by_name,
     walk_spans,
 )
 
@@ -127,5 +126,4 @@ __all__ = [
     "diff_runs",
     "walk_spans",
     "leaf_totals",
-    "sum_by_name",
 ]

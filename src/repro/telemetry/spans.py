@@ -38,7 +38,6 @@ __all__ = [
     "Telemetry",
     "walk_spans",
     "leaf_totals",
-    "sum_by_name",
 ]
 
 
@@ -96,20 +95,6 @@ def walk_spans(
         path = f"{prefix}/{rec.name}" if prefix else rec.name
         yield path, path.count("/"), rec
         yield from walk_spans(rec.children, path)
-
-
-def sum_by_name(
-    spans: List[SpanRecord], counter: Optional[str] = None
-) -> Dict[str, float]:
-    """Aggregate sibling spans by name, in first-seen order.
-
-    Sums ``seconds`` (default) or one named counter.
-    """
-    totals: Dict[str, float] = {}
-    for rec in spans:
-        value = rec.seconds if counter is None else rec.counter(counter)
-        totals[rec.name] = totals.get(rec.name, 0.0) + value
-    return totals
 
 
 def leaf_totals(roots: List[SpanRecord]) -> Dict[str, float]:

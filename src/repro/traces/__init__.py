@@ -34,7 +34,6 @@ from repro.traces.store_backends import (
     StoreBackend,
     TieredStore,
 )
-from repro.traces.transport import AcquisitionPlan, CaptureBuffer, UartLink
 
 __all__ = [
     "AcquisitionSpec",
@@ -42,9 +41,6 @@ __all__ = [
     "MultiSensorAcquisition",
     "characterize_readouts",
     "TraceSet",
-    "AcquisitionPlan",
-    "CaptureBuffer",
-    "UartLink",
     "SCHEMA_VERSION",
     "BlockStore",
     "CacheCounters",

@@ -33,7 +33,6 @@ __all__ = [
     "TieredStore",
     "default_local_tier",
     "CacheServer",
-    "serve_cache",
 ]
 
 _LAZY = {
@@ -41,7 +40,6 @@ _LAZY = {
     "TieredStore": "repro.traces.store_backends.tiered",
     "default_local_tier": "repro.traces.store_backends.tiered",
     "CacheServer": "repro.traces.store_backends.server",
-    "serve_cache": "repro.traces.store_backends.server",
 }
 
 

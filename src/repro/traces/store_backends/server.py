@@ -416,14 +416,3 @@ class CacheServer(ThreadingHTTPServer):
     def __exit__(self, *exc) -> None:
         self.stop()
 
-
-def serve_cache(
-    root: Union[str, Path],
-    host: str = "127.0.0.1",
-    port: int = 8091,
-    *,
-    verbose: bool = False,
-    trace_log: Optional[Union[str, Path]] = None,
-) -> CacheServer:
-    """Bind a :class:`CacheServer` (without serving yet)."""
-    return CacheServer(root, host, port, verbose=verbose, trace_log=trace_log)

@@ -8,13 +8,20 @@ they are used.  This test runs in a fresh interpreter, so no other test
 can have loaded them first: they must stay unloaded after the registry
 is listed, and still after a quick fig5 and a quick table1 campaign, so
 their cost cannot have moved from start-up into the campaign either.
+
+The public surface is checked in-process: every name a ``repro`` module
+lists in ``__all__`` must resolve, so a re-export cannot outlive the
+code it pointed at.
 """
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import repro
 
 HEAVY_MODULES = ("scipy.stats", "scipy.signal", "scipy.sparse", "networkx")
 
@@ -64,3 +71,16 @@ def test_campaigns_never_import_heavy_modules():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"names": [], "fig5": [], "table1": []}
+
+
+def test_every_listed_public_name_resolves():
+    """``from module import *`` over every ``repro`` module: each name
+    an ``__all__`` lists, the lazy ``_LAZY`` ones and listed submodules
+    included, must come back through ``getattr``."""
+    unresolved = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        try:
+            exec(f"from {info.name} import *", {})
+        except (AttributeError, ImportError) as exc:
+            unresolved.append(f"{info.name}: {exc}")
+    assert unresolved == []

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.streaming import (
     SharedTraceMoments,
     StackedStreamingPearson,
-    StreamingDiffMeans,
     StreamingPearson,
     StreamingWelchT,
     SumMoments,
@@ -75,10 +74,6 @@ class TestEmptyChunks:
         with pytest.raises(AttackError, match="empty"):
             StreamingWelchT(4).update_fixed(np.empty((0, 4)))
 
-    def test_diff_means_rejects_empty_chunk(self):
-        with pytest.raises(AttackError, match="empty"):
-            StreamingDiffMeans(2, 4).update(np.empty((0, 2)), np.empty((0, 4)))
-
     def test_rejects_wrong_ndim(self):
         with pytest.raises(AttackError, match="2-D"):
             SumMoments(4).update(np.ones(4))
@@ -99,7 +94,7 @@ class TestMergeCompatibility:
         with pytest.raises(AttackError, match="n_samples"):
             StreamingPearson(3, 5).merge(StreamingPearson(3, 6))
         with pytest.raises(AttackError, match="n_vars"):
-            StreamingDiffMeans(2, 5).merge(StreamingDiffMeans(3, 5))
+            StreamingPearson(2, 5).merge(StreamingPearson(3, 5))
 
     def test_tvla_rejects_foreign_type(self):
         with pytest.raises(AttackError, match="cannot merge"):
@@ -272,38 +267,6 @@ class TestStreamingTvla:
     def test_counts_exposed(self):
         acc = StreamingTvla(3).update_fixed(np.ones((4, 3)))
         assert (acc.n_fixed, acc.n_random, acc.n_samples) == (4, 0, 3)
-
-
-class TestStreamingDiffMeans:
-    def test_matches_batch_partition(self, rng):
-        bits = rng.integers(0, 2, size=(200, 5))
-        y = rng.integers(-30, 30, size=(200, 8)).astype(float)
-        acc = StreamingDiffMeans(5, 8)
-        for sl in iter_chunk_slices(200, 37):
-            acc.update(bits[sl], y[sl])
-        diff = acc.finalize()
-        for j in range(5):
-            ones = y[bits[:, j] == 1].mean(axis=0)
-            zeros = y[bits[:, j] == 0].mean(axis=0)
-            np.testing.assert_allclose(diff[j], ones - zeros, atol=1e-12)
-
-    def test_empty_partition_counts_as_zero_mean(self, rng):
-        bits = np.ones((20, 1), dtype=int)
-        y = rng.normal(size=(20, 3))
-        diff = StreamingDiffMeans(1, 3).update(bits, y).finalize()
-        np.testing.assert_allclose(diff[0], y.mean(axis=0))
-
-    def test_merge_matches_single_pass(self, rng):
-        bits = rng.integers(0, 2, size=(150, 3))
-        y = rng.integers(0, 50, size=(150, 4)).astype(float)
-        whole = StreamingDiffMeans(3, 4).update(bits, y)
-        a = StreamingDiffMeans(3, 4).update(bits[:60], y[:60])
-        b = StreamingDiffMeans(3, 4).update(bits[60:], y[60:])
-        np.testing.assert_array_equal(a.merge(b).finalize(), whole.finalize())
-
-    def test_bits_shape_validated(self):
-        with pytest.raises(AttackError, match="bits"):
-            StreamingDiffMeans(2, 3).update(np.ones((4, 3)), np.ones((4, 3)))
 
 
 class TestSharedTraceMoments:
