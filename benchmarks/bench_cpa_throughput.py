@@ -221,8 +221,7 @@ def test_cpa_correlation_evaluation(benchmark, trace_batch):
     attack.add_traces(traces, cts)
 
     def correlate():
-        # Time the finalize, not the memo hits (attack + accumulator).
-        attack._corr_cache = None
+        # Time the finalize, not the accumulator's memo hits.
         attack._stacked._rho = None
         return attack.correlations()
 
@@ -306,7 +305,6 @@ def test_cpa_throughput_report(
     assert np.array_equal(attack.correlations(), reference)
 
     def correlate():
-        attack._corr_cache = None
         attack._stacked._rho = None
         return attack.correlations()
 

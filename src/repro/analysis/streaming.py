@@ -525,6 +525,12 @@ class StackedStreamingPearson:
     per-group accumulators keep, so the finalized correlations are
     bit-identical to theirs for integer-valued inputs, at any chunk
     size and merge order.
+
+    The cross sums are stored sample-major, ``(n_samples, n_groups *
+    n_vars)``: the layout of the ``Y.T @ X`` GEMM, so a fold is one
+    contiguous add.  Every public array (:meth:`fold_sums`,
+    :meth:`state_arrays`, :meth:`finalize`) keeps the
+    ``(n_groups, n_vars, n_samples)`` shape.
     """
 
     def __init__(self, n_groups: int, n_vars: int, n_samples: int) -> None:
@@ -536,8 +542,14 @@ class StackedStreamingPearson:
         self.traces = SharedTraceMoments(self.n_samples)
         self._s_x = np.zeros((self.n_groups, self.n_vars))
         self._s_x2 = np.zeros((self.n_groups, self.n_vars))
-        self._s_xy = np.zeros((self.n_groups, self.n_vars, self.n_samples))
+        self._s_yx = np.zeros((self.n_samples, self.n_groups * self.n_vars))
         self._rho: Optional[np.ndarray] = None
+
+    # -- pickling: keep shard result pipes slim ------------------------
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_rho"] = None
+        return state
 
     @property
     def n(self) -> int:
@@ -550,8 +562,7 @@ class StackedStreamingPearson:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 3:
             x = x.reshape(x.shape[0], -1)
-        width = self.n_groups * self.n_vars
-        x = _as_chunk(x, "hypothesis", width)
+        x = _as_chunk(x, "hypothesis", self._s_yx.shape[1])
         y = _as_chunk(y, "trace", self.n_samples)
         if x.shape[0] != y.shape[0]:
             raise AttackError(
@@ -562,29 +573,39 @@ class StackedStreamingPearson:
         self._s_x2 += np.einsum("ij,ij->j", x, x).reshape(
             self.n_groups, self.n_vars
         )
-        self._s_xy.reshape(width, self.n_samples)[...] += x.T @ y
+        self._s_yx += y.T @ x
         self.traces.update(y)
         self._rho = None
         return self
 
     def fold_sums(self, m: int, s_x, s_x2, s_xy, s_y, s_y2) -> "StackedStreamingPearson":
-        """Fold precomputed exact partial sums for ``m`` traces in.
+        """Fold precomputed exact partial sums for ``m`` traces in, with
+        the cross sums ``s_xy`` shaped ``(n_groups, n_vars, n_samples)``.
+
+        The values must equal what :meth:`update` would have
+        accumulated; accumulation itself stays float64.
+        """
+        s_xy = np.asarray(s_xy).reshape(self._s_yx.shape[::-1])
+        return self.fold_sample_major(m, s_x, s_x2, s_xy.T, s_y, s_y2)
+
+    def fold_sample_major(
+        self, m: int, s_x, s_x2, s_yx, s_y, s_y2
+    ) -> "StackedStreamingPearson":
+        """:meth:`fold_sums` with the cross sums sample-major:
+        ``s_yx`` is ``(n_samples, n_groups * n_vars)``, the output of a
+        ``Y.T @ X`` GEMM.
 
         The entry point for the gathered CPA hot path, which computes
         the chunk sums in narrower dtypes (uint16/int32 hypothesis
-        sums, an exactness-guarded float32 GEMM) — the values must
-        equal what
-        :meth:`update` would have accumulated; accumulation itself
-        stays float64.
+        sums, an exactness-guarded float32 GEMM).
         """
-        shape_xy = (self.n_groups, self.n_vars, self.n_samples)
         s_x = np.asarray(s_x).reshape(self.n_groups, self.n_vars)
         s_x2 = np.asarray(s_x2).reshape(self.n_groups, self.n_vars)
-        s_xy = np.asarray(s_xy).reshape(shape_xy)
+        s_yx = np.asarray(s_yx).reshape(self._s_yx.shape)
         self.traces.fold_sums(m, s_y, s_y2)
         self._s_x += s_x
         self._s_x2 += s_x2
-        self._s_xy += s_xy
+        self._s_yx += s_yx
         self._rho = None
         return self
 
@@ -594,7 +615,7 @@ class StackedStreamingPearson:
         self.traces.merge(other.traces)
         self._s_x += other._s_x
         self._s_x2 += other._s_x2
-        self._s_xy += other._s_xy
+        self._s_yx += other._s_yx
         self._rho = None
         return self
 
@@ -603,11 +624,14 @@ class StackedStreamingPearson:
 
     def state_arrays(self) -> dict:
         """The accumulator's full state as named arrays (exact sums, so
-        a restore reproduces :meth:`finalize` bit for bit)."""
+        a restore reproduces :meth:`finalize` bit for bit).  ``s_xy`` is
+        a C-contiguous ``(n_groups, n_vars, n_samples)`` copy."""
         out = self.traces.state_arrays()
         out["s_x"] = self._s_x.copy()
         out["s_x2"] = self._s_x2.copy()
-        out["s_xy"] = self._s_xy.copy()
+        out["s_xy"] = np.ascontiguousarray(self._s_yx.T).reshape(
+            self.n_groups, self.n_vars, self.n_samples
+        )
         return out
 
     def load_state_arrays(self, arrays: Mapping) -> "StackedStreamingPearson":
@@ -629,7 +653,9 @@ class StackedStreamingPearson:
         self.traces.load_state_arrays(arrays)
         self._s_x = loaded["s_x"]
         self._s_x2 = loaded["s_x2"]
-        self._s_xy = loaded["s_xy"]
+        self._s_yx = np.ascontiguousarray(
+            loaded["s_xy"].reshape(self._s_yx.shape[::-1]).T
+        )
         self._rho = None
         return self
 
@@ -646,32 +672,32 @@ class StackedStreamingPearson:
         """The ``(n_groups, n_vars, n_samples)`` correlation stack.
 
         Memoized until the next ``update``/``fold_sums``/``merge``/
-        state load; the cached array is returned read-only.  Each group
-        slice is computed by the exact expression sequence of
-        :meth:`StreamingPearson.finalize`, so it is bit-identical to
-        what a per-group accumulator holding the same sums would
-        return.
+        state load; the cached array is returned read-only.  Each
+        element is computed by the exact expression sequence of
+        :meth:`StreamingPearson.finalize`, all of it elementwise, so it
+        is bit-identical to what a per-group accumulator holding the
+        same sums would return.  The array is a view of the
+        sample-major result.
         """
         if self.n < 2:
             raise AttackError("need at least two rows to correlate")
         if self._rho is not None:
             return self._rho
         n = float(self.n)
+        s_x = self._s_x.reshape(-1)
         s_y = self.traces._s
-        s_y2 = self.traces._s2
-        var_x = n * self._s_x2 - self._s_x**2
-        var_y = n * s_y2 - s_y**2
-        cov = n * self._s_xy - self._s_x[:, :, None] * s_y[None, None, :]
+        var_x = n * self._s_x2.reshape(-1) - s_x**2
+        var_y = n * self.traces._s2 - s_y**2
+        cov = n * self._s_yx - s_x[None, :] * s_y[:, None]
         denom = np.sqrt(
-            np.maximum(var_x[:, :, None], 0.0)
-            * np.maximum(var_y[None, None, :], 0.0)
+            np.maximum(var_x[None, :], 0.0) * np.maximum(var_y[:, None], 0.0)
         )
         with np.errstate(invalid="ignore", divide="ignore"):
             rho = cov / denom
         rho = np.nan_to_num(rho, nan=0.0)
         rho.flags.writeable = False
-        self._rho = rho
-        return rho
+        self._rho = rho.T.reshape(self.n_groups, self.n_vars, self.n_samples)
+        return self._rho
 
 
 # ----------------------------------------------------------------------

@@ -28,18 +28,23 @@ tile in a shared accumulator instead of 16 times.  The hypothesis sums
 are taken on the integer side (narrow exact sums over the uint8 gather)
 and the cross GEMM runs in float32 whenever an exactness bound proves
 every partial sum is an integer below 2**24 — narrower arithmetic,
-identical bits.  The legacy 16-small-GEMM per-byte engine is kept only
-as the test oracle (``tests/oracles.py``) and as the CPA bench's timed
-reference.
+identical bits.  The cross sums are kept sample-major, the GEMM's own
+output layout, so a fold is one contiguous add.  The legacy
+16-small-GEMM per-byte engine is kept only as the test oracle
+(``tests/oracles.py``) and as the CPA bench's timed reference.
 
 Several sensors watching one victim see the same ciphertexts, and the
 hypotheses depend on nothing else.  :meth:`CPAAttack.update_many` folds
-one ciphertext batch into one attack per sensor: each tile's
-hypotheses (gather, hypothesis sums, float block) are prepared once and
-shared, and each attack folds the tile in its own ``update`` call —
-only its trace sums, exactness guard and GEMM are per sensor.  A single
-attack's ``update`` runs the same tiles through the same fold, so a
-fan-out of N is bit-identical to N separate attacks.
+one ciphertext batch into one attack per sensor.  Each tile carries its
+*peers*, the ``(attack, traces)`` pairs that will fold it; its
+hypotheses (gather, hypothesis sums, float blocks) are prepared once,
+and the first fold runs one float32 ``Y.T @ X`` whose ``Y`` stacks the
+windowed traces of every peer within the float32 bound.  Each attack
+still folds the tile in its own ``update`` call, taking its rows of
+that product; a peer past the bound, or with non-integer traces, runs
+its own float64 GEMM.  A single attack's ``update`` builds tiles with
+itself as the only peer, so a fan-out of N is bit-identical to N
+separate attacks.
 
 The engine keeps the exact integer-in-float64 sums of the
 reproducibility contract, so correlations, key ranks and state
@@ -89,17 +94,13 @@ _SCRATCH_POOL: dict = {}
 
 
 def _pool_array(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A reusable scratch buffer of at least ``shape``, viewed to it."""
+    """A reusable C-contiguous scratch buffer viewed to ``shape``."""
+    size = int(np.prod(shape))
     arr = _SCRATCH_POOL.get(name)
-    if arr is None or arr.ndim != len(shape) or any(
-        have < want for have, want in zip(arr.shape, shape)
-    ):
-        grown = shape if arr is None or arr.ndim != len(shape) else tuple(
-            max(have, want) for have, want in zip(arr.shape, shape)
-        )
-        arr = np.empty(grown, dtype=dtype)
+    if arr is None or arr.size < size:
+        arr = np.empty(size, dtype=dtype)
         _SCRATCH_POOL[name] = arr
-    return arr[tuple(slice(0, want) for want in shape)]
+    return arr[:size].reshape(shape)
 
 
 def hypothesis_table() -> np.ndarray:
@@ -148,6 +149,16 @@ def _checked_ciphertexts(ciphertexts) -> np.ndarray:
     return cts
 
 
+def _f32_exact(traces: np.ndarray) -> bool:
+    """Whether ``Y.T @ X`` of these (windowed) traces against a tile's
+    hypotheses is exact in float32: integer readouts, and every partial
+    sum ``rows * 8 * max|y|`` below 2**24."""
+    if not np.issubdtype(traces.dtype, np.integer):
+        return False
+    y_max = max(int(traces.max()), -int(traces.min()), 1)
+    return len(traces) * _MAX_HW * y_max < _F32_EXACT_LIMIT
+
+
 #: ``id`` of the tile whose blocks occupy the shared scratch buffers
 #: (an id, not a reference: a finished tile must not pin its chunk).
 _SCRATCH_OWNER = 0
@@ -155,25 +166,30 @@ _SCRATCH_OWNER = 0
 
 class _HypothesisTile:
     """The hypotheses of one ciphertext tile (at most
-    :data:`_BATCH_TILE_ROWS` rows), prepared on first use and shared by
-    every attack that folds the tile.
+    :data:`_BATCH_TILE_ROWS` rows) and its *peers*, the ``(attack,
+    traces)`` pairs that fold it, prepared on first use and shared by
+    every peer.
 
     Preparing means one ``np.take`` gather of the uint8 hypothesis
     block, its exact narrow sums (per tile ``s_x <= 8*rows < 2**16`` and
-    ``s_x2 <= 64*rows < 2**31``) and, per GEMM dtype asked for, one bulk
-    conversion into a scratch buffer.  The blocks live in the
-    process-wide scratch pool; a tile that finds the pool taken over by
-    another tile rebuilds them, so an older tile never reads a newer
-    tile's data.
+    ``s_x2 <= 64*rows < 2**31``), per GEMM dtype asked for one bulk
+    conversion into a scratch buffer, and one float32 ``Y.T @ X`` whose
+    ``Y`` stacks, column-wise, the windowed traces of every peer that
+    passes the float32 exactness bound.  The blocks and the product
+    live in the process-wide scratch pool; a tile that finds the pool
+    taken over by another tile rebuilds them, so an older tile never
+    reads a newer tile's data.
     """
 
-    __slots__ = ("cts", "_u8", "_blocks", "_sums")
+    __slots__ = ("cts", "peers", "_u8", "_blocks", "_sums", "_product")
 
-    def __init__(self, cts: np.ndarray) -> None:
+    def __init__(self, cts: np.ndarray, peers=()) -> None:
         self.cts = cts
+        self.peers = tuple(peers)
         self._u8: Optional[np.ndarray] = None
         self._blocks: dict = {}
         self._sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._product: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.cts)
@@ -185,6 +201,7 @@ class _HypothesisTile:
             _SCRATCH_OWNER = id(self)
             self._u8 = None
             self._blocks = {}
+            self._product = None
         if self._u8 is None:
             rows = len(self.cts)
             # (rows, 16) flat table codes: ct_target * 256 + ct_partner.
@@ -220,12 +237,55 @@ class _HypothesisTile:
             self._blocks[name] = x
         return x
 
+    def f32_product(self, attack: "CPAAttack", traces: np.ndarray):
+        """``attack``'s rows of the tile's stacked float32 product: its
+        exact ``(window, 16 * 256)`` cross sums, or ``None`` when its
+        traces fail :func:`_f32_exact` and need the float64 GEMM.
 
-def _hypothesis_tiles(cts: np.ndarray):
-    """``(row slice, tile)`` pairs covering ``cts`` in order."""
+        The stacked product is computed once, by the first peer that
+        asks.  A pair that is not one of the tile's peers gets a
+        product of its own, outside the scratch pool.
+        """
+        self._hypotheses()  # claims the pool; drops a stale product
+        for i, (peer, peer_traces) in enumerate(self.peers):
+            if peer is attack and peer_traces is traces:
+                if self._product is None:
+                    self._product = self._stacked_product(self.peers, pooled=True)
+                return self._product[i]
+        return self._stacked_product([(attack, traces)], pooled=False)[0]
+
+    def _stacked_product(self, peers, pooled: bool) -> list:
+        """One float32 ``Y.T @ X`` over the peers that pass the float32
+        bound, split into per-peer rows (``None`` for the others)."""
+        spans, total = [], 0
+        windows = [peer._windowed(traces) for peer, traces in peers]
+        for window in windows:
+            if _f32_exact(window):
+                spans.append(slice(total, total + window.shape[1]))
+                total += window.shape[1]
+            else:
+                spans.append(None)
+        if not total:
+            return spans
+        y = _pool_array("y32", (len(self.cts), total), np.float32)
+        for window, span in zip(windows, spans):
+            if span is not None:
+                np.copyto(y[:, span], window, casting="unsafe")
+        x = self.block(np.float32)
+        out = _pool_array("yx32", (total, x.shape[1]), np.float32) if pooled else None
+        product = np.matmul(y.T, x, out=out)
+        return [None if span is None else product[span] for span in spans]
+
+
+def _hypothesis_tiles(cts: np.ndarray, attacks, traces_list):
+    """Tiles covering ``cts`` in order, each with its ``(attack,
+    traces)`` peers."""
     for start in range(0, len(cts), _BATCH_TILE_ROWS):
         rows = slice(start, min(start + _BATCH_TILE_ROWS, len(cts)))
-        yield rows, _HypothesisTile(cts[rows])
+        yield _HypothesisTile(
+            cts[rows],
+            [(attack, traces[rows]) for attack, traces in zip(attacks, traces_list)],
+        )
 
 
 def _checked_count(name: str, value) -> int:
@@ -286,13 +346,6 @@ class CPAAttack:
         self._stacked = StackedStreamingPearson(
             self.N_BYTES, self.N_GUESSES, self._window_size
         )
-        self._corr_cache: Optional[np.ndarray] = None
-
-    # -- pickling: keep shard result pipes slim ------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_corr_cache"] = None
-        return state
 
     @property
     def _window_size(self) -> int:
@@ -326,15 +379,17 @@ class CPAAttack:
 
         ``ciphertexts`` is the ``(m, 16)`` ciphertext array, or one
         prepared tile of :meth:`update_many` (whose per-sensor folds
-        each run inside their own ``update`` call).
+        each run inside their own ``update`` call).  A plain call is a
+        fan-out of one: its tiles have this attack as their only peer.
         """
         if isinstance(ciphertexts, _HypothesisTile):
             self._fold(self._checked_traces(traces, len(ciphertexts)), ciphertexts)
             return
         cts = _checked_ciphertexts(ciphertexts)
         traces = self._checked_traces(traces, len(cts))
-        for rows, tile in _hypothesis_tiles(cts):
-            self._fold(traces[rows], tile)
+        for tile in _hypothesis_tiles(cts, [self], [traces]):
+            ((_, chunk),) = tile.peers
+            self._fold(chunk, tile)
 
     #: Historical name of :meth:`update`.
     add_traces = update
@@ -349,10 +404,11 @@ class CPAAttack:
         attack per sensor (``traces_list[i]`` into ``attacks[i]``).
 
         Every sensor sees the same ciphertexts, so each row tile's
-        hypotheses (gather, hypothesis sums, float block) are prepared
-        once and shared by all attacks; each attack then folds the tile
-        in its own :meth:`update` call.  Each attack ends bit-identical
-        to a separate ``update(traces_list[i], ciphertexts)``.
+        hypotheses (gather, hypothesis sums, float blocks) are prepared
+        once, and one float32 GEMM serves every sensor whose traces
+        pass the exactness bound.  Each attack then folds the tile in
+        its own :meth:`update` call and ends bit-identical to a
+        separate ``update(traces_list[i], ciphertexts)``.
         """
         if len(attacks) != len(traces_list):
             raise AttackError(
@@ -363,44 +419,38 @@ class CPAAttack:
             attack._checked_traces(traces, len(cts))
             for attack, traces in zip(attacks, traces_list)
         ]
-        for rows, tile in _hypothesis_tiles(cts):
-            for attack, traces in zip(attacks, traces_list):
-                attack.update(traces[rows], tile)
+        for tile in _hypothesis_tiles(cts, attacks, traces_list):
+            for attack, chunk in tile.peers:
+                attack.update(chunk, tile)
+
+    def _windowed(self, traces: np.ndarray) -> np.ndarray:
+        """``traces`` restricted to the sample window."""
+        if self.sample_window is None:
+            return traces
+        return traces[:, self.sample_window[0] : self.sample_window[1]]
 
     def _fold(self, traces: np.ndarray, tile: "_HypothesisTile") -> None:
-        """Fold one tile's traces: take the trace sums, pick the
-        narrowest exact GEMM and fold the tile's shared hypothesis sums
-        with it.
+        """Fold one tile's traces: the trace sums, this attack's rows of
+        the tile's float32 product (or, past the float32 bound, its own
+        float64 GEMM) and the tile's shared hypothesis sums.
 
         Every folded quantity equals the per-byte engine's sum bit for
         bit: hypothesis values and integer readouts make all partial
-        sums exact, so neither summation order nor narrow accumulators
+        sums exact, so neither summation order, the stacking of other
+        sensors' columns into the GEMM, nor narrow accumulators
         (uint16/int32 hypothesis sums, the float32 GEMM under the 2**24
         bound) can change them.
         """
-        integer_traces = np.issubdtype(traces.dtype, np.integer)
-        if self.sample_window is not None:
-            traces = traces[:, self.sample_window[0] : self.sample_window[1]]
-        y = np.asarray(traces, dtype=np.float64)
-        self._corr_cache = None
-        rows = len(tile)
-        width = self.N_BYTES * self.N_GUESSES
-        window = self._window_size
+        y = np.asarray(self._windowed(traces), dtype=np.float64)
         s_y = y.sum(axis=0)
         s_y2 = np.einsum("ij,ij->j", y, y)
-        y_max = float(np.abs(y).max()) if y.size else 0.0
-        if integer_traces and rows * _MAX_HW * max(y_max, 1.0) < _F32_EXACT_LIMIT:
-            # Exact sums are order-free, so take the faster layout.
-            s_xy = np.matmul(
-                y.astype(np.float32).T, tile.block(np.float32),
-                out=_pool_array("yx32", (window, width), np.float32),
-            ).T
-        else:
-            s_xy = np.matmul(
-                tile.block(np.float64).T, y,
-                out=_pool_array("xy64", (width, window), np.float64),
+        s_yx = tile.f32_product(self, traces)
+        if s_yx is None:
+            x = tile.block(np.float64)
+            s_yx = np.matmul(
+                y.T, x, out=_pool_array("yx64", (y.shape[1], x.shape[1]), np.float64)
             )
-        self._stacked.fold_sums(rows, *tile.sums(), s_xy, s_y, s_y2)
+        self._stacked.fold_sample_major(len(tile), *tile.sums(), s_yx, s_y, s_y2)
 
     def add_trace_set(self, trace_set: TraceSet, limit: Optional[int] = None) -> None:
         """Accumulate (the first ``limit`` traces of) a
@@ -427,7 +477,6 @@ class CPAAttack:
             raise AttackError(
                 "cannot merge CPA attacks with different sample configuration"
             )
-        self._corr_cache = None
         self._stacked.merge(other._stacked)
         return self
 
@@ -466,7 +515,6 @@ class CPAAttack:
 
     def load_state_arrays(self, arrays) -> "CPAAttack":
         """Overwrite this attack with a :meth:`state_arrays` dump."""
-        self._corr_cache = None
         self._stacked.load_state_arrays(self._stacked_layout(arrays))
         return self
 
@@ -523,16 +571,14 @@ class CPAAttack:
         """Pearson correlation per (key byte, guess, sample):
         ``(16, 256, window)``.
 
-        Memoized until the next ``add_traces``/``merge``/state load —
-        checkpointed key-rank evaluations over unchanged state reuse
-        the finalized matrix instead of re-deriving it.  The cached
-        array is returned read-only.
+        Memoized by the accumulator until the next ``add_traces``/
+        ``merge``/state load — checkpointed key-rank evaluations over
+        unchanged state reuse the finalized matrix instead of
+        re-deriving it.  The cached array is returned read-only.
         """
         if self.n_traces < 2:
             raise AttackError("need at least two traces to correlate")
-        if self._corr_cache is None:
-            self._corr_cache = self._stacked.finalize()
-        return self._corr_cache
+        return self._stacked.finalize()
 
     def peak_correlations(self) -> np.ndarray:
         """Per (byte, guess) |correlation| maximized over samples:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -180,11 +180,16 @@ def dispatch(
 
     ``workers == 1`` runs ``serial_body`` in plan order (the reference
     semantics every other mode must reproduce bit-identically).  On a
-    pool, ``"stealing"`` submits every shard to the shared queue in
+    pool, ``"stealing"`` feeds shards to the shared queue in
     :func:`steal_order`; ``"static"`` pre-partitions the plan into
     contiguous per-worker groups.  Completion (yield) order is
-    arrival order either way — consumers already tolerate it.  No
-    result is kept once yielded, so consumers hold only what they keep.
+    arrival order either way — consumers already tolerate it.  At most
+    ``workers + 1`` groups are submitted and not yet consumed: a
+    finished shard's result sits in this process until the consumer
+    takes it, so an unbounded queue would let a consumer slower than
+    its workers (key rank at a campaign's early checkpoints) hold
+    every finished shard at once.  No result is kept once yielded, so
+    consumers hold only what they keep.
     """
     if workers == 1:
         for task in tasks:
@@ -197,22 +202,28 @@ def dispatch(
         initargs=pool_initargs,
     ) as pool:
         if schedule == "static":
-            groups = static_groups(len(tasks), max_workers)
+            queue = deque(static_groups(len(tasks), max_workers))
         else:
-            groups = [[i] for i in steal_order(tasks, classes)]
-        futures = {
-            pool.submit(
-                run_task_group,
-                pool_task,
-                [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
-            ): group
-            for group in groups
-        }
-        for future in as_completed(futures):
-            group, results = futures.pop(future), future.result()
-            del future
-            for i in group:
-                yield tasks[i], results.pop(0)
+            queue = deque([i] for i in steal_order(tasks, classes))
+        futures: Dict[object, List[int]] = {}
+
+        def submit() -> None:
+            while queue and len(futures) <= max_workers:
+                group = queue.popleft()
+                futures[pool.submit(
+                    run_task_group,
+                    pool_task,
+                    [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
+                )] = group
+
+        submit()
+        while futures:
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                group, results = futures.pop(future), future.result()
+                for i in group:
+                    yield tasks[i], results.pop(0)
+                submit()
 
 
 class RemotePrefetcher:

@@ -93,6 +93,7 @@ class PerByteCPA(CPAAttack):
     ) -> None:
         super().__init__(n_samples, sample_window)
         del self._stacked
+        self._corr_cache: Optional[np.ndarray] = None
         self._byte_corr = [
             StreamingPearson(self.N_GUESSES, self._window_size)
             for _ in range(self.N_BYTES)

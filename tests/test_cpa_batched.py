@@ -187,6 +187,19 @@ def fan_out_vs_solo(traces_list, cts, cuts, window=None, mode="batched"):
     return fanned, solo
 
 
+def assert_matches_separate_and_oracle(fanned, traces_list, cts, windows=None):
+    """Each fanned-out attack equals a separate attack fed its traces,
+    state for state, and the per-byte oracle's correlations."""
+    windows = windows or [None] * len(fanned)
+    for attack, traces, window in zip(fanned, traces_list, windows):
+        solo = CPAAttack(S, window)
+        solo.add_traces(traces, cts)
+        assert_same_state(attack, solo)
+        oracle = PerByteCPA(S, window)
+        oracle.add_traces(traces, cts)
+        assert np.array_equal(attack.correlations(), oracle.correlations())
+
+
 def sensor_traces(n, m, seed=0, high=2048, dtype=np.int16):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, high, size=(m, S)).astype(dtype) for _ in range(n)]
@@ -272,8 +285,8 @@ class TestFanOut:
         from repro.attacks.cpa import _hypothesis_tiles
 
         traces, cts = batch
-        (_, first), = _hypothesis_tiles(cts[:300])
-        (_, second), = _hypothesis_tiles(cts[300:600])
+        (first,) = _hypothesis_tiles(cts[:300], [], [])
+        (second,) = _hypothesis_tiles(cts[300:600], [], [])
         a, b, c = (CPAAttack(S) for _ in range(3))
         a.update(traces[:300], first)
         b.update(traces[300:600], second)
@@ -282,6 +295,85 @@ class TestFanOut:
         reference.add_traces(traces[:300], cts[:300])
         assert_same_state(a, reference)
         assert_same_state(c, reference)
+
+    def test_interleaved_tiles_rebuild_their_stacked_product(self, batch):
+        # Each tile's stacked float32 product lives in the shared scratch
+        # pool; peers of two tiles folded in turn must each rebuild it
+        # instead of reading the other tile's product.
+        from repro.attacks.cpa import _hypothesis_tiles
+
+        _, cts = batch
+        traces_list = sensor_traces(3, 600, seed=6)
+        fanned = [CPAAttack(S) for _ in traces_list]
+        with mock.patch.object(cpa, "_BATCH_TILE_ROWS", 300):
+            tiles = list(_hypothesis_tiles(cts[:600], fanned, traces_list))
+        assert len(tiles) == 2
+        for i in range(len(traces_list)):
+            for tile in tiles:
+                attack, chunk = tile.peers[i]
+                attack.update(chunk, tile)
+        assert_matches_separate_and_oracle(fanned, traces_list, cts[:600])
+
+    def test_mixed_dtypes_and_bounds_in_one_tile(self, batch):
+        # int16 peers share the float32 product; a float-typed peer and
+        # a peer past the 2**24 bound run their own float64 GEMMs.
+        traces, cts = batch
+        big = np.random.default_rng(7).integers(
+            -(2**22), 2**22, size=traces.shape
+        )
+        traces_list = [
+            traces, traces.astype(np.float64), big, traces[:, ::-1].copy()
+        ]
+        fanned = [CPAAttack(S) for _ in traces_list]
+        CPAAttack.update_many(fanned, traces_list, cts)
+        assert_matches_separate_and_oracle(fanned, traces_list, cts)
+
+    def test_peers_with_different_sample_windows(self, batch):
+        _, cts = batch
+        traces_list = sensor_traces(len(WINDOWS), len(cts), seed=8)
+        fanned = [CPAAttack(S, window) for window in WINDOWS]
+        CPAAttack.update_many(fanned, traces_list, cts)
+        assert_matches_separate_and_oracle(fanned, traces_list, cts, WINDOWS)
+
+    def test_update_with_unregistered_traces(self, batch):
+        # A tile folds exactly the traces update is given: a pair that
+        # is not one of its peers gets a product of its own and leaves
+        # the peers' stacked product intact.
+        from repro.attacks.cpa import _hypothesis_tiles
+
+        traces, cts = batch
+        registered = sensor_traces(3, len(cts), seed=9)
+        fanned = [CPAAttack(S) for _ in registered]
+        (tile,) = _hypothesis_tiles(cts, fanned, registered)
+        stranger = CPAAttack(S)
+        fanned[2].update(tile.peers[2][1], tile)  # builds the product
+        stranger.update(traces, tile)
+        fanned[1].update(traces, tile)  # a peer, but not its traces
+        fanned[0].update(tile.peers[0][1], tile)  # the product's first rows
+        assert_matches_separate_and_oracle(
+            [*fanned, stranger], [registered[0], traces, registered[2], traces], cts
+        )
+
+    def test_state_arrays_keep_the_group_major_layout(self, batch):
+        # Sample-major sums inside; the dump is the (16, 256, window)
+        # C-ordered layout snapshots have always stored.
+        _, cts = batch
+        traces_list = sensor_traces(2, len(cts), seed=10)
+        fanned = [CPAAttack(S, (3, 17)) for _ in traces_list]
+        CPAAttack.update_many(fanned, traces_list, cts)
+        oracle = PerByteCPA(S, (3, 17))
+        oracle.add_traces(traces_list[1], cts)
+        want = oracle._stacked_layout(oracle.state_arrays())
+        got = fanned[1].state_arrays()
+        assert got.keys() == want.keys()
+        assert np.array_equal(got["n"], want["n"]) and got["n"][0] == len(cts)
+        for name in ("s_x", "s_x2", "s_y", "s_y2", "s_xy"):
+            expected = np.ascontiguousarray(want[name], dtype=np.float64)
+            assert got[name].dtype == np.float64, name
+            assert got[name].shape == expected.shape, name
+            assert got[name].flags.c_contiguous, name
+            assert got[name].tobytes() == expected.tobytes(), name
+        assert got["s_xy"].shape == (16, 256, 14)
 
     def test_rejects_mismatched_inputs_before_folding(self, batch):
         traces, cts = batch
@@ -400,6 +492,18 @@ class TestEngineSelection:
             attack.add_traces(traces, cts)
             clone = pickle.loads(pickle.dumps(attack))
             assert np.array_equal(clone.correlations(), attack.correlations())
+
+    def test_pickle_does_not_carry_the_correlation_memo(self, batch):
+        import pickle
+
+        traces, cts = batch
+        attack = CPAAttack(S)
+        attack.add_traces(traces, cts)
+        before = len(pickle.dumps(attack))
+        rho = attack.correlations()
+        assert len(pickle.dumps(attack)) == before
+        clone = pickle.loads(pickle.dumps(attack))
+        assert np.array_equal(clone.correlations(), rho)
 
 
 class TestCorrelationCache:

@@ -14,6 +14,7 @@ import threading
 import time
 import warnings
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -448,6 +449,30 @@ class TestSchedulerPrimitives:
             previous = weakref.ref(result)
         del result
         assert previous() is None
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_pool_dispatch_bounds_unconsumed_shards(self, schedule, monkeypatch):
+        """A consumer slower than its workers never has more than
+        workers + 1 shards submitted and not yet consumed, and still
+        gets every shard once."""
+        submitted = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def counting_submit(pool, *args, **kwargs):
+            submitted.append(args)
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        consumed = []
+        for task, _ in dispatch(
+            _tasks(8, keyed=False), workers=2, schedule=schedule,
+            serial_body=None, pool_task=_array_task,
+            pool_initializer=None, pool_initargs=(),
+        ):
+            assert len(submitted) - len(consumed) <= 3
+            time.sleep(0.05)
+            consumed.append(task.position)
+        assert sorted(consumed) == list(range(8))
 
     def test_prefetcher_pulls_remote_keys(self, tmp_path, server):
         a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
