@@ -2,14 +2,12 @@
 
 The paper quantifies sensor quality with the Pearson correlation
 coefficient (linearity of readout vs. activity) and the linear
-regression coefficient (readout change per activity unit) — Fig. 3 —
-and the trace analyses need SNR and Welch's t-test.
+regression coefficient (readout change per activity unit) — Fig. 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -53,33 +51,3 @@ def linear_regression(x, y) -> RegressionResult:
         raise ConfigurationError("regression needs two equal-length samples, n >= 2")
     slope, intercept = np.polyfit(x, y, 1)
     return RegressionResult(float(slope), float(intercept), pearson(x, y))
-
-
-def snr(signal_means, noise_variances) -> float:
-    """Side-channel SNR: variance of the data-dependent means over the
-    mean noise variance."""
-    means = np.asarray(signal_means, dtype=float).ravel()
-    variances = np.asarray(noise_variances, dtype=float).ravel()
-    if means.size < 2 or variances.size == 0:
-        raise ConfigurationError("snr needs >= 2 class means and >= 1 variance")
-    noise = float(np.mean(variances))
-    if noise <= 0:
-        raise ConfigurationError("snr undefined for zero noise variance")
-    return float(np.var(means) / noise)
-
-
-def welch_t_test(a, b) -> Tuple[float, float]:
-    """Welch's t statistic and degrees of freedom for two samples
-    (the TVLA-style leakage check used in the defense study)."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size < 2 or b.size < 2:
-        raise ConfigurationError("welch_t_test needs n >= 2 per sample")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    na, nb = a.size, b.size
-    se2 = va / na + vb / nb
-    if se2 == 0:
-        raise ConfigurationError("welch_t_test undefined for zero variance")
-    t = (a.mean() - b.mean()) / np.sqrt(se2)
-    dof = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return float(t), float(dof)

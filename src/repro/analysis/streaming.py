@@ -1,10 +1,10 @@
 """Streaming one-pass statistics for large trace campaigns.
 
-Every attack statistic in this repository — Pearson correlation (CPA)
-and Welch's t (TVLA) — reduces to a handful of running sums over the
-trace stream.  The classes here maintain exactly
-those sums behind a uniform ``update(chunk) / merge(other) / finalize()``
-protocol, so trace matrices never have to be materialized: shards from
+The attack statistic in this repository — Pearson correlation (CPA) —
+reduces to a handful of running sums over the trace stream.  The
+classes here maintain exactly those sums behind a uniform
+``update(chunk) / merge(other) / finalize()`` protocol, so trace
+matrices never have to be materialized: shards from
 :class:`repro.runtime.Engine` (or chunks from any other producer) can be
 folded in as they arrive, in any order.
 
@@ -19,9 +19,8 @@ integer-valued inputs at any chunk size and any merge order** — the
 property the differential tests in ``tests/test_runtime.py`` and the
 hypothesis suite in ``tests/test_streaming_properties.py`` pin down.
 For general float inputs the same sums agree with a batch two-pass
-computation to ~1e-10 on well-scaled data; for hostile scalings use
-:class:`WelfordMoments`, whose Chan-style merge is numerically stable
-and whose variance can never go negative.
+computation to ~1e-10 on well-scaled data; variances are clamped at
+zero against the raw-sums cancellation of badly scaled columns.
 """
 
 from __future__ import annotations
@@ -36,12 +35,9 @@ from repro.errors import AttackError, ConfigurationError
 __all__ = [
     "validate_chunk_size",
     "iter_chunk_slices",
-    "WelfordMoments",
-    "SumMoments",
     "SharedTraceMoments",
     "StreamingPearson",
     "StackedStreamingPearson",
-    "StreamingWelchT",
 ]
 
 
@@ -124,156 +120,8 @@ def _check_mergeable(a, b, attrs: Tuple[str, ...]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Moment accumulators.
+# Trace moments.
 # ----------------------------------------------------------------------
-
-
-class WelfordMoments:
-    """Numerically stable per-column mean/variance (Welford + Chan merge).
-
-    Use this for float data of arbitrary scale: the M2 update is a sum
-    of non-negative terms, so the variance cannot go negative no matter
-    how hostile the input (the classic ``sum(x^2) - n*mean^2``
-    cancellation failure).  For integer readout streams prefer
-    :class:`SumMoments`, whose exact sums are additionally
-    bit-reproducible across chunkings.
-    """
-
-    def __init__(self, n_columns: int) -> None:
-        if n_columns <= 0:
-            raise AttackError("n_columns must be positive")
-        self.n_columns = int(n_columns)
-        self.n = 0
-        self._mean = np.zeros(self.n_columns)
-        self._m2 = np.zeros(self.n_columns)
-
-    def update(self, chunk) -> "WelfordMoments":
-        """Fold one ``(m, n_columns)`` chunk in."""
-        arr = _as_chunk(chunk, "moments", self.n_columns)
-        m = arr.shape[0]
-        chunk_mean = arr.mean(axis=0)
-        chunk_m2 = ((arr - chunk_mean) ** 2).sum(axis=0)
-        if self.n == 0:
-            self.n, self._mean, self._m2 = m, chunk_mean, chunk_m2
-            return self
-        n_total = self.n + m
-        delta = chunk_mean - self._mean
-        self._mean = self._mean + delta * (m / n_total)
-        self._m2 = self._m2 + chunk_m2 + delta**2 * (self.n * m / n_total)
-        self.n = n_total
-        return self
-
-    def merge(self, other: "WelfordMoments") -> "WelfordMoments":
-        """Fold another accumulator in (Chan et al. parallel update)."""
-        _check_mergeable(self, other, ("n_columns",))
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n = other.n
-            self._mean = other._mean.copy()
-            self._m2 = other._m2.copy()
-            return self
-        n_total = self.n + other.n
-        delta = other._mean - self._mean
-        self._mean = self._mean + delta * (other.n / n_total)
-        self._m2 = self._m2 + other._m2 + delta**2 * (self.n * other.n / n_total)
-        self.n = n_total
-        return self
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Per-column mean so far."""
-        if self.n == 0:
-            raise AttackError("no data accumulated")
-        return self._mean.copy()
-
-    def variance(self, ddof: int = 1) -> np.ndarray:
-        """Per-column variance; non-negative by construction."""
-        if self.n <= ddof:
-            raise AttackError(f"need more than {ddof} rows for ddof={ddof}")
-        return np.maximum(self._m2, 0.0) / (self.n - ddof)
-
-    def finalize(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``(n, mean, sample variance)``."""
-        return self.n, self.mean, self.variance(ddof=1)
-
-
-class SumMoments:
-    """Per-column count / sum / sum-of-squares.
-
-    The raw-sums counterpart of :class:`WelfordMoments`: exact (hence
-    bit-reproducible under any chunking or merge order) whenever the
-    inputs are integer-valued with magnitudes far below 2**26.
-    """
-
-    def __init__(self, n_columns: int) -> None:
-        if n_columns <= 0:
-            raise AttackError("n_columns must be positive")
-        self.n_columns = int(n_columns)
-        self.n = 0
-        self._s = np.zeros(self.n_columns)
-        self._s2 = np.zeros(self.n_columns)
-
-    def update(self, chunk) -> "SumMoments":
-        """Fold one ``(m, n_columns)`` chunk in."""
-        arr = _as_chunk(chunk, "moments", self.n_columns)
-        self.n += arr.shape[0]
-        self._s += arr.sum(axis=0)
-        self._s2 += (arr**2).sum(axis=0)
-        return self
-
-    def merge(self, other: "SumMoments") -> "SumMoments":
-        """Fold another accumulator in."""
-        _check_mergeable(self, other, ("n_columns",))
-        self.n += other.n
-        self._s += other._s
-        self._s2 += other._s2
-        return self
-
-    def state_arrays(self) -> dict:
-        """The accumulator's full state as named arrays.
-
-        The sums are exact, so a state round-trip through
-        :meth:`load_state_arrays` reproduces every later statistic bit
-        for bit — the contract the engine's attack-state snapshots
-        (:meth:`repro.runtime.Engine.stream_attack`) rest on.
-        """
-        return {
-            "n": np.array([self.n], dtype=np.int64),
-            "s": self._s.copy(),
-            "s2": self._s2.copy(),
-        }
-
-    def load_state_arrays(self, arrays: Mapping) -> "SumMoments":
-        """Overwrite this accumulator with a :meth:`state_arrays` dump."""
-        s = np.array(arrays["s"], dtype=np.float64)
-        s2 = np.array(arrays["s2"], dtype=np.float64)
-        if s.shape != (self.n_columns,) or s2.shape != (self.n_columns,):
-            raise AttackError(
-                f"state arrays do not match {self.n_columns} columns"
-            )
-        self.n = int(np.asarray(arrays["n"]).reshape(-1)[0])
-        self._s = s
-        self._s2 = s2
-        return self
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Per-column mean so far."""
-        if self.n == 0:
-            raise AttackError("no data accumulated")
-        return self._s / self.n
-
-    def variance(self, ddof: int = 1) -> np.ndarray:
-        """Per-column variance, clamped at zero against cancellation."""
-        if self.n <= ddof:
-            raise AttackError(f"need more than {ddof} rows for ddof={ddof}")
-        centered = self._s2 - self._s**2 / self.n
-        return np.maximum(centered, 0.0) / (self.n - ddof)
-
-    def finalize(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``(n, mean, sample variance)``."""
-        return self.n, self.mean, self.variance(ddof=1)
 
 
 class SharedTraceMoments:
@@ -284,8 +132,8 @@ class SharedTraceMoments:
     independent hypothesis groups; the per-byte accumulators used to
     keep 16 identical copies of ``s_y`` / ``s_y2`` and recompute them
     16 times per chunk.  This accumulator holds the one shared copy.
-    Like :class:`SumMoments` the sums are exact (hence bit-reproducible
-    under any chunking or merge order) for integer-valued inputs.
+    The sums are exact (hence bit-reproducible under any chunking or
+    merge order) for integer-valued inputs.
     """
 
     def __init__(self, n_samples: int) -> None:
@@ -698,78 +546,3 @@ class StackedStreamingPearson:
         rho.flags.writeable = False
         self._rho = rho.T.reshape(self.n_groups, self.n_vars, self.n_samples)
         return self._rho
-
-
-# ----------------------------------------------------------------------
-# Welch's t — the TVLA statistic.
-# ----------------------------------------------------------------------
-
-
-class StreamingWelchT:
-    """One-pass per-sample Welch t between two trace classes.
-
-    Feed fixed-class chunks with ``update_fixed`` and random-class
-    chunks with ``update_random`` (or ``update(chunk, label)`` with
-    label 0 = fixed, 1 = random); ``finalize()`` returns the per-sample
-    t statistics.  Zero-variance samples finalize to t = 0, matching
-    :func:`repro.analysis.tvla.fixed_vs_random_t`.
-    """
-
-    #: Class labels accepted by :meth:`update`.
-    FIXED, RANDOM = 0, 1
-
-    def __init__(self, n_samples: int) -> None:
-        if n_samples <= 0:
-            raise AttackError("n_samples must be positive")
-        self.n_samples = int(n_samples)
-        self._classes = (SumMoments(n_samples), SumMoments(n_samples))
-
-    @property
-    def n_fixed(self) -> int:
-        """Fixed-class traces accumulated so far."""
-        return self._classes[self.FIXED].n
-
-    @property
-    def n_random(self) -> int:
-        """Random-class traces accumulated so far."""
-        return self._classes[self.RANDOM].n
-
-    def update(self, chunk, label: int) -> "StreamingWelchT":
-        """Fold one ``(m, n_samples)`` chunk of class ``label`` in."""
-        if label not in (self.FIXED, self.RANDOM):
-            raise AttackError(f"label must be 0 (fixed) or 1 (random), got {label!r}")
-        self._classes[label].update(chunk)
-        return self
-
-    def update_fixed(self, chunk) -> "StreamingWelchT":
-        """Fold one fixed-class chunk in."""
-        return self.update(chunk, self.FIXED)
-
-    def update_random(self, chunk) -> "StreamingWelchT":
-        """Fold one random-class chunk in."""
-        return self.update(chunk, self.RANDOM)
-
-    def merge(self, other: "StreamingWelchT") -> "StreamingWelchT":
-        """Fold another accumulator in."""
-        _check_mergeable(self, other, ("n_samples",))
-        for mine, theirs in zip(self._classes, other._classes):
-            mine.merge(theirs)
-        return self
-
-    def telemetry_counters(self) -> dict:
-        """Numeric progress counters for checkpoint telemetry spans."""
-        return {
-            "n_fixed": self.n_fixed,
-            "n_random": self.n_random,
-            "n_samples": self.n_samples,
-        }
-
-    def finalize(self) -> np.ndarray:
-        """Per-sample Welch t statistics, ``(n_samples,)``."""
-        fixed, rand = self._classes
-        if fixed.n < 2 or rand.n < 2:
-            raise AttackError("need at least two traces per class")
-        se2 = fixed.variance(ddof=1) / fixed.n + rand.variance(ddof=1) / rand.n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = (fixed.mean - rand.mean) / np.sqrt(se2)
-        return np.nan_to_num(t, nan=0.0)

@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.analysis.streaming import StackedStreamingPearson
 from repro.errors import AttackError
-from repro.traces.store import TraceSet
 from repro.victims.aes.core import SHIFT_ROWS_IDX
 from repro.victims.aes.key_schedule import invert_key_schedule
 from repro.victims.aes.sbox import HW8, INV_SBOX
@@ -451,12 +450,6 @@ class CPAAttack:
                 y.T, x, out=_pool_array("yx64", (y.shape[1], x.shape[1]), np.float64)
             )
         self._stacked.fold_sample_major(len(tile), *tile.sums(), s_yx, s_y, s_y2)
-
-    def add_trace_set(self, trace_set: TraceSet, limit: Optional[int] = None) -> None:
-        """Accumulate (the first ``limit`` traces of) a
-        :class:`~repro.traces.store.TraceSet`."""
-        n = len(trace_set) if limit is None else min(limit, len(trace_set))
-        self.add_traces(trace_set.traces[:n], trace_set.ciphertexts[:n])
 
     def merge(self, other: "CPAAttack") -> "CPAAttack":
         """Fold another attack's accumulated sums in.

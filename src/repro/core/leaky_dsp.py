@@ -221,14 +221,6 @@ class LeakyDSP(VoltageSensor):
         self.invalidate_table()
 
     @property
-    def phase_margin(self) -> float:
-        """Current capture phase minus nominal settle-time centre [s]:
-        positive margins capture more settled bits."""
-        phi = self.capture_offset + self._idelay_clk.delay()
-        tau_c = self.chain_delay + self._idelay_a.delay()
-        return phi - tau_c
-
-    @property
     def num_tap_settings(self) -> int:
         """Taps available on each IDELAY (device family dependent)."""
         return self._idelay_a.NUM_TAPS

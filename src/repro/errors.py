@@ -82,6 +82,19 @@ class CacheIntegrityWarning(UserWarning):
     does not use the atomic temp-file + rename protocol)."""
 
 
+class WorkerLostError(ReproError):
+    """A pool worker process died mid-campaign (killed, crashed, out of
+    memory), taking the shards it held with it.
+
+    ``shards`` lists the plan indices of the shards whose results never
+    arrived: those in flight when the pool broke and those not yet
+    started."""
+
+    def __init__(self, message: str, shards=()) -> None:
+        super().__init__(message)
+        self.shards = tuple(shards)
+
+
 class AttackError(ReproError):
     """A side-channel attack could not be carried out as requested."""
 

@@ -11,7 +11,6 @@ which keeps the attacker/defender interface honest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -68,60 +67,6 @@ class Bitstream:
             if frame.cell == cell:
                 return frame
         raise NetlistError(f"no frame for cell {cell!r} in bitstream {self.design!r}")
-
-    # -- serialisation --------------------------------------------------
-    def to_json(self) -> str:
-        """Serialize to a JSON string (the on-disk bitstream format)."""
-        return json.dumps(
-            {
-                "design": self.design,
-                "device": self.device,
-                "frames": [
-                    {
-                        "site": f.site,
-                        "x": f.site_x,
-                        "y": f.site_y,
-                        "cell": f.cell,
-                        "type": f.cell_type,
-                        "attrs": dict(f.attributes),
-                    }
-                    for f in self.frames
-                ],
-                "routes": [
-                    {
-                        "net": r.net,
-                        "driver": list(r.driver),
-                        "sinks": [list(s) for s in r.sinks],
-                    }
-                    for r in self.routes
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Bitstream":
-        """Parse a bitstream back from its JSON form."""
-        data = json.loads(text)
-        frames = [
-            ConfigFrame(
-                site=f["site"],
-                site_x=int(f["x"]),
-                site_y=int(f["y"]),
-                cell=f["cell"],
-                cell_type=f["type"],
-                attributes=tuple(sorted(f["attrs"].items())),
-            )
-            for f in data["frames"]
-        ]
-        routes = [
-            RouteRecord(
-                net=r["net"],
-                driver=tuple(r["driver"]),
-                sinks=tuple(tuple(s) for s in r["sinks"]),
-            )
-            for r in data["routes"]
-        ]
-        return cls(design=data["design"], device=data["device"], frames=frames, routes=routes)
 
 
 def reconstruct_netlist(bitstream: Bitstream) -> Netlist:

@@ -109,15 +109,6 @@ class Routing:
         total = self.device.width * self.device.height
         return len(self.occupied_tiles()) / total
 
-    def congestion_map(self) -> Dict[Tuple[int, int], int]:
-        """Tile -> number of net paths crossing it."""
-        usage: Dict[Tuple[int, int], int] = {}
-        for net in self.nets.values():
-            for conn in net.connections:
-                for tile in conn.path:
-                    usage[tile] = usage.get(tile, 0) + 1
-        return usage
-
     def total_wirelength(self) -> int:
         """Sum of unique-tile wirelengths over all nets."""
         return sum(net.wirelength for net in self.nets.values())

@@ -18,9 +18,7 @@ The extension is strictly optional and strictly an accelerator:
   replica of the exact operation sequence before it is ever trusted;
 * any failure (no compiler, unsupported flags, self-test mismatch)
   silently resolves to "not available" and callers fall back to the
-  tiled numpy path, which is bit-identical, just slower;
-* ``REPRO_CSAMPLER=0`` disables it outright (``1``/``auto``/unset try
-  to build).
+  tiled numpy path, which is bit-identical, just slower.
 
 The C loop replicates, operation for operation, the arithmetic of
 ``FusedAcquisitionKernel._sample_normal`` applied to ``flat + offset +
@@ -229,8 +227,6 @@ def _compile(flags) -> Optional[ctypes.CDLL]:
 
 
 def _resolve() -> Optional[CSampler]:
-    if os.environ.get("REPRO_CSAMPLER", "auto").lower() in ("0", "off", "false"):
-        return None
     for flags in _FLAG_SETS:
         try:
             lib = _compile(flags)
@@ -262,10 +258,3 @@ def get_sampler() -> Optional[CSampler]:
         _RESOLVED = True
     return _SAMPLER
 
-
-def _reset() -> None:
-    """Forget the resolved sampler (test hook, e.g. after changing
-    ``REPRO_CSAMPLER``)."""
-    global _RESOLVED, _SAMPLER
-    _RESOLVED = False
-    _SAMPLER = None

@@ -97,9 +97,10 @@ class CouplingModel:
     ) -> None:
         self.device = device
         self.constants = constants
-        # Per-dt low-pass coefficient cache: acquisition calls
-        # filter_currents once per chunk with the same sample period, so
-        # the (b, a, zi) design is computed once, not per chunk.
+        # Per-dt low-pass coefficient cache: the reference acquisition
+        # path (the unfused test oracle) calls filter_currents once per
+        # chunk with the same sample period, so the (b, a, zi) design is
+        # computed once, not per chunk.
         self._filter_designs: Dict[float, Tuple[List[float], List[float], np.ndarray]] = {}
         if supply_factors is None:
             supply_factors = REGION_SUPPLY_FACTORS.get(device.name, {})
@@ -160,25 +161,6 @@ class CouplingModel:
         return kernel / self.supply_factor(*sensor_pos)
 
     # ------------------------------------------------------------------
-    def nominal_voltage(self, sensor_pos: Tuple[float, float]) -> float:
-        """Idle supply voltage at a sensor position."""
-        return self.constants.v_nominal
-
-    def static_droop(
-        self,
-        sensor_pos: Tuple[float, float],
-        loads: Sequence[LoadSite],
-        currents: Sequence[float],
-    ) -> float:
-        """Steady-state voltage droop [V] at the sensor for constant
-        load currents."""
-        currents = np.asarray(currents, dtype=float)
-        if currents.shape != (len(loads),):
-            raise ConfigurationError(
-                f"need one current per load ({len(loads)}), got {currents.shape}"
-            )
-        return float(self.coupling_vector(sensor_pos, loads) @ currents)
-
     def filter_design(self, dt: float) -> Tuple[List[float], List[float], np.ndarray]:
         """The first-order low-pass design ``(b, a, zi)`` for a sample
         period, cached per ``dt`` (the coefficients and the unit
@@ -214,47 +196,6 @@ class CouplingModel:
             b, den, currents, axis=-1, zi=zi * x0
         )
         return filtered
-
-    def voltage_trace(
-        self,
-        sensor_pos: Tuple[float, float],
-        loads: Sequence[LoadSite],
-        load_currents: np.ndarray,
-        dt: float,
-        filtered: bool = True,
-    ) -> np.ndarray:
-        """Sensor-node voltage over time.
-
-        Parameters
-        ----------
-        sensor_pos:
-            Sensor position on the grid.
-        loads:
-            Load sites.
-        load_currents:
-            ``(n_loads, n_samples)`` current per load per sample [A], or
-            ``(n_samples,)`` for a single load.
-        dt:
-            Sample period [s].
-        filtered:
-            Apply the PDN low-pass (disable for steady-state analyses).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(n_samples,)`` voltages [V].
-        """
-        load_currents = np.atleast_2d(np.asarray(load_currents, dtype=float))
-        if load_currents.shape[0] != len(loads):
-            raise ConfigurationError(
-                f"load_currents must have {len(loads)} rows, "
-                f"got {load_currents.shape[0]}"
-            )
-        kappas = self.coupling_vector(sensor_pos, loads)
-        droop = kappas @ load_currents
-        if filtered:
-            droop = self.filter_currents(droop, dt)
-        return self.constants.v_nominal - droop
 
 
 def fit_to_mesh(

@@ -33,6 +33,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -46,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerLostError
 from repro.runtime.metrics import CACHE_COUNTS
 from repro.runtime.sharding import Shard
 
@@ -190,6 +191,10 @@ def dispatch(
     its workers (key rank at a campaign's early checkpoints) hold
     every finished shard at once.  No result is kept once yielded, so
     consumers hold only what they keep.
+
+    A worker that dies (killed, ``os._exit``, out of memory) breaks the
+    whole pool; that surfaces as :class:`~repro.errors.WorkerLostError`
+    naming every shard whose result had not arrived.
     """
     if workers == 1:
         for task in tasks:
@@ -209,21 +214,34 @@ def dispatch(
 
         def submit() -> None:
             while queue and len(futures) <= max_workers:
-                group = queue.popleft()
+                group = queue[0]
                 futures[pool.submit(
                     run_task_group,
                     pool_task,
                     [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
                 )] = group
+                queue.popleft()
 
-        submit()
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                group, results = futures.pop(future), future.result()
-                for i in group:
-                    yield tasks[i], results.pop(0)
-                submit()
+        try:
+            submit()
+            while futures:
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for future in done:
+                    results = future.result()
+                    group = futures.pop(future)
+                    for i in group:
+                        yield tasks[i], results.pop(0)
+                    submit()
+        except BrokenProcessPool as exc:
+            shards = sorted(
+                tasks[i].shard.index
+                for group in [*futures.values(), *queue]
+                for i in group
+            )
+            raise WorkerLostError(
+                f"a pool worker died; shards {shards} were lost ({exc})",
+                shards,
+            ) from exc
 
 
 class RemotePrefetcher:

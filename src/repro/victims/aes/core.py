@@ -175,22 +175,3 @@ class AES128:
     def decrypt(self, ciphertext) -> bytes:
         """Decrypt a single 16-byte block; returns bytes."""
         return self.decrypt_blocks(ciphertext)[0].tobytes()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def last_round_transition(ciphertexts, key_byte_guess: np.ndarray, byte_index: int) -> np.ndarray:
-        """CPA hypothesis helper: predicted round-9 state byte under
-        each guess of last-round-key byte ``byte_index``.
-
-        ``ct[i] = SBOX[state9[SHIFT_ROWS_IDX[i]]] ^ k10[i]``, so the
-        predicted byte sits at register position
-        ``b = SHIFT_ROWS_IDX[byte_index]``.  Returns ``(n_guesses,
-        n_traces)`` predicted round-9 bytes; the register transition the
-        sensor sees is this byte XOR the ciphertext byte at position
-        ``b``.
-        """
-        from repro.victims.aes.sbox import INV_SBOX
-
-        cts = _as_blocks(ciphertexts)
-        guesses = np.asarray(key_byte_guess, dtype=np.uint8).reshape(-1, 1)
-        return INV_SBOX[cts[:, byte_index][None, :] ^ guesses]

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    linear_regression,
-    pearson,
-    snr,
-    welch_t_test,
-)
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.stats import linear_regression, pearson
 from repro.errors import ConfigurationError
 
 
@@ -58,60 +52,3 @@ class TestRegression:
         with pytest.raises(ConfigurationError):
             linear_regression([1.0], [2.0])
 
-
-class TestSnr:
-    def test_known_ratio(self):
-        means = [0.0, 2.0]  # var = 1.0
-        variances = [0.5, 0.5]
-        assert snr(means, variances) == pytest.approx(2.0)
-
-    def test_zero_noise_rejected(self):
-        with pytest.raises(ConfigurationError):
-            snr([0, 1], [0.0])
-
-    def test_one_class_rejected(self):
-        with pytest.raises(ConfigurationError):
-            snr([1.0], [0.5])
-
-
-class TestWelch:
-    def test_identical_samples_t_zero(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(0, 1, 500)
-        t, dof = welch_t_test(a, a + 0.0)
-        assert t == pytest.approx(0.0)
-        assert dof > 100
-
-    def test_separated_samples_large_t(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(0, 1, 500)
-        b = rng.normal(5, 1, 500)
-        t, _dof = welch_t_test(a, b)
-        assert abs(t) > 50
-
-    def test_sign_convention(self):
-        a = np.array([10.0, 10.1, 9.9])
-        b = np.array([1.0, 1.1, 0.9])
-        t, _ = welch_t_test(a, b)
-        assert t > 0
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            welch_t_test([1.0], [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            welch_t_test([1.0, 1.0], [2.0, 2.0])
-
-
-class TestSweep:
-    def test_collects_outputs(self):
-        result = sweep("n", [1, 2, 3], lambda n: n * n)
-        assert result.outputs == [1, 4, 9]
-        assert result.parameter == "n"
-
-    def test_rows(self):
-        rows = sweep("x", [5], lambda x: "out").as_rows()
-        assert rows == [{"x": 5, "output": "out"}]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep("x", [], lambda x: x)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.fpga.bitstream import Bitstream, generate_bitstream
+from repro.fpga.bitstream import generate_bitstream
 from repro.fpga.netlist import Netlist
 from repro.fpga.placement import Placer
 from repro.fpga.primitives import DSP48E1, FDRE, LUT
@@ -83,28 +83,3 @@ class TestGeneration:
         nl, placement = small_design
         bs = generate_bitstream(nl, placement)
         assert bs.frame_for_cell("dsp").attribute("NOPE", "fallback") == "fallback"
-
-
-class TestSerialization:
-    def test_json_roundtrip(self, small_design):
-        nl, placement = small_design
-        bs = generate_bitstream(nl, placement)
-        restored = Bitstream.from_json(bs.to_json())
-        assert restored.design == bs.design
-        assert restored.device == bs.device
-        assert len(restored.frames) == len(bs.frames)
-        assert len(restored.routes) == len(bs.routes)
-
-    def test_roundtrip_preserves_attributes(self, small_design):
-        nl, placement = small_design
-        bs = generate_bitstream(nl, placement)
-        restored = Bitstream.from_json(bs.to_json())
-        assert restored.frame_for_cell("dsp").attribute("PREG") == 1
-
-    def test_roundtrip_preserves_route_pins(self, small_design):
-        nl, placement = small_design
-        bs = generate_bitstream(nl, placement)
-        restored = Bitstream.from_json(bs.to_json())
-        orig = {r.net: (r.driver, r.sinks) for r in bs.routes}
-        back = {r.net: (r.driver, r.sinks) for r in restored.routes}
-        assert orig == back

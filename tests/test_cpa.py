@@ -166,20 +166,6 @@ class TestIncremental:
         attack.add_traces(traces[40:], cts[40:])
         assert attack.n_traces == 100
 
-    def test_add_trace_set_with_limit(self):
-        from repro.traces.store import TraceSet
-
-        traces, cts, _aes = synthetic_traces(200)
-        ts = TraceSet(
-            traces=traces,
-            plaintexts=np.zeros((200, 16), dtype=np.uint8),
-            ciphertexts=cts,
-            key=np.frombuffer(KEY, dtype=np.uint8),
-        )
-        attack = CPAAttack(3)
-        attack.add_trace_set(ts, limit=150)
-        assert attack.n_traces == 150
-
 
 class TestCorrelationProperties:
     def test_bounded(self):

@@ -116,15 +116,6 @@ class TestDspRules:
         assert BitstreamChecker().dsp_rules is False
 
 
-class TestRoundTrippedBitstream:
-    def test_checker_works_on_deserialized_bitstream(self, ro_bitstream):
-        """The checker sees only the serialized artifact."""
-        from repro.fpga.bitstream import Bitstream
-
-        restored = Bitstream.from_json(ro_bitstream.to_json())
-        assert not BitstreamChecker().accepts(restored)
-
-
 class TestActiveFence:
     @pytest.fixture(scope="class")
     def coupling(self, basys3_device):

@@ -17,7 +17,6 @@ FAST_EXAMPLES = [
     "placement_study.py",
     "covert_channel.py",
     "defense_screening.py",
-    "leakage_assessment.py",
     "aes_key_recovery.py",
 ]
 

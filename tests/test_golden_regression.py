@@ -269,21 +269,3 @@ class TestCacheCountersGolden:
             for state in self.STATES
         }
         check_golden("cache_counters", payload, update_goldens)
-
-
-class TestTvlaGolden:
-    def test_t_values(self, update_goldens):
-        from repro.analysis.tvla import assess_aes_leakage
-        from repro.experiments.table1_traces import placement_acquisition
-
-        acq = placement_acquisition("P6")
-        result = assess_aes_leakage(
-            acq, bytes(range(16)), n_traces_per_class=300, rng=5
-        )
-        payload = {
-            "t_statistics": [float(t) for t in result.t_statistics],
-            "max_abs_t": result.max_abs_t,
-            "leaks": bool(result.leaks),
-            "n_leaky_samples": int(result.leaky_samples.size),
-        }
-        check_golden("tvla_t_values", payload, update_goldens)

@@ -11,9 +11,13 @@ their cost cannot have moved from start-up into the campaign either.
 
 The public surface is checked in-process: every name a ``repro`` module
 lists in ``__all__`` must resolve, so a re-export cannot outlive the
-code it pointed at.
+code it pointed at.  And every module under ``src/repro`` must be
+reachable by imports from an entry point (the CLI, the experiment
+registry, the campaign service), so a module only tests still use
+fails here instead of lingering.
 """
 
+import ast
 import json
 import os
 import pkgutil
@@ -84,3 +88,61 @@ def test_every_listed_public_name_resolves():
         except (AttributeError, ImportError) as exc:
             unresolved.append(f"{info.name}: {exc}")
     assert unresolved == []
+
+
+ENTRY_POINTS = ("repro.cli", "repro.experiments.registry", "repro.service")
+
+
+def _module_files():
+    """``{dotted name: source path}`` for every module under ``repro``."""
+    root = Path(repro.__file__).resolve().parent
+    files = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _imported_names(name, path, is_package):
+    """Dotted names a module imports anywhere in its body (function-level
+    imports included), plus the string targets of a ``_LAZY`` table."""
+    package = name if is_package else name.rpartition(".")[0]
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+        elif (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "_LAZY" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            for value in node.value.values:
+                target = ast.literal_eval(value)
+                yield target if target.startswith("repro.") else f"{name}.{target}"
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    """Walk imports from the entry points; every ``repro`` module must
+    be reached.  Importing ``a.b.c`` also runs ``a`` and ``a.b``."""
+    files = _module_files()
+    seen, todo = set(), list(ENTRY_POINTS)
+    while todo:
+        name = todo.pop()
+        while name and name not in seen:
+            if name in files:
+                seen.add(name)
+                is_package = files[name].name == "__init__.py"
+                todo.extend(_imported_names(name, files[name], is_package))
+            name = name.rpartition(".")[0]
+    assert sorted(set(files) - seen) == []

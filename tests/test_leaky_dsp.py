@@ -148,13 +148,17 @@ class TestReadoutBehaviour:
         assert s.sensitivity() > 0
 
     def test_phase_margin_moves_with_taps(self, basys3_device):
+        # The capture margin (clock phase minus chain settle time) shows
+        # in the readout: clock taps widen it and settle more bits, A
+        # taps narrow it and settle fewer.
         s = LeakyDSP(device=basys3_device, seed=2)
-        s.set_taps(0, 0)
-        m0 = s.phase_margin
-        s.set_taps(0, 10)
-        assert s.phase_margin > m0
-        s.set_taps(10, 0)
-        assert s.phase_margin < m0
+        v = np.array([1.0])
+        s.set_taps(20, 0)
+        r0 = s.expected_readout(v)[0]
+        s.set_taps(20, 5)
+        assert s.expected_readout(v)[0] > r0
+        s.set_taps(25, 0)
+        assert s.expected_readout(v)[0] < r0
 
     def test_tap_plan_monotone_phase(self, sensor):
         plan = sensor.tap_plan()

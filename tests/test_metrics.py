@@ -99,7 +99,7 @@ class TestTracesToDisclosure:
 class TestGuessingEntropy:
     def test_zero_when_recovered(self, leaky_trace_set):
         attack = CPAAttack(3)
-        attack.add_trace_set(leaky_trace_set)
+        attack.add_traces(leaky_trace_set.traces, leaky_trace_set.ciphertexts)
         assert guessing_entropy(attack, KEY) == pytest.approx(0.0)
 
     def test_high_for_noise(self):

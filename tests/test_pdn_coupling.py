@@ -69,27 +69,13 @@ class TestKappa:
             assert set(factors) == region_names
 
 
-class TestStaticDroop:
-    def test_zero_current_zero_droop(self, coupling):
-        loads = [LoadSite(5, 5)]
-        assert coupling.static_droop((10, 10), loads, [0.0]) == 0.0
-
-    def test_droop_scales_linearly(self, coupling):
-        loads = [LoadSite(5, 5)]
-        d1 = coupling.static_droop((10, 10), loads, [1e-3])
-        d2 = coupling.static_droop((10, 10), loads, [2e-3])
-        assert d2 == pytest.approx(2 * d1)
-
-    def test_current_count_mismatch_rejected(self, coupling):
-        with pytest.raises(ConfigurationError):
-            coupling.static_droop((0, 0), [LoadSite(1, 1)], [1e-3, 2e-3])
-
-
 class TestFiltering:
     def test_constant_current_passes_through(self, coupling):
-        x = np.full(100, 3e-3)
-        y = coupling.filter_currents(x, dt=3.33e-9)
-        np.testing.assert_allclose(y, x, rtol=1e-9)
+        # An idle load (zero current) stays idle: no droop appears.
+        for level in (3e-3, 0.0):
+            x = np.full(100, level)
+            y = coupling.filter_currents(x, dt=3.33e-9)
+            np.testing.assert_allclose(y, x, rtol=1e-9)
 
     def test_step_rises_with_tau(self, coupling):
         x = np.concatenate([np.zeros(1), np.ones(200)])
@@ -110,37 +96,6 @@ class TestFiltering:
         y = coupling.filter_currents(x, dt=1e-9)
         assert np.all(y[:50] < 1e-12)
         assert y[50] < 1.0  # impulse is attenuated
-
-
-class TestVoltageTrace:
-    def test_idle_sits_at_nominal(self, coupling):
-        v = coupling.voltage_trace((10, 10), [LoadSite(5, 5)], np.zeros((1, 20)), 1e-9)
-        np.testing.assert_allclose(v, coupling.constants.v_nominal)
-
-    def test_load_droops_voltage(self, coupling):
-        currents = np.full((1, 50), 5e-3)
-        v = coupling.voltage_trace((6, 6), [LoadSite(5, 5)], currents, 1e-9)
-        assert np.all(v < coupling.constants.v_nominal)
-
-    def test_1d_currents_accepted(self, coupling):
-        v = coupling.voltage_trace((6, 6), [LoadSite(5, 5)], np.full(10, 1e-3), 1e-9)
-        assert v.shape == (10,)
-
-    def test_row_mismatch_rejected(self, coupling):
-        with pytest.raises(ConfigurationError):
-            coupling.voltage_trace(
-                (0, 0), [LoadSite(1, 1)], np.zeros((2, 10)), 1e-9
-            )
-
-    def test_unfiltered_tracks_instantaneously(self, coupling):
-        currents = np.zeros((1, 10))
-        currents[0, 5] = 1e-3
-        v = coupling.voltage_trace(
-            (6, 6), [LoadSite(5, 5)], currents, 1e-9, filtered=False
-        )
-        droop = coupling.constants.v_nominal - v
-        assert droop[5] > 0
-        assert droop[6] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMeshCalibration:

@@ -87,11 +87,6 @@ class TestRouter:
         _nl, _p, routing = routed_pair
         assert 0 < routing.utilization() < 1
 
-    def test_congestion_counts_paths(self, routed_pair):
-        _nl, _p, routing = routed_pair
-        usage = routing.congestion_map()
-        assert sum(usage.values()) >= len(routing.net("n_ab").connections[0].path)
-
     def test_virus_covers_substantial_routing(self, basys3_device):
         """The paper sizes 8,000 virus instances as covering over a
         third of the board's routing; our model's bank lands in that

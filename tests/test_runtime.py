@@ -5,7 +5,9 @@ output is bit-identical at any worker count, and ``Engine(workers=1)``
 is the serial reference path.
 """
 
+import os
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,12 @@ from repro.attacks.cpa import CPAAttack
 from repro.attacks.metrics import rank_curve, streamed_rank_curve
 from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
-from repro.errors import AcquisitionError, ConfigurationError
+from repro.errors import (
+    AcquisitionError,
+    ConfigurationError,
+    ReproError,
+    WorkerLostError,
+)
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
@@ -321,6 +328,46 @@ class TestEngineStreamAttack:
                 acquisition, 20, key=KEY, consumer_factory=factory,
                 checkpoints=[0, 10],
             )
+
+
+_PARENT_PID = os.getpid()
+
+
+class _DyingAttack(CPAAttack):
+    """A CPA accumulator whose pool worker exits hard (no exception, no
+    cleanup) on its third ``update``, as a killed or OOM-reaped worker
+    would."""
+
+    updates = 0
+
+    def update(self, traces, ciphertexts):
+        if os.getpid() != _PARENT_PID:
+            type(self).updates += 1
+            if type(self).updates == 3:
+                os._exit(3)
+        return super().update(traces, ciphertexts)
+
+
+class TestWorkerLoss:
+    def test_dead_worker_raises_typed_error_and_leaks_no_segment(
+        self, acquisition
+    ):
+        shm = Path("/dev/shm")
+        before = set(os.listdir(shm)) if shm.is_dir() else set()
+        engine = Engine(workers=2, shard_size=16)
+        with pytest.raises(WorkerLostError) as info:
+            engine.stream_attack(
+                acquisition, 128, key=KEY, seed=3,
+                consumer_factory=partial(
+                    _DyingAttack, acquisition.default_n_samples()
+                ),
+            )
+        assert isinstance(info.value, ReproError)
+        assert info.value.shards
+        assert set(info.value.shards) <= set(range(8))
+        assert str(list(info.value.shards)) in str(info.value)
+        after = set(os.listdir(shm)) if shm.is_dir() else set()
+        assert {n for n in after - before if n.startswith("psm_")} == set()
 
 
 class TestAcquisitionChunkValidation:

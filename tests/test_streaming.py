@@ -9,13 +9,9 @@ from repro.analysis.streaming import (
     SharedTraceMoments,
     StackedStreamingPearson,
     StreamingPearson,
-    StreamingWelchT,
-    SumMoments,
-    WelfordMoments,
     iter_chunk_slices,
     validate_chunk_size,
 )
-from repro.analysis.tvla import StreamingTvla, fixed_vs_random_t
 from repro.errors import AttackError, ConfigurationError, ReproError
 
 
@@ -66,99 +62,48 @@ class TestEmptyChunks:
             acc.update(np.empty((0, 3)), np.empty((0, 5)))
 
     def test_moments_reject_empty_chunk(self):
-        for acc in (SumMoments(4), WelfordMoments(4)):
-            with pytest.raises(AttackError, match="empty"):
-                acc.update(np.empty((0, 4)))
-
-    def test_welch_rejects_empty_chunk(self):
         with pytest.raises(AttackError, match="empty"):
-            StreamingWelchT(4).update_fixed(np.empty((0, 4)))
+            SharedTraceMoments(4).update(np.empty((0, 4)))
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(AttackError, match="2-D"):
-            SumMoments(4).update(np.ones(4))
+            SharedTraceMoments(4).update(np.ones(4))
 
     def test_rejects_wrong_width(self):
         with pytest.raises(AttackError, match="columns"):
-            SumMoments(4).update(np.ones((3, 5)))
+            SharedTraceMoments(4).update(np.ones((3, 5)))
 
 
 class TestMergeCompatibility:
     def test_rejects_cross_type_merge(self):
         with pytest.raises(AttackError, match="cannot merge"):
-            SumMoments(4).merge(WelfordMoments(4))
+            SharedTraceMoments(4).merge(StreamingPearson(1, 4))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(AttackError, match="n_columns"):
-            SumMoments(4).merge(SumMoments(5))
+        with pytest.raises(AttackError, match="n_samples"):
+            SharedTraceMoments(4).merge(SharedTraceMoments(5))
         with pytest.raises(AttackError, match="n_samples"):
             StreamingPearson(3, 5).merge(StreamingPearson(3, 6))
         with pytest.raises(AttackError, match="n_vars"):
             StreamingPearson(2, 5).merge(StreamingPearson(3, 5))
 
-    def test_tvla_rejects_foreign_type(self):
-        with pytest.raises(AttackError, match="cannot merge"):
-            StreamingTvla(5).merge(StreamingWelchT(5))
-
 
 class TestMoments:
-    @pytest.mark.parametrize("cls", [SumMoments, WelfordMoments])
-    def test_matches_numpy(self, cls, rng):
-        data = rng.normal(3.0, 2.0, size=(200, 6))
-        acc = cls(6)
-        for sl in iter_chunk_slices(200, 33):
-            acc.update(data[sl])
-        n, mean, var = acc.finalize()
-        assert n == 200
-        np.testing.assert_allclose(mean, data.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(var, data.var(axis=0, ddof=1), rtol=1e-9)
-
-    def test_sum_moments_merge_is_bit_identical(self, rng):
-        data = rng.integers(-50, 50, size=(150, 4)).astype(float)
-        whole = SumMoments(4).update(data)
-        left = SumMoments(4).update(data[:70])
-        left.merge(SumMoments(4).update(data[70:]))
-        assert left.n == whole.n
-        np.testing.assert_array_equal(left.mean, whole.mean)
-        np.testing.assert_array_equal(left.variance(), whole.variance())
-
-    def test_welford_merge_matches_single_pass(self, rng):
-        # Welford trades bit-reproducibility for stability: the merge
-        # agrees with a single pass to float rounding, not bit-for-bit.
-        data = rng.integers(-50, 50, size=(150, 4)).astype(float)
-        whole = WelfordMoments(4).update(data)
-        left = WelfordMoments(4).update(data[:70])
-        left.merge(WelfordMoments(4).update(data[70:]))
-        assert left.n == whole.n
-        np.testing.assert_allclose(left.mean, whole.mean, rtol=1e-12)
-        np.testing.assert_allclose(left.variance(), whole.variance(), rtol=1e-10)
-
-    def test_merge_into_empty(self):
-        data = np.arange(12.0).reshape(4, 3)
-        acc = WelfordMoments(3)
-        acc.merge(WelfordMoments(3).update(data))
-        np.testing.assert_allclose(acc.mean, data.mean(axis=0))
-
-    def test_welford_variance_never_negative_on_huge_offset(self):
-        # Classic sum-of-squares cancellation: constant data at 1e9.
-        data = np.full((1000, 2), 1e9) + np.linspace(0, 1e-3, 1000)[:, None]
-        acc = WelfordMoments(2)
-        for sl in iter_chunk_slices(1000, 17):
-            acc.update(data[sl])
-        assert np.all(acc.variance() >= 0.0)
+    def test_matches_numpy(self, rng):
+        readouts = rng.integers(-500, 500, size=(200, 6)).astype(float)
+        floats = rng.normal(3.0, 2.0, size=(200, 6))
+        for data in (readouts, floats):
+            acc = SharedTraceMoments(6)
+            for sl in iter_chunk_slices(200, 33):
+                acc.update(data[sl])
+            n, mean, var = acc.finalize()
+            assert n == 200
+            np.testing.assert_allclose(mean, data.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(var, data.var(axis=0, ddof=1), rtol=1e-9)
 
     def test_sum_moments_variance_clamped(self):
-        acc = SumMoments(1).update(np.full((100, 1), 1e9))
+        acc = SharedTraceMoments(1).update(np.full((100, 1), 1e9))
         assert np.all(acc.variance() >= 0.0)
-
-    @pytest.mark.parametrize("cls", [SumMoments, WelfordMoments])
-    def test_finalize_guards(self, cls):
-        with pytest.raises(AttackError):
-            cls(3).mean
-        with pytest.raises(AttackError):
-            cls(3).update(np.ones((1, 3))).variance()
-        with pytest.raises(AttackError):
-            cls(0)
 
 
 class TestStreamingPearson:
@@ -213,76 +158,7 @@ class TestStreamingPearson:
             acc.finalize()
 
 
-class TestStreamingWelchT:
-    def test_matches_batch_tvla(self, rng):
-        fixed = rng.integers(0, 64, size=(400, 9)).astype(float)
-        rand = rng.integers(0, 64, size=(380, 9)).astype(float)
-        acc = StreamingWelchT(9)
-        for sl in iter_chunk_slices(400, 57):
-            acc.update_fixed(fixed[sl])
-        for sl in iter_chunk_slices(380, 91):
-            acc.update_random(rand[sl])
-        np.testing.assert_array_equal(
-            acc.finalize(), fixed_vs_random_t(fixed, rand).t_statistics
-        )
-
-    def test_merge_partial_assessments(self, rng):
-        fixed = rng.normal(size=(100, 5))
-        rand = rng.normal(0.5, 1.0, size=(100, 5))
-        a = StreamingWelchT(5).update_fixed(fixed[:50]).update_random(rand[:30])
-        b = StreamingWelchT(5).update_fixed(fixed[50:]).update_random(rand[30:])
-        merged = a.merge(b).finalize()
-        np.testing.assert_allclose(
-            merged, fixed_vs_random_t(fixed, rand).t_statistics, atol=1e-10
-        )
-
-    def test_label_validation(self):
-        with pytest.raises(AttackError, match="label"):
-            StreamingWelchT(3).update(np.ones((2, 3)), 2)
-
-    def test_needs_two_per_class(self):
-        acc = StreamingWelchT(3).update_fixed(np.ones((5, 3)))
-        with pytest.raises(AttackError):
-            acc.finalize()
-
-    def test_zero_variance_gives_zero_t(self):
-        acc = StreamingWelchT(2)
-        acc.update_fixed(np.ones((10, 2))).update_random(np.ones((10, 2)))
-        np.testing.assert_array_equal(acc.finalize(), np.zeros(2))
-
-
-class TestStreamingTvla:
-    def test_chunked_equals_batch(self, rng):
-        fixed = rng.integers(0, 48, size=(300, 6)).astype(np.int16)
-        rand = rng.integers(0, 48, size=(300, 6)).astype(np.int16)
-        batch = fixed_vs_random_t(fixed, rand)
-        acc = StreamingTvla(6)
-        for sl in iter_chunk_slices(300, 77):
-            acc.update_fixed(fixed[sl])
-            acc.update_random(rand[sl])
-        streamed = acc.finalize()
-        np.testing.assert_array_equal(streamed.t_statistics, batch.t_statistics)
-        assert streamed.leaks == batch.leaks
-
-    def test_counts_exposed(self):
-        acc = StreamingTvla(3).update_fixed(np.ones((4, 3)))
-        assert (acc.n_fixed, acc.n_random, acc.n_samples) == (4, 0, 3)
-
-
 class TestSharedTraceMoments:
-    def test_matches_sum_moments(self, rng):
-        y = rng.integers(-500, 500, size=(120, 6)).astype(float)
-        shared = SharedTraceMoments(6)
-        plain = SumMoments(6)
-        for sl in iter_chunk_slices(120, 17):
-            shared.update(y[sl])
-            plain.update(y[sl])
-        n_s, mean_s, var_s = shared.finalize()
-        n_p, mean_p, var_p = plain.finalize()
-        assert n_s == n_p
-        np.testing.assert_array_equal(mean_s, mean_p)
-        np.testing.assert_array_equal(var_s, var_p)
-
     def test_fold_sums_equals_update(self, rng):
         y = rng.integers(-100, 100, size=(50, 4)).astype(float)
         updated = SharedTraceMoments(4).update(y)
