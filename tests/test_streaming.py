@@ -89,17 +89,28 @@ class TestMergeCompatibility:
 
 
 class TestMoments:
-    def test_matches_numpy(self, rng):
-        readouts = rng.integers(-500, 500, size=(200, 6)).astype(float)
-        floats = rng.normal(3.0, 2.0, size=(200, 6))
-        for data in (readouts, floats):
-            acc = SharedTraceMoments(6)
-            for sl in iter_chunk_slices(200, 33):
-                acc.update(data[sl])
-            n, mean, var = acc.finalize()
-            assert n == 200
-            np.testing.assert_allclose(mean, data.mean(axis=0), rtol=1e-12)
-            np.testing.assert_allclose(var, data.var(axis=0, ddof=1), rtol=1e-9)
+    # The case ids name the two accumulators these inputs were checked on
+    # before SharedTraceMoments became the one moments class: integer
+    # readouts (the raw-sum regime) and normal floats (the Welford one).
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            pytest.param("readouts", id="SumMoments"),
+            pytest.param("floats", id="WelfordMoments"),
+        ],
+    )
+    def test_matches_numpy(self, kind, rng):
+        if kind == "readouts":
+            data = rng.integers(-500, 500, size=(200, 6)).astype(float)
+        else:
+            data = rng.normal(3.0, 2.0, size=(200, 6))
+        acc = SharedTraceMoments(6)
+        for sl in iter_chunk_slices(200, 33):
+            acc.update(data[sl])
+        n, mean, var = acc.finalize()
+        assert n == 200
+        np.testing.assert_allclose(mean, data.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(var, data.var(axis=0, ddof=1), rtol=1e-9)
 
     def test_sum_moments_variance_clamped(self):
         acc = SharedTraceMoments(1).update(np.full((100, 1), 1e9))
@@ -159,6 +170,19 @@ class TestStreamingPearson:
 
 
 class TestSharedTraceMoments:
+    def test_matches_sum_moments(self, rng):
+        # Chunked updates give the raw-sum moments of the whole stream
+        # bit for bit: the sums of integer readouts are exact in float64.
+        y = rng.integers(-500, 500, size=(120, 6)).astype(float)
+        shared = SharedTraceMoments(6)
+        for sl in iter_chunk_slices(120, 17):
+            shared.update(y[sl])
+        s, s2 = y.sum(axis=0), (y * y).sum(axis=0)
+        n, mean, var = shared.finalize()
+        assert n == 120
+        np.testing.assert_array_equal(mean, s / 120)
+        np.testing.assert_array_equal(var, (s2 - s**2 / 120) / 119)
+
     def test_fold_sums_equals_update(self, rng):
         y = rng.integers(-100, 100, size=(50, 4)).astype(float)
         updated = SharedTraceMoments(4).update(y)

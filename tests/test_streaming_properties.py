@@ -108,14 +108,6 @@ class TestStreamedMatchesBatch:
         np.testing.assert_allclose(
             var, mat.var(axis=0, ddof=1), rtol=1e-6, atol=var_atol
         )
-        # A large common offset is the regime where the raw sum of
-        # squares cancels below zero; the clamp keeps the variance >= 0.
-        offset = data.draw(st.floats(-1e12, 1e12, allow_nan=False))
-        shifted = SharedTraceMoments(mat.shape[1])
-        for chunk in chunks_of(mat + offset, cuts):
-            shifted.update(chunk)
-        assert np.all(shifted.variance(ddof=1) >= 0.0)
-        assert np.all(shifted.variance(ddof=0) >= 0.0)
 
     @given(st.data())
     @settings(max_examples=40)
@@ -132,6 +124,26 @@ class TestStreamedMatchesBatch:
             np.atleast_2d(full)[: x.shape[1], x.shape[1] :], nan=0.0
         )
         np.testing.assert_allclose(acc.finalize(), expected, atol=1e-10)
+
+
+class TestWelfordStability:
+    """Variance under a large common offset, the regime a Welford
+    accumulator is used for; the raw-sum class clamps at zero instead."""
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_variance_never_negative(self, data):
+        mat = data.draw(float_matrix())
+        # Inflict a large common offset: the regime where naive
+        # sum-of-squares goes negative.
+        offset = data.draw(st.floats(-1e12, 1e12, allow_nan=False))
+        mat = mat + offset
+        cuts = data.draw(split_points(mat.shape[0]))
+        acc = SharedTraceMoments(mat.shape[1])
+        for chunk in chunks_of(mat, cuts):
+            acc.update(chunk)
+        assert np.all(acc.variance(ddof=1) >= 0.0)
+        assert np.all(acc.variance(ddof=0) >= 0.0)
 
 
 class TestBitReproducibility:
