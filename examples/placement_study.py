@@ -11,12 +11,13 @@ Run: ``python examples/placement_study.py``
 import numpy as np
 
 from repro.experiments import common
-from repro.traces import characterize_readouts
+from repro.runtime import Engine
 
 
 def main() -> None:
     setup = common.Basys3Setup.create()
     virus = common.make_virus(setup)
+    engine = Engine()
     print(f"victim: {virus.n_instances} power-virus instances, "
           f"{virus.n_groups} groups, bottom of the die\n")
 
@@ -24,12 +25,12 @@ def main() -> None:
     for index, region_name in common.FIG4_REGIONS.items():
         pblock = common.region_pblock(setup.device, index)
         sensor = common.make_leakydsp(setup, pblock, seed=7 + index)
-        off = characterize_readouts(
-            sensor, setup.coupling, virus, 0, n_readouts=2000, rng=index
+        off = engine.characterize(
+            sensor, setup.coupling, virus, 0, n_readouts=2000, seed=index
         )
-        on = characterize_readouts(
+        on = engine.characterize(
             sensor, setup.coupling, virus, virus.n_groups, n_readouts=2000,
-            rng=100 + index,
+            seed=100 + index,
         )
         x, y = sensor.position
         print(f"  R{index}    ({x:5.1f},{y:6.1f})  {np.mean(off):5.1f}  "

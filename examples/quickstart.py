@@ -16,7 +16,7 @@ import numpy as np
 from repro import LeakyDSP, calibrate
 from repro.fpga import Pblock, Placer, xc7a35t
 from repro.pdn import CouplingModel
-from repro.traces import characterize_readouts
+from repro.runtime import Engine
 from repro.victims import PowerVirusBank
 
 
@@ -53,9 +53,10 @@ def main() -> None:
 
     # 5. Sense the victim: readouts drop as more virus groups activate.
     print("\nactive groups -> mean readout (2,000 samples each):")
+    engine = Engine()
     for groups in range(0, 9, 2):
-        readouts = characterize_readouts(
-            sensor, coupling, virus, groups, n_readouts=2000, rng=groups
+        readouts = engine.characterize(
+            sensor, coupling, virus, groups, n_readouts=2000, seed=groups
         )
         bar = "#" * int(np.mean(readouts))
         print(f"  {groups} groups: {np.mean(readouts):5.1f}  {bar}")

@@ -36,11 +36,6 @@ class RegressionResult:
     intercept: float
     r_value: float
 
-    @property
-    def r_squared(self) -> float:
-        """Coefficient of determination."""
-        return self.r_value**2
-
 
 def linear_regression(x, y) -> RegressionResult:
     """OLS fit of ``y`` on ``x`` with the correlation attached — the

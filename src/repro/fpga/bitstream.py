@@ -57,10 +57,6 @@ class Bitstream:
     frames: List[ConfigFrame] = field(default_factory=list)
     routes: List[RouteRecord] = field(default_factory=list)
 
-    def frames_of_type(self, cell_type: str) -> List[ConfigFrame]:
-        """All configuration frames for one primitive type."""
-        return [f for f in self.frames if f.cell_type == cell_type]
-
     def frame_for_cell(self, cell: str) -> ConfigFrame:
         """The configuration frame of one named cell."""
         for frame in self.frames:

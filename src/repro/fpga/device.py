@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -279,10 +279,6 @@ class DeviceModel:
             key=lambda s: (s.x, s.y),
         )
 
-    def iter_sites(self) -> Iterator[Site]:
-        """Iterate over every site on the device."""
-        return iter(self.sites.values())
-
     def site(self, name: str) -> Site:
         """Look a site up by name."""
         try:
@@ -302,11 +298,6 @@ class DeviceModel:
     def num_luts(self) -> int:
         """Total LUTs (4 per slice)."""
         return self.num_slices * LUTS_PER_SLICE
-
-    @property
-    def num_ffs(self) -> int:
-        """Total flip-flops (8 per slice)."""
-        return self.num_slices * FFS_PER_SLICE
 
     @property
     def num_dsps(self) -> int:

@@ -93,10 +93,6 @@ class Placement:
         except KeyError:
             raise PlacementError(f"cell {cell_name!r} is unplaced") from None
 
-    def cells_at(self, site: Site) -> List[str]:
-        """All cells packed onto one site."""
-        return [c for c, s in self.assignment.items() if s.name == site.name]
-
     def centroid(self) -> Tuple[float, float]:
         """Mean position of all placed cells (the point the PDN model
         treats as the circuit's location)."""

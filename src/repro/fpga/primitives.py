@@ -554,11 +554,6 @@ class IDELAYE2(Primitive):
         """Current total insertion delay [s]."""
         return self._tap * self.tap_delay
 
-    @property
-    def max_delay(self) -> float:
-        """Largest programmable delay [s]."""
-        return (self.NUM_TAPS - 1) * self.tap_delay
-
 
 class IDELAYE3(IDELAYE2):
     """UltraScale+ programmable input delay (UG571): 512 much finer taps

@@ -109,10 +109,6 @@ class Routing:
         total = self.device.width * self.device.height
         return len(self.occupied_tiles()) / total
 
-    def total_wirelength(self) -> int:
-        """Sum of unique-tile wirelengths over all nets."""
-        return sum(net.wirelength for net in self.nets.values())
-
     def net(self, name: str) -> RoutedNet:
         """Look a routed net up by name."""
         try:

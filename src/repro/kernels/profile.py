@@ -205,11 +205,6 @@ class StageProfile:
         )
 
     # -- views -----------------------------------------------------------
-    @property
-    def total_seconds(self) -> float:
-        """Summed wall seconds across stages."""
-        return sum(rec.seconds for rec in self.records)
-
     def stage_seconds(self) -> Dict[str, float]:
         """``{stage: seconds}``."""
         return {name: stats.seconds for name, stats in self.stages.items()}

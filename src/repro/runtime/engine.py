@@ -320,62 +320,52 @@ def _checkpoint_event(n_traces: int, consumer: object, sensor: int) -> SpanRecor
     )
 
 
-def _run_collect_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
+def _collect_shard(
+    ctx: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    traces: np.ndarray,
-    pts: np.ndarray,
-    cts: np.ndarray,
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[str]] = None,
+    keys: Optional[Sequence[str]],
 ) -> ShardMetrics:
-    """Acquire one shard into the result buffers; ``traces`` is the
-    ``(n_sensors, n_traces, n_samples)`` buffer."""
+    """Acquire one shard into ``ctx["arrays"]``, whose ``traces`` is
+    the ``(n_sensors, n_traces, n_samples)`` buffer."""
     start = time.time()
     t0 = time.perf_counter()
-    cache = _ShardCache(store, keys, StageProfile(), shard, len(msa))
+    msa = ctx["msa"]
+    cache = _ShardCache(ctx["store"], keys, StageProfile(), shard, len(msa))
     readouts, shard_pts, shard_cts = _acquire_or_replay(
-        msa, aes, n_samples, seed_seq, cache
+        msa, ctx["aes"], ctx["n_samples"], seed_seq, cache
     )
+    out = ctx["arrays"]
     for i, block in enumerate(readouts):
-        traces[i][shard.slice] = block
-    pts[shard.slice] = shard_pts
-    cts[shard.slice] = shard_cts
+        out["traces"][i][shard.slice] = block
+    out["pts"][shard.slice] = shard_pts
+    out["cts"][shard.slice] = shard_cts
     return cache.metrics(start, time.perf_counter() - t0)
 
 
-def _run_stream_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
+def _stream_shard(
+    ctx: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    consumer_factory: Callable[[], object],
-    chunk_size: Optional[int],
-    boundaries: Tuple[int, ...],
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[str]] = None,
+    keys: Optional[Sequence[str]],
 ) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
     """Acquire one shard and fold each sensor's readouts into
     per-segment accumulators.
 
-    The random draws are identical to :func:`_run_collect_shard` (same
+    The random draws are identical to :func:`_collect_shard` (same
     plaintexts, same noise), so a streamed campaign sees exactly the
     traces a collected campaign would — it just never keeps them.  The
-    shard is split at the global checkpoint ``boundaries`` so the
-    parent can evaluate the attack at exact trace counts; each segment
-    becomes one fresh accumulator per sensor from ``consumer_factory``,
-    fed in ``chunk_size`` pieces with the sensors innermost: every
-    sensor's chunk goes through one ``update_many`` call when the
-    accumulator type has one (shared per-ciphertext work, e.g.
-    :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else through
-    each accumulator's ``update``.  Returns ``(metrics,
-    per_sensor_segments)`` where ``per_sensor_segments[i]`` is sensor
-    ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the global trace
-    count the segment closes at.
+    shard is split at the global checkpoint ``ctx["boundaries"]`` so
+    the parent can evaluate the attack at exact trace counts; each
+    segment becomes one fresh accumulator per sensor from
+    ``ctx["factory"]``, fed in ``ctx["chunk_size"]`` pieces with the
+    sensors innermost: every sensor's chunk goes through one
+    ``update_many`` call when the accumulator type has one (shared
+    per-ciphertext work, e.g. :meth:`~repro.attacks.cpa.CPAAttack.
+    update_many`), else through each accumulator's ``update``.  Returns
+    ``(metrics, per_sensor_segments)`` where ``per_sensor_segments[i]``
+    is sensor ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the
+    global trace count the segment closes at.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
@@ -384,18 +374,21 @@ def _run_stream_shard(
     """
     start = time.time()
     t0 = time.perf_counter()
-    cache = _ShardCache(store, keys, StageProfile(), shard, len(msa))
+    msa = ctx["msa"]
+    cache = _ShardCache(ctx["store"], keys, StageProfile(), shard, len(msa))
     readouts_list, _shard_pts, shard_cts = _acquire_or_replay(
-        msa, aes, n_samples, seed_seq, cache
+        msa, ctx["aes"], ctx["n_samples"], seed_seq, cache
     )
-    cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
+    cuts = [
+        b - shard.start for b in ctx["boundaries"] if shard.start < b < shard.stop
+    ]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = [[] for _ in readouts_list]
     with cache.profile.stage("accumulate", items=shard.size):
         for lo, hi in zip(edges, edges[1:]):
-            parts = [consumer_factory() for _ in readouts_list]
+            parts = [ctx["factory"]() for _ in readouts_list]
             update_many = getattr(type(parts[0]), "update_many", None)
-            for sl in iter_chunk_slices(hi - lo, chunk_size):
+            for sl in iter_chunk_slices(hi - lo, ctx["chunk_size"]):
                 rows = slice(lo + sl.start, lo + sl.stop)
                 if update_many is not None:
                     update_many(
@@ -409,18 +402,14 @@ def _run_stream_shard(
     return cache.metrics(start, time.perf_counter() - t0), per_sensor
 
 
-def _run_characterize_shard(
-    sensors: Sequence[VoltageSensor],
-    droops: Sequence[float],
-    noises: Sequence[NoiseModel],
+def _characterize_shard(
+    ctx: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    out: np.ndarray,
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[str]] = None,
+    keys: Optional[Sequence[str]],
 ) -> ShardMetrics:
-    """Characterize one shard for every sensor into ``out``, the
-    ``(n_sensors, n_readouts)`` result buffer.
+    """Characterize one shard for every sensor into
+    ``ctx["arrays"]["out"]``, the ``(n_sensors, n_readouts)`` buffer.
 
     Every sensor's readouts come from the *same* entry RNG state
     (restored between sensors), so row ``i`` is bit-identical to
@@ -429,8 +418,10 @@ def _run_characterize_shard(
     start = time.time()
     t0 = time.perf_counter()
     profile = StageProfile()
+    sensors, droops, noises = ctx["sensors"], ctx["droops"], ctx["noises"]
+    out = ctx["arrays"]["out"]
     n_sensors = len(sensors)
-    cache = _ShardCache(store, keys, profile, shard, n_sensors)
+    cache = _ShardCache(ctx["store"], keys, profile, shard, n_sensors)
     rng: Optional[np.random.Generator] = None
     entry_state = None
     for i, block in enumerate(cache.blocks):
@@ -457,6 +448,9 @@ def _run_characterize_shard(
 # carry (shard, seed, block keys).
 # ----------------------------------------------------------------------
 
+#: A pool worker's shard-body context: the campaign kind's context plus
+#: ``arrays`` (the attached shared-memory views) and ``store``.  Serial
+#: runs build the same dict locally instead (see :meth:`Engine._drive`).
 _WORKER: dict = {}
 
 
@@ -483,7 +477,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 def _init_worker(context: Dict[str, object], buffers, store):
     """Pool initializer for every campaign kind: ``context`` is what
-    the kind's task needs (harness, cipher, ...), ``buffers`` the
+    the kind's shard body needs (harness, cipher, ...), ``buffers`` the
     shared-memory result buffers to attach."""
     # One BLAS/OMP thread per worker: the pool already claims every
     # core, and nested threadpools thrash.
@@ -498,32 +492,10 @@ def _init_worker(context: Dict[str, object], buffers, store):
     _WORKER.update(context, segments=segments, arrays=arrays, store=store)
 
 
-def _collect_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
-    w = _WORKER
-    a = w["arrays"]
-    return _run_collect_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        a["traces"], a["pts"], a["cts"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _stream_shard_task(shard: Shard, seed_seq, block_keys=None):
-    w = _WORKER
-    return _run_stream_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        w["factory"], w["chunk_size"], w["boundaries"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _characterize_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
-    w = _WORKER
-    return _run_characterize_shard(
-        w["sensors"], w["droops"], w["noises"], shard, seed_seq,
-        w["arrays"]["out"],
-        store=w["store"], keys=block_keys,
-    )
+def _in_worker(body: Callable, shard: Shard, seed_seq, keys):
+    """Run a shard ``body`` against this worker's context (module-level,
+    so the pool pickles ``partial(_in_worker, body)`` by reference)."""
+    return body(_WORKER, shard, seed_seq, keys)
 
 
 class _SharedBuffers:
@@ -620,9 +592,9 @@ class Engine:
         #: multi-campaign experiment.
         self.cache_totals = dict.fromkeys((c.key for c in CACHE_COUNTS), 0)
         # High-water mark of the parent store's publish-side counters
-        # (the write-behind thread and any serial-path sync publish run
-        # in this process, never in workers — see
-        # TieredStore.for_worker — so each campaign's delta is exact).
+        # (the write-behind thread runs in this process, never in
+        # workers — see TieredStore.for_worker — so each campaign's
+        # delta is exact).
         self._pub_mark: Dict[str, int] = {}
         # Live metrics (process-wide registry).  The deterministic ones
         # (items, shards, shard-size histogram, cache lookups/bytes)
@@ -815,15 +787,17 @@ class Engine:
         if sm.cache in ("miss", "partial"):
             self.cache.publish_async(flatten_keys(task.key))
 
-    def _shard_keys(
+    def _plan(
         self,
+        n_items: int,
+        seed: SeedLike,
         tokens: Callable[[], Sequence[Dict]],
-        shards: Sequence[Shard],
-        seqs: Sequence[np.random.SeedSequence],
         **extra,
-    ) -> List[Optional[Tuple[str, ...]]]:
-        """Per-shard tuples of per-sensor content addresses (``None``s
-        with the cache off, when ``tokens`` is never called).
+    ) -> List[ShardTask]:
+        """A campaign's shard tasks: the deterministic shard plan, one
+        spawned :class:`~numpy.random.SeedSequence` per shard, and each
+        shard's tuple of per-sensor content addresses (``None`` with the
+        cache off, when ``tokens`` is never called).
 
         Sensor ``i``'s key binds the full determinism contract: schema
         version, its config token ``tokens()[i]``, the shard's RNG
@@ -833,14 +807,15 @@ class Engine:
         content — so a sensor's keys are the same alone or in a fan-out
         of any width, and blocks flow freely between the two.
         """
-        if self.cache is None:
-            return [None] * len(shards)
-        configs = tokens()
-        keys = []
-        for shard, seq in zip(shards, seqs):
-            lineage = seed_lineage(seq)
-            keys.append(
-                tuple(
+        shards = plan_shards(n_items, self.shard_size)
+        seqs = spawn_shard_sequences(seed, len(shards))
+        configs = tokens() if self.cache is not None else None
+        tasks = []
+        for i, (shard, seq) in enumerate(zip(shards, seqs)):
+            key = None
+            if configs is not None:
+                lineage = seed_lineage(seq)
+                key = tuple(
                     block_key(
                         {
                             "schema": SCHEMA_VERSION,
@@ -852,8 +827,8 @@ class Engine:
                     )
                     for config in configs
                 )
-            )
-        return keys
+            tasks.append(ShardTask(i, shard, seq, key))
+        return tasks
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, done: int, total: int, shard: ShardMetrics) -> None:
@@ -869,11 +844,8 @@ class Engine:
         self,
         kind: str,
         n_items: int,
-        shards: Sequence[Shard],
-        seqs: Sequence[np.random.SeedSequence],
-        keys: Sequence[Optional[Tuple[str, ...]]],
-        serial_body: Callable,
-        pool_task: Callable,
+        tasks: Sequence[ShardTask],
+        body: Callable,
         context: Dict[str, object],
         buffers: Optional[Dict[str, Tuple[Tuple[int, ...], np.dtype]]] = None,
         fold: Optional[Callable[[ShardTask, object], ShardMetrics]] = None,
@@ -882,26 +854,23 @@ class Engine:
         """Run a shard plan serially or on a pool; returns the filled
         result buffers.
 
-        ``buffers`` maps labels to the ``(shape, dtype)`` of the arrays
-        the shard bodies write into: plain arrays handed to
-        ``serial_body(arrays, shard, seq, keys)`` in-process, shared
-        memory attached once per pool worker (with ``context``, see
-        :func:`_init_worker`) otherwise.  ``fold(task, result)`` turns a
-        body's result into its metrics as shards arrive (stream bodies
-        also return accumulators); by default the result *is* the
-        metrics.  ``events`` (filled while the run folds) join the
-        campaign span.
+        ``body(ctx, shard, seq, keys)`` is the kind's one shard body.
+        ``ctx`` is ``context`` plus ``arrays`` (the result buffers,
+        labels mapped to the ``(shape, dtype)`` in ``buffers``) and
+        ``store``: built locally here on a serial run — never a module
+        global, since the campaign service runs engines on several
+        threads at once — and once per pool worker, over shared memory,
+        by :func:`_init_worker`.  ``fold(task, result)`` turns a body's
+        result into its metrics as shards arrive (stream bodies also
+        return accumulators); by default the result *is* the metrics.
+        ``events`` (filled while the run folds) join the campaign span.
         """
         buffers = buffers or {}
-        tasks = [
-            ShardTask(i, shard, seq, key)
-            for i, (shard, seq, key) in enumerate(zip(shards, seqs, keys))
-        ]
         metrics = EngineMetrics(
             kind=kind,
             n_items=n_items,
-            n_shards=len(shards),
-            workers=min(self.workers, len(shards)),
+            n_shards=len(tasks),
+            workers=min(self.workers, len(tasks)),
         )
         shared = _SharedBuffers(buffers) if self.workers > 1 else None
         try:
@@ -910,9 +879,10 @@ class Engine:
                     label: np.empty(shape, dtype=dtype)
                     for label, (shape, dtype) in buffers.items()
                 }
-                body, initargs = partial(serial_body, arrays), ()
+                ctx = dict(context, arrays=arrays, store=self.cache)
+                run_shard, initargs = partial(body, ctx), ()
             else:
-                body = None  # unused on the pool path
+                run_shard = partial(_in_worker, body)
                 initargs = (context, shared.spec_for_worker, self._worker_cache())
             start = time.time()
             t0 = time.perf_counter()
@@ -923,8 +893,7 @@ class Engine:
                     tasks,
                     workers=self.workers,
                     schedule=self.schedule,
-                    serial_body=body,
-                    pool_task=pool_task,
+                    task=run_shard,
                     pool_initializer=_init_worker,
                     pool_initargs=initargs,
                     classes=classes,
@@ -972,7 +941,9 @@ class Engine:
         seed: SeedLike = 0,
         n_samples: Optional[int] = None,
     ) -> TraceSet:
-        """Sharded equivalent of :meth:`AESTraceAcquisition.collect`.
+        """Run ``n_traces`` encryptions and record the sensor readouts
+        (the key-extraction campaign, Section IV-B) as one
+        :class:`TraceSet`.
 
         ``seed`` must be an integer or a :class:`numpy.random.
         SeedSequence` (generators are rejected — see
@@ -1008,19 +979,13 @@ class Engine:
         aes = AES128(key)
         if n_samples is None:
             n_samples = msa.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        keys = self._shard_keys(
-            msa.cache_tokens, shards, seqs,
-            n_samples=n_samples, aes_key=bytes(aes.key),
-        )
         out = self._drive(
-            "collect", n_traces, shards, seqs, keys,
-            lambda a, shard, seq, bkeys: _run_collect_shard(
-                msa, aes, n_samples, shard, seq, a["traces"], a["pts"], a["cts"],
-                store=self.cache, keys=bkeys,
+            "collect", n_traces,
+            self._plan(
+                n_traces, seed, msa.cache_tokens,
+                n_samples=n_samples, aes_key=bytes(aes.key),
             ),
-            _collect_shard_task,
+            _collect_shard,
             dict(msa=msa, aes=aes, n_samples=n_samples),
             buffers={
                 "traces": ((len(msa), n_traces, n_samples), np.dtype(np.int16)),
@@ -1181,12 +1146,10 @@ class Engine:
         aes = AES128(key)
         if n_samples is None:
             n_samples = msa.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
         # Streamed and collected campaigns share block keys (and
         # therefore stored blocks): the acquisition draws are identical.
-        keys = self._shard_keys(
-            msa.cache_tokens, shards, seqs,
+        tasks = self._plan(
+            n_traces, seed, msa.cache_tokens,
             n_samples=n_samples, aes_key=bytes(aes.key),
         )
         checkpoint_set = set(boundaries)
@@ -1199,7 +1162,7 @@ class Engine:
         state_keys: List[Dict[int, str]] = []
         if self.cache is not None and consumers is None and len(msa) == 1:
             state_keys = self._attack_state_keys(
-                consumer_factory, keys, shards, sorted({*boundaries, n_traces})
+                consumer_factory, tasks, sorted({*boundaries, n_traces})
             )
         if state_keys and all(
             self.cache.contains(k) for ends in state_keys for k in ends.values()
@@ -1246,13 +1209,7 @@ class Engine:
             return result[0]
 
         self._drive(
-            "stream", n_traces, shards, seqs, keys,
-            lambda _a, shard, seq, bkeys: _run_stream_shard(
-                msa, aes, n_samples, shard, seq,
-                consumer_factory, chunk_size, boundaries,
-                store=self.cache, keys=bkeys,
-            ),
-            _stream_shard_task,
+            "stream", n_traces, tasks, _stream_shard,
             dict(
                 msa=msa, aes=aes, n_samples=n_samples, factory=consumer_factory,
                 chunk_size=chunk_size, boundaries=boundaries,
@@ -1265,8 +1222,7 @@ class Engine:
     def _attack_state_keys(
         self,
         consumer_factory: Callable[[], object],
-        keys: Sequence[Tuple[str, ...]],
-        shards: Sequence[Shard],
+        tasks: Sequence[ShardTask],
         ends: Sequence[int],
     ) -> List[Dict[int, str]]:
         """Per-sensor ``{n_traces: key}`` of the attack-state snapshots
@@ -1275,7 +1231,7 @@ class Engine:
 
         A snapshot is content-addressed by the attack configuration and
         the ordered block keys it covers, taken from the sensor's own
-        column of ``keys`` — so a sensor's snapshot keys are exactly
+        slot of each task's key — so a sensor's snapshot keys are exactly
         those of a single-sensor campaign over it.
         """
         probe = consumer_factory()
@@ -1285,9 +1241,8 @@ class Engine:
         ):
             return []
         attack_token = probe.cache_token()
-        stops = [s.stop for s in shards]
         covering = {
-            end: next(i + 1 for i, stop in enumerate(stops) if stop >= end)
+            end: next(i + 1 for i, t in enumerate(tasks) if t.shard.stop >= end)
             for end in ends
         }
         return [
@@ -1297,13 +1252,13 @@ class Engine:
                         "kind": "attack-state",
                         "schema": SCHEMA_VERSION,
                         "attack": attack_token,
-                        "blocks": [k[s_i] for k in keys[: covering[end]]],
+                        "blocks": [t.key[s_i] for t in tasks[: covering[end]]],
                         "n_traces": end,
                     }
                 )
                 for end in ends
             }
-            for s_i in range(len(keys[0]))
+            for s_i in range(len(tasks[0].key))
         ]
 
     def _replay_attack_states(
@@ -1387,9 +1342,18 @@ class Engine:
         seed: SeedLike = 0,
         noise: Optional[NoiseModel] = None,
     ) -> np.ndarray:
-        """Sharded equivalent of :func:`repro.traces.acquisition.
-        characterize_readouts` (deterministic at any worker count).
-        This is :meth:`characterize_many` over one sensor."""
+        """Sample a sensor under a steady power-virus activity level
+        (the characterization workload of Section IV-A, Fig. 3/4).
+
+        ``active_groups`` is how many of the bank's groups are enabled
+        (``0 .. virus.n_groups``); integer-valued floats are coerced and
+        fractional or out-of-range values raise
+        :class:`~repro.errors.AcquisitionError`.  ``noise`` defaults to
+        white noise at the sensor constants' RMS level.  Returns the
+        ``(n_readouts,)`` integer readouts, bit-identical at any worker
+        count for a fixed ``seed``.  This is :meth:`characterize_many`
+        over one sensor.
+        """
         return self.characterize_many(
             [sensor], coupling, virus, active_groups, n_readouts,
             seed=seed, noise=noise,
@@ -1427,9 +1391,8 @@ class Engine:
             noise or NoiseModel(white_rms=sensor.constants.voltage_noise_rms)
             for sensor in sensors
         ]
-        shards = plan_shards(n_readouts, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        keys = self._shard_keys(
+        tasks = self._plan(
+            n_readouts, seed,
             lambda: [
                 {
                     "kind": "characterize",
@@ -1439,15 +1402,9 @@ class Engine:
                 }
                 for sensor, droop, sensor_noise in zip(sensors, droops, noises)
             ],
-            shards, seqs,
         )
         out = self._drive(
-            "characterize", n_readouts, shards, seqs, keys,
-            lambda a, shard, seq, bkeys: _run_characterize_shard(
-                sensors, droops, noises, shard, seq, a["out"],
-                store=self.cache, keys=bkeys,
-            ),
-            _characterize_shard_task,
+            "characterize", n_readouts, tasks, _characterize_shard,
             dict(sensors=sensors, droops=droops, noises=noises),
             buffers={"out": ((len(sensors), n_readouts), np.dtype(np.int64))},
         )["out"]

@@ -161,7 +161,7 @@ def run_task_group(task_fn: Callable, triples: Sequence[Tuple]) -> List:
     """Run a group of shards inside one worker, in order.
 
     Module-level so a ``ProcessPoolExecutor`` can pickle it by
-    reference along with the (equally module-level) shard task.
+    reference along with the (equally picklable) shard task.
     """
     return [task_fn(shard, seq, key) for shard, seq, key in triples]
 
@@ -171,34 +171,35 @@ def dispatch(
     *,
     workers: int,
     schedule: str,
-    serial_body: Callable,
-    pool_task: Callable,
+    task: Callable,
     pool_initializer: Optional[Callable],
     pool_initargs: Tuple,
     classes: Optional[Sequence[str]] = None,
 ) -> Iterator[Tuple[ShardTask, object]]:
-    """Yield ``(task, result)`` as shards complete.
+    """Yield ``(shard_task, result)`` as shards complete, where
+    ``result`` is ``task(shard, seq, key)`` of that shard task.
 
-    ``workers == 1`` runs ``serial_body`` in plan order (the reference
-    semantics every other mode must reproduce bit-identically).  On a
-    pool, ``"stealing"`` feeds shards to the shared queue in
-    :func:`steal_order`; ``"static"`` pre-partitions the plan into
-    contiguous per-worker groups.  Completion (yield) order is
-    arrival order either way — consumers already tolerate it.  At most
-    ``workers + 1`` groups are submitted and not yet consumed: a
-    finished shard's result sits in this process until the consumer
-    takes it, so an unbounded queue would let a consumer slower than
-    its workers (key rank at a campaign's early checkpoints) hold
-    every finished shard at once.  No result is kept once yielded, so
-    consumers hold only what they keep.
+    ``workers == 1`` runs ``task`` in plan order in this process (the
+    reference semantics every other mode must reproduce
+    bit-identically).  On a pool ``task`` must pickle and runs in
+    workers set up by ``pool_initializer``: ``"stealing"`` feeds shards
+    to the shared queue in :func:`steal_order`; ``"static"``
+    pre-partitions the plan into contiguous per-worker groups.
+    Completion (yield) order is arrival order either way — consumers
+    already tolerate it.  At most ``workers + 1`` groups are submitted
+    and not yet consumed: a finished shard's result sits in this
+    process until the consumer takes it, so an unbounded queue would
+    let a consumer slower than its workers (key rank at a campaign's
+    early checkpoints) hold every finished shard at once.  No result is
+    kept once yielded, so consumers hold only what they keep.
 
     A worker that dies (killed, ``os._exit``, out of memory) breaks the
     whole pool; that surfaces as :class:`~repro.errors.WorkerLostError`
     naming every shard whose result had not arrived.
     """
     if workers == 1:
-        for task in tasks:
-            yield task, serial_body(task.shard, task.seq, task.key)
+        for t in tasks:
+            yield t, task(t.shard, t.seq, t.key)
         return
     max_workers = min(workers, len(tasks))
     with ProcessPoolExecutor(
@@ -217,7 +218,7 @@ def dispatch(
                 group = queue[0]
                 futures[pool.submit(
                     run_task_group,
-                    pool_task,
+                    task,
                     [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
                 )] = group
                 queue.popleft()

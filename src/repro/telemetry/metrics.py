@@ -207,15 +207,6 @@ class Gauge(_Metric):
     def value(self, **labels: Any) -> float:
         return self._values.get(self._key(labels), 0)
 
-    @contextmanager
-    def track_inflight(self, **labels: Any):
-        """Raise the gauge for the duration of a block."""
-        self.inc(**labels)
-        try:
-            yield
-        finally:
-            self.dec(**labels)
-
 
 class _HistSeries:
     __slots__ = ("counts", "sum", "count")

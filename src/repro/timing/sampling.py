@@ -43,10 +43,6 @@ class ClockSpec:
         """Clock period [s]."""
         return 1.0 / self.frequency
 
-    def cycles_to_time(self, cycles: float) -> float:
-        """Convert a cycle count to seconds."""
-        return cycles * self.period
-
     def samples_in(self, duration: float) -> int:
         """Number of rising edges inside a duration (floor)."""
         if duration < 0:

@@ -13,7 +13,6 @@ from repro.traces.acquisition import (
     AcquisitionSpec,
     AESTraceAcquisition,
     MultiSensorAcquisition,
-    characterize_readouts,
 )
 from repro.traces.blockstore import (
     SCHEMA_VERSION,
@@ -39,7 +38,6 @@ __all__ = [
     "AcquisitionSpec",
     "AESTraceAcquisition",
     "MultiSensorAcquisition",
-    "characterize_readouts",
     "TraceSet",
     "SCHEMA_VERSION",
     "BlockStore",

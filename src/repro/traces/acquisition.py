@@ -1,7 +1,5 @@
 """Acquisition harnesses: drive victims, run the PDN, sample sensors.
 
-Three harnesses:
-
 * :class:`AESTraceAcquisition` — the key-extraction campaign (Section
   IV-B): per encryption, the AES core's per-cycle switching current is
   injected at its placement, propagated through the PDN surrogate, and
@@ -10,16 +8,17 @@ Three harnesses:
 * :class:`MultiSensorAcquisition` — N sensors/placements observing the
   *same* victim campaign: one shared AES+PDN pass per block fans out to
   per-sensor trace sets, bit-identical to N independent campaigns.
-* :func:`characterize_readouts` — the characterization workloads
-  (Section IV-A): sample a sensor under a steady power-virus activity
-  level.
+* :func:`characterize_droop` / :func:`characterize_block` — the
+  characterization workloads (Section IV-A): sample a sensor under a
+  steady power-virus activity level.
 
-Both harnesses expose a *block* primitive (:meth:`AESTraceAcquisition.
-acquire_block`, :func:`characterize_block`) that computes one fully
-vectorized batch from an explicit RNG.  The serial entry points iterate
-blocks against a single generator; the process-pool engine in
-:mod:`repro.runtime` runs one block per shard against per-shard spawned
-generators — which is what makes parallel acquisition deterministic.
+Each exposes a *block* primitive (:meth:`AESTraceAcquisition.
+acquire_block`, :meth:`MultiSensorAcquisition.acquire_block_many`,
+:func:`characterize_block`) that computes one fully vectorized batch
+from an explicit RNG.  Campaigns run through :class:`repro.runtime.
+Engine`, which runs one block per shard against per-shard spawned
+generators — which is what makes acquisition deterministic at any
+worker count.
 
 One deliberate substitution: the paper chains plaintexts (each
 ciphertext becomes the next plaintext) to avoid repetition, which would
@@ -38,15 +37,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.streaming import validate_chunk_size
-from repro.config import DEFAULT_CONSTANTS, PhysicalConstants, RngLike, make_rng
 from repro.core.sensor import SamplingMethod, VoltageSensor
 from repro.errors import AcquisitionError
 from repro.kernels import AcquisitionKernel, StageProfile, get_kernel
-from repro.pdn.coupling import CouplingModel, LoadSite
+from repro.pdn.coupling import CouplingModel
 from repro.pdn.noise import NoiseModel
-from repro.timing.sampling import ClockSpec
-from repro.traces.store import TraceSet
 from repro.victims.aes import AES128, AESHardwareModel
 from repro.victims.power_virus import PowerVirusBank
 
@@ -233,53 +228,6 @@ class AESTraceAcquisition:
             "kernel": self.kernel.name,
         }
 
-    def collect(
-        self,
-        n_traces: int,
-        *,
-        key,
-        rng: RngLike = None,
-        chunk_size: int = 4096,
-        n_samples: Optional[int] = None,
-    ) -> TraceSet:
-        """Run ``n_traces`` encryptions and record the sensor readouts.
-
-        All arguments after ``n_traces`` are keyword-only.  Traces are
-        generated in chunks to bound memory; every chunk is fully
-        vectorized (AES, PDN filter, sensor sampling).  For multi-core
-        collection use :meth:`repro.runtime.Engine.collect`, which
-        shards this workload deterministically across processes.
-        """
-        if n_traces <= 0:
-            raise AcquisitionError("n_traces must be positive")
-        validate_chunk_size(chunk_size)
-        rng = make_rng(rng)
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = self.default_n_samples()
-
-        traces = np.empty((n_traces, n_samples), dtype=np.int16)
-        pts = np.empty((n_traces, 16), dtype=np.uint8)
-        cts = np.empty((n_traces, 16), dtype=np.uint8)
-
-        done = 0
-        while done < n_traces:
-            m = min(chunk_size, n_traces - done)
-            chunk_pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
-            readouts, chunk_cts = self.acquire_block(aes, chunk_pts, rng, n_samples)
-            traces[done : done + m] = readouts
-            pts[done : done + m] = chunk_pts
-            cts[done : done + m] = chunk_cts
-            done += m
-
-        return TraceSet(
-            traces=traces,
-            plaintexts=pts,
-            ciphertexts=cts,
-            key=aes.key,
-            metadata=self.trace_metadata(aes),
-        )
-
 
 class MultiSensorAcquisition:
     """N sensors/placements observing one AES victim campaign.
@@ -379,61 +327,6 @@ class MultiSensorAcquisition:
             profile=profile, skip=skip,
         )
 
-    def collect(
-        self,
-        n_traces: int,
-        *,
-        key,
-        rng: RngLike = None,
-        chunk_size: int = 4096,
-        n_samples: Optional[int] = None,
-    ) -> List[TraceSet]:
-        """Serial fan-out collection: one :class:`TraceSet` per sensor.
-
-        Mirrors :meth:`AESTraceAcquisition.collect`; each returned
-        trace set is bit-identical to what its sensor's standalone
-        harness would have collected with the same ``rng`` seed.  For
-        multi-core collection use
-        :meth:`repro.runtime.Engine.collect_many`.
-        """
-        if n_traces <= 0:
-            raise AcquisitionError("n_traces must be positive")
-        validate_chunk_size(chunk_size)
-        rng = make_rng(rng)
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = self.default_n_samples()
-
-        n_sensors = len(self.acquisitions)
-        traces = [
-            np.empty((n_traces, n_samples), dtype=np.int16)
-            for _ in range(n_sensors)
-        ]
-        pts = np.empty((n_traces, 16), dtype=np.uint8)
-        cts = np.empty((n_traces, 16), dtype=np.uint8)
-
-        done = 0
-        while done < n_traces:
-            m = min(chunk_size, n_traces - done)
-            chunk_pts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
-            results = self.acquire_block_many(aes, chunk_pts, rng, n_samples)
-            pts[done : done + m] = chunk_pts
-            cts[done : done + m] = results[0][1]
-            for index, (readouts, _) in enumerate(results):
-                traces[index][done : done + m] = readouts
-            done += m
-
-        return [
-            TraceSet(
-                traces=traces[index],
-                plaintexts=pts,
-                ciphertexts=cts,
-                key=aes.key,
-                metadata=harness.trace_metadata(aes),
-            )
-            for index, harness in enumerate(self.acquisitions)
-        ]
-
 
 def characterize_droop(
     sensor: VoltageSensor,
@@ -442,7 +335,9 @@ def characterize_droop(
     active_groups: int,
 ) -> float:
     """Steady-state droop [V] at the sensor for a virus activity level
-    (the deterministic part of :func:`characterize_readouts`)."""
+    (the deterministic part of :meth:`repro.runtime.Engine.
+    characterize`); ``active_groups`` must be a whole number of groups
+    in ``0 .. virus.n_groups``."""
     active_groups = _coerce_group_count(active_groups, virus.n_groups)
     sensor_pos = sensor.require_position()
     enables = np.zeros(virus.n_groups)
@@ -469,41 +364,3 @@ def characterize_block(
         readouts = sensor.sample_readouts(volts, rng=rng, method=SamplingMethod.EXACT)
         acct.account(readouts)
     return readouts
-
-
-def characterize_readouts(
-    sensor: VoltageSensor,
-    coupling: CouplingModel,
-    virus: PowerVirusBank,
-    active_groups: int,
-    n_readouts: int = 2000,
-    noise: Optional[NoiseModel] = None,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Sample a sensor under a steady power-virus activity level
-    (the Fig. 3 / Fig. 4 workload).
-
-    Parameters
-    ----------
-    sensor:
-        Placed, calibrated sensor.
-    coupling:
-        PDN surrogate.
-    virus:
-        Placed power-virus bank.
-    active_groups:
-        How many of the bank's groups are enabled (0 .. n_groups).
-        Integer-valued floats are coerced; fractional values raise
-        :class:`~repro.errors.AcquisitionError`.
-    n_readouts:
-        Readouts to sample (the paper uses 2,000 per level).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_readouts,)`` integer readouts.
-    """
-    droop = characterize_droop(sensor, coupling, virus, active_groups)
-    rng = make_rng(rng)
-    noise = noise or NoiseModel(white_rms=sensor.constants.voltage_noise_rms)
-    return characterize_block(sensor, droop, noise, n_readouts, rng)

@@ -47,10 +47,9 @@ from repro.traces.blockstore import BlockStore, CachedBlock, verify_blob
 from repro.traces.store_backends.base import StoreBackend, contains_many
 from repro.traces.store_backends.http import HTTPBackend
 
-#: Publish modes: ``behind`` (background thread, default), ``sync``
-#: (inline upload — tests and one-shot scripts), ``off`` (read-through
-#: only — engine worker processes).
-PUBLISH_MODES = ("behind", "sync", "off")
+#: Publish modes: ``behind`` (background thread, default), ``off``
+#: (read-through only — engine worker processes).
+PUBLISH_MODES = ("behind", "off")
 
 
 def default_local_tier() -> Path:
@@ -138,8 +137,7 @@ class TieredStore(BlockStore):
         As on :class:`BlockStore` (the cap governs the local tier;
         remote ingests count toward it and can evict).
     publish_mode:
-        ``"behind"`` (default), ``"sync"`` or ``"off"`` — see module
-        docstring.
+        ``"behind"`` (default) or ``"off"`` — see module docstring.
     """
 
     def __init__(
@@ -263,8 +261,6 @@ class TieredStore(BlockStore):
         path = super().put(key, arrays, meta)
         if self.publish_mode == "behind":
             self._ensure_publisher().enqueue([key])
-        elif self.publish_mode == "sync":
-            self._publish_one(key)
         return path
 
     def publish_async(self, keys: Iterable[str]) -> int:
@@ -278,10 +274,6 @@ class TieredStore(BlockStore):
         keys = [key for key in keys if key]
         if not keys:
             return 0
-        if self.publish_mode == "sync":
-            for key in keys:
-                self._publish_one(key)
-            return len(keys)
         return self._ensure_publisher().enqueue(keys)
 
     def _ensure_publisher(self) -> _WriteBehindPublisher:

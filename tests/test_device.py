@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fpga.device import (
     DeviceModel,
-    FFS_PER_SLICE,
     LUTS_PER_SLICE,
     Site,
     SiteType,
@@ -24,7 +23,6 @@ class TestXc7a35t:
 
     def test_lut_and_ff_ratios(self, basys3_device):
         assert basys3_device.num_luts == basys3_device.num_slices * LUTS_PER_SLICE
-        assert basys3_device.num_ffs == basys3_device.num_slices * FFS_PER_SLICE
 
     def test_six_clock_regions(self, basys3_device):
         regions = basys3_device.clock_regions
@@ -109,7 +107,7 @@ class TestSites:
         assert xs == {0, basys3_device.width - 1}
 
     def test_site_names_unique(self, basys3_device):
-        names = [s.name for s in basys3_device.iter_sites()]
+        names = [s.name for s in basys3_device.sites.values()]
         assert len(names) == len(set(names))
 
     def test_site_position_property(self):

@@ -245,18 +245,10 @@ class TestAcquireMany:
 
 
 class TestSerialCollect:
-    def test_collect_matches_standalone(self, multi, specs):
-        trace_sets = multi.collect(300, key=KEY, rng=9, chunk_size=128)
-        assert len(trace_sets) == len(specs)
-        for spec, ts in zip(specs, trace_sets):
-            solo = spec.build().collect(300, key=KEY, rng=9, chunk_size=128)
-            np.testing.assert_array_equal(ts.traces, solo.traces)
-            np.testing.assert_array_equal(ts.plaintexts, solo.plaintexts)
-            np.testing.assert_array_equal(ts.ciphertexts, solo.ciphertexts)
-            assert ts.metadata["sensor"] == solo.metadata["sensor"]
-
     def test_shared_plaintext_arrays(self, multi):
-        trace_sets = multi.collect(120, key=KEY, rng=9, chunk_size=64)
+        trace_sets = Engine(workers=1, shard_size=64).collect_many(
+            multi, 120, key=KEY, seed=9
+        )
         assert all(ts.plaintexts is trace_sets[0].plaintexts for ts in trace_sets)
         assert all(ts.ciphertexts is trace_sets[0].ciphertexts for ts in trace_sets)
 

@@ -15,6 +15,11 @@ code it pointed at.  And every module under ``src/repro`` must be
 reachable by imports from an entry point (the CLI, the experiment
 registry, the campaign service), so a module only tests still use
 fails here instead of lingering.
+
+The end-to-end benchmark's traced rep wraps engine, kernel, store and
+experiment names from outside ``src/`` (``benchmarks/e2e/spans.py``);
+installing its wrappers in a fresh interpreter must succeed, so a
+rename of any name it patches fails here.
 """
 
 import ast
@@ -55,26 +60,45 @@ print(json.dumps(seen))
 """
 
 
-def test_campaigns_never_import_heavy_modules():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_fresh(code, *args, paths=("src",)):
+    """Run ``code`` in a fresh interpreter with ``paths`` (relative to
+    the repository root) in front of ``PYTHONPATH``."""
     env = {
         k: v
         for k, v in os.environ.items()
         if k not in ("REPRO_CACHE_DIR", "REPRO_REMOTE_CACHE")
     }
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(heavy=HEAVY_MODULES)],
+    path = [str(ROOT / p) for p in paths]
+    if env.get("PYTHONPATH"):
+        path.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_campaigns_never_import_heavy_modules():
+    proc = _run_fresh(PROBE.format(heavy=HEAVY_MODULES))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"names": [], "fig5": [], "table1": []}
+
+
+def test_e2e_bench_wrappers_install(tmp_path):
+    """Every name the traced e2e rep patches still resolves."""
+    proc = _run_fresh(
+        "import sys, spans; spans.install(sys.argv[1])",
+        str(tmp_path),
+        paths=("src", "benchmarks/e2e"),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_listed_public_name_resolves():

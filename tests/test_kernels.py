@@ -475,7 +475,7 @@ class TestStageProfile:
         assert a.stage_seconds() == {"aes": 3.0, "pdn": 0.5, "sensor": 0.25}
         assert a.stage_nbytes() == {"aes": 40, "pdn": 0, "sensor": 0}
         assert a.stages["aes"].items == 5
-        assert a.total_seconds == pytest.approx(3.75)
+        assert sum(a.stage_seconds().values()) == pytest.approx(3.75)
 
     def test_as_dict_and_summary(self):
         profile = StageProfile()

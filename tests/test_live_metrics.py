@@ -64,9 +64,6 @@ def test_gauge_set_inc_dec_and_inflight():
     g.inc()
     g.dec(2)
     assert g.value() == 4
-    with g.track_inflight():
-        assert g.value() == 5
-    assert g.value() == 4
 
 
 def test_histogram_observe_and_overflow():

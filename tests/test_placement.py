@@ -156,9 +156,3 @@ class TestPlacement:
     def test_empty_centroid_raises(self, basys3_device):
         with pytest.raises(PlacementError):
             Placement(basys3_device).centroid()
-
-    def test_cells_at(self, placer):
-        nl = _netlist_of(LUT.inverter("l0"), LUT.inverter("l1"))
-        placement = placer.place(nl)
-        site = placement.site_of("l0")
-        assert set(placement.cells_at(site)) >= {"l0"}

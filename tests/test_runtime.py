@@ -26,10 +26,7 @@ from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import (
-    AcquisitionSpec,
-    characterize_readouts,
-)
+from repro.traces.acquisition import AcquisitionSpec, characterize_droop
 from repro.victims.aes import AESHardwareModel
 
 KEY = bytes(range(16))
@@ -179,16 +176,17 @@ class TestEngineCharacterize:
             np.testing.assert_array_equal(out, reference)
 
     def test_matches_noise_free_statistics(self, characterization):
-        # Engine readouts come from the same sensor model as the legacy
-        # path: their mean must sit near the noise-free readout.
+        # The readout mean must sit near the sensor's noise-free
+        # readout at the virus's steady-state droop.
         sensor, coupling, virus = characterization
         engine_out = Engine(workers=1).characterize(
             sensor, coupling, virus, 8, 600, seed=0
         )
-        legacy_out = characterize_readouts(
-            sensor, coupling, virus, 8, 600, rng=np.random.default_rng(0)
-        )
-        assert abs(engine_out.mean() - legacy_out.mean()) < 2.0
+        droop = characterize_droop(sensor, coupling, virus, 8)
+        expected = sensor.expected_readout(
+            np.array([sensor.constants.v_nominal - droop])
+        )[0]
+        assert abs(engine_out.mean() - expected) < 2.0
 
     def test_progress_and_metrics(self, characterization):
         sensor, coupling, virus = characterization
@@ -370,49 +368,31 @@ class TestWorkerLoss:
         assert {n for n in after - before if n.startswith("psm_")} == set()
 
 
-class TestAcquisitionChunkValidation:
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "64"])
-    def test_collect_rejects_bad_chunk_size(self, acquisition, bad):
-        # chunk_size=0 used to loop forever; now it is rejected up front.
-        with pytest.raises(ConfigurationError):
-            acquisition.collect(10, key=KEY, rng=0, chunk_size=bad)
-
-    def test_collect_accepts_explicit_chunk_size(self, acquisition):
-        a = acquisition.collect(10, key=KEY, rng=0, chunk_size=3)
-        assert len(a) == 10
-
-
 class TestActiveGroupsValidation:
     def test_float_integral_accepted(self, characterization):
         sensor, coupling, virus = characterization
-        a = characterize_readouts(
-            sensor, coupling, virus, 4.0, 50, rng=np.random.default_rng(1)
-        )
-        b = characterize_readouts(
-            sensor, coupling, virus, 4, 50, rng=np.random.default_rng(1)
-        )
+        a = Engine().characterize(sensor, coupling, virus, 4.0, 50, seed=1)
+        b = Engine().characterize(sensor, coupling, virus, 4, 50, seed=1)
         np.testing.assert_array_equal(a, b)
 
     def test_fractional_float_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            characterize_readouts(sensor, coupling, virus, 2.5, 50)
+            Engine().characterize(sensor, coupling, virus, 2.5, 50)
 
     def test_bool_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            characterize_readouts(sensor, coupling, virus, True, 50)
+            Engine().characterize(sensor, coupling, virus, True, 50)
 
     def test_out_of_range_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            characterize_readouts(sensor, coupling, virus, virus.n_groups + 1, 50)
+            Engine().characterize(sensor, coupling, virus, virus.n_groups + 1, 50)
         with pytest.raises(AcquisitionError):
-            characterize_readouts(sensor, coupling, virus, -1, 50)
+            Engine().characterize(sensor, coupling, virus, -1, 50)
 
     def test_numpy_integer_accepted(self, characterization):
         sensor, coupling, virus = characterization
-        out = characterize_readouts(
-            sensor, coupling, virus, np.int64(3), 50, rng=np.random.default_rng(2)
-        )
+        out = Engine().characterize(sensor, coupling, virus, np.int64(3), 50, seed=2)
         assert out.shape == (50,)

@@ -202,8 +202,9 @@ class TestHTTPBackend:
 
 class TestTieredStore:
     def test_read_through_ingests_then_hits_locally(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         a.put(K1, {"x": np.arange(8, dtype=np.int16)})
+        a.flush()
         assert a.counters.remote_puts == 1
 
         b = TieredStore(tmp_path / "b", remote=server.url)
@@ -219,8 +220,9 @@ class TestTieredStore:
         assert b.counters.remote_hits == 1
 
     def test_remote_ingest_verifies_digest(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         a.put(K1, {"x": np.arange(8, dtype=np.int16)})
+        a.flush()
         # Corrupt the blob *behind* the server: the wire now delivers
         # damaged bytes with a valid HTTP 200 around them.
         path = server.store.path_for(K1)
@@ -245,10 +247,12 @@ class TestTieredStore:
         store.close()
 
     def test_publish_skips_blocks_the_remote_already_has(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         a.put(K1, {"x": np.arange(4, dtype=np.int16)})
-        b = TieredStore(tmp_path / "b", remote=server.url, publish_mode="sync")
+        a.flush()
+        b = TieredStore(tmp_path / "b", remote=server.url)
         b.put(K1, {"x": np.arange(4, dtype=np.int16)})
+        b.flush()
         assert b.counters.remote_publish_skipped == 1
         assert b.counters.remote_puts == 0
 
@@ -285,8 +289,9 @@ class TestTieredStore:
         assert store.get(K2) is not None
 
     def test_tiers_of_classifies_all_three_states(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         a.put(K1, {"x": np.arange(4, dtype=np.int16)})  # local + remote
+        a.flush()
         b = TieredStore(tmp_path / "b", remote=server.url)
         b.put(K2, {"x": np.arange(4, dtype=np.int16)})  # local only (b)
         tiers = b.tiers_of([K1, K2, K3])
@@ -295,8 +300,9 @@ class TestTieredStore:
         b.close()
 
     def test_fetch_is_counter_neutral(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         a.put(K1, {"x": np.arange(4, dtype=np.int16)})
+        a.flush()
         b = TieredStore(tmp_path / "b", remote=server.url)
         outcome, nbytes = b.fetch(K1)
         assert outcome == "fetched" and nbytes > 0
@@ -389,9 +395,10 @@ class TestSchedulerPrimitives:
         assert flatten_keys((K1, None, K2)) == [K1, K2]
 
     def test_classify_against_store_tiers(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         tasks = _tasks(3)
         a.put(tasks[0].key, {"x": np.arange(4, dtype=np.int16)})  # local+remote
+        a.flush()
         b = TieredStore(tmp_path / "b", remote=server.url)
         b.put(tasks[1].key, {"x": np.arange(4, dtype=np.int16)})  # local only
         classes, tiers = classify_tasks(b, tasks)
@@ -428,8 +435,8 @@ class TestSchedulerPrimitives:
             task.position
             for task, _ in dispatch(
                 tasks, workers=1, schedule="stealing",
-                serial_body=lambda shard, seq, key: shard.index,
-                pool_task=None, pool_initializer=None, pool_initargs=(),
+                task=lambda shard, seq, key: shard.index,
+                pool_initializer=None, pool_initargs=(),
             )
         ]
         assert seen == [0, 1, 2, 3, 4]
@@ -441,8 +448,7 @@ class TestSchedulerPrimitives:
         previous = None
         for task, result in dispatch(
             _tasks(6, keyed=False), workers=2, schedule=schedule,
-            serial_body=None, pool_task=_array_task,
-            pool_initializer=None, pool_initargs=(),
+            task=_array_task, pool_initializer=None, pool_initargs=(),
         ):
             assert previous is None or previous() is None
             assert result[0] == task.shard.index
@@ -466,8 +472,7 @@ class TestSchedulerPrimitives:
         consumed = []
         for task, _ in dispatch(
             _tasks(8, keyed=False), workers=2, schedule=schedule,
-            serial_body=None, pool_task=_array_task,
-            pool_initializer=None, pool_initargs=(),
+            task=_array_task, pool_initializer=None, pool_initargs=(),
         ):
             assert len(submitted) - len(consumed) <= 3
             time.sleep(0.05)
@@ -475,10 +480,11 @@ class TestSchedulerPrimitives:
         assert sorted(consumed) == list(range(8))
 
     def test_prefetcher_pulls_remote_keys(self, tmp_path, server):
-        a = TieredStore(tmp_path / "a", remote=server.url, publish_mode="sync")
+        a = TieredStore(tmp_path / "a", remote=server.url)
         keys = [f"{i:064x}" for i in range(3)]
         for k in keys:
             a.put(k, {"x": np.arange(4, dtype=np.int16)})
+        a.flush()
         b = TieredStore(tmp_path / "b", remote=server.url)
         prefetcher = RemotePrefetcher(b, keys + [K3], threads=2)
         deadline = time.monotonic() + 10

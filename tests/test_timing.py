@@ -125,9 +125,6 @@ class TestClockSpec:
         with pytest.raises(ConfigurationError):
             ClockSpec(0.0)
 
-    def test_cycles_to_time(self):
-        assert ClockSpec(100e6).cycles_to_time(3) == pytest.approx(30e-9)
-
     def test_samples_in(self):
         assert ClockSpec(100e6).samples_in(95e-9) == 9
 

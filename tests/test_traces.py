@@ -5,12 +5,13 @@ import pytest
 
 from repro.core.leaky_dsp import LeakyDSP
 from repro.core.calibration import calibrate
-from repro.errors import AcquisitionError
+from repro.errors import AcquisitionError, ConfigurationError
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.pdn.noise import NoiseModel
+from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AcquisitionSpec, characterize_readouts
+from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.store import TraceSet
 from repro.victims.aes import AES128, AESHardwareModel
 from repro.victims.power_virus import PowerVirusBank
@@ -106,55 +107,61 @@ def acquisition(basys3_device):
     ).build()
 
 
+def _collect(acquisition, n_traces, seed, shard_size=4096):
+    return Engine(workers=1, shard_size=shard_size).collect(
+        acquisition, n_traces, key=KEY, seed=seed
+    )
+
+
 class TestAESAcquisition:
     def test_collect_shapes(self, acquisition):
-        ts = acquisition.collect(50, key=KEY, rng=1)
+        ts = _collect(acquisition, 50, seed=1)
         assert ts.traces.shape == (50, acquisition.hw_model.samples_per_block + 30)
         assert ts.plaintexts.shape == (50, 16)
 
     def test_ciphertexts_are_correct(self, acquisition):
-        ts = acquisition.collect(20, key=KEY, rng=2)
+        ts = _collect(acquisition, 20, seed=2)
         aes = AES128(KEY)
         np.testing.assert_array_equal(aes.encrypt_blocks(ts.plaintexts), ts.ciphertexts)
 
     def test_metadata_populated(self, acquisition):
-        ts = acquisition.collect(5, key=KEY, rng=3)
+        ts = _collect(acquisition, 5, seed=3)
         assert ts.metadata["aes_frequency_hz"] == 20e6
         assert ts.metadata["sensor_type"] == "LeakyDSP"
 
     def test_reproducible_for_same_chunking(self, acquisition):
-        a = acquisition.collect(30, key=KEY, rng=4, chunk_size=7)
-        b = acquisition.collect(30, key=KEY, rng=4, chunk_size=7)
+        a = _collect(acquisition, 30, seed=4, shard_size=7)
+        b = _collect(acquisition, 30, seed=4, shard_size=7)
         np.testing.assert_array_equal(a.plaintexts, b.plaintexts)
         np.testing.assert_array_equal(a.traces, b.traces)
 
     def test_chunk_size_preserves_validity(self, acquisition):
-        """Different chunk sizes draw differently from the stream, but
-        every chunking yields internally consistent campaigns."""
+        """Different shard sizes draw differently from the seed, but
+        every shard plan yields an internally consistent campaign."""
         aes = AES128(KEY)
-        for chunk in (7, 30):
-            ts = acquisition.collect(30, key=KEY, rng=4, chunk_size=chunk)
+        for shard_size in (7, 30):
+            ts = _collect(acquisition, 30, seed=4, shard_size=shard_size)
             np.testing.assert_array_equal(
                 aes.encrypt_blocks(ts.plaintexts), ts.ciphertexts
             )
 
     def test_nonpositive_count_rejected(self, acquisition):
-        with pytest.raises(AcquisitionError):
-            acquisition.collect(0, key=KEY)
+        with pytest.raises(ConfigurationError):
+            _collect(acquisition, 0, seed=0)
 
     def test_key_is_keyword_only(self, acquisition):
         with pytest.raises(TypeError):
-            acquisition.collect(10, KEY)
+            Engine(workers=1).collect(acquisition, 10, KEY)
 
     def test_traces_sit_in_sensor_range(self, acquisition):
-        ts = acquisition.collect(50, key=KEY, rng=5)
+        ts = _collect(acquisition, 50, seed=5)
         assert ts.traces.min() >= 0
         assert ts.traces.max() <= 48
 
     def test_encryption_visible_in_traces(self, acquisition):
         """Mean readout during the rounds is lower than during the
         lead-in (the core draws current while encrypting)."""
-        ts = acquisition.collect(300, key=KEY, rng=6)
+        ts = _collect(acquisition, 300, seed=6)
         spc = acquisition.hw_model.samples_per_cycle
         lead = ts.traces[:, : spc // 2].mean()
         busy = ts.traces[:, 5 * spc : 10 * spc].mean()
@@ -178,24 +185,24 @@ class TestCharacterize:
 
     def test_shape(self, bench):
         sensor, coupling, virus = bench
-        r = characterize_readouts(sensor, coupling, virus, 4, 100, rng=0)
+        r = Engine().characterize(sensor, coupling, virus, 4, 100, seed=0)
         assert r.shape == (100,)
 
     def test_activity_lowers_readout(self, bench):
         sensor, coupling, virus = bench
-        idle = characterize_readouts(sensor, coupling, virus, 0, 500, rng=1)
-        busy = characterize_readouts(sensor, coupling, virus, 8, 500, rng=2)
+        idle = Engine().characterize(sensor, coupling, virus, 0, 500, seed=1)
+        busy = Engine().characterize(sensor, coupling, virus, 8, 500, seed=2)
         assert busy.mean() < idle.mean()
 
     def test_bad_group_count_rejected(self, bench):
         sensor, coupling, virus = bench
         with pytest.raises(AcquisitionError):
-            characterize_readouts(sensor, coupling, virus, 9, 10)
+            Engine().characterize(sensor, coupling, virus, 9, 10)
 
     def test_quiet_noise_deterministic_mean(self, bench):
         sensor, coupling, virus = bench
-        r = characterize_readouts(
-            sensor, coupling, virus, 2, 400, noise=NoiseModel.quiet(), rng=3
+        r = Engine().characterize(
+            sensor, coupling, virus, 2, 400, noise=NoiseModel.quiet(), seed=3
         )
         expected = sensor.expected_readout(
             np.array([sensor.constants.v_nominal
