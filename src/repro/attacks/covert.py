@@ -26,7 +26,7 @@ payload yields 247.94 b/s, under 250 b/s by exactly the framing tax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -40,8 +40,8 @@ the fast one on-chip, and the same bitstream passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.fpga.bitstream import Bitstream
 

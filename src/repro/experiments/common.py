@@ -21,8 +21,8 @@ experiment shares:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants
 from repro.core import LeakyDSP, calibrate

@@ -24,8 +24,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.config import RngLike, make_rng
-from repro.core import LeakyDSP, calibrate
-from repro.defense.checker import BitstreamChecker, Finding
+from repro.core import LeakyDSP
+from repro.defense.checker import BitstreamChecker
 from repro.defense.fence import ActiveFence
 from repro.experiments import common, registry
 from repro.fpga.bitstream import generate_bitstream

@@ -16,7 +16,7 @@ its kernel family reproduces the reference RC-mesh physics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

@@ -12,7 +12,7 @@ which keeps the attacker/defender interface honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import NetlistError
 from repro.fpga.netlist import Netlist

@@ -27,7 +27,7 @@ ZU3EG: ~11,040 slice-equivalents / 360 DSPs).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError

@@ -11,17 +11,10 @@ TDC-style carry/FF ladders, unregistered DSP cascades).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
-from repro.fpga.primitives import (
-    CARRY4,
-    DSP48E1,
-    FDRE,
-    IDELAYE2,
-    LUT,
-    Primitive,
-)
+from repro.fpga.primitives import DSP48E1, FDRE, Primitive
 
 if TYPE_CHECKING:
     import networkx as nx

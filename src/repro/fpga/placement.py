@@ -12,7 +12,7 @@ and 1 CARRY4 per slice).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.fpga.device import (

@@ -23,8 +23,8 @@ pattern detectors, carry-cascade modes etc. are validated but inert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PrimitiveConfigError
 

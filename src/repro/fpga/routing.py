@@ -18,9 +18,9 @@ plus a per-tile increment, matching :mod:`repro.timing.paths`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.errors import NetlistError, PlacementError
+from repro.errors import NetlistError
 from repro.fpga.device import DeviceModel
 from repro.fpga.netlist import Netlist
 from repro.fpga.placement import Placement

@@ -12,7 +12,6 @@ Three components, matching what on-chip sensors actually see:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

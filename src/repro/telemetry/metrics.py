@@ -41,7 +41,7 @@ import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 

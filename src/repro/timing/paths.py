@@ -9,12 +9,12 @@ ablation sweeps.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.errors import NetlistError
 from repro.fpga.netlist import Cell, Netlist
 from repro.fpga.placement import Placement
-from repro.fpga.primitives import CARRY4, DSP48E1, DSPStageDelays, IDELAYE2, LUT
+from repro.fpga.primitives import DSP48E1, DSPStageDelays, IDELAYE2
 
 #: Nominal through-delays per primitive type [s].
 PATH_DELAYS = {

@@ -7,6 +7,10 @@ container (with npz persistence) and
 :class:`~repro.traces.acquisition.AESTraceAcquisition` the harness that
 drives the victim, runs the PDN and sensor models and collects the
 readout matrix.
+
+The remote-tier classes (:class:`HTTPBackend`, :class:`TieredStore`)
+are exported lazily: their modules load ``http.client`` and ``ssl``,
+which only a run with a remote cache tier needs.
 """
 
 from repro.traces.acquisition import (
@@ -27,12 +31,7 @@ from repro.traces.blockstore import (
     verify_blob,
 )
 from repro.traces.store import TraceSet
-from repro.traces.store_backends import (
-    HTTPBackend,
-    LocalDirBackend,
-    StoreBackend,
-    TieredStore,
-)
+from repro.traces.store_backends import LocalDirBackend, StoreBackend
 
 __all__ = [
     "AcquisitionSpec",
@@ -54,3 +53,17 @@ __all__ = [
     "StoreBackend",
     "TieredStore",
 ]
+
+_LAZY = {
+    "HTTPBackend": "repro.traces.store_backends.http",
+    "TieredStore": "repro.traces.store_backends.tiered",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

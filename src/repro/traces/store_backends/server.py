@@ -36,7 +36,7 @@ import time
 from functools import wraps
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.telemetry.metrics import LATENCY_BUCKETS, get_registry
 from repro.telemetry.tracing import TRACE_HEADER

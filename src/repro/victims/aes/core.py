@@ -14,8 +14,6 @@ what the Hamming-distance power model consumes.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError

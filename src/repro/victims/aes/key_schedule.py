@@ -7,8 +7,6 @@ Both directions live here.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError

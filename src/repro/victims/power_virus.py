@@ -17,7 +17,7 @@ available LUT resources" footprint to first order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -1,20 +1,23 @@
 """The experiment registry's import path carries only what a campaign runs.
 
-``scipy.stats``, ``scipy.signal``, ``scipy.sparse`` and ``networkx`` cost
-about a second of interpreter start-up between them, and a Fig. 5 or
+``scipy`` (any of it), ``networkx`` and the HTTP client stack cost more
+than a second of interpreter start-up between them, and a Fig. 5 or
 Table I campaign calls none of them.  The modules that need them (the RC
-mesh, the reference filter, the netlist graph checks) import them where
-they are used.  This test runs in a fresh interpreter, so no other test
-can have loaded them first: they must stay unloaded after the registry
-is listed, and still after a quick fig5 and a quick table1 campaign, so
-their cost cannot have moved from start-up into the campaign either.
+mesh, the reference filter, the netlist graph checks, the remote cache
+tier) import them where they are used; the sensor ramp's normal quantile
+is an in-repo ``ndtri``.  This test runs in a fresh interpreter, so no
+other test can have loaded them first: they must stay unloaded after the
+registry is listed, and still after a quick fig5 and a quick table1
+campaign, so their cost cannot have moved from start-up into the
+campaign either.
 
 The public surface is checked in-process: every name a ``repro`` module
 lists in ``__all__`` must resolve, so a re-export cannot outlive the
 code it pointed at.  And every module under ``src/repro`` must be
 reachable by imports from an entry point (the CLI, the experiment
 registry, the campaign service), so a module only tests still use
-fails here instead of lingering.
+fails here instead of lingering.  A module-level import whose name the
+module never uses fails too (no linter runs in CI).
 
 The end-to-end benchmark's traced rep wraps engine, kernel, store and
 experiment names from outside ``src/`` (``benchmarks/e2e/spans.py``);
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import repro
 
-HEAVY_MODULES = ("scipy.stats", "scipy.signal", "scipy.sparse", "networkx")
+HEAVY_MODULES = ("scipy", "networkx", "http.client")
 
 PROBE = """
 import json
@@ -170,3 +173,45 @@ def test_every_module_is_reachable_from_an_entry_point():
                 todo.extend(_imported_names(name, files[name], is_package))
             name = name.rpartition(".")[0]
     assert sorted(set(files) - seen) == []
+
+
+def _module_level_imports(tree):
+    """``(line, bound name)`` for each import at module level, those
+    under a module-level ``if``/``try`` included; ``__future__`` skipped."""
+    for top in tree.body:
+        nodes = ast.walk(top) if isinstance(top, (ast.If, ast.Try)) else [top]
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield node.lineno, alias.asname or alias.name.partition(".")[0]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _listed_names(tree):
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    """Every name a module imports at module level is used in it (or
+    listed in its ``__all__``).  Package ``__init__`` files re-export by
+    design and are skipped."""
+    root = Path(repro.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _listed_names(tree)
+        for line, name in _module_level_imports(tree):
+            if name not in used:
+                unused.append(f"{path.relative_to(root.parent)}:{line}: {name}")
+    assert unused == []

@@ -1,13 +1,15 @@
 """Tests for the LeakyDSP sensor: structure, functional model, readout
 behaviour and the tap interface."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
 from repro.config import DEFAULT_CONSTANTS, make_rng
-from repro.core.leaky_dsp import PROCESS_JITTER_FRACTION, LeakyDSP
+from repro.core.leaky_dsp import PROCESS_JITTER_FRACTION, LeakyDSP, ndtri
 from repro.errors import ConfigurationError
 from repro.fpga.device import SiteType, zu3eg
 from repro.fpga.placement import Placer
@@ -53,17 +55,94 @@ class TestConstruction:
 
 
 class TestBitOffsetRamp:
-    """The settle-time ramp is ``scipy.special.ndtri`` of the bit
-    quantiles, so building a sensor never imports ``scipy.stats``; it
-    must stay bit-identical to the ``norm.ppf`` ramp it replaced."""
+    """The settle-time ramp is the in-repo Cephes ``ndtri`` of the bit
+    quantiles, so building a sensor never imports scipy; it must stay
+    bit-identical to ``scipy.special.ndtri`` and to the ``norm.ppf``
+    ramp it replaced."""
+
+    #: ``ndtri((i + 0.5) / 48).hex()`` for the 48-bit output word, so a
+    #: change in scipy cannot move the reference unnoticed.
+    RAMP_48_HEX = (
+        "-0x1.27ce906d93d37p+1",
+        "-0x1.dcdbfee3cb022p+0",
+        "-0x1.9ffebc8ff58c2p+0",
+        "-0x1.74540e8152092p+0",
+        "-0x1.51692983b0b7ep+0",
+        "-0x1.33d794de6f3fep+0",
+        "-0x1.19e4ac0a9a5dep+0",
+        "-0x1.028eb73a355dap+0",
+        "-0x1.da6322dea1219p-1",
+        "-0x1.b2bb6ce19a2acp-1",
+        "-0x1.8d87273010eefp-1",
+        "-0x1.6a503ffea3ff4p-1",
+        "-0x1.48bc44c1acb9dp-1",
+        "-0x1.288402c1e614fp-1",
+        "-0x1.096e15240267fp-1",
+        "-0x1.d69670003d81ap-2",
+        "-0x1.9be770ed7b920p-2",
+        "-0x1.628b3c1baa202p-2",
+        "-0x1.2a469faa416bap-2",
+        "-0x1.e5ca3830dff7fp-3",
+        "-0x1.786e999c500b6p-3",
+        "-0x1.0c23455adce64p-3",
+        "-0x1.412d5fc4a071ap-4",
+        "-0x1.abd8b51f6b8f3p-6",
+        "0x1.abd8b51f6b8cbp-6",
+        "0x1.412d5fc4a071ap-4",
+        "0x1.0c23455adce69p-3",
+        "0x1.786e999c500b1p-3",
+        "0x1.e5ca3830dff7fp-3",
+        "0x1.2a469faa416bdp-2",
+        "0x1.628b3c1baa1ffp-2",
+        "0x1.9be770ed7b920p-2",
+        "0x1.d69670003d81dp-2",
+        "0x1.096e15240267ep-1",
+        "0x1.288402c1e614fp-1",
+        "0x1.48bc44c1acb9fp-1",
+        "0x1.6a503ffea3ff4p-1",
+        "0x1.8d87273010eefp-1",
+        "0x1.b2bb6ce19a2acp-1",
+        "0x1.da6322dea1219p-1",
+        "0x1.028eb73a355dap+0",
+        "0x1.19e4ac0a9a5dep+0",
+        "0x1.33d794de6f3fep+0",
+        "0x1.51692983b0b7ep+0",
+        "0x1.74540e8152092p+0",
+        "0x1.9ffebc8ff58c0p+0",
+        "0x1.dcdbfee3cb022p+0",
+        "0x1.27ce906d93d39p+1",
+    )
+
+    @staticmethod
+    def _ramp(n):
+        return np.array([ndtri(q) for q in ((np.arange(n) + 0.5) / n).tolist()])
 
     def test_ndtri_matches_norm_ppf_for_every_width(self, sensor):
         widths = sorted(set(range(1, 257)) | {sensor.output_width})
         for n in widths:
             quantiles = (np.arange(n) + 0.5) / n
+            ramp = self._ramp(n)
             np.testing.assert_array_equal(
-                ndtri(quantiles), norm.ppf(quantiles), err_msg=f"width {n}"
+                ramp, scipy_ndtri(quantiles), err_msg=f"width {n}"
             )
+            np.testing.assert_array_equal(
+                ramp, norm.ppf(quantiles), err_msg=f"width {n}"
+            )
+
+    def test_ndtri_matches_pinned_48_bit_ramp(self, sensor):
+        assert sensor.output_width == len(self.RAMP_48_HEX)
+        assert [x.hex() for x in self._ramp(48).tolist()] == list(self.RAMP_48_HEX)
+
+    def test_ndtri_matches_scipy_on_all_three_branches(self):
+        # The central rational fit, and the two ``sqrt(-2 log y)`` fits
+        # for y down to exp(-32) and below it, on both tails.
+        tail = np.logspace(-300, np.log10(0.135), 3000)
+        y = np.concatenate(
+            [[0.0, 1.0], tail, 1.0 - tail[tail > 1e-16], np.linspace(0.13, 0.87, 3001)]
+        )
+        got = np.array([ndtri(v) for v in y.tolist()])
+        np.testing.assert_array_equal(got, scipy_ndtri(y))
+        assert all(math.isnan(ndtri(v)) for v in (-0.5, 1.5, math.nan))
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 5])
     def test_offsets_match_norm_ppf_ramp(self, basys3_device, n_blocks):
