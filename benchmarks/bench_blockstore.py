@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 from conftest import full_scale, run_once
 
 from repro.experiments import common

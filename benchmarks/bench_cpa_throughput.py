@@ -33,12 +33,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.streaming import StreamingPearson
-from repro.attacks.cpa import (
-    _BATCH_TILE_ROWS,
-    CPAAttack,
-    hypothesis_table,
-    hypothesis_table_gather,
-)
+from repro.attacks.cpa import _BATCH_TILE_ROWS, CPAAttack, hypothesis_table
 from repro.attacks.key_rank import key_rank_bounds
 from repro.victims.aes.core import SHIFT_ROWS_IDX
 from conftest import full_scale, run_once
@@ -75,7 +70,6 @@ def trace_batch():
     traces = rng.integers(0, 48, size=(N_TRACES, N_SAMPLES)).astype(np.int16)
     cts = rng.integers(0, 256, size=(N_TRACES, 16), dtype=np.uint8)
     hypothesis_table()  # build outside the timed region
-    hypothesis_table_gather()
     return traces, cts
 
 

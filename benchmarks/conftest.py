@@ -9,8 +9,6 @@ with the benchmark report.
 
 import os
 
-import pytest
-
 
 def full_scale() -> bool:
     """Whether paper-scale workloads were requested."""

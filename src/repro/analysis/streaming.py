@@ -26,6 +26,7 @@ zero against the raw-sums cancellation of badly scaled columns.
 from __future__ import annotations
 
 import numbers
+import threading
 from typing import Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -180,6 +181,13 @@ class SharedTraceMoments:
         self.n += other.n
         self._s += other._s
         self._s2 += other._s2
+        return self
+
+    def reset(self) -> "SharedTraceMoments":
+        """Zero the accumulator in place, keeping its buffers."""
+        self.n = 0
+        self._s.fill(0.0)
+        self._s2.fill(0.0)
         return self
 
     def state_arrays(self) -> dict:
@@ -359,6 +367,30 @@ class StreamingPearson:
         return rho
 
 
+#: Samples per row block of :meth:`StackedStreamingPearson.finalize`:
+#: a block's temporaries stay cache-resident.
+_FINALIZE_ROWS = 16
+
+
+class _FinalizeScratch(threading.local):
+    """Per-thread temporaries of :meth:`StackedStreamingPearson.
+    finalize`, grow-only (the campaign service finalizes on several
+    threads at once)."""
+
+    def __init__(self) -> None:
+        self.cov = np.empty(0)
+        self.denom = np.empty(0)
+
+    def blocks(self, shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        size = shape[0] * shape[1]
+        if self.cov.size < size:
+            self.cov, self.denom = np.empty(size), np.empty(size)
+        return self.cov[:size].reshape(shape), self.denom[:size].reshape(shape)
+
+
+_FINALIZE_SCRATCH = _FinalizeScratch()
+
+
 class StackedStreamingPearson:
     """One-pass Pearson correlation of ``n_groups`` independent
     hypothesis groups against one shared trace stream.
@@ -391,12 +423,15 @@ class StackedStreamingPearson:
         self._s_x = np.zeros((self.n_groups, self.n_vars))
         self._s_x2 = np.zeros((self.n_groups, self.n_vars))
         self._s_yx = np.zeros((self.n_samples, self.n_groups * self.n_vars))
+        #: The memoized :meth:`finalize` matrix; ``_peak`` is valid
+        #: while it is set.
         self._rho: Optional[np.ndarray] = None
+        self._peak: Optional[np.ndarray] = None
 
     # -- pickling: keep shard result pipes slim ------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_rho"] = None
+        state["_rho"] = state["_peak"] = None
         return state
 
     @property
@@ -467,6 +502,16 @@ class StackedStreamingPearson:
         self._rho = None
         return self
 
+    def reset(self) -> "StackedStreamingPearson":
+        """Zero the accumulator in place, keeping its buffers: a reused
+        accumulator skips the page faults of fresh zeroed ones."""
+        self.traces.reset()
+        self._s_x.fill(0.0)
+        self._s_x2.fill(0.0)
+        self._s_yx.fill(0.0)
+        self._rho = None
+        return self
+
     #: Names of the arrays a state dump carries.
     STATE_FIELDS = ("n", "s_x", "s_x2", "s_y", "s_y2", "s_xy")
 
@@ -520,12 +565,14 @@ class StackedStreamingPearson:
         """The ``(n_groups, n_vars, n_samples)`` correlation stack.
 
         Memoized until the next ``update``/``fold_sums``/``merge``/
-        state load; the cached array is returned read-only.  Each
-        element is computed by the exact expression sequence of
+        state load/``reset``; the cached array is returned read-only.
+        Each element is computed by the exact expression sequence of
         :meth:`StreamingPearson.finalize`, all of it elementwise, so it
         is bit-identical to what a per-group accumulator holding the
-        same sums would return.  The array is a view of the
-        sample-major result.
+        same sums would return.  The pass runs in row blocks of the
+        sample-major sums with per-thread temporaries, allocates only
+        the result (of which the array is a view), and memoizes
+        :meth:`peak_magnitudes` on the way.
         """
         if self.n < 2:
             raise AttackError("need at least two rows to correlate")
@@ -534,15 +581,32 @@ class StackedStreamingPearson:
         n = float(self.n)
         s_x = self._s_x.reshape(-1)
         s_y = self.traces._s
-        var_x = n * self._s_x2.reshape(-1) - s_x**2
-        var_y = n * self.traces._s2 - s_y**2
-        cov = n * self._s_yx - s_x[None, :] * s_y[:, None]
-        denom = np.sqrt(
-            np.maximum(var_x[None, :], 0.0) * np.maximum(var_y[:, None], 0.0)
-        )
+        var_x = np.maximum(n * self._s_x2.reshape(-1) - s_x**2, 0.0)
+        var_y = np.maximum(n * self.traces._s2 - s_y**2, 0.0)
+        rho = np.empty(self._s_yx.shape)
+        peak = np.zeros(rho.shape[1])
         with np.errstate(invalid="ignore", divide="ignore"):
-            rho = cov / denom
-        rho = np.nan_to_num(rho, nan=0.0)
+            for start in range(0, rho.shape[0], _FINALIZE_ROWS):
+                rows = slice(start, min(start + _FINALIZE_ROWS, rho.shape[0]))
+                block = rho[rows]
+                cov, denom = _FINALIZE_SCRATCH.blocks(block.shape)
+                np.multiply(n, self._s_yx[rows], out=cov)
+                np.multiply(s_x[None, :], s_y[rows, None], out=denom)
+                cov -= denom
+                np.multiply(var_x[None, :], var_y[rows, None], out=denom)
+                np.sqrt(denom, out=denom)
+                np.divide(cov, denom, out=block)
+                np.nan_to_num(block, copy=False, nan=0.0)
+                np.abs(block, out=cov)
+                np.maximum(peak, cov.max(axis=0), out=peak)
         rho.flags.writeable = False
+        peak.flags.writeable = False
+        self._peak = peak.reshape(self.n_groups, self.n_vars)
         self._rho = rho.T.reshape(self.n_groups, self.n_vars, self.n_samples)
         return self._rho
+
+    def peak_magnitudes(self) -> np.ndarray:
+        """``|correlation|`` maximized over samples, ``(n_groups,
+        n_vars)``, read-only: memoized by :meth:`finalize`'s pass."""
+        self.finalize()
+        return self._peak

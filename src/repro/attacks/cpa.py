@@ -18,18 +18,18 @@ inverted through the key schedule to the master key.
 The engine is *incremental*: it maintains the five running sums the
 correlation needs, so rank-vs-trace-count curves (Fig. 5/6) reuse all
 earlier work, and it is fully vectorized — hypotheses for all 256
-guesses of a byte come from one precomputed ``(256, 256, 256)`` lookup
-table (the numpy stand-in for the paper's GPU CPA tool [8]).
+guesses of a byte come from one ``(256, 256)`` table of
+``InvSBox(ct ^ g)`` and a popcount (the numpy stand-in for the paper's
+GPU CPA tool [8]).
 
 Chunks are cut into row tiles; each tile is folded with **one**
-stacked GEMM over an ``(m, 16*256)`` hypothesis matrix gathered from a
-cached guess-contiguous table, and the trace sums are computed once per
-tile in a shared accumulator instead of 16 times.  The hypothesis sums
-are taken on the integer side (narrow exact sums over the uint8 gather)
-and the cross GEMM runs in float32 whenever an exactness bound proves
-every partial sum is an integer below 2**24 — narrower arithmetic,
-identical bits.  The cross sums are kept sample-major, the GEMM's own
-output layout, so a fold is one contiguous add.  The legacy
+stacked GEMM over an ``(m, 16*256)`` hypothesis matrix, and the trace
+sums are computed once per tile in a shared accumulator instead of 16
+times.  The hypothesis sums are exact narrow sums, and the cross GEMM
+runs in float32 whenever an exactness bound proves every partial sum
+is an integer below 2**24 — narrower arithmetic, identical bits.  The
+cross sums are kept sample-major, the GEMM's own output layout, so a
+fold is one contiguous add.  The legacy
 16-small-GEMM per-byte engine is kept only as the test oracle
 (``tests/oracles.py``) and as the CPA bench's timed reference.
 
@@ -55,6 +55,7 @@ merge order — the property ``tests/test_cpa_batched.py`` pins down.
 from __future__ import annotations
 
 import numbers
+import threading
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,10 +67,14 @@ from repro.victims.aes.key_schedule import invert_key_schedule
 from repro.victims.aes.sbox import HW8, INV_SBOX
 
 _HYP_TABLE: Optional[np.ndarray] = None
-_HYP_TABLE_GATHER: Optional[np.ndarray] = None
 
-#: Rows per internal tile of the batched engine: bounds the gather /
-#: GEMM scratch (~8 MB uint8 + ~16 MB float32) no matter how large a
+#: ``SROW[c, g] = InvSBox(c ^ g)``: the round-9 byte under guess ``g``
+#: of a ciphertext byte ``c`` (64 KiB).  A tile's hypotheses are the
+#: popcount of its rows XOR the partner ciphertext bytes.
+SROW = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
+
+#: Rows per internal tile of the batched engine: bounds the hypothesis
+#: / GEMM scratch (~4 MB uint8 + ~16 MB float32) no matter how large a
 #: chunk callers feed, and keeps the working set near-cache-resident —
 #: measured faster than 2048/4096-row tiles on the bench campaign.
 #: Tiling is sum-exact, so it never changes a bit of the result.
@@ -83,22 +88,35 @@ _F32_EXACT_LIMIT = float(1 << 24)
 #: Largest hypothesis value (a Hamming weight of one byte).
 _MAX_HW = 8.0
 
-#: Process-wide scratch for the batched engine, shared by every
-#: :class:`CPAAttack` (engine workers build one attack per shard;
-#: per-instance buffers would re-fault ~25 MB of pages per shard).
-#: Buffers are grow-only; the hypothesis blocks in them belong to one
-#: prepared tile at a time (see :class:`_HypothesisTile`), so sharing
-#: is safe even with interleaved attacks.
-_SCRATCH_POOL: dict = {}
+class _Scratch(threading.local):
+    """Per-thread scratch for the batched engine, shared by every
+    :class:`CPAAttack` on the thread (engine workers build one attack
+    per shard; per-instance buffers would re-fault ~25 MB of pages per
+    shard).  Buffers are grow-only; the hypothesis blocks in them
+    belong to one prepared tile at a time, the ``owner`` (see
+    :class:`_HypothesisTile`), so sharing is safe even with
+    interleaved attacks.  Per thread, because the campaign service
+    runs campaigns on several threads at once."""
+
+    def __init__(self) -> None:
+        self.pool: dict = {}
+        #: ``id`` of the tile whose blocks occupy the buffers (an id,
+        #: not a reference: a finished tile must not pin its chunk).
+        self.owner = 0
+
+
+_SCRATCH = _Scratch()
 
 
 def _pool_array(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A reusable C-contiguous scratch buffer viewed to ``shape``."""
+    """This thread's reusable C-contiguous scratch buffer ``name``,
+    viewed to ``shape``."""
     size = int(np.prod(shape))
-    arr = _SCRATCH_POOL.get(name)
+    pool = _SCRATCH.pool
+    arr = pool.get(name)
     if arr is None or arr.size < size:
         arr = np.empty(size, dtype=dtype)
-        _SCRATCH_POOL[name] = arr
+        pool[name] = arr
     return arr[:size].reshape(shape)
 
 
@@ -113,30 +131,6 @@ def hypothesis_table() -> np.ndarray:
         partner = np.arange(256, dtype=np.uint8)[None, None, :]
         _HYP_TABLE = HW8[pred[:, :, None] ^ partner]  # (256, 256, 256)
     return _HYP_TABLE
-
-
-def hypothesis_table_gather() -> np.ndarray:
-    """:func:`hypothesis_table` rearranged for the batched gather:
-    ``(ct_target * 256 + ct_partner, guess)``, guess-contiguous.
-
-    Cached once per process.  One ``np.take`` over trace codes pulls a
-    whole ``(m, 16, 256)`` hypothesis block out of it with contiguous
-    256-entry row copies — the per-chunk rebuild-and-cast of the old
-    per-byte path is gone, and the float conversion happens once per
-    tile as a single bulk pass into a preallocated scratch buffer
-    (measured faster than gathering from a float64 view of the table,
-    which is 8x the bytes through the cache).
-    """
-    global _HYP_TABLE_GATHER
-    if _HYP_TABLE_GATHER is None:
-        # One ct_target block (64 KiB) at a time: no 16 MiB temporary.
-        table = np.empty((256, 256, 256), dtype=HW8.dtype)
-        codes = np.arange(256, dtype=np.uint8)
-        for target in range(256):
-            pred = INV_SBOX[codes ^ np.uint8(target)]  # per guess
-            np.take(HW8, codes[:, None] ^ pred, out=table[target])
-        _HYP_TABLE_GATHER = table.reshape(256 * 256, 256)
-    return _HYP_TABLE_GATHER
 
 
 def _checked_ciphertexts(ciphertexts) -> np.ndarray:
@@ -158,26 +152,23 @@ def _f32_exact(traces: np.ndarray) -> bool:
     return len(traces) * _MAX_HW * y_max < _F32_EXACT_LIMIT
 
 
-#: ``id`` of the tile whose blocks occupy the shared scratch buffers
-#: (an id, not a reference: a finished tile must not pin its chunk).
-_SCRATCH_OWNER = 0
-
-
 class _HypothesisTile:
     """The hypotheses of one ciphertext tile (at most
     :data:`_BATCH_TILE_ROWS` rows) and its *peers*, the ``(attack,
     traces)`` pairs that fold it, prepared on first use and shared by
     every peer.
 
-    Preparing means one ``np.take`` gather of the uint8 hypothesis
-    block, its exact narrow sums (per tile ``s_x <= 8*rows < 2**16`` and
-    ``s_x2 <= 64*rows < 2**31``), per GEMM dtype asked for one bulk
-    conversion into a scratch buffer, and one float32 ``Y.T @ X`` whose
-    ``Y`` stacks, column-wise, the windowed traces of every peer that
-    passes the float32 exactness bound.  The blocks and the product
-    live in the process-wide scratch pool; a tile that finds the pool
-    taken over by another tile rebuilds them, so an older tile never
-    reads a newer tile's data.
+    Preparing means the uint8 hypothesis block (a :data:`SROW` gather,
+    an XOR and a popcount), per GEMM dtype asked for one bulk
+    conversion into a scratch buffer, the block's exact sums (per tile
+    ``s_x <= 8*rows < 2**16`` on the uint8 side, and ``s_x2`` over a
+    float block, where every partial sum is an integer at most
+    ``64*rows < 2**24``), and one float32 ``Y.T @ X`` whose ``Y``
+    stacks, column-wise, the windowed traces of every peer that passes
+    the float32 exactness bound.  The blocks and the product live in
+    the thread's scratch pool; a tile that finds the pool taken over by
+    another tile rebuilds them, so an older tile never reads a newer
+    tile's data.
     """
 
     __slots__ = ("cts", "peers", "_u8", "_blocks", "_sums", "_product")
@@ -194,33 +185,35 @@ class _HypothesisTile:
         return len(self.cts)
 
     def _hypotheses(self) -> np.ndarray:
-        """The ``(rows, 16, 256)`` uint8 hypothesis block."""
-        global _SCRATCH_OWNER
-        if _SCRATCH_OWNER != id(self):
-            _SCRATCH_OWNER = id(self)
+        """The ``(rows, 16, 256)`` uint8 hypothesis block:
+        ``HW(InvSBox(ct[j] ^ g) ^ ct[SHIFT_ROWS_IDX[j]])``."""
+        if _SCRATCH.owner != id(self):
+            _SCRATCH.owner = id(self)
             self._u8 = None
             self._blocks = {}
             self._product = None
         if self._u8 is None:
             rows = len(self.cts)
-            # (rows, 16) flat table codes: ct_target * 256 + ct_partner.
-            codes = self.cts.astype(np.int32)
-            codes <<= 8
-            codes |= self.cts[:, SHIFT_ROWS_IDX]
-            self._u8 = _pool_array(
+            u8 = _pool_array(
                 "u8", (rows, CPAAttack.N_BYTES, CPAAttack.N_GUESSES), np.uint8
             )
-            np.take(hypothesis_table_gather(), codes, axis=0, out=self._u8)
+            # uint8 codes never clip; "clip" spares the buffered copy
+            # that mode="raise" makes of an ``out`` array.
+            np.take(SROW, self.cts, axis=0, out=u8, mode="clip")
+            np.bitwise_xor(u8, self.cts[:, SHIFT_ROWS_IDX, None], out=u8)
+            self._u8 = np.bitwise_count(u8, out=u8)
         return self._u8
 
     def sums(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The tile's exact hypothesis sums ``(s_x, s_x2)``."""
+        """The tile's exact hypothesis sums ``(s_x, s_x2)``, ``s_x2``
+        over whichever float block a fold already built."""
         if self._sums is None:
             u8 = self._hypotheses()
-            sq = _pool_array("sq", u8.shape, np.uint8)
-            np.multiply(u8, u8, out=sq)  # HW <= 8, squares fit uint8
+            x = next(iter(self._blocks.values()), None)
+            if x is None:
+                x = self.block(np.float32)
             self._sums = (
-                u8.sum(axis=0, dtype=np.uint16), sq.sum(axis=0, dtype=np.int32)
+                u8.sum(axis=0, dtype=np.uint16), np.einsum("ij,ij->j", x, x)
             )
         return self._sums
 
@@ -473,6 +466,12 @@ class CPAAttack:
         self._stacked.merge(other._stacked)
         return self
 
+    def reset(self) -> "CPAAttack":
+        """Zero the accumulated sums in place, keeping the buffers (the
+        engine reuses merged segment accumulators this way)."""
+        self._stacked.reset()
+        return self
+
     # ------------------------------------------------------------------
     # Snapshot protocol — lets :meth:`repro.runtime.Engine.stream_attack`
     # memoize accumulator states in the trace block store, so a repeated
@@ -575,8 +574,10 @@ class CPAAttack:
 
     def peak_correlations(self) -> np.ndarray:
         """Per (byte, guess) |correlation| maximized over samples:
-        ``(16, 256)`` — the guess-ranking statistic."""
-        return np.abs(self.correlations()).max(axis=2)
+        ``(16, 256)`` — the guess-ranking statistic, memoized (and
+        read-only) with :meth:`correlations`."""
+        self.correlations()
+        return self._stacked.peak_magnitudes()
 
     def best_guesses(self) -> np.ndarray:
         """The most-correlated guess of each last-round-key byte."""

@@ -10,17 +10,18 @@ mass above the true key's score.  Binning introduces bounded error,
 which is why the metric is reported as an upper and a lower bound —
 exactly the two curves in the paper's Fig. 5 and Fig. 6.
 
-Each bound reads one tail mass.  Below 2^53 it is counted exactly
-from the reachable tail alone, which is what the float convolution
-chain computes there too; past 2^53 the chain computes it, over the
-tail region only.  Either way the bits equal those of convolving the
-whole distribution.
+Each bound reads one tail mass, computed over the live band of each
+convolution step only (the bins that can still reach the tail).  While
+a band's values stay below 2^53 they are counted exactly, which is what
+the float convolution chain computes there too; from the first step
+past it, each band value is the chain's own dot product.  Either way
+the bits equal those of convolving the whole distribution.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,70 +58,41 @@ def _byte_histograms(bins: np.ndarray, size: int) -> np.ndarray:
     return counts.astype(np.float64)
 
 
-def _exact_tail_count(
-    bins: np.ndarray, hists: np.ndarray, b: int
-) -> Optional[float]:
-    """Number of keys whose bin sum is at least ``b``, as a float, or
-    ``None`` once it is known to reach 2^53.
+def _float_step(
+    dist: np.ndarray, top: int, hist: np.ndarray, end: int, lo: int, hi: int
+) -> np.ndarray:
+    """One step of the float convolution chain, on its live band only.
 
-    Only the reachable tail is convolved.  With ``slack`` the distance
-    from ``b`` to the highest reachable bin sum, byte ``j`` can feed
-    the tail only from its top ``slack + 1`` bins, and after byte ``j``
-    only the top ``slack + 1`` prefix sums are still live; both are cut
-    to that.  Every live value counts prefixes that all reach the
-    tail, so the live sum is at most the tail count.  While it stays
-    below 2^53, every product and partial sum is an integer below 2^53
-    and float64 holds it exactly, whatever the summation order; and
-    since rounding is monotone and 2^53 is a float, the computed live
-    sum reaches 2^53 exactly when the true one does.
+    ``dist`` holds the previous step's values, the last of them at
+    full-key bin ``top``; ``end`` is where the full chain's input to
+    this step ends (``j * n_bins`` at step ``j``).  Returns this step's
+    values at bins ``max(lo, 0)..hi``, each the very ``ddot`` the full
+    chain computes for it: the same input window, the same reversed
+    histogram, the same length, so the same bits.
+
+    The input is a zero-padded slice of the chain's input.  It starts
+    at 0 when the band reaches the left edge (the chain's partial
+    windows there start at 0 too), and otherwise ``n_bins`` below the
+    band, so that every kept output is a full window; full windows
+    alone are ``mode="valid"``.  It ends where the chain's input ends
+    when the band has right-edge windows, which then keep their
+    length, and at ``hi`` otherwise.  It is never shorter than the
+    histogram, below which ``np.convolve`` swaps its arguments and
+    sums in a different order.  Zero padding changes no term: an input
+    above ``top`` is zero in the chain too, and one below ``dist``
+    meets a histogram bin above the byte's top bin, which is zero.
     """
-    tops = bins.max(axis=1)
-    slack = int(tops.sum()) - b
-    if slack < 0:
-        return 0.0
-    starts = np.maximum(bins.min(axis=1), tops - slack)
-    dist = hists[0, starts[0] : tops[0] + 1]
-    for j in range(1, 16):
-        dist = np.convolve(dist, hists[j, starts[j] : tops[j] + 1])[-(slack + 1):]
-        total = float(dist.sum())
-        if total >= _EXACT_LIMIT:
-            return None
-    return total
-
-
-def _chain_tail_mass(hists: np.ndarray, n_bins: int, b: int) -> float:
-    """Tail mass read off the 15-step float convolution chain.
-
-    Direct convolution: each output bin is a dot product of
-    non-negative terms, so its floating-point error is relative to its
-    own magnitude.  (FFT convolution is unusable here: its error scales
-    with the distribution's peak, ~2^128, and obliterates the tail mass
-    that defines small ranks.)
-
-    Tail only: the rank reads nothing below bin ``b``, and output ``k``
-    of step ``j`` feeds only outputs ``k..k + (15 - j) * n_bins`` of
-    the final distribution, so step ``j`` needs just its outputs from
-    ``b - (15 - j) * n_bins`` up.  Each step slices its input to start
-    ``n_bins`` below that point and drops the partial-window head of
-    its output.  Every kept output is then the full-window ``ddot``
-    that a convolution of the whole chain computes for it: the same
-    input segment, the same reversed histogram, the same length — so
-    the same bits.  An input is never sliced shorter than the
-    histogram (``n_bins + 1``), below which ``np.convolve`` swaps its
-    arguments and sums in a different order.  The final tail sum runs
-    from the top bin down, the order of the full ``cumsum``.
-    """
-    size = n_bins + 1
-    dist, offset = hists[0], 0  # dist[i] is full-key bin offset + i
-    for j in range(1, 16):
-        need = b - (15 - j) * n_bins
-        start = min(max(need - n_bins, offset), offset + dist.shape[0] - size)
-        out = np.convolve(dist[start - offset:], hists[j])
-        if start > 0:
-            out = out[n_bins:]  # partial windows: terms below start missing
-            start += n_bins
-        dist, offset = out, start
-    return float(np.cumsum(dist[b - offset:][::-1])[-1])
+    n_bins = hist.shape[0] - 1
+    lo = max(lo, 0)
+    start = min(max(lo - n_bins, 0), end - n_bins)
+    stop = end if hi > end else max(hi, start + n_bins)
+    padded = np.zeros(stop - start + 1)
+    padded[top - dist.shape[0] + 1 - start : top + 1 - start] = dist
+    if start and hi <= end:
+        out, first = np.convolve(padded, hist, mode="valid"), start + n_bins
+    else:
+        out, first = np.convolve(padded, hist), start
+    return out[lo - first : hi + 1 - first]
 
 
 def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
@@ -128,25 +100,51 @@ def _tail_mass(bins: np.ndarray, n_bins: int, b: int) -> float:
     ``bins`` at or above full-key bin ``b``, bit-identical to reading
     it off the full 15-step float convolution chain.
 
-    Exact path first: below 2^53 the chain is exact too.  Every chain
-    value is a sum of products of non-negative integer counts, and any
-    value that feeds the tail with nonzero weight is at most the tail
-    mass, so when the tail mass is below 2^53 every term and partial
-    sum behind it is an integer float64 holds exactly; terms of zero
-    weight add +0.0.  The chain then returns the exact count, which
-    :func:`_exact_tail_count` computes from the reachable tail alone.
-    The check is on the tail *sum*: each bin can be below 2^53 while
-    their sum is not, and then the chain's rounded sum is what counts.
-    Past 2^53 :func:`_chain_tail_mass` computes it.
+    Only the live band of each step is computed.  After byte ``j`` a
+    prefix sum can still reach ``b`` only from ``b - Σ_{i>j} top_i``
+    up, and no prefix exceeds ``Σ_{i≤j} top_i``; with ``slack = Σ_i
+    top_i - b`` that band is the top ``slack + 1`` values, and byte
+    ``j`` feeds it only from its top ``slack + 1`` bins.
+
+    Exact steps first.  Every band value is a sum of products of
+    non-negative integer counts drawn from the previous band (a term
+    from below it has zero weight and adds +0.0), so while every value
+    of a band is below 2^53, every term and partial sum behind it is an
+    integer float64 holds exactly: the value equals the chain's bits
+    whatever the summation order, and the sliced histograms compute it
+    cheaply.  Rounding is monotone and 2^53 is a float, so a computed
+    value reaches 2^53 exactly when the true one does.  From the first
+    step with such a value on, :func:`_float_step` computes each band
+    as the chain does.
+
+    Direct convolution throughout: each output bin is a dot product of
+    non-negative terms, so its floating-point error is relative to its
+    own magnitude.  (FFT convolution is unusable here: its error scales
+    with the distribution's peak, ~2^128, and obliterates the tail mass
+    that defines small ranks.)  The final tail sum runs from the top
+    bin down, the order of the full ``cumsum``; no limit is checked on
+    it, since each bin can be below 2^53 while their sum is not.
     """
     if b >= 16 * n_bins + 1:
         return 0.0
     b = max(b, 0)
+    tops = bins.max(axis=1)
+    slack = int(tops.sum()) - b
+    if slack < 0:
+        return 0.0
     hists = _byte_histograms(bins, n_bins + 1)
-    count = _exact_tail_count(bins, hists, b)
-    if count is not None:
-        return count
-    return _chain_tail_mass(hists, n_bins, b)
+    starts = np.maximum(bins.min(axis=1), tops - slack)
+    dist, top = hists[0, starts[0] : tops[0] + 1], int(tops[0])
+    exact = True
+    for j in range(1, 16):
+        hi = top + int(tops[j])
+        if exact:
+            out = np.convolve(dist, hists[j, starts[j] : tops[j] + 1])[-(slack + 1):]
+            exact = out.max() < _EXACT_LIMIT
+        if not exact:
+            out = _float_step(dist, top, hists[j], j * n_bins, hi - slack, hi)
+        dist, top = out, hi
+    return float(np.cumsum(dist[::-1])[-1])
 
 
 def key_rank_bounds(

@@ -33,6 +33,7 @@ pickle and rebuilt once per worker).
 from __future__ import annotations
 
 import abc
+import threading
 import weakref
 from typing import ClassVar, Dict, Optional, Tuple
 
@@ -181,6 +182,17 @@ def _table_interpolant(sensor) -> _TableInterpolant:
     return interp
 
 
+class _Workspace(threading.local):
+    """One kernel's scratch arrays, per thread: the campaign service
+    runs campaigns on several threads at once, all through the shared
+    kernel."""
+
+    def __init__(self) -> None:
+        self.size = -1
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.fanout: Dict[str, np.ndarray] = {}
+
+
 class FusedAcquisitionKernel(AcquisitionKernel):
     """Fused LTI acquisition kernel.
 
@@ -194,9 +206,7 @@ class FusedAcquisitionKernel(AcquisitionKernel):
 
     def __init__(self) -> None:
         self._weights: Dict[tuple, Tuple[np.ndarray, float]] = {}
-        self._scratch_size = -1
-        self._scratch: Dict[str, np.ndarray] = {}
-        self._fanout_scratch: Dict[str, np.ndarray] = {}
+        self._scratch = _Workspace()
 
     # -- pickling: caches are per-process ------------------------------
     def __getstate__(self) -> dict:
@@ -204,29 +214,27 @@ class FusedAcquisitionKernel(AcquisitionKernel):
 
     def __setstate__(self, state: dict) -> None:
         self._weights = {}
-        self._scratch_size = -1
-        self._scratch = {}
-        self._fanout_scratch = {}
+        self._scratch = _Workspace()
 
     def _workspace(self, size: int) -> Dict[str, np.ndarray]:
-        """Per-process scratch arrays for one flattened block.
+        """This thread's scratch arrays for one flattened block.
 
         The big temporaries of the sensor stage (~6 MB each at the
         default block shape) are reused across blocks, so the steady
-        state allocates nothing but the returned readouts.  Not
-        thread-safe — the engine parallelizes across processes.
+        state allocates nothing but the returned readouts.
         """
-        if self._scratch_size != size:
+        scratch = self._scratch
+        if scratch.size != size:
             tile = min(size, SENSOR_TILE)
-            self._scratch = {
+            scratch.arrays = {
                 "volts": np.empty(size),
                 "noise": np.empty(size),
                 "draw": np.empty(size),
                 "pos": np.empty(tile),
                 "idx": np.empty(tile, dtype=np.intp),
             }
-            self._scratch_size = size
-        return self._scratch
+            scratch.size = size
+        return scratch.arrays
 
     # ------------------------------------------------------------------
     def _droop_weights(
@@ -454,8 +462,8 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         draw_buf = ws["draw"]
         rng.standard_normal(out=draw_buf)
 
-        if not self._fanout_scratch:
-            self._fanout_scratch = fanout.make_scratch()
+        if not self._scratch.fanout:
+            self._scratch.fanout = fanout.make_scratch()
         results: list = [None] * len(acquisitions)
         volts = ws["volts"]
         for index, acquisition in enumerate(acquisitions):
@@ -480,7 +488,7 @@ class FusedAcquisitionKernel(AcquisitionKernel):
                     draw_buf,
                     SIGMA_FLOOR,
                     out,
-                    self._fanout_scratch,
+                    self._scratch.fanout,
                 )
                 acct.account(out)
             results[index] = (out.reshape(m, n_samples), cts)

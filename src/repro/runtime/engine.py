@@ -357,15 +357,21 @@ def _stream_shard(
     traces a collected campaign would — it just never keeps them.  The
     shard is split at the global checkpoint ``ctx["boundaries"]`` so
     the parent can evaluate the attack at exact trace counts; each
-    segment becomes one fresh accumulator per sensor from
-    ``ctx["factory"]``, fed in ``ctx["chunk_size"]`` pieces with the
-    sensors innermost: every sensor's chunk goes through one
-    ``update_many`` call when the accumulator type has one (shared
-    per-ciphertext work, e.g. :meth:`~repro.attacks.cpa.CPAAttack.
-    update_many`), else through each accumulator's ``update``.  Returns
+    segment becomes one accumulator per sensor, fed in
+    ``ctx["chunk_size"]`` pieces with the sensors innermost: every
+    sensor's chunk goes through one ``update_many`` call when the
+    accumulator type has one (shared per-ciphertext work, e.g.
+    :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else through
+    each accumulator's ``update``.  Returns
     ``(metrics, per_sensor_segments)`` where ``per_sensor_segments[i]``
     is sensor ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the
     global trace count the segment closes at.
+
+    A segment's accumulators are taken from ``ctx["spares"]``, the
+    merged and reset accumulators of earlier segments (a serial run's
+    fold hands them back), and built by ``ctx["factory"]`` once it is
+    empty; a pool worker's ``spares`` is ``None``, so it builds every
+    one.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
@@ -384,9 +390,12 @@ def _stream_shard(
     ]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = [[] for _ in readouts_list]
+    spares = ctx["spares"]
     with cache.profile.stage("accumulate", items=shard.size):
         for lo, hi in zip(edges, edges[1:]):
-            parts = [ctx["factory"]() for _ in readouts_list]
+            parts = [
+                spares.pop() if spares else ctx["factory"]() for _ in readouts_list
+            ]
             update_many = getattr(type(parts[0]), "update_many", None)
             for sl in iter_chunk_slices(hi - lo, ctx["chunk_size"]):
                 rows = slice(lo + sl.start, lo + sl.stop)
@@ -1180,6 +1189,10 @@ class Engine:
         pending: Dict[int, Tuple[ShardMetrics, List[List[Tuple[int, object]]]]] = {}
         next_index = 0
         events: List[SpanRecord] = []
+        # A serial run reuses merged segment accumulators for the next
+        # shard's segments: reset in place, they skip the page faults of
+        # fresh zeroed ones.  Only those with a ``reset()`` are reused.
+        spares: Optional[List[object]] = [] if self.workers == 1 else None
 
         def fold(task: ShardTask, result) -> ShardMetrics:
             """Merge completed shards in index order, snapshotting and
@@ -1205,6 +1218,12 @@ class Engine:
                             events.append(_checkpoint_event(end, master, s_i))
                             if on_checkpoint is not None:
                                 on_checkpoint(s_i, end, master)
+                if spares is not None:
+                    for segments in per_sensor:
+                        for _end, part in segments:
+                            if callable(getattr(part, "reset", None)):
+                                part.reset()
+                                spares.append(part)
                 next_index += 1
             return result[0]
 
@@ -1212,7 +1231,7 @@ class Engine:
             "stream", n_traces, tasks, _stream_shard,
             dict(
                 msa=msa, aes=aes, n_samples=n_samples, factory=consumer_factory,
-                chunk_size=chunk_size, boundaries=boundaries,
+                spares=spares, chunk_size=chunk_size, boundaries=boundaries,
             ),
             fold=fold,
             events=events,

@@ -164,6 +164,13 @@ class PerByteCPA(CPAAttack):
             )
         return self
 
+    #: No in-place reset: the engine gives the oracle a fresh
+    #: accumulator per segment.
+    reset = None
+
+    def peak_correlations(self) -> np.ndarray:
+        return np.abs(self.correlations()).max(axis=2)
+
     def correlations(self) -> np.ndarray:
         if self.n_traces < 2:
             raise AttackError("need at least two traces to correlate")

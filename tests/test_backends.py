@@ -8,7 +8,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np  # noqa: F401  (loads numpy's OpenBLAS into the process)
 import pytest
 
 from repro.backends import threads as backend_threads

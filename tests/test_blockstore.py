@@ -26,7 +26,6 @@ from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.blockstore import (
-    SCHEMA_VERSION,
     BlockStore,
     block_key,
     canonical_payload,

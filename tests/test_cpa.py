@@ -6,8 +6,7 @@ import pytest
 
 from repro.attacks.cpa import CPAAttack, hypothesis_table
 from repro.errors import AttackError
-from repro.victims.aes.core import AES128, SHIFT_ROWS_IDX
-from repro.victims.aes.key_schedule import expand_key
+from repro.victims.aes.core import AES128
 from repro.victims.aes.sbox import HW8, INV_SBOX
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")

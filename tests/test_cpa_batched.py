@@ -22,9 +22,9 @@ from repro.attacks.cpa import (
     CPAAttack,
     _BATCH_TILE_ROWS,
     hypothesis_table,
-    hypothesis_table_gather,
 )
 from repro.errors import AttackError
+from repro.victims.aes.core import SHIFT_ROWS_IDX
 from tests.oracles import PerByteCPA
 
 S = 23
@@ -49,16 +49,22 @@ def engines(window=None):
 
 class TestGatherTable:
     def test_matches_hypothesis_table(self):
-        gather = hypothesis_table_gather()
+        # Every (ct_target, ct_partner) code, through a byte whose
+        # ShiftRows partner is another ciphertext byte.
+        j = 1
+        partner = int(SHIFT_ROWS_IDX[j])
+        codes = np.arange(65536)
+        cts = np.zeros((65536, 16), dtype=np.uint8)
+        cts[:, j], cts[:, partner] = codes >> 8, codes & 0xFF
         table = hypothesis_table()
-        assert gather.shape == (65536, 256) and gather.dtype == np.uint8
-        # Built independently of hypothesis_table(): compare every entry.
-        np.testing.assert_array_equal(
-            gather.reshape(256, 256, 256).transpose(2, 0, 1), table
-        )
-
-    def test_cached_per_process(self):
-        assert hypothesis_table_gather() is hypothesis_table_gather()
+        assert cpa.SROW.nbytes == 65536
+        for start in range(0, 65536, _BATCH_TILE_ROWS):
+            rows = slice(start, start + _BATCH_TILE_ROWS)
+            block = cpa._HypothesisTile(cts[rows])._hypotheses()
+            assert block.dtype == np.uint8
+            np.testing.assert_array_equal(
+                block[:, j, :], table[:, codes[rows] >> 8, codes[rows] & 0xFF].T
+            )
 
 
 class TestBitIdentity:

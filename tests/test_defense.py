@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.leaky_dsp import LeakyDSP
-from repro.defense.checker import BitstreamChecker, Finding
+from repro.defense.checker import BitstreamChecker
 from repro.defense.fence import ActiveFence
 from repro.errors import ConfigurationError
 from repro.fpga.bitstream import generate_bitstream

@@ -8,8 +8,6 @@ from repro.fpga.device import (
     LUTS_PER_SLICE,
     Site,
     SiteType,
-    xc7a35t,
-    zu3eg,
 )
 
 

@@ -5,7 +5,6 @@ end to end exactly as a user would run it.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -13,6 +13,7 @@ campaign methods and the per-sensor sub-block cache accounting.
 import dataclasses
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.streaming import iter_chunk_slices
+from repro.attacks.cpa import CPAAttack
 from repro.attacks.metrics import streamed_rank_curve, streamed_rank_curves
 from repro.errors import AcquisitionError, ConfigurationError
 from repro.kernels import FusedAcquisitionKernel, get_kernel
@@ -27,7 +29,6 @@ from repro.kernels import fanout
 from repro.pdn.noise import NoiseModel
 from repro.runtime import Engine
 from repro.traces.acquisition import (
-    AcquisitionSpec,
     AESTraceAcquisition,
     MultiSensorAcquisition,
 )
@@ -388,6 +389,45 @@ class TestEngineFanout:
         )
         assert len(made) == 4 * n
         assert stale == []
+
+    def test_serial_stream_reuses_merged_segments(self, multi, specs):
+        """A serial run builds segment accumulators only until merged
+        ones come back reset: with at most two segments per shard, at
+        most 2 x n_sensors of them.  The reused accumulators give the
+        same checkpoint and final states as a pool run, bit for bit."""
+        n = len(multi)
+        n_samples = multi.default_n_samples()
+        window = common.last_round_window(specs[0].hw_model, n_samples)
+        made = []
+
+        def factory():
+            made.append(None)
+            return CPAAttack(n_samples, sample_window=window)
+
+        def run(workers, consumer_factory):
+            peaks = []
+            masters = Engine(workers=workers, shard_size=64).stream_attack_many(
+                multi, 512, key=KEY, consumer_factory=consumer_factory, seed=5,
+                chunk_size=24,
+                # 8 shards of 64; no shard holds two checkpoints.
+                checkpoints=[40, 100, 200, 300, 450, 512],
+                on_checkpoint=lambda index, done, acc: peaks.append(
+                    (index, done, acc.peak_correlations().copy())
+                ),
+            )
+            return peaks, [m.state_arrays() for m in masters]
+
+        serial_peaks, serial_states = run(1, factory)
+        assert n < len(made) <= n + 2 * n  # the masters, then the segments
+        pool_peaks, pool_states = run(
+            2, partial(CPAAttack, n_samples, sample_window=window)
+        )
+        assert [p[:2] for p in serial_peaks] == [p[:2] for p in pool_peaks]
+        for (_, _, got), (_, _, want) in zip(serial_peaks, pool_peaks):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(serial_states, pool_states):
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_characterize_many_matches_characterize(self, workers):

@@ -200,18 +200,21 @@ def _listed_names(tree):
 
 
 def test_no_unused_imports():
-    """Every name a module imports at module level is used in it (or
-    listed in its ``__all__``).  Package ``__init__`` files re-export by
-    design and are skipped."""
-    root = Path(repro.__file__).resolve().parent
+    """Every name a module of the package, the tests or the benchmarks
+    imports at module level is used in it (or listed in its
+    ``__all__``).  Package ``__init__`` files re-export by design and
+    are skipped."""
+    package = Path(repro.__file__).resolve().parent
+    repo = package.parent.parent
     unused = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used |= _listed_names(tree)
-        for line, name in _module_level_imports(tree):
-            if name not in used:
-                unused.append(f"{path.relative_to(root.parent)}:{line}: {name}")
+    for root in (package, repo / "tests", repo / "benchmarks"):
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= _listed_names(tree)
+            for line, name in _module_level_imports(tree):
+                if name not in used:
+                    unused.append(f"{path.relative_to(repo)}:{line}: {name}")
     assert unused == []

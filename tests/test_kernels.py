@@ -262,7 +262,7 @@ class TestKernelRegistry:
         acq.acquire_block(aes, pts, np.random.default_rng(1), 60)
         assert acq.kernel._weights  # cache warm
         clone = pickle.loads(pickle.dumps(acq.kernel))
-        assert clone._weights == {} and clone._scratch == {}
+        assert clone._weights == {} and clone._scratch.arrays == {}
         # And the clone still acquires correctly.
         acq2 = make_acquisition(rig, clone)
         r1, _ = acq.acquire_block(aes, pts, np.random.default_rng(1), 60)

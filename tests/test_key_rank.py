@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.attacks import key_rank
 from repro.attacks.key_rank import (
-    _byte_histograms,
-    _chain_tail_mass,
     _tail_mass,
     key_rank_bounds,
     scores_from_correlations,
@@ -281,9 +279,9 @@ class TestTailOnlyConvolution:
 
 
 class TestExactTailCount:
-    """Below 2^53 the tail mass is counted exactly from the reachable
-    tail; at or past it the float chain computes it.  Both must give
-    the full chain's bits."""
+    """While a step's live band stays below 2^53 it is counted exactly;
+    from the first step past it the float chain computes the band.
+    Both must give the full chain's bits."""
 
     def test_tail_sum_past_2_53_with_every_bin_below_falls_back(self):
         # Every tail bin is below 2^53 but their sum, ~2^55, is not: a
@@ -301,6 +299,43 @@ class TestExactTailCount:
         got = _tail_mass(bins, n_bins, b)
         assert got.hex() == _full_chain_mass(bins, n_bins, b).hex()
 
+    @pytest.mark.parametrize("n_bins", [2, 3, 16])
+    def test_switch_on_a_band_touching_both_edges(self, n_bins):
+        # The first float step's band both keeps the chain's left
+        # partial windows (its input starts at bin 0) and reaches past
+        # the chain's input end (right-edge windows of shorter length).
+        bins = np.random.default_rng(n_bins + 7).integers(0, n_bins + 1, (16, 256))
+        tops = bins.max(axis=1)
+        switched = 0
+        for b in range(16 * n_bins + 1):
+            dist = np.zeros(n_bins + 1)
+            np.add.at(dist, bins[0], 1.0)
+            for j in range(1, 16):
+                h = np.zeros(n_bins + 1)
+                np.add.at(h, bins[j], 1.0)
+                dist = np.convolve(dist, h)
+                lo, hi = b - int(tops[j + 1:].sum()), int(tops[: j + 1].sum())
+                if lo <= hi and dist[max(lo, 0) : hi + 1].max() >= 2**53:
+                    break
+            else:
+                continue  # exact all the way
+            if lo <= n_bins and hi > j * n_bins:
+                switched += 1
+                got = _tail_mass(bins, n_bins, b)
+                assert got.hex() == _full_chain_mass(bins, n_bins, b).hex(), b
+        assert switched >= 2
+
+    @pytest.mark.parametrize("n_bins", [16, 64, 256])
+    def test_noise_sets_match_full_chain(self, n_bins):
+        # Plain-noise ranks switch to the float steps part-way along
+        # the chain.  A band value that reaches 2^53 is already rounded
+        # there, so the float steps must start at that very step.
+        for seed in range(4):
+            scores, true = _score_case("noise", seed, 0.0, 1)
+            for bins, b in _rank_reads(scores, true, n_bins):
+                got = _tail_mass(bins, n_bins, b)
+                assert got.hex() == _full_chain_mass(bins, n_bins, b).hex(), seed
+
     def test_boost_sweep_matches_full_chain(self):
         # True-byte boosts whose upper bounds run from ~2^100 down to a
         # recovered key, across the 2^53 switch between the two paths.
@@ -316,15 +351,14 @@ class TestExactTailCount:
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     @pytest.mark.parametrize("n_bins", [2, 16, 256])
-    def test_chain_alone_matches_full_chain(self, n_bins, kind):
-        # The fallback stays pinned on inputs the exact path now takes.
+    def test_chain_alone_matches_full_chain(self, monkeypatch, n_bins, kind):
+        # The float steps stay pinned on inputs the exact steps now
+        # take: with no exact limit every step from the first is float.
+        monkeypatch.setattr(key_rank, "_EXACT_LIMIT", 0.0)
         for seed in range(3):
             scores, true = _score_case(kind, seed, 3.0, 12)
             for bins, b in _rank_reads(scores, true, n_bins):
-                if b >= 16 * n_bins + 1:
-                    continue
-                hists = _byte_histograms(bins, n_bins + 1)
-                got = _chain_tail_mass(hists, n_bins, max(b, 0))
+                got = _tail_mass(bins, n_bins, b)
                 assert got.hex() == _full_chain_mass(bins, n_bins, b).hex()
 
     @pytest.mark.parametrize(
@@ -340,6 +374,6 @@ class TestExactTailCount:
             raise AssertionError("rank below 2^53 sent to the float chain")
 
         scores, true = case()
-        monkeypatch.setattr(key_rank, "_chain_tail_mass", chain)
+        monkeypatch.setattr(key_rank, "_float_step", chain)
         lo, hi = key_rank_bounds(scores, true)
         assert low <= lo <= hi <= high

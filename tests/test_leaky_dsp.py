@@ -8,12 +8,11 @@ import pytest
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
-from repro.config import DEFAULT_CONSTANTS, make_rng
+from repro.config import make_rng
 from repro.core.leaky_dsp import PROCESS_JITTER_FRACTION, LeakyDSP, ndtri
 from repro.errors import ConfigurationError
-from repro.fpga.device import SiteType, zu3eg
+from repro.fpga.device import SiteType
 from repro.fpga.placement import Placer
-from repro.timing.sampling import ClockSpec
 
 
 @pytest.fixture(scope="module")

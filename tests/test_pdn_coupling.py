@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import PhysicalConstants
 from repro.errors import ConfigurationError
 from repro.pdn.coupling import (
     CouplingModel,

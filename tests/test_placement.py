@@ -9,7 +9,6 @@ from repro.fpga.netlist import Netlist
 from repro.fpga.placement import (
     Pblock,
     Placement,
-    Placer,
     SLICE_CAPACITY,
     site_type_for_cell,
 )

@@ -1,7 +1,6 @@
 """Tests for the vendor primitive models (LUT, FDRE, CARRY4, DSP48,
 IDELAY)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PrimitiveConfigError

@@ -6,6 +6,8 @@ is the serial reference path.
 """
 
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -396,3 +398,67 @@ class TestActiveGroupsValidation:
         sensor, coupling, virus = characterization
         out = Engine().characterize(sensor, coupling, virus, np.int64(3), 50, seed=2)
         assert out.shape == (50,)
+
+
+class TestConcurrentCampaigns:
+    """Serial campaigns on several threads of one process (the campaign
+    service's executor) share no scratch memory: each equals the same
+    campaign run alone, bit for bit."""
+
+    def test_scratch_is_per_thread(self):
+        from repro.analysis.streaming import _FINALIZE_SCRATCH
+        from repro.attacks import cpa
+        from repro.kernels import get_kernel
+
+        kernel = get_kernel(None)
+
+        def buffers():
+            return [
+                cpa._pool_array("u8", (4, 16, 256), np.uint8),
+                kernel._workspace(640)["volts"],
+                *_FINALIZE_SCRATCH.blocks((4, 4096)),
+            ]
+
+        mine = buffers()
+        with ThreadPoolExecutor(1) as pool:
+            theirs = pool.submit(buffers).result()
+        for a, b, again in zip(mine, theirs, buffers()):
+            assert not np.shares_memory(a, b)
+            assert np.shares_memory(a, again)  # reused within a thread
+
+    def test_two_threads_match_serial(self):
+        from repro.attacks.metrics import streamed_rank_curves
+        from repro.experiments import common
+
+        specs = common.placement_specs(("P1", "P2", "P6"))
+        window = common.last_round_window(
+            specs[0].hw_model, specs[0].build().default_n_samples()
+        )
+
+        def campaign(seed):
+            pairs = streamed_rank_curves(
+                Engine(workers=1, shard_size=1024), specs, 6144, key=KEY,
+                checkpoints=[1500, 3000, 6144], seed=seed, sample_window=window,
+            )
+            return [
+                (curve.as_arrays(), attack.state_arrays())
+                for curve, attack in pairs
+            ]
+
+        # More threads than cores, switching often.
+        seeds = (11, 12, 13)
+        alone = [campaign(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(campaign, seed) for seed in seeds]
+                together = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(together, alone):
+            for (curve, state), (want_curve, want_state) in zip(got, want):
+                for a, b in zip(curve, want_curve):
+                    np.testing.assert_array_equal(a, b)
+                for name in want_state:
+                    np.testing.assert_array_equal(state[name], want_state[name])

@@ -10,7 +10,6 @@ they compute.
 """
 
 import multiprocessing
-import threading
 import time
 import warnings
 import weakref

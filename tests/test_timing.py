@@ -6,7 +6,7 @@ import pytest
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants
 from repro.errors import ConfigurationError, NetlistError
 from repro.fpga.netlist import Cell, Netlist
-from repro.fpga.primitives import CARRY4, DSP48E1, FDRE, IDELAYE2, LUT
+from repro.fpga.primitives import DSP48E1, FDRE, IDELAYE2, LUT
 from repro.timing.delay import delay_scale, delay_sensitivity, scaled_delay
 from repro.timing.paths import (
     PATH_DELAYS,
