@@ -25,9 +25,12 @@ Result buffers live in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`): each worker writes its shard's
 slice directly, so trace arrays are never pickled through the result
 pipe — only the small per-shard :class:`~repro.runtime.metrics.
-ShardMetrics` travels back.  The parent pre-builds every model table
-that is expensive to derive (the sensor's voltage->moments table) so
-workers inherit it with the pickled harness instead of recomputing it.
+ShardMetrics` travels back.  A streamed shard's segment accumulators
+do come back, through one shared-memory segment per shard (see
+:func:`~repro.runtime.scheduler.dispatch`).  The parent pre-builds
+every model table that is expensive to derive (the sensor's
+voltage->moments table) so workers inherit it with the pickled harness
+instead of recomputing it.
 
 A progress hook fires in the parent as shards complete::
 
@@ -896,17 +899,18 @@ class Engine:
             start = time.time()
             t0 = time.perf_counter()
             classes, prefetcher = self._plan_cache_traffic(tasks)
+            shards = dispatch(
+                tasks,
+                workers=self.workers,
+                schedule=self.schedule,
+                task=run_shard,
+                pool_initializer=_init_worker,
+                pool_initargs=initargs,
+                classes=classes,
+            )
             try:
                 done = 0
-                for task, result in dispatch(
-                    tasks,
-                    workers=self.workers,
-                    schedule=self.schedule,
-                    task=run_shard,
-                    pool_initializer=_init_worker,
-                    pool_initargs=initargs,
-                    classes=classes,
-                ):
+                for task, result in shards:
                     sm = fold(task, result) if fold is not None else result
                     del result  # folded: free it before the next shard runs
                     metrics.shards.append(sm)
@@ -915,6 +919,10 @@ class Engine:
                     self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
                     self._emit(kind, done, n_items, sm)
             finally:
+                # Shut the pool down and sweep its result segments now,
+                # not whenever an exception's traceback lets go of the
+                # generator.
+                shards.close()
                 self._metric_queue_depth.set(0)
                 if prefetcher is not None:
                     prefetcher.stop()

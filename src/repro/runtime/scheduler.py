@@ -29,12 +29,19 @@ change *when* a shard runs, never *what* it computes.
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import secrets
 import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import count
+from multiprocessing import resource_tracker
 from typing import (
     Callable,
     Dict,
@@ -42,9 +49,11 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
+import _posixshmem
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkerLostError
@@ -53,6 +62,14 @@ from repro.runtime.sharding import Shard
 
 #: Engine scheduling modes.
 SCHEDULES = ("stealing", "static")
+
+#: Name prefix of every pool shard-result segment.  :func:`dispatch`
+#: extends it with its own pid and a random token (see there).
+RESULT_SEGMENT_PREFIX = "repro_"
+
+#: Offset alignment of each out-of-band buffer inside a result segment
+#: (arrays unpickled over the mapping stay cache-line aligned).
+_ALIGN = 64
 
 #: Dispatch order of cache classes under ``"stealing"`` (see module
 #: docstring for why cold leads and remote trails).
@@ -157,13 +174,80 @@ def static_groups(n_tasks: int, workers: int) -> List[List[int]]:
     return groups
 
 
-def run_task_group(task_fn: Callable, triples: Sequence[Tuple]) -> List:
-    """Run a group of shards inside one worker, in order.
+def run_task_group(task_fn: Callable, triples: Sequence[Tuple], segment: str) -> Tuple:
+    """Run a group of shards inside one worker, in order, and encode
+    their results for the trip back (:func:`_encode_results` into the
+    shared-memory segment named ``segment``).
 
     Module-level so a ``ProcessPoolExecutor`` can pickle it by
     reference along with the (equally picklable) shard task.
     """
-    return [task_fn(shard, seq, key) for shard, seq, key in triples]
+    return _encode_results(
+        [task_fn(shard, seq, key) for shard, seq, key in triples], segment
+    )
+
+
+def _encode_results(results: object, segment: str) -> Tuple:
+    """Pickle ``results`` with every array buffer out of band.
+
+    The buffers are copied into one fresh POSIX shared-memory segment
+    named ``segment``; only ``(in_band, segment, extents)`` crosses the
+    result pipe, ``extents`` being each buffer's ``(offset, nbytes)``.
+    A result with no out-of-band buffer needs no segment (``segment``
+    is then ``None``).  If the copy fails the segment is unlinked here.
+    The segment is made with ``_posixshmem`` rather than
+    :class:`~multiprocessing.shared_memory.SharedMemory`, which would
+    register it with the resource tracker from this process; the
+    receiving process owns the name's registration (see
+    :func:`dispatch`).
+    """
+    buffers: List[pickle.PickleBuffer] = []
+    in_band = pickle.dumps(results, protocol=5, buffer_callback=buffers.append)
+    if not buffers:
+        return in_band, None, ()
+    raws = [b.raw() for b in buffers]
+    extents = []
+    size = 0
+    for raw in raws:
+        extents.append((size, raw.nbytes))
+        size += -(-raw.nbytes // _ALIGN) * _ALIGN
+    size = max(size, 1)
+    fd = _posixshmem.shm_open(
+        "/" + segment, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600
+    )
+    try:
+        os.ftruncate(fd, size)
+        with mmap.mmap(fd, size) as mapping:
+            for (offset, nbytes), raw in zip(extents, raws):
+                mapping[offset : offset + nbytes] = raw
+    except BaseException:
+        _posixshmem.shm_unlink("/" + segment)
+        raise
+    finally:
+        os.close(fd)
+    return in_band, segment, tuple(extents)
+
+
+def _decode_results(payload: Tuple) -> object:
+    """Invert :func:`_encode_results` in the receiving process.
+
+    The segment is mapped and its name unlinked at once; the arrays
+    unpickle as zero-copy views of the mapping, which is unmapped when
+    the last of them dies (nothing ever closes it, so no view can
+    outlive its memory).
+    """
+    in_band, segment, extents = payload
+    if segment is None:
+        return pickle.loads(in_band)
+    fd = _posixshmem.shm_open("/" + segment, os.O_RDWR, 0o600)
+    try:
+        _posixshmem.shm_unlink("/" + segment)
+        view = memoryview(mmap.mmap(fd, 0))
+    finally:
+        os.close(fd)
+    return pickle.loads(
+        in_band, buffers=[view[offset : offset + n] for offset, n in extents]
+    )
 
 
 def dispatch(
@@ -193,6 +277,30 @@ def dispatch(
     early checkpoints) hold every finished shard at once.  No result is
     kept once yielded, so consumers hold only what they keep.
 
+    Pool results come back through shared memory, not the result
+    pipe: each group's results are pickled in the worker with every
+    array buffer out of band, the buffers go into one fresh POSIX
+    shared-memory segment, and only the in-band bytes (well under a
+    kilobyte per accumulator), the segment name and the buffer extents
+    cross the pipe (:func:`_encode_results`).  This process maps the
+    segment, unlinks its name at once and unpickles the arrays as
+    zero-copy views of the mapping, which goes away with the last view
+    (:func:`_decode_results`).  Every result takes this one path; a
+    result without array buffers needs no segment.
+
+    No segment outlives the call.  Segment names are
+    :data:`RESULT_SEGMENT_PREFIX`, this process's pid, a random token
+    drawn per call and the group's submission number, and each group
+    carries its name to its worker.  A worker that fails while writing
+    its segment unlinks it; after the pool has shut down (so no worker
+    can still create one) the ``finally`` below unlinks every name this
+    call handed out and has not decoded.  That covers a normal end, a
+    dead worker, an exception in the consumer and a consumer that stops
+    early.  Each name is also registered with this process's resource
+    tracker before a worker can create it, and unregistered once
+    unlinked, so if this process is killed the tracker unlinks what is
+    left.
+
     A worker that dies (killed, ``os._exit``, out of memory) breaks the
     whole pool; that surfaces as :class:`~repro.errors.WorkerLostError`
     naming every shard whose result had not arrived.
@@ -202,47 +310,66 @@ def dispatch(
             yield t, task(t.shard, t.seq, t.key)
         return
     max_workers = min(workers, len(tasks))
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=pool_initializer,
-        initargs=pool_initargs,
-    ) as pool:
-        if schedule == "static":
-            queue = deque(static_groups(len(tasks), max_workers))
-        else:
-            queue = deque([i] for i in steal_order(tasks, classes))
-        futures: Dict[object, List[int]] = {}
+    prefix = f"{RESULT_SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(4)}_"
+    serials = count()
+    live: Set[str] = set()  # names handed out and not yet decoded
 
-        def submit() -> None:
-            while queue and len(futures) <= max_workers:
-                group = queue[0]
-                futures[pool.submit(
-                    run_task_group,
-                    task,
-                    [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
-                )] = group
-                queue.popleft()
+    def untrack(name: str) -> None:
+        live.remove(name)
+        resource_tracker.unregister("/" + name, "shared_memory")
 
-        try:
-            submit()
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results = future.result()
-                    group = futures.pop(future)
-                    for i in group:
-                        yield tasks[i], results.pop(0)
-                    submit()
-        except BrokenProcessPool as exc:
-            shards = sorted(
-                tasks[i].shard.index
-                for group in [*futures.values(), *queue]
-                for i in group
-            )
-            raise WorkerLostError(
-                f"a pool worker died; shards {shards} were lost ({exc})",
-                shards,
-            ) from exc
+    try:
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=pool_initializer,
+            initargs=pool_initargs,
+        ) as pool:
+            if schedule == "static":
+                queue = deque(static_groups(len(tasks), max_workers))
+            else:
+                queue = deque([i] for i in steal_order(tasks, classes))
+            futures: Dict[object, Tuple[List[int], str]] = {}
+
+            def submit() -> None:
+                while queue and len(futures) <= max_workers:
+                    group = queue[0]
+                    name = f"{prefix}{next(serials)}"
+                    resource_tracker.register("/" + name, "shared_memory")
+                    live.add(name)
+                    futures[pool.submit(
+                        run_task_group,
+                        task,
+                        [(tasks[i].shard, tasks[i].seq, tasks[i].key) for i in group],
+                        name,
+                    )] = group, name
+                    queue.popleft()
+
+            try:
+                submit()
+                while futures:
+                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        results = _decode_results(future.result())
+                        group, name = futures.pop(future)
+                        untrack(name)  # unlinked by the decode, if it existed
+                        for i in group:
+                            yield tasks[i], results.pop(0)
+                        submit()
+            except BrokenProcessPool as exc:
+                shards = sorted(
+                    tasks[i].shard.index
+                    for group in [*(g for g, _ in futures.values()), *queue]
+                    for i in group
+                )
+                raise WorkerLostError(
+                    f"a pool worker died; shards {shards} were lost ({exc})",
+                    shards,
+                ) from exc
+    finally:
+        for name in list(live):
+            with suppress(FileNotFoundError):  # never written
+                _posixshmem.shm_unlink("/" + name)
+            untrack(name)
 
 
 class RemotePrefetcher:

@@ -3,17 +3,20 @@ fast (building site maps and placing 16k-cell viruses once, not per
 test).
 
 Also registers the deterministic hypothesis profile (derandomized, no
-deadline) used for tier-1 runs, and the ``--update-goldens`` flag that
-rewrites ``tests/golden/*.json`` from the current outputs.
+deadline) used for tier-1 runs, the ``--update-goldens`` flag that
+rewrites ``tests/golden/*.json`` from the current outputs, and a
+session-wide check that no test leaks a shared-memory segment.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fpga.device import xc7a35t, zu3eg
 from repro.fpga.placement import Placer
+from repro.runtime.scheduler import RESULT_SEGMENT_PREFIX
 
 try:  # hypothesis is a dev-only dependency; the suite degrades gracefully.
     from hypothesis import HealthCheck, settings as hypothesis_settings
@@ -39,6 +42,28 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/golden/*.json from the current outputs",
     )
+
+
+def _engine_segments():
+    """Names in ``/dev/shm`` of the engine's shared-memory buffers
+    (``psm_*``) and pool shard results (empty off Linux)."""
+    shm = Path("/dev/shm")
+    if not shm.is_dir():
+        return set()
+    return {
+        name
+        for name in os.listdir(shm)
+        if name.startswith(("psm_", RESULT_SEGMENT_PREFIX))
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_segments():
+    """Fail the session if a segment made during it outlives it."""
+    before = _engine_segments()
+    yield
+    leaked = _engine_segments() - before
+    assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ campaign methods and the per-sensor sub-block cache accounting.
 """
 
 import dataclasses
+import mmap
 import warnings
 import weakref
 from functools import partial
@@ -27,7 +28,7 @@ from repro.errors import AcquisitionError, ConfigurationError
 from repro.kernels import FusedAcquisitionKernel, get_kernel
 from repro.kernels import fanout
 from repro.pdn.noise import NoiseModel
-from repro.runtime import Engine
+from repro.runtime import Engine, scheduler
 from repro.traces.acquisition import (
     AESTraceAcquisition,
     MultiSensorAcquisition,
@@ -455,6 +456,96 @@ class TestEngineFanout:
 # ----------------------------------------------------------------------
 # Per-sensor sub-block caching
 # ----------------------------------------------------------------------
+
+
+def _arrays_of(obj, found):
+    """Every ndarray reachable through ``obj``'s attributes."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif hasattr(value, "__dict__") and not isinstance(value, type):
+            _arrays_of(value, found)
+    return found
+
+
+def _mapping_of(array):
+    """The ``mmap`` an array views (through its memoryview), else None."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    obj = getattr(base, "obj", None)
+    return obj if isinstance(obj, mmap.mmap) else None
+
+
+class TestPoolResultTransport:
+    """Pool shard results cross the result pipe as a few hundred bytes
+    of in-band pickle; their arrays arrive as views of one shared-memory
+    mapping per shard, and every output bit equals a serial run."""
+
+    @pytest.fixture()
+    def received(self, monkeypatch):
+        """``(in_band_bytes, segment, results)`` per pool result."""
+        seen = []
+        decode = scheduler._decode_results
+
+        def recording_decode(payload):
+            results = decode(payload)
+            seen.append((len(payload[0]), payload[1], list(results)))
+            return results
+
+        monkeypatch.setattr(scheduler, "_decode_results", recording_decode)
+        return seen
+
+    def test_stream_results_arrive_out_of_band(self, multi, specs, received):
+        n_samples = multi.default_n_samples()
+        factory = partial(
+            CPAAttack, n_samples,
+            sample_window=common.last_round_window(specs[0].hw_model, n_samples),
+        )
+
+        def run(workers):
+            peaks = []
+            masters = Engine(workers=workers, shard_size=64).stream_attack_many(
+                multi, 512, key=KEY, consumer_factory=factory, seed=5,
+                chunk_size=24, checkpoints=[40, 100, 200, 300, 450, 512],
+                on_checkpoint=lambda index, done, acc: peaks.append(
+                    (index, done, acc.peak_correlations().copy())
+                ),
+            )
+            return peaks, [m.state_arrays() for m in masters]
+
+        pool_peaks, pool_states = run(2)
+        assert len(received) == 8  # one result per 64-trace shard
+        for in_band, segment, results in received:
+            assert in_band < 64 * 1024
+            assert segment.startswith(scheduler.RESULT_SEGMENT_PREFIX)
+            ((_metrics, per_sensor),) = results
+            arrays = [
+                a
+                for segments in per_sensor
+                for _end, part in segments
+                for a in _arrays_of(part, [])
+            ]
+            mapping = _mapping_of(arrays[0])
+            assert mapping is not None
+            for a in arrays:  # zero-copy views of the one shard mapping
+                assert _mapping_of(a) is mapping
+                assert np.shares_memory(a, np.frombuffer(mapping, np.uint8))
+        serial_peaks, serial_states = run(1)
+        assert [p[:2] for p in pool_peaks] == [p[:2] for p in serial_peaks]
+        for (_, _, got), (_, _, want) in zip(pool_peaks, serial_peaks):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(pool_states, serial_states):
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
+
+    def test_results_without_arrays_need_no_segment(self, multi, received):
+        traces = Engine(workers=2, shard_size=SHARD).collect_many(
+            multi, N_TRACES, key=KEY, seed=5
+        )
+        assert len(received) == 3
+        assert all(segment is None for _, segment, _ in received)
+        assert len(traces) == len(multi)
 
 
 class TestFanoutCache:

@@ -6,7 +6,10 @@ is the serial reference path.
 """
 
 import os
+import signal
+import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -27,6 +30,7 @@ from repro.errors import (
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
+from repro.runtime import scheduler
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec, characterize_droop
 from repro.victims.aes import AESHardwareModel
@@ -348,12 +352,52 @@ class _DyingAttack(CPAAttack):
         return super().update(traces, ciphertexts)
 
 
+def _shm_names():
+    shm = Path("/dev/shm")
+    return set(os.listdir(shm)) if shm.is_dir() else set()
+
+
+class _Boom(Exception):
+    pass
+
+
+#: A pool dispatch whose parent prints the first result's segment name
+#: and its worker pids, then SIGKILLs itself before decoding it.
+_KILLED_PARENT = """
+import multiprocessing, os, signal
+import numpy as np
+from repro.runtime import scheduler
+from repro.runtime.sharding import Shard
+
+def task(shard, seq, key):
+    return np.full(4096, shard.index)
+
+def die(payload):
+    pids = [p.pid for p in multiprocessing.active_children()]
+    print(payload[1], *pids, flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+scheduler._decode_results = die
+tasks = [
+    scheduler.ShardTask(i, Shard(i, 10 * i, 10 * i + 10), np.random.SeedSequence(i))
+    for i in range(4)
+]
+for _ in scheduler.dispatch(
+    tasks, workers=2, schedule="stealing", task=task,
+    pool_initializer=None, pool_initargs=(),
+):
+    pass
+"""
+
+
 class TestWorkerLoss:
+    """A pool campaign that fails leaves no shared-memory segment
+    behind: neither the engine's buffers nor any shard result's."""
+
     def test_dead_worker_raises_typed_error_and_leaks_no_segment(
         self, acquisition
     ):
-        shm = Path("/dev/shm")
-        before = set(os.listdir(shm)) if shm.is_dir() else set()
+        before = _shm_names()
         engine = Engine(workers=2, shard_size=16)
         with pytest.raises(WorkerLostError) as info:
             engine.stream_attack(
@@ -366,8 +410,84 @@ class TestWorkerLoss:
         assert info.value.shards
         assert set(info.value.shards) <= set(range(8))
         assert str(list(info.value.shards)) in str(info.value)
-        after = set(os.listdir(shm)) if shm.is_dir() else set()
-        assert {n for n in after - before if n.startswith("psm_")} == set()
+        assert _shm_names() - before == set()
+
+    def test_worker_dying_after_writing_its_result_leaks_no_segment(
+        self, acquisition, monkeypatch
+    ):
+        """The worker exits between writing its result segment and
+        returning its name: only the dispatch sweep can unlink it."""
+        encode = scheduler._encode_results
+
+        def encode_then_die(results, segment):
+            payload = encode(results, segment)
+            if os.getpid() != _PARENT_PID:
+                os._exit(3)
+            return payload
+
+        monkeypatch.setattr(scheduler, "_encode_results", encode_then_die)
+        before = _shm_names()
+        with pytest.raises(WorkerLostError):
+            Engine(workers=2, shard_size=16).stream_attack(
+                acquisition, 128, key=KEY, seed=3,
+                consumer_factory=partial(
+                    CPAAttack, acquisition.default_n_samples()
+                ),
+            )
+        assert _shm_names() - before == set()
+
+    def test_failing_checkpoint_callback_leaks_no_segment(self, acquisition):
+        """The consumer raises after the first shard while later shards
+        are in flight or already written: the exception propagates
+        unchanged and their segments are swept."""
+        calls = []
+
+        def on_checkpoint(done, acc):
+            calls.append(done)
+            raise _Boom(done)
+
+        before = _shm_names()
+        with pytest.raises(_Boom) as info:
+            Engine(workers=2, shard_size=16).stream_attack(
+                acquisition, 128, key=KEY, seed=3,
+                consumer_factory=partial(
+                    CPAAttack, acquisition.default_n_samples()
+                ),
+                checkpoints=[16, 128], on_checkpoint=on_checkpoint,
+            )
+        assert calls == [16] and info.value.args == (16,)
+        assert _shm_names() - before == set()
+
+    def test_killed_parent_leaves_its_segments_to_the_resource_tracker(self):
+        """A SIGKILLed parent runs no sweep, and its orphaned workers
+        keep its resource tracker alive; once they are gone too, the
+        tracker unlinks the segment written but never decoded."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_PARENT], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        with proc.stdout:  # the orphans hold it open: read one line only
+            segment, *workers = proc.stdout.readline().split()
+        try:
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            assert segment in _shm_names()
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(int(pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        prefix = segment.rsplit("_", 1)[0]
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and any(
+            name.startswith(prefix) for name in _shm_names()
+        ):
+            time.sleep(0.05)
+        assert not any(name.startswith(prefix) for name in _shm_names())
 
 
 class TestActiveGroupsValidation:

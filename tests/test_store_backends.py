@@ -10,6 +10,7 @@ they compute.
 """
 
 import multiprocessing
+import os
 import time
 import warnings
 import weakref
@@ -25,9 +26,12 @@ from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.runtime.scheduler import (
+    RESULT_SEGMENT_PREFIX,
     SCHEDULES,
     RemotePrefetcher,
     ShardTask,
+    _decode_results,
+    _encode_results,
     classify_tasks,
     dispatch,
     flatten_keys,
@@ -454,6 +458,30 @@ class TestSchedulerPrimitives:
             previous = weakref.ref(result)
         del result
         assert previous() is None
+
+    def test_result_encoding_round_trips_through_one_segment(self):
+        name = f"{RESULT_SEGMENT_PREFIX}test_{os.getpid()}_round_trip"
+        results = [{"x": np.arange(5, dtype=np.int16)}, np.eye(3), "meta"]
+        payload = _encode_results(results, name)
+        assert payload[1] == name and len(payload[2]) == 2
+        assert os.path.exists(f"/dev/shm/{name}")
+        got = _decode_results(payload)
+        assert not os.path.exists(f"/dev/shm/{name}")  # unlinked at once
+        np.testing.assert_array_equal(got[0]["x"], results[0]["x"])
+        np.testing.assert_array_equal(got[1], results[1])
+        assert got[2] == "meta"
+        assert _decode_results(_encode_results(["meta"], name)) == ["meta"]
+
+    def test_worker_side_failure_unlinks_its_segment(self, monkeypatch):
+        name = f"{RESULT_SEGMENT_PREFIX}test_{os.getpid()}_failure"
+
+        def full_disk(fd, size):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "ftruncate", full_disk)
+        with pytest.raises(OSError):
+            _encode_results([np.ones(8)], name)
+        assert not os.path.exists(f"/dev/shm/{name}")
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_pool_dispatch_bounds_unconsumed_shards(self, schedule, monkeypatch):
