@@ -8,8 +8,6 @@ from repro.analysis.streaming import (
     SharedTraceMoments,
     StackedStreamingPearson,
     StreamingPearson,
-    iter_chunk_slices,
-    validate_chunk_size,
 )
 
 __all__ = [
@@ -18,6 +16,4 @@ __all__ = [
     "SharedTraceMoments",
     "StackedStreamingPearson",
     "StreamingPearson",
-    "iter_chunk_slices",
-    "validate_chunk_size",
 ]

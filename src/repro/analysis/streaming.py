@@ -16,8 +16,10 @@ integer whose magnitude stays far below 2**53.  Each partial sum is then
 *exactly* representable in float64 and float64 addition of exact values
 is associative, which makes the accumulators **bit-reproducible for
 integer-valued inputs at any chunk size and any merge order** — the
-property the differential tests in ``tests/test_runtime.py`` and the
-hypothesis suite in ``tests/test_streaming_properties.py`` pin down.
+property the hypothesis suites in ``tests/test_streaming_properties.py``
+and ``tests/test_cpa_batched.py`` pin down.  Chunk invariance lives
+here, not in the callers: a producer may feed rows in whatever batches
+it has.
 For general float inputs the same sums agree with a batch two-pass
 computation to ~1e-10 on well-scaled data; variances are clamped at
 zero against the raw-sums cancellation of badly scaled columns.
@@ -25,70 +27,18 @@ zero against the raw-sums cancellation of badly scaled columns.
 
 from __future__ import annotations
 
-import numbers
 import threading
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import AttackError, ConfigurationError
+from repro.errors import AttackError
 
 __all__ = [
-    "validate_chunk_size",
-    "iter_chunk_slices",
     "SharedTraceMoments",
     "StreamingPearson",
     "StackedStreamingPearson",
 ]
-
-
-# ----------------------------------------------------------------------
-# Chunk validation — shared by every chunked path (acquisition.collect,
-# Engine.stream_attack, the accumulators themselves) so bad sizes fail
-# with a ReproError instead of a NumPy broadcasting error or an
-# infinite loop.
-# ----------------------------------------------------------------------
-
-
-def validate_chunk_size(chunk_size, *, allow_none: bool = False) -> Optional[int]:
-    """Validate a ``chunk_size`` argument into a positive int.
-
-    ``None`` is passed through when ``allow_none`` (meaning "one chunk
-    per shard/block").  Anything that is not a positive integer raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    if chunk_size is None:
-        if allow_none:
-            return None
-        raise ConfigurationError("chunk_size is required")
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral):
-        raise ConfigurationError(
-            f"chunk_size must be a positive integer, got {chunk_size!r}"
-        )
-    if chunk_size <= 0:
-        raise ConfigurationError(
-            f"chunk_size must be a positive integer, got {chunk_size}"
-        )
-    return int(chunk_size)
-
-
-def iter_chunk_slices(
-    n_items: int, chunk_size: Optional[int]
-) -> Iterator[slice]:
-    """Slices covering ``0..n_items`` in ``chunk_size`` steps.
-
-    ``chunk_size=None`` yields the whole range as one slice.  Rejects
-    non-positive ``n_items`` and invalid chunk sizes with a
-    :class:`~repro.errors.ReproError` subclass.
-    """
-    chunk_size = validate_chunk_size(chunk_size, allow_none=True)
-    if n_items <= 0:
-        raise ConfigurationError(f"n_items must be positive, got {n_items}")
-    if chunk_size is None:
-        yield slice(0, n_items)
-        return
-    for start in range(0, n_items, chunk_size):
-        yield slice(start, min(start + chunk_size, n_items))
 
 
 def _as_chunk(x, name: str, n_columns: Optional[int] = None) -> np.ndarray:

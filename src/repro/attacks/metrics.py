@@ -114,7 +114,6 @@ def streamed_rank_curve(
     checkpoints: Sequence[int],
     seed=0,
     sample_window: Optional[Tuple[int, int]] = None,
-    chunk_size: Optional[int] = None,
     on_point: Optional[Callable[[RankPoint], None]] = None,
     attack: Optional[CPAAttack] = None,
     trace_offset: int = 0,
@@ -125,7 +124,7 @@ def streamed_rank_curve(
 
     Bit-identical to ``engine.collect(...)`` followed by
     :func:`rank_curve` with the same seed and checkpoints, at any
-    worker count and chunk size.  ``on_point`` receives each
+    worker count.  ``on_point`` receives each
     :class:`RankPoint` as soon as its checkpoint's shards have folded —
     the incremental progress feed for long campaigns.
 
@@ -155,7 +154,6 @@ def streamed_rank_curve(
         consumer_factory=partial(CPAAttack, n_samples, sample_window),
         seed=seed,
         n_samples=n_samples,
-        chunk_size=chunk_size,
         checkpoints=checkpoints,
         on_checkpoint=on_checkpoint,
         consumer=attack,
@@ -172,7 +170,6 @@ def streamed_rank_curves(
     checkpoints: Sequence[int],
     seed=0,
     sample_window: Optional[Tuple[int, int]] = None,
-    chunk_size: Optional[int] = None,
     on_point: Optional[Callable[[int, RankPoint], None]] = None,
 ) -> List[Tuple[RankCurve, CPAAttack]]:
     """Fan-out counterpart of :func:`streamed_rank_curve`: one rank
@@ -209,7 +206,6 @@ def streamed_rank_curves(
         consumer_factory=partial(CPAAttack, n_samples, sample_window),
         seed=seed,
         n_samples=n_samples,
-        chunk_size=chunk_size,
         checkpoints=checkpoints,
         on_checkpoint=on_checkpoint,
     )

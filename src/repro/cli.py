@@ -88,15 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="traces/readouts per engine shard",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help=(
-            "traces per accumulator update in streaming attacks "
-            "(default: whole shard segments; any value is bit-identical)"
-        ),
-    )
-    parser.add_argument(
         "--run-dir",
         default=None,
         help=(
@@ -344,7 +335,6 @@ def build_service_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--workers", type=int, default=1)
     submit.add_argument("--shard-size", type=int, default=4096)
-    submit.add_argument("--chunk-size", type=int, default=None)
     submit.add_argument(
         "--option",
         action="append",
@@ -439,7 +429,6 @@ def _service_main(argv) -> int:
                 seed=args.seed,
                 workers=args.workers,
                 shard_size=args.shard_size,
-                chunk_size=args.chunk_size,
                 options=options,
             )
             if args.watch:
@@ -897,7 +886,6 @@ def _run_one(name: str, args, run_dir=None, trace_out=None) -> None:
         seed=args.seed,
         workers=args.workers,
         shard_size=args.shard_size,
-        chunk_size=args.chunk_size,
         progress=_progress_printer(name) if args.progress else None,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,

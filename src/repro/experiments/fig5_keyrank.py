@@ -89,7 +89,6 @@ def run_fig5(
     seed: int = 7,
     rng: SeedLike = 3,
     engine: Optional[Engine] = None,
-    chunk_size: Optional[int] = None,
 ) -> Fig5Result:
     """Reproduce Fig. 5 for the selected placements.
 
@@ -120,7 +119,6 @@ def run_fig5(
         "LeakyDSP",
         seed=seed,
         rng=campaign_rng,
-        chunk_size=chunk_size,
         on_point=on_point,
     )
     for placement, (curve, _attack) in zip(placements, pairs):
@@ -170,7 +168,6 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig5Resu
         },
         paper={},
     )
-    params.setdefault("chunk_size", config.chunk_size)
     return run_fig5(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 

@@ -63,7 +63,6 @@ def run_fig6(
     seed: int = 7,
     rng: SeedLike = 3,
     engine: Optional[Engine] = None,
-    chunk_size: Optional[int] = None,
 ) -> Fig6Result:
     """Reproduce Fig. 6: sweep the AES clock at the best placement,
     extending the campaign (like the paper's extra 20 k traces at
@@ -88,7 +87,6 @@ def run_fig6(
             aes_clock=clock,
             seed=seed,
             rng=next(campaign_rngs),
-            chunk_size=chunk_size,
         )
         extension_rng = next(campaign_rngs)
         extended = False
@@ -103,7 +101,6 @@ def run_fig6(
                 aes_clock=clock,
                 seed=seed,
                 rng=extension_rng,
-                chunk_size=chunk_size,
                 attack=attack,
                 trace_offset=n_traces,
             )
@@ -151,7 +148,6 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig6Resu
         },
         paper={},
     )
-    params.setdefault("chunk_size", config.chunk_size)
     return run_fig6(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 

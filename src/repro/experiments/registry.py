@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.streaming import validate_chunk_size
 from repro.errors import ConfigurationError
 from repro.runtime import Engine, ProgressFn, validate_schedule
 from repro.runtime.metrics import hit_rate
@@ -65,11 +64,6 @@ class ExperimentConfig:
         passed to :func:`run`).
     shard_size:
         Traces/readouts per engine shard.
-    chunk_size:
-        Traces per accumulator update when an experiment streams its
-        campaign into an attack (``None`` folds whole shard segments).
-        Any value yields bit-identical results; smaller chunks bound
-        the transient working set.
     progress:
         Progress callback forwarded to the engine.
     cache_dir:
@@ -121,7 +115,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     shard_size: int = 4096
-    chunk_size: Optional[int] = None
     progress: Optional[ProgressFn] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
@@ -145,7 +138,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
-        validate_chunk_size(self.chunk_size, allow_none=True)
         validate_schedule(self.schedule)
         if self.cache_dir is None:
             self.cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
@@ -327,7 +319,6 @@ def run(
         "scale": config.scale,
         "seed": config.seed,
         "workers": engine.workers,
-        "chunk_size": config.chunk_size,
         "schedule": engine.schedule,
         "options": dict(config.options),
     }
@@ -396,7 +387,6 @@ def _persist_run(
             seed=config.seed,
             workers=engine.workers,
             shard_size=config.shard_size,
-            chunk_size=config.chunk_size,
             options=config.options,
             cache_provenance=_cache_provenance(engine),
         )

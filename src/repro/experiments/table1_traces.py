@@ -51,7 +51,6 @@ def streamed_placement_curve(
     key: bytes = DEFAULT_KEY,
     seed: int = 7,
     rng: SeedLike = 3,
-    chunk_size: Optional[int] = None,
     on_point=None,
     attack=None,
     trace_offset: int = 0,
@@ -81,7 +80,6 @@ def streamed_placement_curve(
         checkpoints=checkpoints,
         seed=rng,
         sample_window=window,
-        chunk_size=chunk_size,
         on_point=on_point,
         attack=attack,
         trace_offset=trace_offset,
@@ -98,7 +96,6 @@ def streamed_placement_curves(
     key: bytes = DEFAULT_KEY,
     seed: int = 7,
     rng: SeedLike = 3,
-    chunk_size: Optional[int] = None,
     on_point=None,
 ):
     """Fan-out equivalent of one :func:`streamed_placement_curve` per
@@ -129,7 +126,6 @@ def streamed_placement_curves(
         checkpoints=checkpoints,
         seed=rng,
         sample_window=window,
-        chunk_size=chunk_size,
         on_point=on_point,
     )
 

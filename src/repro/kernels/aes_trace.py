@@ -20,8 +20,8 @@ order), so for a fixed seed the two differ only by floating-point
 summation order — a few ULPs of voltage, which virtually never moves a
 rounded integer readout.  The literal pipeline lives on as the test
 oracle (``tests/oracles.py``), injected through the
-:class:`AcquisitionKernel` seam.  Determinism across worker counts and
-chunk sizes is inherited unchanged: a kernel is a pure function of
+:class:`AcquisitionKernel` seam.  Determinism across worker counts is
+inherited unchanged: a kernel is a pure function of
 (block, rng), and the engine's shard plan fixes both.
 
 Kernels are stateless apart from caches; ``kernel=None`` resolves to

@@ -49,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.streaming import iter_chunk_slices, validate_chunk_size
 from repro.backends.threads import pin_worker_threads
 from repro.core.sensor import VoltageSensor
 from repro.errors import ConfigurationError
@@ -71,6 +70,7 @@ from repro.runtime.scheduler import (
     classify_tasks,
     dispatch,
     flatten_keys,
+    segment_prefix,
     static_groups,
     validate_schedule,
 )
@@ -360,12 +360,12 @@ def _stream_shard(
     traces a collected campaign would — it just never keeps them.  The
     shard is split at the global checkpoint ``ctx["boundaries"]`` so
     the parent can evaluate the attack at exact trace counts; each
-    segment becomes one accumulator per sensor, fed in
-    ``ctx["chunk_size"]`` pieces with the sensors innermost: every
-    sensor's chunk goes through one ``update_many`` call when the
+    segment becomes one accumulator per sensor, fed whole: every
+    sensor's rows go through one ``update_many`` call when the
     accumulator type has one (shared per-ciphertext work, e.g.
     :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else through
-    each accumulator's ``update``.  Returns
+    each accumulator's ``update``.  A segment is at most a shard; the
+    accumulator bounds its own working set.  Returns
     ``(metrics, per_sensor_segments)`` where ``per_sensor_segments[i]``
     is sensor ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the
     global trace count the segment closes at.
@@ -400,15 +400,12 @@ def _stream_shard(
                 spares.pop() if spares else ctx["factory"]() for _ in readouts_list
             ]
             update_many = getattr(type(parts[0]), "update_many", None)
-            for sl in iter_chunk_slices(hi - lo, ctx["chunk_size"]):
-                rows = slice(lo + sl.start, lo + sl.stop)
-                if update_many is not None:
-                    update_many(
-                        parts, [r[rows] for r in readouts_list], shard_cts[rows]
-                    )
-                else:
-                    for part, readouts in zip(parts, readouts_list):
-                        part.update(readouts[rows], shard_cts[rows])
+            rows = slice(lo, hi)
+            if update_many is not None:
+                update_many(parts, [r[rows] for r in readouts_list], shard_cts[rows])
+            else:
+                for part, readouts in zip(parts, readouts_list):
+                    part.update(readouts[rows], shard_cts[rows])
             for segments, part in zip(per_sensor, parts):
                 segments.append((shard.start + hi, part))
     return cache.metrics(start, time.perf_counter() - t0), per_sensor
@@ -511,16 +508,20 @@ def _in_worker(body: Callable, shard: Shard, seed_seq, keys):
 
 
 class _SharedBuffers:
-    """Parent-owned shared-memory result buffers."""
+    """Parent-owned shared-memory result buffers, named
+    :func:`~repro.runtime.scheduler.segment_prefix` + index."""
 
     def __init__(self, specs: Dict[str, Tuple[Tuple[int, ...], np.dtype]]) -> None:
         self.segments: Dict[str, shared_memory.SharedMemory] = {}
         self.arrays: Dict[str, np.ndarray] = {}
         self.spec_for_worker: Dict[str, Tuple[str, Tuple[int, ...], np.dtype]] = {}
+        prefix = segment_prefix()
         try:
-            for label, (shape, dtype) in specs.items():
+            for i, (label, (shape, dtype)) in enumerate(specs.items()):
                 nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-                seg = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+                seg = shared_memory.SharedMemory(
+                    name=f"{prefix}{i}", create=True, size=max(nbytes, 1)
+                )
                 self.segments[label] = seg
                 self.arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
                 self.spec_for_worker[label] = (seg.name, shape, dtype)
@@ -567,14 +568,12 @@ class Engine:
         live.  Cached blocks are bit-identical to live acquisition by
         construction, so results never depend on cache state — a warm
         store only removes the sensor-pipeline cost of shards it holds.
-    telemetry:
-        Span recorder (:class:`~repro.telemetry.spans.Telemetry`) the
-        engine attaches each campaign's span tree to; a private one is
-        created when omitted.  The tree (``engine.<kind>`` -> shard ->
-        stage/cache spans, plus checkpoint events) is also available on
-        ``last_metrics.span``.  Shard subtrees are grafted in
-        shard-index order, so the tree's structure is identical at any
-        worker count.
+
+    Each campaign's span tree (``engine.<kind>`` -> shard -> stage/cache
+    spans, plus checkpoint events) is attached to the engine's own
+    ``telemetry`` recorder and kept on ``last_metrics.span``.  Shard
+    subtrees are grafted in shard-index order, so the tree's structure
+    is identical at any worker count.
     """
 
     def __init__(
@@ -583,7 +582,6 @@ class Engine:
         shard_size: int = 4096,
         progress: Optional[ProgressFn] = None,
         cache: Union[None, str, "BlockStore"] = None,
-        telemetry: Optional[Telemetry] = None,
         schedule: str = "stealing",
     ) -> None:
         if workers < 1:
@@ -593,7 +591,7 @@ class Engine:
         self.workers = workers
         self.shard_size = shard_size
         self.progress = progress
-        self.telemetry = telemetry or Telemetry()
+        self.telemetry = Telemetry()
         self.cache = open_store(cache)
         self.schedule = validate_schedule(schedule)
         #: Metrics of the most recent run (:class:`EngineMetrics`).
@@ -814,10 +812,10 @@ class Engine:
         Sensor ``i``'s key binds the full determinism contract: schema
         version, its config token ``tokens()[i]``, the shard's RNG
         lineage (root seed + shard index, via the spawned child's spawn
-        key) and the block geometry.  Worker count, chunk size, kernel
-        choice and fan-out width are *absent* — they never change
-        content — so a sensor's keys are the same alone or in a fan-out
-        of any width, and blocks flow freely between the two.
+        key) and the block geometry.  Worker count, kernel choice and
+        fan-out width are *absent* — they never change content — so a
+        sensor's keys are the same alone or in a fan-out of any width,
+        and blocks flow freely between the two.
         """
         shards = plan_shards(n_items, self.shard_size)
         seqs = spawn_shard_sequences(seed, len(shards))
@@ -1031,7 +1029,6 @@ class Engine:
         consumer_factory: Callable[[], object],
         seed: SeedLike = 0,
         n_samples: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         checkpoints: Sequence[int] = (),
         on_checkpoint: Optional[Callable[[int, object], None]] = None,
         consumer: Optional[object] = None,
@@ -1046,10 +1043,12 @@ class Engine:
         cpa.CPAAttack`) as they complete, and the full ``(n_traces,
         n_samples)`` matrix is never materialized.  An accumulator type
         may also offer ``update_many(accumulators, traces_list,
-        ciphertexts)``, one call folding a chunk into one accumulator
+        ciphertexts)``, one call folding a segment into one accumulator
         per sensor; the engine then uses it instead of per-sensor
-        ``update`` calls.  Peak memory is one shard block plus the
-        accumulators, independent of ``n_traces``.
+        ``update`` calls.  Each call gets a whole checkpoint-bounded
+        shard segment (at most ``shard_size`` rows); the accumulator
+        bounds its own working set.  Peak memory is one shard block plus
+        the accumulators, independent of ``n_traces``.
 
         Parameters
         ----------
@@ -1057,10 +1056,6 @@ class Engine:
             Zero-argument callable producing a fresh accumulator; must
             be picklable for ``workers > 1`` (e.g. ``functools.partial(
             CPAAttack, n_samples)``).
-        chunk_size:
-            Rows per ``update`` call within a shard (bounds the float64
-            working set of the accumulator hot path); ``None`` feeds
-            each shard segment whole.
         checkpoints:
             Strictly increasing trace counts at which ``on_checkpoint
             (count, accumulator)`` fires with the accumulator holding
@@ -1072,8 +1067,8 @@ class Engine:
             from ``consumer_factory()``.
 
         Returns the folded accumulator.  Results are bit-identical at
-        any worker count, chunk size and shard size for integer-readout
-        accumulators (see :mod:`repro.analysis.streaming`).
+        any worker count and shard size for integer-readout accumulators
+        (see :mod:`repro.analysis.streaming`).
 
         With a block store configured, accumulators that implement the
         snapshot protocol (``cache_token`` / ``state_arrays`` /
@@ -1092,7 +1087,7 @@ class Engine:
         return self._stream(
             self._as_multi([acquisition]), n_traces, key=key,
             consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
-            chunk_size=chunk_size, checkpoints=checkpoints, on_checkpoint=relay,
+            checkpoints=checkpoints, on_checkpoint=relay,
             consumers=None if consumer is None else [consumer],
         )[0]
 
@@ -1105,7 +1100,6 @@ class Engine:
         consumer_factory: Callable[[], object],
         seed: SeedLike = 0,
         n_samples: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         checkpoints: Sequence[int] = (),
         on_checkpoint: Optional[Callable[[int, int, object], None]] = None,
     ) -> List[object]:
@@ -1115,14 +1109,14 @@ class Engine:
         ``consumer_factory`` is called once per sensor for the masters
         (and per segment inside workers); ``on_checkpoint(sensor_index,
         count, accumulator)`` fires per sensor at each checkpoint, in
-        sensor order within a checkpoint.  Each chunk reaches the
+        sensor order within a checkpoint.  Each segment reaches the
         sensors' accumulators through one ``update_many`` call when
         their type defines it (:meth:`~repro.attacks.cpa.CPAAttack.
-        update_many` prepares the chunk's hypotheses once for all
+        update_many` prepares the segment's hypotheses once for all
         sensors), and through per-sensor ``update`` calls otherwise.
         Each returned accumulator is bit-identical to
         :meth:`stream_attack` over that sensor alone with the same
-        seed, at any worker count and chunk size.
+        seed, at any worker count.
 
         Attack-state snapshots are memoized for a fan-out of one only:
         at N > 1 the per-sensor trace blocks themselves are cached, so
@@ -1132,8 +1126,7 @@ class Engine:
         return self._stream(
             self._as_multi(acquisitions), n_traces, key=key,
             consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
-            chunk_size=chunk_size, checkpoints=checkpoints,
-            on_checkpoint=on_checkpoint,
+            checkpoints=checkpoints, on_checkpoint=on_checkpoint,
         )
 
     def _stream(
@@ -1145,14 +1138,12 @@ class Engine:
         consumer_factory: Callable[[], object],
         seed: SeedLike,
         n_samples: Optional[int],
-        chunk_size: Optional[int],
         checkpoints: Sequence[int],
         on_checkpoint: Optional[Callable[[int, int, object], None]],
         consumers: Optional[List[object]] = None,
     ) -> List[object]:
         """The stream campaign behind both public methods; ``consumers``
         continues existing per-sensor accumulators."""
-        chunk_size = validate_chunk_size(chunk_size, allow_none=True)
         boundaries = tuple(int(c) for c in checkpoints)
         if list(boundaries) != sorted(set(boundaries)):
             raise ConfigurationError("checkpoints must be strictly increasing")
@@ -1239,7 +1230,7 @@ class Engine:
             "stream", n_traces, tasks, _stream_shard,
             dict(
                 msa=msa, aes=aes, n_samples=n_samples, factory=consumer_factory,
-                spares=spares, chunk_size=chunk_size, boundaries=boundaries,
+                spares=spares, boundaries=boundaries,
             ),
             fold=fold,
             events=events,

@@ -63,9 +63,13 @@ from repro.runtime.sharding import Shard
 #: Engine scheduling modes.
 SCHEDULES = ("stealing", "static")
 
-#: Name prefix of every pool shard-result segment.  :func:`dispatch`
-#: extends it with its own pid and a random token (see there).
+#: Name prefix of every shared-memory segment the engine makes: pool
+#: shard results and the parent's collect buffers.
+#: :func:`segment_prefix` extends it with the owning pid and a token.
 RESULT_SEGMENT_PREFIX = "repro_"
+
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_S = 0.2
 
 #: Offset alignment of each out-of-band buffer inside a result segment
 #: (arrays unpickled over the mapping stay cache-line aligned).
@@ -172,6 +176,38 @@ def static_groups(n_tasks: int, workers: int) -> List[List[int]]:
             groups.append(list(range(start, start + size)))
         start += size
     return groups
+
+
+def segment_prefix() -> str:
+    """A fresh ``repro_<pid>_<token>_`` prefix for segment names made
+    on behalf of this process: the pid says whose they are, so a leak
+    check can tell a live process's segments from a dead one's."""
+    return f"{RESULT_SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(4)}_"
+
+
+def _watch_parent(parent: int) -> None:
+    """Exit this process once ``parent`` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _start_worker(
+    parent: int, initializer: Optional[Callable], initargs: Tuple
+) -> None:
+    """Pool worker start-up: watch the parent, then run ``initializer``.
+
+    A worker whose parent was killed would otherwise wait on its call
+    queue forever, holding the parent's resource tracker (and so every
+    segment it should unlink) open.  The watch polls ``getppid``
+    rather than using ``PR_SET_PDEATHSIG``, which fires when the
+    *thread* that forked the worker exits, not its process.
+    """
+    threading.Thread(
+        target=_watch_parent, args=(parent,), name="parent-watch", daemon=True
+    ).start()
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def run_task_group(task_fn: Callable, triples: Sequence[Tuple], segment: str) -> Tuple:
@@ -288,18 +324,18 @@ def dispatch(
     (:func:`_decode_results`).  Every result takes this one path; a
     result without array buffers needs no segment.
 
-    No segment outlives the call.  Segment names are
-    :data:`RESULT_SEGMENT_PREFIX`, this process's pid, a random token
-    drawn per call and the group's submission number, and each group
-    carries its name to its worker.  A worker that fails while writing
-    its segment unlinks it; after the pool has shut down (so no worker
-    can still create one) the ``finally`` below unlinks every name this
-    call handed out and has not decoded.  That covers a normal end, a
-    dead worker, an exception in the consumer and a consumer that stops
-    early.  Each name is also registered with this process's resource
-    tracker before a worker can create it, and unregistered once
-    unlinked, so if this process is killed the tracker unlinks what is
-    left.
+    No segment outlives the call.  Segment names are a
+    :func:`segment_prefix` drawn per call plus the group's submission
+    number, and each group carries its name to its worker.  A worker
+    that fails while writing its segment unlinks it; after the pool has
+    shut down (so no worker can still create one) the ``finally`` below
+    unlinks every name this call handed out and has not decoded.  That
+    covers a normal end, a dead worker, an exception in the consumer and
+    a consumer that stops early.  Each name is also registered with this
+    process's resource tracker before a worker can create it, and
+    unregistered once unlinked, so if this process is killed the tracker
+    unlinks what is left once its workers are gone: every worker exits
+    by itself when this process dies (:func:`_start_worker`).
 
     A worker that dies (killed, ``os._exit``, out of memory) breaks the
     whole pool; that surfaces as :class:`~repro.errors.WorkerLostError`
@@ -310,7 +346,7 @@ def dispatch(
             yield t, task(t.shard, t.seq, t.key)
         return
     max_workers = min(workers, len(tasks))
-    prefix = f"{RESULT_SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(4)}_"
+    prefix = segment_prefix()
     serials = count()
     live: Set[str] = set()  # names handed out and not yet decoded
 
@@ -321,8 +357,8 @@ def dispatch(
     try:
         with ProcessPoolExecutor(
             max_workers=max_workers,
-            initializer=pool_initializer,
-            initargs=pool_initargs,
+            initializer=_start_worker,
+            initargs=(os.getpid(), pool_initializer, pool_initargs),
         ) as pool:
             if schedule == "static":
                 queue = deque(static_groups(len(tasks), max_workers))

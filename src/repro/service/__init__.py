@@ -2,9 +2,8 @@
 
 Layers, bottom up:
 
-* :mod:`~repro.service.jobs` — job records and their identity hashes
-  (the PR-5 manifest hash as coalescing key, a coarser block-store
-  footprint for cache-aware ordering).
+* :mod:`~repro.service.jobs` — job records and their identity hash
+  (the run-manifest hash: coalescing key and cache-aware ordering key).
 * :mod:`~repro.service.quota` — per-tenant admission control.
 * :mod:`~repro.service.scheduler` — pure synchronous scheduling core
   (tenant-fair round-robin, warm-cache preference, coalescing).

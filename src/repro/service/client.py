@@ -92,7 +92,6 @@ class ServiceClient:
         seed: int = 0,
         workers: int = 1,
         shard_size: int = 4096,
-        chunk_size: Optional[int] = None,
         options: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Submit a campaign; returns the job snapshot (non-blocking)."""
@@ -105,7 +104,6 @@ class ServiceClient:
                 "seed": seed,
                 "workers": workers,
                 "shard_size": shard_size,
-                "chunk_size": chunk_size,
                 "options": options or {},
             }
         )
@@ -120,7 +118,6 @@ class ServiceClient:
         seed: int = 0,
         workers: int = 1,
         shard_size: int = 4096,
-        chunk_size: Optional[int] = None,
         options: Optional[Dict[str, Any]] = None,
     ) -> Iterator[Dict[str, Any]]:
         """Submit and stream: yields ``{"event": ...}`` lines, then the
@@ -134,7 +131,6 @@ class ServiceClient:
                 "seed": seed,
                 "workers": workers,
                 "shard_size": shard_size,
-                "chunk_size": chunk_size,
                 "options": options or {},
                 "watch": True,
             }

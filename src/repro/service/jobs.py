@@ -3,17 +3,17 @@
 A **submission** is an :class:`ExperimentConfig`-identified request to
 run one registered experiment: tenant + experiment name + the identity
 fields of :class:`~repro.experiments.registry.ExperimentConfig` (scale,
-seed, shard/chunk geometry, option overrides).  Its :meth:`JobRequest.
+seed, shard size, option overrides).  Its :meth:`JobRequest.
 job_key` is exactly the run-manifest identity hash of PR 5
 (:func:`repro.telemetry.manifest.manifest_hash`): two submissions with
 the same key produce bit-identical scientific output by the engine's
 determinism contract, which is what makes in-flight coalescing safe —
 the service runs the campaign once and fans the result out.
 
-The :meth:`JobRequest.cache_footprint` is a *coarser* identity that
-additionally drops ``chunk_size`` (chunk size never changes block-store
-keys): jobs sharing a footprint replay each other's cached trace
-blocks, which is what the cache-aware scheduler orders for.
+The same fields are everything that reaches a trace block key, so the
+job key is also the campaign's block-store identity: a later job with
+a finished job's key replays that job's cached trace blocks, which is
+what the cache-aware scheduler orders for.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.telemetry.manifest import build_manifest, manifest_hash
-from repro.traces.blockstore import block_key
 
 __all__ = ["Job", "JobEvent", "JobRequest", "JobState", "TERMINAL_STATES"]
 
@@ -55,7 +54,6 @@ class JobRequest:
     seed: int = 0
     workers: int = 1
     shard_size: int = 4096
-    chunk_size: Optional[int] = None
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def manifest(self) -> Dict[str, Any]:
@@ -66,38 +64,19 @@ class JobRequest:
             seed=self.seed,
             workers=self.workers,
             shard_size=self.shard_size,
-            chunk_size=self.chunk_size,
             options=dict(self.options),
         )
 
     def job_key(self) -> str:
         """Identity hash of the campaign (the coalescing key).
 
-        The manifest hash covers experiment, scale, seed, shard/chunk
-        geometry and options — and deliberately *not* the worker count
-        or the tenant: the same campaign at any parallelism, submitted
-        by anyone, yields bit-identical output.
+        The manifest hash covers experiment, scale, seed, shard size
+        and options — and deliberately *not* the worker count or the
+        tenant: the same campaign at any parallelism, submitted by
+        anyone, yields bit-identical output (and reads the same cached
+        trace blocks).
         """
         return manifest_hash(self.manifest())
-
-    def cache_footprint(self) -> str:
-        """Identity of the campaign's block-store footprint.
-
-        Everything that reaches a trace block key (experiment, scale,
-        seed, shard size, options) and nothing that does not
-        (``chunk_size``, ``workers``) — jobs sharing a footprint hit
-        each other's cached blocks.
-        """
-        return block_key(
-            {
-                "kind": "cache-footprint",
-                "experiment": self.experiment,
-                "scale": self.scale,
-                "seed": int(self.seed),
-                "shard_size": int(self.shard_size),
-                "options": dict(self.options),
-            }
-        )
 
 
 @dataclass
@@ -124,7 +103,6 @@ class Job:
     id: str
     request: JobRequest
     key: str
-    footprint: str
     state: JobState = JobState.QUEUED
     submitted_at: float = 0.0
     started_at: Optional[float] = None

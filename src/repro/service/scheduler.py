@@ -18,9 +18,9 @@ directly property-testable:
   rotating ring ensures that between two consecutive picks of one
   tenant, every other tenant with pending jobs is picked at least once.
 * **Cache-awareness**: within the picked tenant's queue, a job whose
-  :meth:`~repro.service.jobs.JobRequest.cache_footprint` matches an
-  already-started footprint is preferred (its trace blocks are warm in
-  the shared :class:`~repro.traces.blockstore.BlockStore`); ties fall
+  key matches an already-started campaign's is preferred (its trace
+  blocks are warm in the shared :class:`~repro.traces.blockstore.
+  BlockStore`; the key covers everything a block key does); ties fall
   back to submission order.
 """
 
@@ -45,8 +45,8 @@ class CacheAwareScheduler:
         self._ring: List[str] = []
         #: Queued/running primary jobs by job key (coalescing targets).
         self._inflight: Dict[str, Job] = {}
-        #: Footprints of campaigns already started — their trace blocks
-        #: are (becoming) warm in the shared store.
+        #: Keys of campaigns already started — their trace blocks are
+        #: (becoming) warm in the shared store.
         self._warm: Set[str] = set()
 
     # -- admission -----------------------------------------------------
@@ -71,10 +71,10 @@ class CacheAwareScheduler:
 
     # -- picking -------------------------------------------------------
     def _pick_for(self, tenant: str) -> Job:
-        """The tenant's next job: warm-footprint first, else FIFO."""
+        """The tenant's next job: warm key first, else FIFO."""
         queue = self._pending[tenant]
         for i, job in enumerate(queue):
-            if job.footprint in self._warm:
+            if job.key in self._warm:
                 return queue.pop(i)
         return queue.pop(0)
 
@@ -133,7 +133,7 @@ class CacheAwareScheduler:
                 self._ring.append(tenant)
             else:
                 self._pending.pop(tenant, None)
-            self._warm.add(job.footprint)
+            self._warm.add(job.key)
             return job
         return None
 
@@ -178,16 +178,16 @@ class CacheAwareScheduler:
         if self._inflight.get(job.key) is job:
             del self._inflight[job.key]
 
-    def note_warm(self, footprint: str) -> None:
-        """Record a cache footprint as warm without dispatching a job.
+    def note_warm(self, key: str) -> None:
+        """Record a job key as warm without dispatching a job.
 
-        Dispatch marks footprints warm implicitly; this is the explicit
-        path for warmth learned another way — a completed job whose
-        cache counters show its blocks really are in the store, or a
-        fleet peer that published the footprint's blocks to the shared
-        remote tier."""
-        if footprint:
-            self._warm.add(footprint)
+        Dispatch marks keys warm implicitly; this is the explicit path
+        for warmth learned another way — a completed job whose cache
+        counters show its blocks really are in the store, or a fleet
+        peer that published the campaign's blocks to the shared remote
+        tier."""
+        if key:
+            self._warm.add(key)
 
     # -- introspection -------------------------------------------------
     def pending_count(self) -> int:
@@ -201,5 +201,5 @@ class CacheAwareScheduler:
             if queue
         }
 
-    def warm_footprints(self) -> Set[str]:
+    def warm_keys(self) -> Set[str]:
         return set(self._warm)

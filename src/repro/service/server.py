@@ -165,7 +165,6 @@ class ServiceServer:
             seed=int(request.get("seed", 0)),
             workers=int(request.get("workers", 1)),
             shard_size=int(request.get("shard_size", 4096)),
-            chunk_size=request.get("chunk_size"),
             options=request.get("options") or {},
         )
         if request.get("watch"):

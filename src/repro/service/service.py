@@ -198,7 +198,6 @@ class CampaignService:
         seed: int = 0,
         workers: int = 1,
         shard_size: int = 4096,
-        chunk_size: Optional[int] = None,
         options: Optional[Mapping[str, Any]] = None,
         on_event: Optional[Callable[[Job, JobEvent], None]] = None,
     ) -> Job:
@@ -221,7 +220,6 @@ class CampaignService:
             seed=seed,
             workers=workers,
             shard_size=shard_size,
-            chunk_size=chunk_size,
             options=dict(options or {}),
         )
         job_id = f"job-{next(self._ids):06d}"
@@ -229,7 +227,6 @@ class CampaignService:
             id=job_id,
             request=request,
             key=request.job_key(),
-            footprint=request.cache_footprint(),
             submitted_at=self._clock(),
             trace_id=new_trace_id(job_id),
             on_event=on_event,
@@ -284,7 +281,7 @@ class CampaignService:
             "pending": self.scheduler.pending_count(),
             "queued_by_tenant": self.scheduler.queued_by_tenant(),
             "active_by_tenant": self.ledger.as_dict(),
-            "warm_footprints": len(self.scheduler.warm_footprints()),
+            "warm_keys": len(self.scheduler.warm_keys()),
         }
 
     async def join(self, job_id: str) -> Job:
@@ -442,11 +439,11 @@ class CampaignService:
         self.scheduler.finish(job)
         if state is JobState.COMPLETED and payload is not None:
             cache = payload.get("cache") or {}
-            # The run's own counters prove the footprint's blocks are
+            # The run's own counters prove the campaign's blocks are
             # in the store (written on miss, present on hit) — confirm
             # the warmth dispatch assumed optimistically.
             if hit_rate(cache).lookups:
-                self.scheduler.note_warm(job.footprint)
+                self.scheduler.note_warm(job.key)
         members = [job, *job.followers]
         for member in members:
             if member.done:
@@ -474,7 +471,6 @@ class CampaignService:
             seed=request.seed,
             workers=request.workers,
             shard_size=request.shard_size,
-            chunk_size=request.chunk_size,
             options=dict(request.options),
             progress=self._progress_hook(job),
             cache_dir=self.cache_dir,

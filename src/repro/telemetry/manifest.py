@@ -4,7 +4,7 @@ Every experiment run that writes telemetry gets a ``manifest.json``
 next to its results answering "what exactly produced this output":
 
 * the **identity** of the computation — experiment name, scale, root
-  seed, resolved option overrides, shard/chunk geometry and a canonical
+  seed, resolved option overrides, shard geometry and a canonical
   ``config_hash`` over all of it (the same canonical-JSON hashing the
   trace block cache keys use);
 * the **environment** it ran in — python/numpy versions, platform,
@@ -59,16 +59,13 @@ def build_manifest(
     seed: int,
     workers: int,
     shard_size: int,
-    chunk_size: Optional[int] = None,
     options: Optional[Mapping[str, Any]] = None,
-    extra: Optional[Mapping[str, Any]] = None,
     cache_provenance: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest for one run.
 
     ``options`` must be canonicalizable (plain scalars / sequences /
-    mappings / numpy values — the block-key rules); ``extra`` is free
-    identity payload folded into the config hash (e.g. a kernel name).
+    mappings / numpy values — the block-key rules).
     ``cache_provenance`` records where this run's blocks lived (store
     tiers, producing host, schedule) — environment description, like
     ``host``/``versions``, so it stays *outside* the config hash:
@@ -79,9 +76,7 @@ def build_manifest(
         "scale": scale,
         "seed": int(seed),
         "shard_size": int(shard_size),
-        "chunk_size": None if chunk_size is None else int(chunk_size),
         "options": dict(options or {}),
-        "extra": dict(extra or {}),
     }
     return {
         "schema": RUN_SCHEMA_VERSION,

@@ -377,23 +377,21 @@ class BlockStore:
         Optional LRU size cap.  After every write the store evicts
         least-recently-used blocks until the total is back under the
         cap.  ``None`` (default) never evicts.
-    verify_reads:
-        Verify the payload digest on every :meth:`get` (default).  The
-        check costs one hash pass over bytes the consumer was about to
-        read anyway — negligible next to regenerating the block.
+
+    Every :meth:`get` verifies the payload digest.  The check costs one
+    hash pass over bytes the consumer was about to read anyway —
+    negligible next to regenerating the block.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         max_bytes: Optional[int] = None,
-        verify_reads: bool = True,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise CacheError("max_bytes must be positive (or None for no cap)")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.verify_reads = verify_reads
         self.backend = LocalDirBackend(self.root)
         self.counters = CacheCounters()
 
@@ -401,11 +399,7 @@ class BlockStore:
     # directory and keep their own counters (reported back to the
     # parent via ShardMetrics, not via this object).
     def __getstate__(self):
-        return {
-            "root": str(self.root),
-            "max_bytes": self.max_bytes,
-            "verify_reads": self.verify_reads,
-        }
+        return {"root": str(self.root), "max_bytes": self.max_bytes}
 
     def __setstate__(self, state):
         self.__init__(**state)
@@ -572,10 +566,8 @@ class BlockStore:
             )
         raw = np.memmap(path, dtype=np.uint8, mode="r", offset=payload_start,
                         shape=(payload_nbytes,))
-        if self.verify_reads:
-            digest = hashlib.sha256(raw).hexdigest()
-            if digest != header["digest"]:
-                raise ValueError("payload digest mismatch")
+        if hashlib.sha256(raw).hexdigest() != header["digest"]:
+            raise ValueError("payload digest mismatch")
         arrays: Dict[str, np.ndarray] = {}
         for spec in header["arrays"]:
             dtype = np.dtype(spec["dtype"])

@@ -133,7 +133,7 @@ class TieredStore(BlockStore):
     remote:
         A ``repro cache serve`` URL (``http://host:port``) or any
         :class:`~repro.traces.store_backends.base.StoreBackend`.
-    max_bytes / verify_reads:
+    max_bytes:
         As on :class:`BlockStore` (the cap governs the local tier;
         remote ingests count toward it and can evict).
     publish_mode:
@@ -145,10 +145,9 @@ class TieredStore(BlockStore):
         root: Union[str, Path],
         remote: Union[str, StoreBackend],
         max_bytes: Optional[int] = None,
-        verify_reads: bool = True,
         publish_mode: str = "behind",
     ) -> None:
-        super().__init__(root, max_bytes=max_bytes, verify_reads=verify_reads)
+        super().__init__(root, max_bytes=max_bytes)
         if isinstance(remote, str):
             remote = HTTPBackend(remote)
         if not isinstance(remote, StoreBackend):
@@ -183,7 +182,6 @@ class TieredStore(BlockStore):
             self.root,
             remote=self.remote,
             max_bytes=self.max_bytes,
-            verify_reads=self.verify_reads,
             publish_mode="off",
         )
 

@@ -44,25 +44,41 @@ def pytest_addoption(parser):
     )
 
 
-def _engine_segments():
-    """Names in ``/dev/shm`` of the engine's shared-memory buffers
-    (``psm_*``) and pool shard results (empty off Linux)."""
+def process_alive(pid):
+    """Whether ``pid`` is a running process (a zombie counts as exited:
+    a container's init may never reap an orphan)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return "\nState:\tZ" not in status
+
+
+def engine_segments():
+    """Names in ``/dev/shm`` of engine segments (``repro_<pid>_*``) that
+    this process answers for: made for this process, or for one that
+    is no longer alive.  A live process's own segments are ignored, so
+    another session running beside this one never counts as a leak.
+    Empty off Linux."""
     shm = Path("/dev/shm")
     if not shm.is_dir():
         return set()
-    return {
-        name
-        for name in os.listdir(shm)
-        if name.startswith(("psm_", RESULT_SEGMENT_PREFIX))
-    }
+    found = set()
+    for name in os.listdir(shm):
+        if not name.startswith(RESULT_SEGMENT_PREFIX):
+            continue
+        pid = name[len(RESULT_SEGMENT_PREFIX):].split("_", 1)[0]
+        if pid.isdigit() and (int(pid) == os.getpid() or not process_alive(int(pid))):
+            found.add(name)
+    return found
 
 
 @pytest.fixture(scope="session", autouse=True)
 def no_leaked_segments():
     """Fail the session if a segment made during it outlives it."""
-    before = _engine_segments()
+    before = engine_segments()
     yield
-    leaked = _engine_segments() - before
+    leaked = engine_segments() - before
     assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
 
 

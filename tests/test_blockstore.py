@@ -416,10 +416,12 @@ class TestEngineCache:
         n_samples = acquisition.default_n_samples()
         factory = partial(CPAAttack, n_samples)
 
-        def correlations(engine, chunk_size=None):
+        def correlations(engine, step=None):
+            # A checkpoint grid cuts the shards into the chunks the
+            # accumulator is fed.
             attack = engine.stream_attack(
-                acquisition, N_TRACES, key=KEY,
-                consumer_factory=factory, seed=3, chunk_size=chunk_size,
+                acquisition, N_TRACES, key=KEY, consumer_factory=factory,
+                seed=3, checkpoints=range(step, N_TRACES + 1, step) if step else (),
             )
             return attack.correlations()
 
@@ -429,11 +431,11 @@ class TestEngineCache:
         )
         warm_chunked = correlations(
             Engine(workers=1, shard_size=SHARD, cache=str(tmp_path)),
-            chunk_size=100,
+            step=100,
         )
         warm_pool = correlations(
             Engine(workers=2, shard_size=SHARD, cache=str(tmp_path)),
-            chunk_size=37,
+            step=37,
         )
         np.testing.assert_array_equal(off, cold)
         np.testing.assert_array_equal(off, warm_chunked)

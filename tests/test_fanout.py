@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.streaming import iter_chunk_slices
 from repro.attacks.cpa import CPAAttack
 from repro.attacks.metrics import streamed_rank_curve, streamed_rank_curves
 from repro.errors import AcquisitionError, ConfigurationError
@@ -279,33 +278,35 @@ class TestEngineFanout:
         assert len(fanned) == len(specs)
         assert engine.last_metrics.kind == "collect"  # one name at any N
 
-    @pytest.mark.parametrize("workers,chunk", [(1, None), (2, 128)])
-    def test_streamed_curves_match_single_stream(self, multi, specs, workers, chunk):
-        checkpoints = [200, 400, 600]
+    @pytest.mark.parametrize("workers,step", [(1, None), (2, 128)])
+    def test_streamed_curves_match_single_stream(self, multi, specs, workers, step):
+        # ``step`` sets a checkpoint grid that cuts shards mid-way.
+        checkpoints = list(range(step, N_TRACES + 1, step)) if step else [200, 400, 600]
         window = common.last_round_window(
             specs[0].hw_model, multi.default_n_samples()
         )
         engine = Engine(workers=workers, shard_size=SHARD)
         pairs = streamed_rank_curves(
             engine, multi, N_TRACES, key=KEY, checkpoints=checkpoints,
-            seed=5, sample_window=window, chunk_size=chunk,
+            seed=5, sample_window=window,
         )
         assert len(pairs) == len(specs)
         for spec, (curve, attack) in zip(specs, pairs):
             solo_curve, solo_attack = streamed_rank_curve(
                 Engine(workers=1, shard_size=SHARD), spec.build(), N_TRACES,
                 key=KEY, checkpoints=checkpoints, seed=5,
-                sample_window=window, chunk_size=chunk,
+                sample_window=window,
             )
             for got, expected in zip(curve.as_arrays(), solo_curve.as_arrays()):
                 np.testing.assert_array_equal(got, expected)
             assert attack.n_traces == solo_attack.n_traces
 
-    @pytest.mark.parametrize("chunk", [None, 64, 100, 256])
-    def test_update_fallback_feeds_each_sensor_its_chunks(self, multi, chunk):
+    @pytest.mark.parametrize("step", [None, 64, 100, 256])
+    def test_update_fallback_feeds_each_sensor_its_chunks(self, multi, step):
         # A consumer type without update_many gets one update call per
-        # sensor per chunk: the chunk sequence each sensor sees does not
-        # depend on the fan-out loop order.
+        # sensor per segment, the whole segment at once: shards cut at
+        # the checkpoint grid, and the chunk sequence each sensor sees
+        # does not depend on the fan-out loop order.
         class Recorder:
             def __init__(self):
                 self.chunks = []
@@ -317,10 +318,10 @@ class TestEngineFanout:
                 self.chunks += other.chunks
                 return self
 
-        checkpoints = [200, 300, 600]
+        checkpoints = list(range(step, N_TRACES + 1, step)) if step else []
         masters = Engine(workers=1, shard_size=SHARD).stream_attack_many(
             multi, N_TRACES, key=KEY, consumer_factory=Recorder, seed=5,
-            chunk_size=chunk, checkpoints=checkpoints,
+            checkpoints=checkpoints,
         )
         collected = Engine(workers=1, shard_size=SHARD).collect_many(
             multi, N_TRACES, key=KEY, seed=5
@@ -329,11 +330,7 @@ class TestEngineFanout:
         for start in range(0, N_TRACES, SHARD):
             stop = min(start + SHARD, N_TRACES)
             edges = [start, *(c for c in checkpoints if start < c < stop), stop]
-            for lo, hi in zip(edges, edges[1:]):
-                expected += [
-                    (lo + sl.start, lo + sl.stop)
-                    for sl in iter_chunk_slices(hi - lo, chunk)
-                ]
+            expected += zip(edges, edges[1:])
         for master, ts in zip(masters, collected):
             assert [len(c) for c, _ in master.chunks] == [
                 hi - lo for lo, hi in expected
@@ -409,7 +406,6 @@ class TestEngineFanout:
             peaks = []
             masters = Engine(workers=workers, shard_size=64).stream_attack_many(
                 multi, 512, key=KEY, consumer_factory=consumer_factory, seed=5,
-                chunk_size=24,
                 # 8 shards of 64; no shard holds two checkpoints.
                 checkpoints=[40, 100, 200, 300, 450, 512],
                 on_checkpoint=lambda index, done, acc: peaks.append(
@@ -507,7 +503,7 @@ class TestPoolResultTransport:
             peaks = []
             masters = Engine(workers=workers, shard_size=64).stream_attack_many(
                 multi, 512, key=KEY, consumer_factory=factory, seed=5,
-                chunk_size=24, checkpoints=[40, 100, 200, 300, 450, 512],
+                checkpoints=[40, 100, 200, 300, 450, 512],
                 on_checkpoint=lambda index, done, acc: peaks.append(
                     (index, done, acc.peak_correlations().copy())
                 ),

@@ -246,12 +246,7 @@ class TestConcurrentScrape:
 
 def _job(tenant, seed, job_id):
     request = JobRequest(tenant=tenant, experiment="fig5", seed=seed)
-    return Job(
-        id=job_id,
-        request=request,
-        key=request.job_key(),
-        footprint=request.cache_footprint(),
-    )
+    return Job(id=job_id, request=request, key=request.job_key())
 
 
 class TestServiceObservability:

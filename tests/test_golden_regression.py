@@ -116,7 +116,7 @@ class TestFig5Golden:
 
         engine = Engine(workers=1, shard_size=1024)
         curve, attack = streamed_placement_curve(
-            engine, "P6", 4000, 1000, "LeakyDSP", rng=3, chunk_size=512
+            engine, "P6", 4000, 1000, "LeakyDSP", rng=3
         )
         payload = {
             "n_traces": attack.n_traces,

@@ -200,14 +200,15 @@ def _listed_names(tree):
 
 
 def test_no_unused_imports():
-    """Every name a module of the package, the tests or the benchmarks
-    imports at module level is used in it (or listed in its
-    ``__all__``).  Package ``__init__`` files re-export by design and
-    are skipped."""
+    """Every name a module of the package, the tests, the benchmarks,
+    the scripts or the examples imports at module level is used in it
+    (or listed in its ``__all__``).  Package ``__init__`` files
+    re-export by design and are skipped."""
     package = Path(repro.__file__).resolve().parent
     repo = package.parent.parent
     unused = []
-    for root in (package, repo / "tests", repo / "benchmarks"):
+    roots = ("tests", "benchmarks", "scripts", "examples")
+    for root in (package, *(repo / name for name in roots)):
         for path in sorted(root.rglob("*.py")):
             if path.name == "__init__.py":
                 continue

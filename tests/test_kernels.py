@@ -357,8 +357,9 @@ class TestFusedMatchesReference:
                     )
 
     def test_streamed_chunk_sizes_identical(self, rig):
-        """Fused streaming accumulates bit-identically at any chunk
-        size (the PR-2 guarantee holds on the new default path)."""
+        """Fused streaming accumulates bit-identically however the
+        checkpoint grid cuts the shards into accumulator chunks, at any
+        worker count."""
         from functools import partial
 
         from repro.attacks.cpa import CPAAttack
@@ -366,14 +367,14 @@ class TestFusedMatchesReference:
         acq = make_acquisition(rig, "fused")
         n_samples = acq.default_n_samples()
         results = []
-        for chunk_size, workers in ((None, 1), (64, 2), (17, 1)):
+        for step, workers in ((None, 1), (64, 2), (17, 1)):
             attack = Engine(workers=workers, shard_size=128).stream_attack(
                 acq,
                 384,
                 key=KEY,
                 consumer_factory=partial(CPAAttack, n_samples),
                 seed=4,
-                chunk_size=chunk_size,
+                checkpoints=range(step, 385, step) if step else (),
             )
             results.append(attack.correlations())
         np.testing.assert_array_equal(results[0], results[1])

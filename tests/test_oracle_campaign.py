@@ -48,7 +48,7 @@ def run_campaign(specs, consumer_type, workers):
         points[index].append(evaluate_rank_point(attack, true_last_round, done))
 
     attacks = Engine(workers=workers, shard_size=SHARD).stream_attack_many(
-        msa, N_TRACES, key=KEY, seed=9, chunk_size=100,
+        msa, N_TRACES, key=KEY, seed=9,
         consumer_factory=partial(consumer_type, n_samples, window),
         checkpoints=CHECKPOINTS, on_checkpoint=on_checkpoint,
     )

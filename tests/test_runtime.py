@@ -12,6 +12,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,11 @@ from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
 from repro.runtime import scheduler
+from repro.runtime.engine import _SharedBuffers
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec, characterize_droop
 from repro.victims.aes import AESHardwareModel
+from tests.conftest import engine_segments, process_alive
 
 KEY = bytes(range(16))
 
@@ -207,7 +210,9 @@ class TestEngineCharacterize:
 class TestEngineStreamAttack:
     """stream_attack must reproduce the serial batch CPA bit-for-bit:
     same seed => same traces => (exact integer sums) => identical
-    correlations, at any worker count and chunk size."""
+    correlations, at any worker count and any checkpoint grid (the
+    checkpoints cut each shard into the segments the accumulators are
+    fed)."""
 
     @pytest.fixture(scope="class")
     def batch(self, acquisition):
@@ -219,9 +224,9 @@ class TestEngineStreamAttack:
         return ts, attack
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [None, 7, 64])
+    @pytest.mark.parametrize("checkpoint_step", [None, 7, 64])
     def test_streamed_cpa_is_bit_identical(
-        self, acquisition, batch, workers, chunk_size
+        self, acquisition, batch, workers, checkpoint_step
     ):
         ts, reference = batch
         engine = Engine(workers=workers, shard_size=16)
@@ -231,7 +236,8 @@ class TestEngineStreamAttack:
             key=KEY,
             consumer_factory=partial(CPAAttack, ts.n_samples),
             seed=3,
-            chunk_size=chunk_size,
+            checkpoints=range(checkpoint_step, 121, checkpoint_step)
+            if checkpoint_step else (),
         )
         assert attack.n_traces == reference.n_traces == 120
         np.testing.assert_array_equal(
@@ -249,7 +255,7 @@ class TestEngineStreamAttack:
         engine = Engine(workers=workers, shard_size=16)
         curve, attack = streamed_rank_curve(
             engine, acquisition, 120, key=KEY, checkpoints=checkpoints,
-            seed=3, chunk_size=25,
+            seed=3,
         )
         assert attack.n_traces == 120
         got = [(p.n_traces, p.log2_lower, p.log2_upper, p.recovered)
@@ -305,15 +311,6 @@ class TestEngineStreamAttack:
         assert m.n_items == 40
         assert sum(s.n_items for s in m.shards) == 40
 
-    def test_rejects_bad_chunk_size(self, acquisition):
-        factory = partial(CPAAttack, acquisition.default_n_samples())
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ConfigurationError):
-                Engine(workers=1).stream_attack(
-                    acquisition, 20, key=KEY,
-                    consumer_factory=factory, chunk_size=bad,
-                )
-
     def test_rejects_bad_checkpoints(self, acquisition):
         factory = partial(CPAAttack, acquisition.default_n_samples())
         engine = Engine(workers=1, shard_size=16)
@@ -350,11 +347,6 @@ class _DyingAttack(CPAAttack):
             if type(self).updates == 3:
                 os._exit(3)
         return super().update(traces, ciphertexts)
-
-
-def _shm_names():
-    shm = Path("/dev/shm")
-    return set(os.listdir(shm)) if shm.is_dir() else set()
 
 
 class _Boom(Exception):
@@ -397,7 +389,7 @@ class TestWorkerLoss:
     def test_dead_worker_raises_typed_error_and_leaks_no_segment(
         self, acquisition
     ):
-        before = _shm_names()
+        before = engine_segments()
         engine = Engine(workers=2, shard_size=16)
         with pytest.raises(WorkerLostError) as info:
             engine.stream_attack(
@@ -410,7 +402,7 @@ class TestWorkerLoss:
         assert info.value.shards
         assert set(info.value.shards) <= set(range(8))
         assert str(list(info.value.shards)) in str(info.value)
-        assert _shm_names() - before == set()
+        assert engine_segments() - before == set()
 
     def test_worker_dying_after_writing_its_result_leaks_no_segment(
         self, acquisition, monkeypatch
@@ -426,7 +418,7 @@ class TestWorkerLoss:
             return payload
 
         monkeypatch.setattr(scheduler, "_encode_results", encode_then_die)
-        before = _shm_names()
+        before = engine_segments()
         with pytest.raises(WorkerLostError):
             Engine(workers=2, shard_size=16).stream_attack(
                 acquisition, 128, key=KEY, seed=3,
@@ -434,7 +426,7 @@ class TestWorkerLoss:
                     CPAAttack, acquisition.default_n_samples()
                 ),
             )
-        assert _shm_names() - before == set()
+        assert engine_segments() - before == set()
 
     def test_failing_checkpoint_callback_leaks_no_segment(self, acquisition):
         """The consumer raises after the first shard while later shards
@@ -446,7 +438,7 @@ class TestWorkerLoss:
             calls.append(done)
             raise _Boom(done)
 
-        before = _shm_names()
+        before = engine_segments()
         with pytest.raises(_Boom) as info:
             Engine(workers=2, shard_size=16).stream_attack(
                 acquisition, 128, key=KEY, seed=3,
@@ -456,12 +448,13 @@ class TestWorkerLoss:
                 checkpoints=[16, 128], on_checkpoint=on_checkpoint,
             )
         assert calls == [16] and info.value.args == (16,)
-        assert _shm_names() - before == set()
+        assert engine_segments() - before == set()
 
     def test_killed_parent_leaves_its_segments_to_the_resource_tracker(self):
-        """A SIGKILLed parent runs no sweep, and its orphaned workers
-        keep its resource tracker alive; once they are gone too, the
-        tracker unlinks the segment written but never decoded."""
+        """A SIGKILLed parent runs no sweep.  Its orphaned workers see
+        the parent gone and exit by themselves, which frees its
+        resource tracker to unlink the segment written but never
+        decoded."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]
@@ -472,11 +465,18 @@ class TestWorkerLoss:
         )
         with proc.stdout:  # the orphans hold it open: read one line only
             segment, *workers = proc.stdout.readline().split()
+        assert workers
         try:
             assert proc.wait(timeout=60) == -signal.SIGKILL
-            assert segment in _shm_names()
+            assert segment in engine_segments()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(
+                process_alive(int(pid)) for pid in workers
+            ):
+                time.sleep(0.05)
+            assert not any(process_alive(int(pid)) for pid in workers)
         finally:
-            for pid in workers:
+            for pid in workers:  # only if the assertion above failed
                 try:
                     os.kill(int(pid), signal.SIGKILL)
                 except ProcessLookupError:
@@ -484,10 +484,40 @@ class TestWorkerLoss:
         prefix = segment.rsplit("_", 1)[0]
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline and any(
-            name.startswith(prefix) for name in _shm_names()
+            name.startswith(prefix) for name in engine_segments()
         ):
             time.sleep(0.05)
-        assert not any(name.startswith(prefix) for name in _shm_names())
+        assert not any(name.startswith(prefix) for name in engine_segments())
+
+    def test_leak_checks_ignore_live_foreign_segments(self):
+        """The leak checks count a segment only when it was made for
+        this process or for one no longer alive: another live session's
+        segments are its own business."""
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        owners = {"foreign": os.getppid(), "own": os.getpid(), "dead": finished.pid}
+        assert process_alive(os.getppid())
+        segments = [
+            shared_memory.SharedMemory(
+                name=f"{scheduler.RESULT_SEGMENT_PREFIX}{pid}_leakrule_{who}",
+                create=True, size=1,
+            )
+            for who, pid in owners.items()
+        ]
+        # The engine's own buffers carry this process's pid too.
+        buffers = _SharedBuffers({"traces": ((4,), np.int16)})
+        try:
+            found = engine_segments()
+            buffer_names = {seg.name for seg in buffers.segments.values()}
+        finally:
+            buffers.close()
+            for seg in segments:
+                seg.close()
+                seg.unlink()
+        assert buffer_names and buffer_names <= found
+        assert {n.rsplit("_", 1)[1] for n in found if "_leakrule_" in n} == {
+            "own", "dead"
+        }
 
 
 class TestActiveGroupsValidation:

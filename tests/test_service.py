@@ -81,7 +81,7 @@ def make_service(tmp_path=None, **kwargs):
     return CampaignService(**kwargs)
 
 
-def direct_fig5_curve(seed, chunk_size=None):
+def direct_fig5_curve(seed, step=TINY["step"]):
     """The same TINY fig5 campaign run directly on an engine — the
     ground truth the service's streamed checkpoints must match."""
     from repro.experiments.table1_traces import streamed_placement_curve
@@ -91,10 +91,9 @@ def direct_fig5_curve(seed, chunk_size=None):
         engine,
         "P6",
         TINY["n_traces"],
-        TINY["step"],
+        step,
         "LeakyDSP",
         rng=np.random.SeedSequence(seed).spawn(1)[0],
-        chunk_size=chunk_size,
     )
     return curve
 
@@ -460,16 +459,19 @@ class TestCancellation:
 
 
 class TestDifferentialCheckpoints:
-    """Satellite: service-streamed checkpoints are bit-identical to a
-    direct engine run of the same campaign at the same chunk size."""
+    """Service-streamed checkpoints are bit-identical to a direct
+    engine run of the same campaign, at TINY's checkpoint grid and at
+    one that cuts every shard in two."""
 
-    @pytest.mark.parametrize("chunk_size", [None, 64])
-    def test_streamed_checkpoints_match_direct_engine(self, chunk_size):
+    @pytest.mark.parametrize("step", [None, 64])
+    def test_streamed_checkpoints_match_direct_engine(self, step):
+        options = dict(TINY, step=step or TINY["step"])
+
         async def scenario():
             service = make_service()
             await service.start()
             job = await service.submit(
-                "alice", "fig5", seed=3, chunk_size=chunk_size, **TINY_KW
+                "alice", "fig5", seed=3, shard_size=128, options=options
             )
             done = await service.join(job.id)
             await service.stop()
@@ -477,9 +479,9 @@ class TestDifferentialCheckpoints:
 
         job = asyncio.run(scenario())
         assert job.state is JobState.COMPLETED
-        direct = direct_fig5_curve(seed=3, chunk_size=chunk_size)
+        direct = direct_fig5_curve(seed=3, step=options["step"])
         # Exact float equality: the service relays full-precision rank
-        # bounds, and the engine is bit-deterministic per chunk size.
+        # bounds, and the engine is bit-deterministic.
         assert checkpoint_tuples(job.checkpoints) == curve_tuples(direct)
 
 

@@ -46,13 +46,13 @@ MAX_ACTIVE = 3
 
 
 def make_job(counter, tenant, key_id):
-    """A synthetic job: jobs sharing ``key_id`` share identity (they
-    coalesce) and footprint (they warm each other's cache)."""
+    """A synthetic job: jobs sharing ``key_id`` share identity — they
+    coalesce while one is in flight, and a later one replays the cache
+    an earlier one warmed."""
     return Job(
         id=f"job-{next(counter):04d}",
         request=JobRequest(tenant=tenant, experiment="stub", seed=key_id),
         key=f"key-{key_id}",
-        footprint=f"fp-{key_id % 3}",
     )
 
 
@@ -259,17 +259,21 @@ class TestFairness:
 
 
 class TestCacheAwareOrdering:
-    def test_warm_footprint_preferred_within_tenant(self):
-        """Deterministic core of cache-awareness: once a footprint has
-        started, a queued job sharing it jumps the tenant's FIFO."""
+    def test_warm_key_preferred_within_tenant(self):
+        """Deterministic core of cache-awareness: once a campaign has
+        started, a later resubmission of its key (after it finished, so
+        it no longer coalesces) jumps the tenant's FIFO."""
         scheduler = CacheAwareScheduler(QuotaLedger(TenantQuota(max_active=10)))
         counter = itertools.count()
-        first = make_job(counter, "t0", key_id=0)  # fp-0
-        cold = make_job(counter, "t0", key_id=1)  # fp-1
-        warm = make_job(counter, "t0", key_id=3)  # fp-0 again
-        for job in (first, cold, warm):
+        first = make_job(counter, "t0", key_id=0)
+        assert scheduler.submit(first) is None
+        assert scheduler.next_job() is first  # key-0 now warm
+        scheduler.finish(first)
+        cold = make_job(counter, "t0", key_id=1)
+        warm = make_job(counter, "t0", key_id=0)  # resubmitted
+        for job in (cold, warm):
             assert scheduler.submit(job) is None
-        assert scheduler.next_job() is first  # FIFO; fp-0 now warm
+        assert scheduler.warm_keys() == {"key-0"}
         assert scheduler.next_job() is warm  # jumps ahead of cold
         assert scheduler.next_job() is cold
         assert scheduler.next_job() is None

@@ -9,10 +9,13 @@ from repro.analysis.streaming import (
     SharedTraceMoments,
     StackedStreamingPearson,
     StreamingPearson,
-    iter_chunk_slices,
-    validate_chunk_size,
 )
-from repro.errors import AttackError, ConfigurationError, ReproError
+from repro.errors import AttackError, ReproError
+
+
+def chunks(n_rows, size):
+    """Slices covering ``0..n_rows`` in ``size``-row steps."""
+    return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
 
 
 def batch_pearson(x, y):
@@ -20,39 +23,6 @@ def batch_pearson(x, y):
     k, w = x.shape[1], y.shape[1]
     full = np.corrcoef(np.hstack([x, y]), rowvar=False)
     return np.nan_to_num(full[:k, k:], nan=0.0)
-
-
-class TestChunkValidation:
-    def test_accepts_positive_ints(self):
-        assert validate_chunk_size(1) == 1
-        assert validate_chunk_size(np.int64(7)) == 7
-
-    @pytest.mark.parametrize("bad", [0, -1, -4096, 2.5, "64", True, False])
-    def test_rejects_non_positive_and_non_integers(self, bad):
-        with pytest.raises(ConfigurationError):
-            validate_chunk_size(bad)
-
-    def test_none_requires_opt_in(self):
-        assert validate_chunk_size(None, allow_none=True) is None
-        with pytest.raises(ConfigurationError):
-            validate_chunk_size(None)
-
-    def test_errors_are_repro_errors(self):
-        with pytest.raises(ReproError):
-            validate_chunk_size(0)
-
-    def test_iter_chunk_slices_covers_range(self):
-        slices = list(iter_chunk_slices(10, 4))
-        assert [(s.start, s.stop) for s in slices] == [(0, 4), (4, 8), (8, 10)]
-
-    def test_iter_chunk_slices_none_is_one_chunk(self):
-        assert [(s.start, s.stop) for s in iter_chunk_slices(7, None)] == [(0, 7)]
-
-    def test_iter_chunk_slices_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            list(iter_chunk_slices(0, 4))
-        with pytest.raises(ConfigurationError):
-            list(iter_chunk_slices(10, 0))
 
 
 class TestEmptyChunks:
@@ -105,7 +75,7 @@ class TestMoments:
         else:
             data = rng.normal(3.0, 2.0, size=(200, 6))
         acc = SharedTraceMoments(6)
-        for sl in iter_chunk_slices(200, 33):
+        for sl in chunks(200, 33):
             acc.update(data[sl])
         n, mean, var = acc.finalize()
         assert n == 200
@@ -122,7 +92,7 @@ class TestStreamingPearson:
         x = rng.integers(0, 9, size=(300, 4)).astype(float)
         y = rng.integers(-40, 40, size=(300, 7)).astype(float)
         acc = StreamingPearson(4, 7)
-        for sl in iter_chunk_slices(300, 41):
+        for sl in chunks(300, 41):
             acc.update(x[sl], y[sl])
         np.testing.assert_allclose(acc.finalize(), batch_pearson(x, y), atol=1e-12)
 
@@ -132,7 +102,7 @@ class TestStreamingPearson:
         reference = StreamingPearson(3, 5).update(x, y).finalize()
         for chunk in (1, 7, 64, 255):
             acc = StreamingPearson(3, 5)
-            for sl in iter_chunk_slices(256, chunk):
+            for sl in chunks(256, chunk):
                 acc.update(x[sl], y[sl])
             np.testing.assert_array_equal(acc.finalize(), reference)
 
@@ -141,7 +111,7 @@ class TestStreamingPearson:
         y = rng.integers(-40, 40, size=(120, 4)).astype(float)
         parts = [
             StreamingPearson(2, 4).update(x[sl], y[sl])
-            for sl in iter_chunk_slices(120, 30)
+            for sl in chunks(120, 30)
         ]
         reference = StreamingPearson(2, 4).update(x, y).finalize()
         forward = StreamingPearson(2, 4)
@@ -175,7 +145,7 @@ class TestSharedTraceMoments:
         # bit for bit: the sums of integer readouts are exact in float64.
         y = rng.integers(-500, 500, size=(120, 6)).astype(float)
         shared = SharedTraceMoments(6)
-        for sl in iter_chunk_slices(120, 17):
+        for sl in chunks(120, 17):
             shared.update(y[sl])
         s, s2 = y.sum(axis=0), (y * y).sum(axis=0)
         n, mean, var = shared.finalize()
@@ -247,7 +217,7 @@ class TestStackedStreamingPearson:
         x = rng.integers(0, 9, size=(160, groups, nvars)).astype(float)
         y = rng.integers(-300, 300, size=(160, samples)).astype(float)
         stacked = StackedStreamingPearson(groups, nvars, samples)
-        for sl in iter_chunk_slices(160, 33):
+        for sl in chunks(160, 33):
             stacked.update(x[sl], y[sl])
         np.testing.assert_array_equal(
             stacked.finalize(), self.per_group_reference(x, y, groups, nvars)
