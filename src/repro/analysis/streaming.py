@@ -28,6 +28,7 @@ zero against the raw-sums cancellation of badly scaled columns.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
@@ -131,13 +132,6 @@ class SharedTraceMoments:
         self.n += other.n
         self._s += other._s
         self._s2 += other._s2
-        return self
-
-    def reset(self) -> "SharedTraceMoments":
-        """Zero the accumulator in place, keeping its buffers."""
-        self.n = 0
-        self._s.fill(0.0)
-        self._s2.fill(0.0)
         return self
 
     def state_arrays(self) -> dict:
@@ -373,15 +367,14 @@ class StackedStreamingPearson:
         self._s_x = np.zeros((self.n_groups, self.n_vars))
         self._s_x2 = np.zeros((self.n_groups, self.n_vars))
         self._s_yx = np.zeros((self.n_samples, self.n_groups * self.n_vars))
-        #: The memoized :meth:`finalize` matrix; ``_peak`` is valid
-        #: while it is set.
-        self._rho: Optional[np.ndarray] = None
+        #: :meth:`finalize`'s matrix, held weakly, and its peaks.
+        self._rho_ref: Optional[weakref.ref] = None
         self._peak: Optional[np.ndarray] = None
 
     # -- pickling: keep shard result pipes slim ------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_rho"] = state["_peak"] = None
+        state["_rho_ref"] = state["_peak"] = None
         return state
 
     @property
@@ -408,7 +401,7 @@ class StackedStreamingPearson:
         )
         self._s_yx += y.T @ x
         self.traces.update(y)
-        self._rho = None
+        self._rho_ref = self._peak = None
         return self
 
     def fold_sums(self, m: int, s_x, s_x2, s_xy, s_y, s_y2) -> "StackedStreamingPearson":
@@ -439,7 +432,7 @@ class StackedStreamingPearson:
         self._s_x += s_x
         self._s_x2 += s_x2
         self._s_yx += s_yx
-        self._rho = None
+        self._rho_ref = self._peak = None
         return self
 
     def merge(self, other: "StackedStreamingPearson") -> "StackedStreamingPearson":
@@ -449,17 +442,7 @@ class StackedStreamingPearson:
         self._s_x += other._s_x
         self._s_x2 += other._s_x2
         self._s_yx += other._s_yx
-        self._rho = None
-        return self
-
-    def reset(self) -> "StackedStreamingPearson":
-        """Zero the accumulator in place, keeping its buffers: a reused
-        accumulator skips the page faults of fresh zeroed ones."""
-        self.traces.reset()
-        self._s_x.fill(0.0)
-        self._s_x2.fill(0.0)
-        self._s_yx.fill(0.0)
-        self._rho = None
+        self._rho_ref = self._peak = None
         return self
 
     #: Names of the arrays a state dump carries.
@@ -499,7 +482,7 @@ class StackedStreamingPearson:
         self._s_yx = np.ascontiguousarray(
             loaded["s_xy"].reshape(self._s_yx.shape[::-1]).T
         )
-        self._rho = None
+        self._rho_ref = self._peak = None
         return self
 
     def telemetry_counters(self) -> dict:
@@ -514,20 +497,22 @@ class StackedStreamingPearson:
     def finalize(self) -> np.ndarray:
         """The ``(n_groups, n_vars, n_samples)`` correlation stack.
 
-        Memoized until the next ``update``/``fold_sums``/``merge``/
-        state load/``reset``; the cached array is returned read-only.
+        Returned read-only and held only weakly: repeated calls return
+        one array while a caller holds it, and none outlives its users.
         Each element is computed by the exact expression sequence of
         :meth:`StreamingPearson.finalize`, all of it elementwise, so it
         is bit-identical to what a per-group accumulator holding the
         same sums would return.  The pass runs in row blocks of the
         sample-major sums with per-thread temporaries, allocates only
         the result (of which the array is a view), and memoizes
-        :meth:`peak_magnitudes` on the way.
+        :meth:`peak_magnitudes` on the way, until the next
+        ``update``/``fold_sums``/``merge``/state load.
         """
         if self.n < 2:
             raise AttackError("need at least two rows to correlate")
-        if self._rho is not None:
-            return self._rho
+        rho = self._rho_ref() if self._rho_ref is not None else None
+        if rho is not None:
+            return rho
         n = float(self.n)
         s_x = self._s_x.reshape(-1)
         s_y = self.traces._s
@@ -552,11 +537,13 @@ class StackedStreamingPearson:
         rho.flags.writeable = False
         peak.flags.writeable = False
         self._peak = peak.reshape(self.n_groups, self.n_vars)
-        self._rho = rho.T.reshape(self.n_groups, self.n_vars, self.n_samples)
-        return self._rho
+        rho = rho.T.reshape(self.n_groups, self.n_vars, self.n_samples)
+        self._rho_ref = weakref.ref(rho)
+        return rho
 
     def peak_magnitudes(self) -> np.ndarray:
         """``|correlation|`` maximized over samples, ``(n_groups,
         n_vars)``, read-only: memoized by :meth:`finalize`'s pass."""
-        self.finalize()
+        if self._peak is None:
+            self.finalize()
         return self._peak

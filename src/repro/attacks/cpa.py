@@ -74,9 +74,9 @@ _HYP_TABLE: Optional[np.ndarray] = None
 SROW = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 #: Rows per internal tile of the batched engine: bounds the hypothesis
-#: / GEMM scratch (~4 MB uint8 + ~16 MB float32) no matter how large a
-#: chunk callers feed, and keeps the working set near-cache-resident —
-#: measured faster than 2048/4096-row tiles on the bench campaign.
+#: / GEMM scratch (~4 MB uint8 + ~16 MB float32) however large a chunk
+#: callers feed.  1024 rows measured faster than 2048/4096 and than 512
+#: (the 5-sensor fan-out row ~10 % slower) on the bench campaign.
 #: Tiling is sum-exact, so it never changes a bit of the result.
 _BATCH_TILE_ROWS = 1024
 
@@ -466,12 +466,6 @@ class CPAAttack:
         self._stacked.merge(other._stacked)
         return self
 
-    def reset(self) -> "CPAAttack":
-        """Zero the accumulated sums in place, keeping the buffers (the
-        engine reuses merged segment accumulators this way)."""
-        self._stacked.reset()
-        return self
-
     # ------------------------------------------------------------------
     # Snapshot protocol — lets :meth:`repro.runtime.Engine.stream_attack`
     # memoize accumulator states in the trace block store, so a repeated
@@ -563,10 +557,8 @@ class CPAAttack:
         """Pearson correlation per (key byte, guess, sample):
         ``(16, 256, window)``.
 
-        Memoized by the accumulator until the next ``add_traces``/
-        ``merge``/state load — checkpointed key-rank evaluations over
-        unchanged state reuse the finalized matrix instead of
-        re-deriving it.  The cached array is returned read-only.
+        Returned read-only; the accumulator holds it only weakly, so
+        repeated calls share one array while a caller holds it.
         """
         if self.n_traces < 2:
             raise AttackError("need at least two traces to correlate")
@@ -574,9 +566,11 @@ class CPAAttack:
 
     def peak_correlations(self) -> np.ndarray:
         """Per (byte, guess) |correlation| maximized over samples:
-        ``(16, 256)`` — the guess-ranking statistic, memoized (and
-        read-only) with :meth:`correlations`."""
-        self.correlations()
+        ``(16, 256)`` — the guess-ranking statistic, read-only and
+        memoized until the sums change (only then is
+        :meth:`correlations` run, its matrix dropped at once)."""
+        if self._stacked._peak is None:
+            self.correlations()
         return self._stacked.peak_magnitudes()
 
     def best_guesses(self) -> np.ndarray:

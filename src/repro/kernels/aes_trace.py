@@ -427,15 +427,14 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         default campaign this is ~5x the cost of one acquire instead
         of 8x.  Returned tuples share one ciphertext array.
 
-        Falls back to the generic replay when the acquisitions cannot
-        share a pass (mixed hardware/noise models, drift or burst
-        noise).
+        A single acquisition takes the same pass (its one-pass sampler
+        beats the generic replay's tiled one).  Falls back to the
+        generic replay when the acquisitions cannot share a pass (mixed
+        hardware/noise models, drift or burst noise).
         """
         skip = frozenset(skip)
         live = len(acquisitions) - len(skip & set(range(len(acquisitions))))
-        if live <= 0 or len(acquisitions) == 1 or not self._fanout_shareable(
-            acquisitions
-        ):
+        if live <= 0 or not self._fanout_shareable(acquisitions):
             return super().acquire_many(
                 acquisitions, aes, plaintexts, rng, n_samples,
                 profile=profile, skip=skip,

@@ -95,12 +95,14 @@ class StageStats:
 
 
 class StageAccount:
-    """Handle yielded by :meth:`StageProfile.stage` for byte accounting."""
+    """Handle yielded by :meth:`StageProfile.stage` for byte accounting
+    and ``excluded``, seconds of other work inside the stage."""
 
-    __slots__ = ("nbytes",)
+    __slots__ = ("nbytes", "excluded")
 
     def __init__(self) -> None:
         self.nbytes = 0
+        self.excluded = 0.0
 
     def account(self, *arrays) -> None:
         """Record the ``nbytes`` of arrays materialized by the stage."""
@@ -157,7 +159,7 @@ class StageProfile:
                 SpanRecord(
                     name=name,
                     start=start,
-                    seconds=time.perf_counter() - t0,
+                    seconds=time.perf_counter() - t0 - acct.excluded,
                     counters={"nbytes": acct.nbytes, "items": items, "calls": 1},
                 )
             )

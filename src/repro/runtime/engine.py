@@ -219,21 +219,24 @@ class _ShardCache:
 
 
 def _put_attack_state(
-    store: BlockStore, span: SpanRecord, key: str, arrays, end: int
+    store: BlockStore, snapshots: StageProfile, key: str, arrays, end: int
 ) -> None:
-    """Publish an attack-state snapshot from the parent, charging the
-    write to ``span`` (the shard whose fold it snapshots) as a ``cache``
-    stage and its ``bytes_written`` count, as :meth:`_ShardCache.put`
-    does for a worker's blocks."""
-    profile = StageProfile()
-    with profile.stage("cache") as acct:
+    """Publish an attack-state snapshot as a ``cache`` stage of
+    ``snapshots`` (see :func:`_charge_snapshots`)."""
+    with snapshots.stage("cache") as acct:
         before = store.counters.bytes_written
         store.put(key, arrays, meta={"kind": "attack-state", "n_traces": end})
         acct.nbytes += store.counters.bytes_written - before
-    span.children.extend(profile.records)
-    span.counters["cache_bytes_written"] = (
-        span.counter("cache_bytes_written") + acct.nbytes
-    )
+
+
+def _charge_snapshots(span: SpanRecord, snapshots: StageProfile) -> None:
+    """Charge snapshot writes to the shard ``span`` they follow, as
+    :meth:`_ShardCache.put` charges the shard's own blocks."""
+    for record in snapshots.records:
+        span.children.append(record)
+        span.counters["cache_bytes_written"] = (
+            span.counter("cache_bytes_written") + record.counter("nbytes")
+        )
 
 
 def _acquire_or_replay(
@@ -352,29 +355,27 @@ def _stream_shard(
     seed_seq: np.random.SeedSequence,
     keys: Optional[Sequence[str]],
 ) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
-    """Acquire one shard and fold each sensor's readouts into
-    per-segment accumulators.
+    """Acquire one shard and fold each sensor's readouts into the
+    attack, segment by segment.
 
     The random draws are identical to :func:`_collect_shard` (same
     plaintexts, same noise), so a streamed campaign sees exactly the
     traces a collected campaign would — it just never keeps them.  The
-    shard is split at the global checkpoint ``ctx["boundaries"]`` so
-    the parent can evaluate the attack at exact trace counts; each
-    segment becomes one accumulator per sensor, fed whole: every
-    sensor's rows go through one ``update_many`` call when the
-    accumulator type has one (shared per-ciphertext work, e.g.
-    :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else through
-    each accumulator's ``update``.  A segment is at most a shard; the
-    accumulator bounds its own working set.  Returns
-    ``(metrics, per_sensor_segments)`` where ``per_sensor_segments[i]``
-    is sensor ``i``'s ``[(end, accumulator), ...]`` list, ``end`` the
-    global trace count the segment closes at.
+    shard is split at the global checkpoint ``ctx["boundaries"]``; each
+    segment is fed whole to one accumulator per sensor, through one
+    ``update_many`` call when their type has one (shared per-ciphertext
+    work, e.g. :meth:`~repro.attacks.cpa.CPAAttack.update_many`), else
+    through each one's ``update``.
 
-    A segment's accumulators are taken from ``ctx["spares"]``, the
-    merged and reset accumulators of earlier segments (a serial run's
-    fold hands them back), and built by ``ctx["factory"]`` once it is
-    empty; a pool worker's ``spares`` is ``None``, so it builds every
-    one.
+    A serial run's accumulators are the masters, ``ctx["masters"]``,
+    and after each segment the body runs ``ctx["segment_end"](end,
+    snapshots)`` at the global trace count ``end``; that step's time is
+    left out of the ``accumulate`` stage and the shard's seconds, and
+    its snapshot writes are charged to the shard's span.  A pool worker
+    (``masters`` is ``None``) builds each segment's accumulators with
+    ``ctx["factory"]``.  Returns ``(metrics, per_sensor_segments)``,
+    ``per_sensor_segments[i]`` being sensor ``i``'s ``[(end,
+    accumulator), ...]`` (empty on a serial run) for the parent to fold.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
@@ -393,12 +394,11 @@ def _stream_shard(
     ]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = [[] for _ in readouts_list]
-    spares = ctx["spares"]
-    with cache.profile.stage("accumulate", items=shard.size):
+    masters = ctx["masters"]
+    snapshots = StageProfile()
+    with cache.profile.stage("accumulate", items=shard.size) as acct:
         for lo, hi in zip(edges, edges[1:]):
-            parts = [
-                spares.pop() if spares else ctx["factory"]() for _ in readouts_list
-            ]
+            parts = masters or [ctx["factory"]() for _ in readouts_list]
             update_many = getattr(type(parts[0]), "update_many", None)
             rows = slice(lo, hi)
             if update_many is not None:
@@ -406,9 +406,17 @@ def _stream_shard(
             else:
                 for part, readouts in zip(parts, readouts_list):
                     part.update(readouts[rows], shard_cts[rows])
-            for segments, part in zip(per_sensor, parts):
-                segments.append((shard.start + hi, part))
-    return cache.metrics(start, time.perf_counter() - t0), per_sensor
+            end = shard.start + hi
+            if masters is None:
+                for segments, part in zip(per_sensor, parts):
+                    segments.append((end, part))
+            else:
+                t_end = time.perf_counter()
+                ctx["segment_end"](end, snapshots)
+                acct.excluded += time.perf_counter() - t_end
+    metrics = cache.metrics(start, time.perf_counter() - t0 - acct.excluded)
+    _charge_snapshots(metrics.span, snapshots)
+    return metrics, per_sensor
 
 
 def _characterize_shard(
@@ -871,8 +879,9 @@ class Engine:
         global, since the campaign service runs engines on several
         threads at once — and once per pool worker, over shared memory,
         by :func:`_init_worker`.  ``fold(task, result)`` turns a body's
-        result into its metrics as shards arrive (stream bodies also
-        return accumulators); by default the result *is* the metrics.
+        result into its metrics as shards arrive (pool stream bodies
+        also return accumulators); by default the result *is* the
+        metrics.
         ``events`` (filled while the run folds) join the campaign span.
         """
         buffers = buffers or {}
@@ -1143,7 +1152,10 @@ class Engine:
         consumers: Optional[List[object]] = None,
     ) -> List[object]:
         """The stream campaign behind both public methods; ``consumers``
-        continues existing per-sensor accumulators."""
+        continues existing per-sensor accumulators.  A serial run folds
+        each segment straight into the masters (the sums are exact, so
+        that equals merging a fresh segment); a pool run merges its
+        workers' segments into them in shard order."""
         boundaries = tuple(int(c) for c in checkpoints)
         if list(boundaries) != sorted(set(boundaries)):
             raise ConfigurationError("checkpoints must be strictly increasing")
@@ -1188,49 +1200,50 @@ class Engine:
         pending: Dict[int, Tuple[ShardMetrics, List[List[Tuple[int, object]]]]] = {}
         next_index = 0
         events: List[SpanRecord] = []
-        # A serial run reuses merged segment accumulators for the next
-        # shard's segments: reset in place, they skip the page faults of
-        # fresh zeroed ones.  Only those with a ``reset()`` are reused.
-        spares: Optional[List[object]] = [] if self.workers == 1 else None
+
+        def segment_end(end: int, snapshots: StageProfile) -> None:
+            """The masters now hold the first ``end`` traces: snapshot
+            and fire checkpoint ``end`` per sensor, in sensor order."""
+            for s_i, master in enumerate(masters):
+                state_key = state_keys[s_i].get(end) if state_keys else None
+                if state_key is not None and not self.cache.contains(state_key):
+                    # Snapshot the exact state *before* the checkpoint
+                    # callback sees it: the dump is the first `end`
+                    # traces, nothing else.
+                    _put_attack_state(
+                        self.cache, snapshots, state_key, master.state_arrays(), end
+                    )
+                if end in checkpoint_set:
+                    events.append(_checkpoint_event(end, master, s_i))
+                    if on_checkpoint is not None:
+                        on_checkpoint(s_i, end, master)
 
         def fold(task: ShardTask, result) -> ShardMetrics:
-            """Merge completed shards in index order, snapshotting and
-            firing each checkpoint per sensor, in sensor order."""
+            """Merge pool shards' segments into the masters in index
+            order, running the segment-end step after each segment (a
+            serial shard has folded into the masters and run it)."""
             nonlocal next_index
             pending[task.shard.index] = result
             while next_index in pending:
                 folded_sm, per_sensor = pending.pop(next_index)
-                for pos, (end, _part) in enumerate(per_sensor[0]):
-                    for s_i, segments in enumerate(per_sensor):
-                        master = masters[s_i]
-                        master.merge(segments[pos][1])
-                        state_key = state_keys[s_i].get(end) if state_keys else None
-                        if state_key is not None and not self.cache.contains(state_key):
-                            # Snapshot the exact state *before* the
-                            # checkpoint callback sees it: the dump is
-                            # the first `end` traces, nothing else.
-                            _put_attack_state(
-                                self.cache, folded_sm.span, state_key,
-                                master.state_arrays(), end,
-                            )
-                        if end in checkpoint_set:
-                            events.append(_checkpoint_event(end, master, s_i))
-                            if on_checkpoint is not None:
-                                on_checkpoint(s_i, end, master)
-                if spares is not None:
-                    for segments in per_sensor:
-                        for _end, part in segments:
-                            if callable(getattr(part, "reset", None)):
-                                part.reset()
-                                spares.append(part)
+                snapshots = StageProfile()
+                for segment in zip(*per_sensor):  # one (end, part) per sensor
+                    for master, (_end, part) in zip(masters, segment):
+                        master.merge(part)
+                    segment_end(segment[0][0], snapshots)
+                _charge_snapshots(folded_sm.span, snapshots)
                 next_index += 1
             return result[0]
 
+        serial = self.workers == 1
         self._drive(
             "stream", n_traces, tasks, _stream_shard,
             dict(
                 msa=msa, aes=aes, n_samples=n_samples, factory=consumer_factory,
-                spares=spares, boundaries=boundaries,
+                boundaries=boundaries,
+                # Closures stay in this process: pool workers get None.
+                masters=masters if serial else None,
+                segment_end=segment_end if serial else None,
             ),
             fold=fold,
             events=events,

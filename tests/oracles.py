@@ -164,10 +164,6 @@ class PerByteCPA(CPAAttack):
             )
         return self
 
-    #: No in-place reset: the engine gives the oracle a fresh
-    #: accumulator per segment.
-    reset = None
-
     def peak_correlations(self) -> np.ndarray:
         return np.abs(self.correlations()).max(axis=2)
 

@@ -10,6 +10,7 @@ batched tile loop; and state snapshots written by either restore into
 either.
 """
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -272,7 +273,7 @@ class TestFanOut:
 
     def test_sensor_folds_run_in_update(self, batch, monkeypatch):
         # Each sensor's fold is its own update call, once per tile.
-        traces, cts = batch
+        traces, cts = (a[:_BATCH_TILE_ROWS] for a in batch)  # one tile
         calls = []
         real = CPAAttack.update
 
@@ -347,7 +348,7 @@ class TestFanOut:
         # the peers' stacked product intact.
         from repro.attacks.cpa import _hypothesis_tiles
 
-        traces, cts = batch
+        traces, cts = (a[:_BATCH_TILE_ROWS] for a in batch)  # one tile
         registered = sensor_traces(3, len(cts), seed=9)
         fanned = [CPAAttack(S) for _ in registered]
         (tile,) = _hypothesis_tiles(cts, fanned, registered)
@@ -551,6 +552,31 @@ class TestCorrelationCache:
         a.load_state_arrays(full.state_arrays())
         assert np.array_equal(a.correlations(), full.correlations())
         assert not np.array_equal(a.correlations(), before)
+
+    def test_peak_correlations_keep_no_matrix_alive(self, batch, monkeypatch):
+        # The peaks are read off a correlation pass whose (16, 256,
+        # window) matrix dies with its last caller; the peaks stay
+        # memoized until the sums change.
+        traces, cts = batch
+        passes = []
+        real = CPAAttack.correlations
+
+        def spy(self):
+            rho = real(self)
+            passes.append(weakref.ref(rho))
+            return rho
+
+        monkeypatch.setattr(CPAAttack, "correlations", spy)
+        attack, oracle = engines()
+        attack.add_traces(traces[:400], cts[:400])
+        oracle.add_traces(traces[:400], cts[:400])
+        peaks = attack.peak_correlations()
+        assert len(passes) == 1 and passes[0]() is None
+        assert np.array_equal(peaks, oracle.peak_correlations())
+        assert attack.peak_correlations() is peaks and len(passes) == 1
+        attack.add_traces(traces[400:], cts[400:])
+        attack.peak_correlations()
+        assert len(passes) == 2 and passes[1]() is None
 
     def test_cached_matrix_matches_fresh_compute(self, batch):
         traces, cts = batch

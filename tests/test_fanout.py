@@ -13,7 +13,6 @@ campaign methods and the per-sensor sub-block cache accounting.
 import dataclasses
 import mmap
 import warnings
-import weakref
 from functools import partial
 
 import numpy as np
@@ -58,6 +57,9 @@ def multi(specs):
 def solo_harnesses(specs):
     """Independent single-sensor harnesses over the same sensors."""
     return [spec.build() for spec in specs]
+
+
+real_sample_sensor = fanout.sample_sensor
 
 
 def fresh_rng(seed=0):
@@ -189,6 +191,31 @@ class TestAcquireMany:
         msa.acquire_block_many(aes, pts, rng_many, n_samples)
         rng_one = fresh_rng(5)
         msa.kernel.acquire(msa[0], aes, pts, rng_one, n_samples)
+        assert rng_many.bit_generator.state == rng_one.bit_generator.state
+
+    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+    def test_single_acquisition_matches_acquire(
+        self, specs, kernel_name, monkeypatch
+    ):
+        # N=1 takes the fused kernel's shared pass, not a per-sensor
+        # replay of acquire.
+        (spec,) = with_kernel(specs[:1], kernel_name)
+        msa = MultiSensorAcquisition([spec])
+        n_samples = msa.default_n_samples()
+        aes = AES128(KEY)
+        pts = fresh_rng(11).integers(0, 256, size=(96, 16), dtype=np.uint8)
+        passes = []
+        monkeypatch.setattr(
+            fanout, "sample_sensor",
+            lambda *args: passes.append(None) or real_sample_sensor(*args),
+        )
+
+        rng_many, rng_one = fresh_rng(5), fresh_rng(5)
+        ((readouts, cts),) = msa.acquire_block_many(aes, pts, rng_many, n_samples)
+        assert len(passes) == (kernel_name == "fused")
+        solo_r, solo_c = msa.kernel.acquire(msa[0], aes, pts, rng_one, n_samples)
+        np.testing.assert_array_equal(readouts, solo_r)
+        np.testing.assert_array_equal(cts, solo_c)
         assert rng_many.bit_generator.state == rng_one.bit_generator.state
 
     def test_skip_yields_none_and_preserves_rest(self, multi):
@@ -359,69 +386,50 @@ class TestEngineFanout:
         assert seen == [(i, 256) for i in range(n)] + [(i, 512) for i in range(n)]
         assert engine.last_metrics.kind == "stream"
 
-    def test_serial_stream_frees_folded_segments(self, multi):
-        """A folded shard's segment accumulators are released before
-        the next shard runs: when shard k's segments are created, none
-        of an earlier shard's is alive."""
-        n = len(multi)
-        made, stale = [], []
-
-        class Consumer:
-            def update(self, traces, cts):
-                pass
-
-            def merge(self, other):
-                return self
-
-        def factory():
-            shard = len(made) // n - 1  # the first n calls make the masters
-            stale.extend(s for s, ref in made if 0 <= s < shard and ref())
-            consumer = Consumer()
-            made.append((shard, weakref.ref(consumer)))
-            return consumer
-
-        # Checkpoints on shard edges: one segment per sensor per shard.
-        Engine(workers=1, shard_size=SHARD).stream_attack_many(
-            multi, 3 * SHARD, key=KEY, consumer_factory=factory, seed=5,
-            checkpoints=[SHARD, 2 * SHARD, 3 * SHARD],
-        )
-        assert len(made) == 4 * n
-        assert stale == []
-
-    def test_serial_stream_reuses_merged_segments(self, multi, specs):
-        """A serial run builds segment accumulators only until merged
-        ones come back reset: with at most two segments per shard, at
-        most 2 x n_sensors of them.  The reused accumulators give the
-        same checkpoint and final states as a pool run, bit for bit."""
+    def test_serial_stream_folds_into_the_masters(self, multi, specs):
+        """A serial run folds every segment straight into the masters:
+        the factory makes one accumulator per sensor and nothing is
+        merged.  Every checkpoint and final state equals a 2-worker
+        run's, which merges its workers' segments, bit for bit."""
         n = len(multi)
         n_samples = multi.default_n_samples()
         window = common.last_round_window(specs[0].hw_model, n_samples)
-        made = []
+        made, merged = [], []
+
+        class Counted(CPAAttack):
+            def merge(self, other):
+                merged.append(other)
+                return super().merge(other)
 
         def factory():
             made.append(None)
-            return CPAAttack(n_samples, sample_window=window)
+            return Counted(n_samples, sample_window=window)
 
         def run(workers, consumer_factory):
-            peaks = []
+            seen = []
             masters = Engine(workers=workers, shard_size=64).stream_attack_many(
                 multi, 512, key=KEY, consumer_factory=consumer_factory, seed=5,
-                # 8 shards of 64; no shard holds two checkpoints.
-                checkpoints=[40, 100, 200, 300, 450, 512],
-                on_checkpoint=lambda index, done, acc: peaks.append(
-                    (index, done, acc.peak_correlations().copy())
+                # 8 shards of 64; some checkpoints cut a shard mid-way.
+                checkpoints=[40, 100, 128, 200, 300, 450, 512],
+                on_checkpoint=lambda index, done, acc: seen.append(
+                    (index, done, acc.peak_correlations().copy(), acc.state_arrays())
                 ),
             )
-            return peaks, [m.state_arrays() for m in masters]
+            return seen, [m.state_arrays() for m in masters]
 
-        serial_peaks, serial_states = run(1, factory)
-        assert n < len(made) <= n + 2 * n  # the masters, then the segments
-        pool_peaks, pool_states = run(
+        serial_seen, serial_states = run(1, factory)
+        assert len(made) == n and merged == []
+        pool_seen, pool_states = run(
             2, partial(CPAAttack, n_samples, sample_window=window)
         )
-        assert [p[:2] for p in serial_peaks] == [p[:2] for p in pool_peaks]
-        for (_, _, got), (_, _, want) in zip(serial_peaks, pool_peaks):
-            np.testing.assert_array_equal(got, want)
+        assert [p[:2] for p in serial_seen] == [p[:2] for p in pool_seen]
+        assert len(serial_seen) == 7 * n
+        for (_, _, got_peaks, got), (_, _, want_peaks, want) in zip(
+            serial_seen, pool_seen
+        ):
+            np.testing.assert_array_equal(got_peaks, want_peaks)
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
         for got, want in zip(serial_states, pool_states):
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name])

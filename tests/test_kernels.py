@@ -44,7 +44,7 @@ from repro.kernels.basis import one_pole_lowpass
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AcquisitionSpec
+from repro.traces.acquisition import AcquisitionSpec, MultiSensorAcquisition
 from repro.victims.aes import AES128, AESHardwareModel
 from tests.oracles import KERNELS
 
@@ -442,10 +442,17 @@ class TestSensorRangeGuard:
         ).build()
         aes = AES128(KEY)
         pts = np.random.default_rng(0).integers(0, 256, (8, 16), dtype=np.uint8)
-        with pytest.raises(SensorRangeError):
+        with pytest.raises(SensorRangeError) as solo:
             acq.acquire_block(
                 aes, pts, np.random.default_rng(0), acq.default_n_samples()
             )
+        # A fan-out of one (the fused kernel's shared pass) raises the
+        # same error.
+        with pytest.raises(SensorRangeError) as fanned:
+            MultiSensorAcquisition([acq]).acquire_block_many(
+                aes, pts, np.random.default_rng(0), acq.default_n_samples()
+            )
+        assert str(fanned.value) == str(solo.value)
 
 
 # ----------------------------------------------------------------------

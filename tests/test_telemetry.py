@@ -8,6 +8,7 @@ synthetic-slowdown regression fixture CI relies on.
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,33 @@ def test_results_bit_identical_across_worker_counts(tiny_runs):
         read_run(tiny_runs / label).manifest_hash for label in ("w1", "w2")
     ]
     assert hashes[0] == hashes[1]
+
+
+def test_checkpoints_stay_out_of_serial_shard_spans(tmp_path, monkeypatch):
+    """A serial shard folds into the masters and runs each checkpoint
+    between its folds, but the checkpoint's time is not the shard's:
+    with key rank slowed by 50 ms, no shard span or ``accumulate``
+    stage in ``run.jsonl`` grows by it."""
+    from repro.attacks import metrics as attack_metrics
+
+    sleep = 0.05
+    config = dict(step=64)  # two checkpoints per 128-trace shard
+    registry.run("fig5", _tiny_config(tmp_path / "warm", **config))
+    real = attack_metrics.evaluate_rank_point
+
+    def slow(*args, **kwargs):
+        time.sleep(sleep)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack_metrics, "evaluate_rank_point", slow)
+    registry.run("fig5", _tiny_config(tmp_path / "slow", **config))
+    spans = read_run(tmp_path / "slow").spans
+    (campaign,) = [e for e in spans if e["name"] == "engine.stream"]
+    assert campaign["seconds"] >= 8 * sleep  # every checkpoint slept
+    shards = [e for e in spans if e["name"] == "shard"]
+    accumulate = [e for e in spans if e["name"] == "accumulate"]
+    assert len(shards) == len(accumulate) == 4
+    assert all(e["seconds"] < sleep for e in shards + accumulate)
 
 
 # ----------------------------------------------------------------------
