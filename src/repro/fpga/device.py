@@ -27,6 +27,7 @@ ZU3EG: ~11,040 slice-equivalents / 360 DSPs).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -320,6 +321,7 @@ class DeviceModel:
         )
 
 
+@functools.cache
 def xc7a35t() -> DeviceModel:
     """The Artix-7 XC7A35T as found on the Digilent Basys3 board.
 
@@ -328,6 +330,10 @@ def xc7a35t() -> DeviceModel:
     30 DSP48E1 sites each (one every 5 rows over 150 rows) give the
     part's 90 DSP blocks.  35 slice columns x 150 rows = 5,250 slices
     ~ the real part's 5,200 (20,800 LUTs / 41,600 FFs).
+
+    Built once per process: a :class:`DeviceModel` is geometry only
+    (occupancy lives in :class:`~repro.fpga.placement.Placer`), so every
+    caller shares one site table instead of each keeping its own.
     """
     return DeviceModel(
         name="xc7a35t",
@@ -343,11 +349,13 @@ def xc7a35t() -> DeviceModel:
     )
 
 
+@functools.cache
 def zu3eg() -> DeviceModel:
     """The Zynq UltraScale+ ZU3EG as found on the ALINX AXU3EGB board.
 
     Eight clock regions (2 columns x 4 rows).  Six DSP columns of 60
-    DSP48E2 sites each give the part's 360 DSP blocks.
+    DSP48E2 sites each give the part's 360 DSP blocks.  Built once per
+    process, like :func:`xc7a35t`.
     """
     return DeviceModel(
         name="zu3eg",

@@ -21,16 +21,15 @@ fan-out bit-identical to a campaign over that sensor alone, and each
 sensor's block keys are exactly its single-sensor keys, so the shape of
 a campaign changes neither its results nor its cache addresses.
 
-Result buffers live in POSIX shared memory
-(:mod:`multiprocessing.shared_memory`): each worker writes its shard's
-slice directly, so trace arrays are never pickled through the result
-pipe — only the small per-shard :class:`~repro.runtime.metrics.
-ShardMetrics` travels back.  A streamed shard's segment accumulators
-do come back, through one shared-memory segment per shard (see
-:func:`~repro.runtime.scheduler.dispatch`).  The parent pre-builds
-every model table that is expensive to derive (the sensor's
-voltage->moments table) so workers inherit it with the pickled harness
-instead of recomputing it.
+Every shard body returns ``(metrics, payload)`` and the parent folds
+the payload as the shard arrives: a collect shard's readouts,
+plaintexts and ciphertexts, a characterize shard's readouts, a pool
+stream shard's segment accumulators.  On a pool the payload's arrays
+come back through one shared-memory segment per shard, never through
+the result pipe (see :func:`~repro.runtime.scheduler.dispatch`).  The
+parent pre-builds every model table that is expensive to derive (the
+sensor's voltage->moments table) so workers inherit it with the
+pickled harness instead of recomputing it.
 
 A progress hook fires in the parent as shards complete::
 
@@ -44,7 +43,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,7 +68,6 @@ from repro.runtime.scheduler import (
     classify_tasks,
     dispatch,
     flatten_keys,
-    segment_prefix,
     static_groups,
     validate_schedule,
 )
@@ -161,7 +158,8 @@ class _ShardCache:
     """One shard body's traffic with the block store, and its counts.
 
     Construction looks up every sensor's sub-block under the ``cache``
-    stage (``blocks[i]`` is ``None`` on a miss, and always without a
+    stage: ``blocks[i]`` maps a hit's array names to plain ndarray views
+    of its block file, and is ``None`` on a miss (always without a
     store); :meth:`put` publishes acquired ones.  :meth:`metrics`
     stamps the shard's counts on its span, including the deltas of the
     store's ``"store"``-sourced counters: worker store counters never
@@ -177,7 +175,7 @@ class _ShardCache:
         n_sensors: int,
     ) -> None:
         self.store, self.keys, self.profile, self.shard = store, keys, profile, shard
-        self.blocks: List[Optional[object]] = [None] * n_sensors
+        self.blocks: List[Optional[Dict[str, np.ndarray]]] = [None] * n_sensors
         #: ``"hit"``, ``"partial"``, ``"miss"`` or ``""`` (no store).
         self.outcome = ""
         self.counts: Dict[str, int] = {}
@@ -187,8 +185,15 @@ class _ShardCache:
         deltas = (c.key for c in SHARD_COUNTS if c.source == "store")
         self._snap = {key: getattr(store.counters, key) for key in deltas}
         with profile.stage("cache", items=shard.size) as acct:
-            self.blocks = [store.get(k) for k in keys]
-            acct.nbytes += sum(b.nbytes for b in self.blocks if b is not None)
+            found = [store.get(k) for k in keys]
+            acct.nbytes += sum(b.nbytes for b in found if b is not None)
+        # numpy pickles an ndarray subclass in band, so a memmap in a
+        # pool shard's payload would cross the result pipe whole; a plain
+        # view of the same pages goes out of band, through the segment.
+        self.blocks = [
+            None if b is None else {n: np.asarray(a) for n, a in b.arrays.items()}
+            for b in found
+        ]
         sub_hits = sum(b is not None for b in self.blocks)
         self.outcome = (
             "hit" if sub_hits == n_sensors else "partial" if sub_hits else "miss"
@@ -249,13 +254,13 @@ def _acquire_or_replay(
     """One shard's per-sensor readouts, with a per-sensor cache.
 
     Returns ``(readouts_list, pts, cts)``.  Hit arrays are read-only
-    memmap views over the block files: consumers stream from the page
-    cache without a copy.
+    views over the block files: consumers stream from the page cache
+    without a copy.
     """
     shard, blocks = cache.shard, cache.blocks
     if cache.outcome == "hit":
-        first = blocks[0].arrays
-        return [b.arrays["traces"] for b in blocks], first["pts"], first["cts"]
+        first = blocks[0]
+        return [b["traces"] for b in blocks], first["pts"], first["cts"]
     skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
     rng = np.random.default_rng(seed_seq)
     shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
@@ -264,7 +269,7 @@ def _acquire_or_replay(
     )
     shard_cts = next(r[1] for r in results if r is not None)
     readouts = [
-        blocks[i].arrays["traces"] if i in skip else results[i][0]
+        blocks[i]["traces"] if i in skip else results[i][0]
         for i in range(len(msa))
     ]
     cache.put([
@@ -331,22 +336,15 @@ def _collect_shard(
     shard: Shard,
     seed_seq: np.random.SeedSequence,
     keys: Optional[Sequence[str]],
-) -> ShardMetrics:
-    """Acquire one shard into ``ctx["arrays"]``, whose ``traces`` is
-    the ``(n_sensors, n_traces, n_samples)`` buffer."""
+) -> Tuple[ShardMetrics, Tuple[List[np.ndarray], np.ndarray, np.ndarray]]:
+    """Acquire one shard; returns ``(metrics, (readouts_list, pts,
+    cts))`` for the parent to write into its rows."""
     start = time.time()
     t0 = time.perf_counter()
     msa = ctx["msa"]
     cache = _ShardCache(ctx["store"], keys, StageProfile(), shard, len(msa))
-    readouts, shard_pts, shard_cts = _acquire_or_replay(
-        msa, ctx["aes"], ctx["n_samples"], seed_seq, cache
-    )
-    out = ctx["arrays"]
-    for i, block in enumerate(readouts):
-        out["traces"][i][shard.slice] = block
-    out["pts"][shard.slice] = shard_pts
-    out["cts"][shard.slice] = shard_cts
-    return cache.metrics(start, time.perf_counter() - t0)
+    payload = _acquire_or_replay(msa, ctx["aes"], ctx["n_samples"], seed_seq, cache)
+    return cache.metrics(start, time.perf_counter() - t0), payload
 
 
 def _stream_shard(
@@ -424,26 +422,26 @@ def _characterize_shard(
     shard: Shard,
     seed_seq: np.random.SeedSequence,
     keys: Optional[Sequence[str]],
-) -> ShardMetrics:
-    """Characterize one shard for every sensor into
-    ``ctx["arrays"]["out"]``, the ``(n_sensors, n_readouts)`` buffer.
+) -> Tuple[ShardMetrics, List[np.ndarray]]:
+    """Characterize one shard for every sensor; returns ``(metrics,
+    per_sensor_readouts)``.
 
     Every sensor's readouts come from the *same* entry RNG state
-    (restored between sensors), so row ``i`` is bit-identical to
-    characterizing sensor ``i`` alone with the same seed.
+    (restored between sensors), so sensor ``i``'s readouts are
+    bit-identical to characterizing it alone with the same seed.
     """
     start = time.time()
     t0 = time.perf_counter()
     profile = StageProfile()
     sensors, droops, noises = ctx["sensors"], ctx["droops"], ctx["noises"]
-    out = ctx["arrays"]["out"]
     n_sensors = len(sensors)
     cache = _ShardCache(ctx["store"], keys, profile, shard, n_sensors)
+    per_sensor: List[np.ndarray] = []
     rng: Optional[np.random.Generator] = None
     entry_state = None
     for i, block in enumerate(cache.blocks):
         if block is not None:
-            out[i][shard.slice] = block.arrays["readouts"]
+            per_sensor.append(block["readouts"])
             continue
         if rng is None:
             rng = np.random.default_rng(seed_seq)
@@ -453,103 +451,37 @@ def _characterize_shard(
         readouts = characterize_block(
             sensors[i], droops[i], noises[i], shard.size, rng, profile=profile
         )
-        out[i][shard.slice] = readouts
+        per_sensor.append(readouts)
         cache.put([(i, {"readouts": readouts}, _block_meta(seed_seq, n_sensors, i))])
-    return cache.metrics(start, time.perf_counter() - t0)
+    return cache.metrics(start, time.perf_counter() - t0), per_sensor
 
 
 # ----------------------------------------------------------------------
-# Worker-side plumbing.  Workers attach the parent's shared-memory
-# segments once (in the pool initializer) and keep the campaign context
-# and array views for the pool's lifetime; per-shard tasks then only
-# carry (shard, seed, block keys).
+# Worker-side plumbing.  Workers keep the campaign context for the
+# pool's lifetime (set once by the pool initializer); per-shard tasks
+# then only carry (shard, seed, block keys).
 # ----------------------------------------------------------------------
 
 #: A pool worker's shard-body context: the campaign kind's context plus
-#: ``arrays`` (the attached shared-memory views) and ``store``.  Serial
-#: runs build the same dict locally instead (see :meth:`Engine._drive`).
+#: ``store``.  Serial runs build the same dict locally instead (see
+#: :meth:`Engine._drive`).
 _WORKER: dict = {}
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    seg = shared_memory.SharedMemory(name=name)
-    # On POSIX Pythons before 3.13, attaching registers the segment with
-    # the process's resource tracker.  Under the fork start method the
-    # tracker is shared with the parent, so the duplicate registration
-    # is harmless; under spawn each worker gets its own tracker, which
-    # would unlink the parent's segment at worker exit — undo the
-    # registration there (the parent owns the segment and unlinks it
-    # exactly once).
-    try:
-        import multiprocessing
-
-        if multiprocessing.get_start_method(allow_none=True) != "fork":
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-    return seg
-
-
-def _init_worker(context: Dict[str, object], buffers, store):
+def _init_worker(context: Dict[str, object], store):
     """Pool initializer for every campaign kind: ``context`` is what
-    the kind's shard body needs (harness, cipher, ...), ``buffers`` the
-    shared-memory result buffers to attach."""
+    the kind's shard body needs (harness, cipher, ...)."""
     # One BLAS/OMP thread per worker: the pool already claims every
     # core, and nested threadpools thrash.
     pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
     _WORKER.clear()
-    _WORKER.update(context, segments=segments, arrays=arrays, store=store)
+    _WORKER.update(context, store=store)
 
 
 def _in_worker(body: Callable, shard: Shard, seed_seq, keys):
     """Run a shard ``body`` against this worker's context (module-level,
     so the pool pickles ``partial(_in_worker, body)`` by reference)."""
     return body(_WORKER, shard, seed_seq, keys)
-
-
-class _SharedBuffers:
-    """Parent-owned shared-memory result buffers, named
-    :func:`~repro.runtime.scheduler.segment_prefix` + index."""
-
-    def __init__(self, specs: Dict[str, Tuple[Tuple[int, ...], np.dtype]]) -> None:
-        self.segments: Dict[str, shared_memory.SharedMemory] = {}
-        self.arrays: Dict[str, np.ndarray] = {}
-        self.spec_for_worker: Dict[str, Tuple[str, Tuple[int, ...], np.dtype]] = {}
-        prefix = segment_prefix()
-        try:
-            for i, (label, (shape, dtype)) in enumerate(specs.items()):
-                nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-                seg = shared_memory.SharedMemory(
-                    name=f"{prefix}{i}", create=True, size=max(nbytes, 1)
-                )
-                self.segments[label] = seg
-                self.arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-                self.spec_for_worker[label] = (seg.name, shape, dtype)
-        except BaseException:
-            self.close()
-            raise
-
-    def copy_out(self, label: str) -> np.ndarray:
-        """A private copy of one buffer (safe to use after close)."""
-        return np.array(self.arrays[label])
-
-    def close(self) -> None:
-        self.arrays.clear()
-        for seg in self.segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:
-                pass
-        self.segments.clear()
 
 
 class Engine:
@@ -560,8 +492,9 @@ class Engine:
     workers:
         Process count.  ``1`` runs every shard in the parent process
         (the serial reference path — no pool, no shared memory);
-        higher counts use a process pool with shared-memory buffers.
-        Output is bit-identical either way.
+        higher counts use a process pool, whose shard results come back
+        through one shared-memory segment each.  Output is
+        bit-identical either way.
     shard_size:
         Traces/readouts per shard.  Part of the deterministic plan:
         changing it changes the random streams, changing the worker
@@ -865,81 +798,63 @@ class Engine:
         tasks: Sequence[ShardTask],
         body: Callable,
         context: Dict[str, object],
-        buffers: Optional[Dict[str, Tuple[Tuple[int, ...], np.dtype]]] = None,
-        fold: Optional[Callable[[ShardTask, object], ShardMetrics]] = None,
+        fold: Callable[[ShardTask, Tuple[ShardMetrics, object]], ShardMetrics],
         events: Sequence[SpanRecord] = (),
-    ) -> Dict[str, np.ndarray]:
-        """Run a shard plan serially or on a pool; returns the filled
-        result buffers.
+    ) -> None:
+        """Run a shard plan serially or on a pool.
 
-        ``body(ctx, shard, seq, keys)`` is the kind's one shard body.
-        ``ctx`` is ``context`` plus ``arrays`` (the result buffers,
-        labels mapped to the ``(shape, dtype)`` in ``buffers``) and
+        ``body(ctx, shard, seq, keys)`` is the kind's one shard body and
+        returns ``(metrics, payload)``.  ``ctx`` is ``context`` plus
         ``store``: built locally here on a serial run — never a module
         global, since the campaign service runs engines on several
-        threads at once — and once per pool worker, over shared memory,
-        by :func:`_init_worker`.  ``fold(task, result)`` turns a body's
-        result into its metrics as shards arrive (pool stream bodies
-        also return accumulators); by default the result *is* the
-        metrics.
-        ``events`` (filled while the run folds) join the campaign span.
+        threads at once — and once per pool worker by
+        :func:`_init_worker`.  ``fold(task, result)`` takes each body's
+        result in this process as its shard arrives, keeps what it needs
+        of the payload and returns the shard's metrics.  ``events``
+        (filled while the run folds) join the campaign span.
         """
-        buffers = buffers or {}
         metrics = EngineMetrics(
             kind=kind,
             n_items=n_items,
             n_shards=len(tasks),
             workers=min(self.workers, len(tasks)),
         )
-        shared = _SharedBuffers(buffers) if self.workers > 1 else None
+        if self.workers == 1:
+            run_shard = partial(body, dict(context, store=self.cache))
+            initargs = ()
+        else:
+            run_shard = partial(_in_worker, body)
+            initargs = (context, self._worker_cache())
+        start = time.time()
+        t0 = time.perf_counter()
+        classes, prefetcher = self._plan_cache_traffic(tasks)
+        shards = dispatch(
+            tasks,
+            workers=self.workers,
+            schedule=self.schedule,
+            task=run_shard,
+            pool_initializer=_init_worker,
+            pool_initargs=initargs,
+            classes=classes,
+        )
         try:
-            if shared is None:
-                arrays = {
-                    label: np.empty(shape, dtype=dtype)
-                    for label, (shape, dtype) in buffers.items()
-                }
-                ctx = dict(context, arrays=arrays, store=self.cache)
-                run_shard, initargs = partial(body, ctx), ()
-            else:
-                run_shard = partial(_in_worker, body)
-                initargs = (context, shared.spec_for_worker, self._worker_cache())
-            start = time.time()
-            t0 = time.perf_counter()
-            classes, prefetcher = self._plan_cache_traffic(tasks)
-            shards = dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                task=run_shard,
-                pool_initializer=_init_worker,
-                pool_initargs=initargs,
-                classes=classes,
-            )
-            try:
-                done = 0
-                for task, result in shards:
-                    sm = fold(task, result) if fold is not None else result
-                    del result  # folded: free it before the next shard runs
-                    metrics.shards.append(sm)
-                    self._publish_after(task, sm)
-                    done += task.shard.size
-                    self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
-                    self._emit(kind, done, n_items, sm)
-            finally:
-                # Shut the pool down and sweep its result segments now,
-                # not whenever an exception's traceback lets go of the
-                # generator.
-                shards.close()
-                self._metric_queue_depth.set(0)
-                if prefetcher is not None:
-                    prefetcher.stop()
-            self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
-            if shared is not None:
-                arrays = {label: shared.copy_out(label) for label in buffers}
-            return arrays
+            done = 0
+            for task, result in shards:
+                sm = fold(task, result)
+                del result  # folded: free it before the next shard runs
+                metrics.shards.append(sm)
+                self._publish_after(task, sm)
+                done += task.shard.size
+                self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
+                self._emit(kind, done, n_items, sm)
         finally:
-            if shared is not None:
-                shared.close()
+            # Shut the pool down and sweep its result segments now, not
+            # whenever an exception's traceback lets go of the generator.
+            shards.close()
+            self._metric_queue_depth.set(0)
+            if prefetcher is not None:
+                prefetcher.stop()
+        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
 
     @staticmethod
     def _as_multi(
@@ -1003,25 +918,32 @@ class Engine:
         aes = AES128(key)
         if n_samples is None:
             n_samples = msa.default_n_samples()
-        out = self._drive(
-            "collect", n_traces,
-            self._plan(
-                n_traces, seed, msa.cache_tokens,
-                n_samples=n_samples, aes_key=bytes(aes.key),
-            ),
-            _collect_shard,
-            dict(msa=msa, aes=aes, n_samples=n_samples),
-            buffers={
-                "traces": ((len(msa), n_traces, n_samples), np.dtype(np.int16)),
-                "pts": ((n_traces, 16), np.dtype(np.uint8)),
-                "cts": ((n_traces, 16), np.dtype(np.uint8)),
-            },
+        tasks = self._plan(
+            n_traces, seed, msa.cache_tokens,
+            n_samples=n_samples, aes_key=bytes(aes.key),
+        )
+        traces = np.empty((len(msa), n_traces, n_samples), dtype=np.int16)
+        pts = np.empty((n_traces, 16), dtype=np.uint8)
+        cts = np.empty((n_traces, 16), dtype=np.uint8)
+
+        def fold(task: ShardTask, result) -> ShardMetrics:
+            sm, (readouts, shard_pts, shard_cts) = result
+            rows = task.shard.slice
+            for sensor_traces, block in zip(traces, readouts):
+                sensor_traces[rows] = block
+            pts[rows] = shard_pts
+            cts[rows] = shard_cts
+            return sm
+
+        self._drive(
+            "collect", n_traces, tasks, _collect_shard,
+            dict(msa=msa, aes=aes, n_samples=n_samples), fold,
         )
         return [
             TraceSet(
-                traces=out["traces"][i],
-                plaintexts=out["pts"],
-                ciphertexts=out["cts"],
+                traces=traces[i],
+                plaintexts=pts,
+                ciphertexts=cts,
                 key=aes.key,
                 metadata=acq.trace_metadata(aes),
             )
@@ -1245,7 +1167,7 @@ class Engine:
                 masters=masters if serial else None,
                 segment_end=segment_end if serial else None,
             ),
-            fold=fold,
+            fold,
             events=events,
         )
         return masters
@@ -1434,9 +1356,16 @@ class Engine:
                 for sensor, droop, sensor_noise in zip(sensors, droops, noises)
             ],
         )
-        out = self._drive(
+        out = np.empty((len(sensors), n_readouts), dtype=np.int64)
+
+        def fold(task: ShardTask, result) -> ShardMetrics:
+            sm, readouts = result
+            for row, block in zip(out, readouts):
+                row[task.shard.slice] = block
+            return sm
+
+        self._drive(
             "characterize", n_readouts, tasks, _characterize_shard,
-            dict(sensors=sensors, droops=droops, noises=noises),
-            buffers={"out": ((len(sensors), n_readouts), np.dtype(np.int64))},
-        )["out"]
-        return [out[i] for i in range(len(sensors))]
+            dict(sensors=sensors, droops=droops, noises=noises), fold,
+        )
+        return list(out)

@@ -21,10 +21,11 @@ reads.
 
 Bit-identity is untouched by any of this: a shard's output depends
 only on its block key and its own SeedSequence lineage (never on which
-worker runs it or when), collect writes land in disjoint
-``shard.slice`` regions, and the streaming paths fold completed shards
-in index order regardless of arrival order.  Scheduling here can only
-change *when* a shard runs, never *what* it computes.
+worker runs it or when), collect and characterize shards are written
+into disjoint ``shard.slice`` rows as they arrive, and the streaming
+paths fold completed shards in index order regardless of arrival
+order.  Scheduling here can only change *when* a shard runs, never
+*what* it computes.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from repro.runtime.sharding import Shard
 #: Engine scheduling modes.
 SCHEDULES = ("stealing", "static")
 
-#: Name prefix of every shared-memory segment the engine makes: pool
-#: shard results and the parent's collect buffers.
-#: :func:`segment_prefix` extends it with the owning pid and a token.
+#: Name prefix of every shared-memory segment the engine makes, one
+#: per pool shard result (:func:`dispatch`).  :func:`segment_prefix`
+#: extends it with the owning pid and a token.
 RESULT_SEGMENT_PREFIX = "repro_"
 
 #: Seconds between a pool worker's checks that its parent still lives.

@@ -40,7 +40,7 @@ class Shard:
 
     @property
     def slice(self) -> slice:
-        """The shard's slice into the result buffers."""
+        """The shard's rows of the campaign's outputs."""
         return slice(self.start, self.stop)
 
 

@@ -481,6 +481,13 @@ def _mapping_of(array):
     return obj if isinstance(obj, mmap.mmap) else None
 
 
+def _flat_arrays(payload):
+    """The ndarrays of a nest of lists and tuples, in order."""
+    if isinstance(payload, np.ndarray):
+        return [payload]
+    return [a for item in payload for a in _flat_arrays(item)]
+
+
 class TestPoolResultTransport:
     """Pool shard results cross the result pipe as a few hundred bytes
     of in-band pickle; their arrays arrive as views of one shared-memory
@@ -543,13 +550,69 @@ class TestPoolResultTransport:
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name])
 
-    def test_results_without_arrays_need_no_segment(self, multi, received):
-        traces = Engine(workers=2, shard_size=SHARD).collect_many(
+    @staticmethod
+    def payloads(received):
+        """Each pool result's payload, after checking that it crossed
+        the pipe in under 64 KiB of in-band pickle and that every one
+        of its arrays views the shard's one result mapping."""
+        for in_band, segment, results in received:
+            assert in_band < 64 * 1024
+            assert segment.startswith(scheduler.RESULT_SEGMENT_PREFIX)
+            ((_metrics, payload),) = results
+            arrays = _flat_arrays(payload)
+            mapping = _mapping_of(arrays[0])
+            assert mapping is not None
+            for a in arrays:
+                assert type(a) is np.ndarray
+                assert _mapping_of(a) is mapping
+                assert np.shares_memory(a, np.frombuffer(mapping, np.uint8))
+            yield payload
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_collect_results_arrive_out_of_band(
+        self, multi, received, tmp_path, warm
+    ):
+        """Warm, every shard hits and its arrays view the block files:
+        a memmap reaching the pickler would travel in band, whole."""
+        cache = str(tmp_path) if warm else None
+        serial = Engine(workers=1, shard_size=SHARD, cache=cache).collect_many(
             multi, N_TRACES, key=KEY, seed=5
         )
+        pool = Engine(workers=2, shard_size=SHARD, cache=cache)
+        pooled = pool.collect_many(multi, N_TRACES, key=KEY, seed=5)
+        assert pool.cache_totals["hits"] == (3 if warm else 0)
+        assert len(received) == 3  # one result per 256-trace shard
+        for readouts, pts, cts in self.payloads(received):
+            assert len(readouts) == len(multi)
+        for got, want in zip(pooled, serial):
+            np.testing.assert_array_equal(got.traces, want.traces)
+            np.testing.assert_array_equal(got.plaintexts, want.plaintexts)
+            np.testing.assert_array_equal(got.ciphertexts, want.ciphertexts)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_characterize_results_arrive_out_of_band(
+        self, received, tmp_path, warm
+    ):
+        setup = common.Basys3Setup.create()
+        virus = common.make_virus(setup, n_instances=800, n_groups=4)
+        sensors = common.region_sensors(setup, seed=7)[:3]
+        cache = str(tmp_path) if warm else None
+
+        def run(workers):
+            engine = Engine(workers=workers, shard_size=SHARD, cache=cache)
+            outs = engine.characterize_many(
+                sensors, setup.coupling, virus, 2, 600, seed=5
+            )
+            return engine, outs
+
+        _, serial = run(1)
+        pool, pooled = run(2)
+        assert pool.cache_totals["hits"] == (3 if warm else 0)
         assert len(received) == 3
-        assert all(segment is None for _, segment, _ in received)
-        assert len(traces) == len(multi)
+        for readouts in self.payloads(received):
+            assert len(readouts) == len(sensors)
+        for got, want in zip(pooled, serial):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFanoutCache:

@@ -31,8 +31,8 @@ from repro.errors import (
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine, plan_shards, root_sequence, spawn_shard_sequences
+from repro.runtime import engine as engine_mod
 from repro.runtime import scheduler
-from repro.runtime.engine import _SharedBuffers
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec, characterize_droop
 from repro.victims.aes import AESHardwareModel
@@ -349,6 +349,16 @@ class _DyingAttack(CPAAttack):
         return super().update(traces, ciphertexts)
 
 
+class _DyingShardCache(engine_mod._ShardCache):
+    """The shard cache of a collect or characterize body whose pool
+    worker exits hard as it starts shard 3."""
+
+    def __init__(self, store, keys, profile, shard, n_sensors):
+        if os.getpid() != _PARENT_PID and shard.index == 3:
+            os._exit(3)
+        super().__init__(store, keys, profile, shard, n_sensors)
+
+
 class _Boom(Exception):
     pass
 
@@ -383,8 +393,8 @@ for _ in scheduler.dispatch(
 
 
 class TestWorkerLoss:
-    """A pool campaign that fails leaves no shared-memory segment
-    behind: neither the engine's buffers nor any shard result's."""
+    """A pool campaign that fails leaves no shard result's
+    shared-memory segment behind."""
 
     def test_dead_worker_raises_typed_error_and_leaks_no_segment(
         self, acquisition
@@ -400,6 +410,23 @@ class TestWorkerLoss:
             )
         assert isinstance(info.value, ReproError)
         assert info.value.shards
+        assert set(info.value.shards) <= set(range(8))
+        assert str(list(info.value.shards)) in str(info.value)
+        assert engine_segments() - before == set()
+
+    @pytest.mark.parametrize("kind", ["collect", "characterize"])
+    def test_dead_worker_in_a_pooled_campaign_of_any_kind(
+        self, kind, acquisition, characterization, monkeypatch
+    ):
+        monkeypatch.setattr(engine_mod, "_ShardCache", _DyingShardCache)
+        engine = Engine(workers=2, shard_size=16)
+        before = engine_segments()
+        with pytest.raises(WorkerLostError) as info:
+            if kind == "collect":
+                engine.collect(acquisition, 128, key=KEY, seed=3)
+            else:
+                engine.characterize(*characterization, 4, 128, seed=3)
+        assert 3 in info.value.shards
         assert set(info.value.shards) <= set(range(8))
         assert str(list(info.value.shards)) in str(info.value)
         assert engine_segments() - before == set()
@@ -504,17 +531,12 @@ class TestWorkerLoss:
             )
             for who, pid in owners.items()
         ]
-        # The engine's own buffers carry this process's pid too.
-        buffers = _SharedBuffers({"traces": ((4,), np.int16)})
         try:
             found = engine_segments()
-            buffer_names = {seg.name for seg in buffers.segments.values()}
         finally:
-            buffers.close()
             for seg in segments:
                 seg.close()
                 seg.unlink()
-        assert buffer_names and buffer_names <= found
         assert {n.rsplit("_", 1)[1] for n in found if "_leakrule_" in n} == {
             "own", "dead"
         }
