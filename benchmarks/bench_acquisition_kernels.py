@@ -298,7 +298,7 @@ def test_metrics_overhead(benchmark):
     <= 2% over the disabled one.  Curves must be bit-identical either
     way — observability can never touch the science.
     """
-    from repro.experiments.table1_traces import streamed_placement_curve
+    from repro.experiments.table1_traces import streamed_placement_curves
     from repro.runtime import Engine
     from repro.telemetry.metrics import get_registry
 
@@ -308,9 +308,9 @@ def test_metrics_overhead(benchmark):
 
     def campaign():
         engine = Engine(workers=1, shard_size=256)
-        curve, _ = streamed_placement_curve(
+        [(curve, _)] = streamed_placement_curves(
             engine,
-            "P6",
+            ["P6"],
             n_traces,
             512,
             "LeakyDSP",

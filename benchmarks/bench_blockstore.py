@@ -95,8 +95,8 @@ def test_blockstore_schedule_report(benchmark, tmp_path):
     # only on (config, seed lineage, geometry), so a half-campaign
     # fills exactly the first N_SHARDS/2 blocks of the full one.
     warm_dir = tmp_path / "warm"
-    Engine(workers=WORKERS, shard_size=SHARD, cache=str(warm_dir)).collect(
-        acq, N_TRACES // 2, key=DEFAULT_KEY, seed=3
+    Engine(workers=WORKERS, shard_size=SHARD, cache=str(warm_dir)).collect_many(
+        [acq], N_TRACES // 2, key=DEFAULT_KEY, seed=3
     )
     n_warm = BlockStore(warm_dir).stats().n_blocks
     assert n_warm == N_SHARDS // 2
@@ -111,7 +111,7 @@ def test_blockstore_schedule_report(benchmark, tmp_path):
             schedule=schedule,
         )
         t0 = time.perf_counter()
-        result = engine.collect(acq, N_TRACES, key=DEFAULT_KEY, seed=3)
+        [result] = engine.collect_many([acq], N_TRACES, key=DEFAULT_KEY, seed=3)
         seconds = time.perf_counter() - t0
         totals = engine.cache_totals
         assert totals["hits"] == N_SHARDS // 2

@@ -40,12 +40,15 @@ def test_parallel_collect_speedup(benchmark):
     import time
 
     t0 = time.perf_counter()
-    serial = Engine(workers=1).collect(acq, n_traces, key=DEFAULT_KEY, seed=3)
+    [serial] = Engine(workers=1).collect_many(
+        [acq], n_traces, key=DEFAULT_KEY, seed=3
+    )
     serial_seconds = time.perf_counter() - t0
 
     pooled_engine = Engine(workers=POOL_WORKERS)
-    pooled = run_once(
-        benchmark, pooled_engine.collect, acq, n_traces, key=DEFAULT_KEY, seed=3
+    [pooled] = run_once(
+        benchmark, pooled_engine.collect_many, [acq], n_traces,
+        key=DEFAULT_KEY, seed=3,
     )
 
     # Worker count must not change a single bit of the output.

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.attacks import CPAAttack, key_rank_bounds, scores_from_correlations
 from repro.experiments import common
-from repro.experiments.table1_traces import placement_acquisition
 from repro.runtime import Engine
 from repro.victims.aes.key_schedule import expand_key
 
@@ -23,8 +22,8 @@ def main() -> None:
     n_traces = 30_000
 
     print(f"collecting {n_traces} traces at placement P6 (best) ...")
-    traces = Engine().collect(
-        placement_acquisition("P6"), n_traces, key=secret_key, seed=11
+    [traces] = Engine().collect_many(
+        [common.placement_spec("P6").build()], n_traces, key=secret_key, seed=11
     )
     print(f"trace matrix: {traces.traces.shape}, "
           f"AES @ {traces.metadata['aes_frequency_hz']/1e6:.0f} MHz, "

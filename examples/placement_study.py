@@ -25,11 +25,11 @@ def main() -> None:
     for index, region_name in common.FIG4_REGIONS.items():
         pblock = common.region_pblock(setup.device, index)
         sensor = common.make_leakydsp(setup, pblock, seed=7 + index)
-        off = engine.characterize(
-            sensor, setup.coupling, virus, 0, n_readouts=2000, seed=index
+        [off] = engine.characterize_many(
+            [sensor], setup.coupling, virus, 0, n_readouts=2000, seed=index
         )
-        on = engine.characterize(
-            sensor, setup.coupling, virus, virus.n_groups, n_readouts=2000,
+        [on] = engine.characterize_many(
+            [sensor], setup.coupling, virus, virus.n_groups, n_readouts=2000,
             seed=100 + index,
         )
         x, y = sensor.position

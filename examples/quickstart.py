@@ -55,8 +55,8 @@ def main() -> None:
     print("\nactive groups -> mean readout (2,000 samples each):")
     engine = Engine()
     for groups in range(0, 9, 2):
-        readouts = engine.characterize(
-            sensor, coupling, virus, groups, n_readouts=2000, seed=groups
+        [readouts] = engine.characterize_many(
+            [sensor], coupling, virus, groups, n_readouts=2000, seed=groups
         )
         bar = "#" * int(np.mean(readouts))
         print(f"  {groups} groups: {np.mean(readouts):5.1f}  {bar}")

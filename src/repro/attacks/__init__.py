@@ -17,7 +17,6 @@ from repro.attacks.metrics import (
     evaluate_rank_point,
     guessing_entropy,
     rank_curve,
-    streamed_rank_curve,
     streamed_rank_curves,
     traces_to_disclosure,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "evaluate_rank_point",
     "guessing_entropy",
     "rank_curve",
-    "streamed_rank_curve",
     "streamed_rank_curves",
     "traces_to_disclosure",
 ]

@@ -296,7 +296,7 @@ class CPAAttack:
     accumulator: ``update`` (alias ``add_traces``) folds chunks in,
     :meth:`update_many` folds one chunk into one attack per sensor,
     :meth:`merge` combines independently built attacks (the shard path
-    of :meth:`repro.runtime.Engine.stream_attack`), and because
+    of :meth:`repro.runtime.Engine.stream_attack_many`), and because
     readouts and hypotheses are small integers the accumulated sums —
     hence the correlations and key ranks — are bit-identical for any
     chunking or merge order.
@@ -467,10 +467,10 @@ class CPAAttack:
         return self
 
     # ------------------------------------------------------------------
-    # Snapshot protocol — lets :meth:`repro.runtime.Engine.stream_attack`
-    # memoize accumulator states in the trace block store, so a repeated
-    # campaign replays the attack from stored sums instead of re-paying
-    # acquisition *and* accumulation.
+    # Snapshot protocol — lets :meth:`repro.runtime.Engine.
+    # stream_attack_many` memoize accumulator states in the trace block
+    # store, so a repeated campaign replays the attack from stored sums
+    # instead of re-paying acquisition *and* accumulation.
     # ------------------------------------------------------------------
     def cache_token(self) -> dict:
         """Everything that determines this attack's accumulated state

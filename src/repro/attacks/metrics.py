@@ -105,62 +105,6 @@ def rank_curve(
     return curve
 
 
-def streamed_rank_curve(
-    engine,
-    acquisition,
-    n_traces: int,
-    *,
-    key,
-    checkpoints: Sequence[int],
-    seed=0,
-    sample_window: Optional[Tuple[int, int]] = None,
-    on_point: Optional[Callable[[RankPoint], None]] = None,
-    attack: Optional[CPAAttack] = None,
-    trace_offset: int = 0,
-) -> Tuple[RankCurve, CPAAttack]:
-    """Acquire a campaign through :meth:`repro.runtime.Engine.
-    stream_attack` and evaluate key-rank bounds at each checkpoint —
-    without ever materializing the trace matrix.
-
-    Bit-identical to ``engine.collect(...)`` followed by
-    :func:`rank_curve` with the same seed and checkpoints, at any
-    worker count.  ``on_point`` receives each
-    :class:`RankPoint` as soon as its checkpoint's shards have folded —
-    the incremental progress feed for long campaigns.
-
-    Pass ``attack`` (with ``trace_offset`` = traces it already holds)
-    to extend an earlier campaign; checkpoints then refer to the
-    combined trace count.
-
-    Returns ``(curve, attack)`` so callers can keep accumulating.
-    """
-    checkpoints = _validated_checkpoints(
-        [c - trace_offset for c in checkpoints], n_traces
-    )
-    true_last_round = expand_key(key)[10]
-    n_samples = acquisition.default_n_samples()
-    curve = RankCurve()
-
-    def on_checkpoint(done: int, acc) -> None:
-        point = evaluate_rank_point(acc, true_last_round, trace_offset + done)
-        curve.points.append(point)
-        if on_point is not None:
-            on_point(point)
-
-    attack = engine.stream_attack(
-        acquisition,
-        n_traces,
-        key=key,
-        consumer_factory=partial(CPAAttack, n_samples, sample_window),
-        seed=seed,
-        n_samples=n_samples,
-        checkpoints=checkpoints,
-        on_checkpoint=on_checkpoint,
-        consumer=attack,
-    )
-    return curve, attack
-
-
 def streamed_rank_curves(
     engine,
     acquisitions,
@@ -171,22 +115,34 @@ def streamed_rank_curves(
     seed=0,
     sample_window: Optional[Tuple[int, int]] = None,
     on_point: Optional[Callable[[int, RankPoint], None]] = None,
+    attacks: Optional[Sequence[CPAAttack]] = None,
+    trace_offset: int = 0,
 ) -> List[Tuple[RankCurve, CPAAttack]]:
-    """Fan-out counterpart of :func:`streamed_rank_curve`: one rank
-    curve per sensor from a *single* victim campaign.
+    """Acquire one victim campaign through :meth:`repro.runtime.Engine.
+    stream_attack_many` and evaluate key-rank bounds per sensor at each
+    checkpoint — without ever materializing the trace matrix.
 
-    ``acquisitions`` is whatever :meth:`repro.runtime.Engine.
-    stream_attack_many` accepts (a ``MultiSensorAcquisition`` or a
-    sequence of specs/harnesses sharing one kernel).  Each returned
-    ``(curve, attack)`` pair is bit-identical to
-    :func:`streamed_rank_curve` over that sensor alone with the same
-    seed — the shared AES+PDN pass is computed once per shard instead
-    of once per sensor.  ``on_point(sensor_index, point)`` fires per
-    sensor as each checkpoint folds.
+    ``acquisitions`` is whatever ``stream_attack_many`` accepts (a
+    ``MultiSensorAcquisition`` or a sequence of specs/harnesses sharing
+    one kernel; a single sensor is ``[acq]``).  Each returned
+    ``(curve, attack)`` pair is bit-identical to ``engine.collect_many
+    ([acq], ...)`` over that sensor alone followed by :func:`rank_curve`
+    with the same seed and checkpoints, at any worker count — the
+    shared AES+PDN pass is computed once per shard instead of once per
+    sensor.  ``on_point(sensor_index, point)`` receives each
+    :class:`RankPoint` as soon as its checkpoint's shards have folded —
+    the incremental progress feed for long campaigns.
+
+    Pass ``attacks`` (one per sensor, with ``trace_offset`` = traces
+    they already hold) to extend an earlier campaign; checkpoints then
+    refer to the combined trace count.  The attacks are returned so
+    callers can keep accumulating.
     """
     from repro.traces.acquisition import MultiSensorAcquisition
 
-    checkpoints = _validated_checkpoints(checkpoints, n_traces)
+    checkpoints = _validated_checkpoints(
+        [c - trace_offset for c in checkpoints], n_traces
+    )
     true_last_round = expand_key(key)[10]
     if not isinstance(acquisitions, MultiSensorAcquisition):
         acquisitions = MultiSensorAcquisition(list(acquisitions))
@@ -194,7 +150,7 @@ def streamed_rank_curves(
     curves = [RankCurve() for _ in range(len(acquisitions))]
 
     def on_checkpoint(sensor_index: int, done: int, acc) -> None:
-        point = evaluate_rank_point(acc, true_last_round, done)
+        point = evaluate_rank_point(acc, true_last_round, trace_offset + done)
         curves[sensor_index].points.append(point)
         if on_point is not None:
             on_point(sensor_index, point)
@@ -208,6 +164,7 @@ def streamed_rank_curves(
         n_samples=n_samples,
         checkpoints=checkpoints,
         on_checkpoint=on_checkpoint,
+        consumers=attacks,
     )
     return list(zip(curves, attacks))
 

@@ -63,11 +63,11 @@ class AblationCalibResult:
 
 
 def _swing(engine, sensor, setup, virus, n_readouts, seeds) -> float:
-    off = engine.characterize(
-        sensor, setup.coupling, virus, 0, n_readouts, seed=next(seeds)
+    [off] = engine.characterize_many(
+        [sensor], setup.coupling, virus, 0, n_readouts, seed=next(seeds)
     )
-    on = engine.characterize(
-        sensor, setup.coupling, virus, virus.n_groups, n_readouts, seed=next(seeds)
+    [on] = engine.characterize_many(
+        [sensor], setup.coupling, virus, virus.n_groups, n_readouts, seed=next(seeds)
     )
     return float(np.mean(off) - np.mean(on))
 

@@ -89,9 +89,9 @@ def run_ablation_chain(
             calibrated = False
             step = 0.0
         off, on = (
-            engine.characterize(
-                sensor, setup.coupling, virus, level, n_readouts, seed=next(seeds)
-            )
+            engine.characterize_many(
+                [sensor], setup.coupling, virus, level, n_readouts, seed=next(seeds)
+            )[0]
             for level in (0, virus.n_groups)
         )
         result.points.append(

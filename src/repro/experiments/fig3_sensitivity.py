@@ -82,9 +82,9 @@ def run_fig3(
     seeds = iter(root_sequence(rng).spawn(len(sensors) * len(levels)))
 
     def sample(sensor, level):
-        return engine.characterize(
-            sensor, setup.coupling, virus, level, n_readouts, seed=next(seeds)
-        )
+        return engine.characterize_many(
+            [sensor], setup.coupling, virus, level, n_readouts, seed=next(seeds)
+        )[0]
 
     instances_per_group = n_instances // n_groups
     result = Fig3Result()

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments import common, registry
-from repro.experiments.table1_traces import streamed_placement_curve
+from repro.experiments.table1_traces import streamed_placement_curves
 from repro.runtime import Engine
 from repro.runtime.sharding import SeedLike, root_sequence
 from repro.timing.sampling import ClockSpec
@@ -78,9 +78,9 @@ def run_fig6(
     result = Fig6Result(placement=placement)
     for freq in frequencies:
         clock = ClockSpec(freq)
-        curve, attack = streamed_placement_curve(
+        [(curve, attack)] = streamed_placement_curves(
             engine,
-            placement,
+            [placement],
             n_traces,
             step,
             "LeakyDSP",
@@ -92,16 +92,16 @@ def run_fig6(
         extended = False
         n_collected = n_traces
         if curve.traces_to_disclosure is None and extension > 0:
-            more, attack = streamed_placement_curve(
+            [(more, attack)] = streamed_placement_curves(
                 engine,
-                placement,
+                [placement],
                 extension,
                 step,
                 "LeakyDSP",
                 aes_clock=clock,
                 seed=seed,
                 rng=extension_rng,
-                attack=attack,
+                attacks=[attack],
                 trace_offset=n_traces,
             )
             curve.points.extend(more.points)

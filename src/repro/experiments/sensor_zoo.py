@@ -93,7 +93,7 @@ def run_sensor_zoo(
     non-RO calibration), then the whole zoo is characterized per
     activity level in one fan-out campaign on ``engine`` (a serial one
     when omitted) — each sensor's readouts identical to a
-    single-sensor ``engine.characterize`` at that seed.
+    single-sensor campaign at that seed.
     """
     engine = engine or Engine()
     setup = common.Basys3Setup.create()

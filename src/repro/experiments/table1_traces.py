@@ -20,70 +20,10 @@ from repro.experiments import common, registry
 from repro.runtime import Engine
 from repro.runtime.sharding import SeedLike, root_sequence
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
 
 #: Default ground-truth key for the campaigns (any key works; CPA does
 #: not exploit its structure).
 DEFAULT_KEY = bytes(range(16))
-
-
-def placement_acquisition(
-    placement: str,
-    sensor_type: str = "LeakyDSP",
-    aes_clock: ClockSpec = common.AES_CLOCK,
-    seed: int = 7,
-) -> AESTraceAcquisition:
-    """Build the acquisition harness for a sensor at one named
-    placement (fresh board per campaign, like reflashing the FPGA).
-
-    Thin wrapper over :func:`repro.experiments.common.placement_spec` —
-    the spec is the normalized construction path."""
-    return common.placement_spec(placement, sensor_type, aes_clock, seed).build()
-
-
-def streamed_placement_curve(
-    engine: Engine,
-    placement: str,
-    n_traces: int,
-    step: int,
-    sensor_type: str = "LeakyDSP",
-    aes_clock: ClockSpec = common.AES_CLOCK,
-    key: bytes = DEFAULT_KEY,
-    seed: int = 7,
-    rng: SeedLike = 3,
-    on_point=None,
-    attack=None,
-    trace_offset: int = 0,
-):
-    """Rank curve of one AES campaign with a sensor at one named
-    placement, on a uniform ``step`` checkpoint grid.  The traces flow
-    straight into the CPA accumulator and the rank curve grows
-    incrementally — the full trace matrix never exists.
-
-    Returns ``(RankCurve, CPAAttack)``; pass the attack back (with
-    ``trace_offset``) to extend the campaign, Fig. 6 style.
-    """
-    from repro.attacks.metrics import streamed_rank_curve
-
-    acq = placement_acquisition(placement, sensor_type, aes_clock, seed)
-    hw = common.make_hw_model(aes_clock)
-    window = common.last_round_window(hw, acq.default_n_samples())
-    total = trace_offset + n_traces
-    checkpoints = [
-        cp for cp in range(step, total + 1, step) if cp > trace_offset
-    ]
-    return streamed_rank_curve(
-        engine,
-        acq,
-        n_traces,
-        key=key,
-        checkpoints=checkpoints,
-        seed=rng,
-        sample_window=window,
-        on_point=on_point,
-        attack=attack,
-        trace_offset=trace_offset,
-    )
 
 
 def streamed_placement_curves(
@@ -97,17 +37,22 @@ def streamed_placement_curves(
     seed: int = 7,
     rng: SeedLike = 3,
     on_point=None,
+    attacks=None,
+    trace_offset: int = 0,
 ):
-    """Fan-out equivalent of one :func:`streamed_placement_curve` per
-    placement: every placement's sensor observes the *same* victim
-    campaign, so the AES+PDN work is paid once per shard instead of
-    once per placement.
+    """Rank curves of one AES campaign watched by a sensor at each
+    named placement (fresh board per placement, like reflashing the
+    FPGA), on a uniform ``step`` checkpoint grid.  The traces flow
+    straight into the CPA accumulators and the rank curves grow
+    incrementally — the full trace matrix never exists — and the
+    AES+PDN work is paid once per shard instead of once per placement.
 
-    Each returned ``(RankCurve, CPAAttack)`` pair is bit-identical to
-    :func:`streamed_placement_curve` over that placement alone with the
-    same ``rng`` — the :meth:`~repro.kernels.AcquisitionKernel.
-    acquire_many` contract.  ``on_point(placement_index, point)`` feeds
-    incremental rank progress per placement.
+    Each returned ``(RankCurve, CPAAttack)`` pair is bit-identical to a
+    campaign over that placement alone with the same ``rng`` — the
+    :meth:`~repro.kernels.AcquisitionKernel.acquire_many` contract.
+    ``on_point(placement_index, point)`` feeds incremental rank
+    progress per placement.  Pass the attacks back (with
+    ``trace_offset``) to extend the campaign, Fig. 6 style.
     """
     from repro.attacks.metrics import streamed_rank_curves
     from repro.traces.acquisition import MultiSensorAcquisition
@@ -117,7 +62,10 @@ def streamed_placement_curves(
     )
     hw = common.make_hw_model(aes_clock)
     window = common.last_round_window(hw, acqs.default_n_samples())
-    checkpoints = list(range(step, n_traces + 1, step))
+    total = trace_offset + n_traces
+    checkpoints = [
+        cp for cp in range(step, total + 1, step) if cp > trace_offset
+    ]
     return streamed_rank_curves(
         engine,
         acqs,
@@ -127,6 +75,8 @@ def streamed_placement_curves(
         seed=rng,
         sample_window=window,
         on_point=on_point,
+        attacks=attacks,
+        trace_offset=trace_offset,
     )
 
 
@@ -201,8 +151,8 @@ def run_table1(
             Table1Row(placement, "LeakyDSP", curve.traces_to_disclosure, n_traces)
         )
     if include_tdc:
-        curve, _attack = streamed_placement_curve(
-            engine, tdc_placement, n_traces + 20_000, step, "TDC",
+        [(curve, _attack)] = streamed_placement_curves(
+            engine, [tdc_placement], n_traces + 20_000, step, "TDC",
             seed=seed, rng=seeds[1],
         )
         result.rows.append(

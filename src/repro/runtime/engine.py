@@ -11,15 +11,15 @@ Because the shard plan and the per-shard streams depend only on the
 workload and the root seed, the resulting traces are **bit-identical
 for any worker count**.
 
-There is one path per campaign kind — ``collect``, ``stream`` and
-``characterize`` — and it always runs N sensors observing one victim
+There is one path per campaign kind — :meth:`Engine.collect_many`,
+:meth:`Engine.stream_attack_many` and :meth:`Engine.characterize_many`
+— and it always runs N sensors observing one victim
 (:class:`~repro.traces.acquisition.MultiSensorAcquisition`).  A
-single-sensor campaign is the N=1 case: :meth:`Engine.collect`,
-:meth:`Engine.stream_attack` and :meth:`Engine.characterize` wrap a
-fan-out of one.  The ``acquire_many`` contract makes each sensor of a
-fan-out bit-identical to a campaign over that sensor alone, and each
-sensor's block keys are exactly its single-sensor keys, so the shape of
-a campaign changes neither its results nor its cache addresses.
+single-sensor campaign is the N=1 fan-out, ``[acq]``.  The
+``acquire_many`` contract makes each sensor of a fan-out bit-identical
+to a campaign over that sensor alone, and each sensor's block keys are
+exactly its single-sensor keys, so the shape of a campaign changes
+neither its results nor its cache addresses.
 
 Every shard body returns ``(metrics, payload)`` and the parent folds
 the payload as the shard arrives: a collect shard's readouts,
@@ -34,7 +34,7 @@ pickled harness instead of recomputing it.
 A progress hook fires in the parent as shards complete::
 
     engine = Engine(workers=4, progress=lambda ev: print(ev.done, "/", ev.total))
-    traces = engine.collect(acq, 60_000, key=KEY, seed=3)
+    [traces] = engine.collect_many([acq], 60_000, key=KEY, seed=3)
     print(engine.last_metrics.summary())
 """
 
@@ -84,7 +84,6 @@ from repro.runtime.sharding import (
     spawn_shard_sequences,
 )
 from repro.traces.acquisition import (
-    AESTraceAcquisition,
     MultiSensorAcquisition,
     characterize_block,
     characterize_droop,
@@ -871,29 +870,6 @@ class Engine:
         return acquisitions
 
     # ------------------------------------------------------------------
-    def collect(
-        self,
-        acquisition: AESTraceAcquisition,
-        n_traces: int,
-        *,
-        key,
-        seed: SeedLike = 0,
-        n_samples: Optional[int] = None,
-    ) -> TraceSet:
-        """Run ``n_traces`` encryptions and record the sensor readouts
-        (the key-extraction campaign, Section IV-B) as one
-        :class:`TraceSet`.
-
-        ``seed`` must be an integer or a :class:`numpy.random.
-        SeedSequence` (generators are rejected — see
-        :func:`repro.runtime.sharding.root_sequence`).  For a fixed
-        seed the returned :class:`TraceSet` is bit-identical at any
-        worker count.  This is :meth:`collect_many` over one sensor.
-        """
-        return self.collect_many(
-            [acquisition], n_traces, key=key, seed=seed, n_samples=n_samples
-        )[0]
-
     def collect_many(
         self,
         acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
@@ -903,16 +879,20 @@ class Engine:
         seed: SeedLike = 0,
         n_samples: Optional[int] = None,
     ) -> List[TraceSet]:
-        """Sharded fan-out collection: one :class:`TraceSet` per sensor.
+        """Run ``n_traces`` encryptions and record every sensor's
+        readouts (the key-extraction campaign, Section IV-B): one
+        :class:`TraceSet` per sensor.
 
         ``acquisitions`` is a :class:`~repro.traces.acquisition.
         MultiSensorAcquisition` or a sequence of specs/harnesses to
-        wrap in one.  Each returned trace set is bit-identical to
-        :meth:`collect` over that sensor alone with the same seed (the
-        ``acquire_many`` contract), at any worker count; the shared
-        AES+PDN pass is simply computed once per shard instead of N
-        times.  All trace sets share the same plaintexts, ciphertexts
-        and key.
+        wrap in one; a single sensor is ``[acq]``.  ``seed`` must be an
+        integer or a :class:`numpy.random.SeedSequence` (generators are
+        rejected — see :func:`repro.runtime.sharding.root_sequence`).
+        For a fixed seed each returned trace set is bit-identical at
+        any worker count, and to a campaign over that sensor alone (the
+        ``acquire_many`` contract); the shared AES+PDN pass is simply
+        computed once per shard instead of N times.  All trace sets
+        share the same plaintexts, ciphertexts and key.
         """
         msa = self._as_multi(acquisitions)
         aes = AES128(key)
@@ -952,74 +932,22 @@ class Engine:
 
     # ------------------------------------------------------------------
     def stream_attack(
-        self,
-        acquisition: AESTraceAcquisition,
-        n_traces: int,
-        *,
-        key,
-        consumer_factory: Callable[[], object],
-        seed: SeedLike = 0,
-        n_samples: Optional[int] = None,
-        checkpoints: Sequence[int] = (),
-        on_checkpoint: Optional[Callable[[int, object], None]] = None,
-        consumer: Optional[object] = None,
+        self, acquisition, n_traces: int, *, consumer: Optional[object] = None,
+        on_checkpoint: Optional[Callable[[int, object], None]] = None, **options,
     ) -> object:
-        """Acquire a campaign and fold it straight into an accumulator.
-
-        The streaming counterpart of :meth:`collect`: identical shard
-        plan, identical random streams — so the traces are bit-for-bit
-        the ones :meth:`collect` would return — but shards are folded
-        into a mergeable accumulator (anything exposing ``update(traces,
-        ciphertexts)`` and ``merge(other)``, e.g. :class:`~repro.attacks.
-        cpa.CPAAttack`) as they complete, and the full ``(n_traces,
-        n_samples)`` matrix is never materialized.  An accumulator type
-        may also offer ``update_many(accumulators, traces_list,
-        ciphertexts)``, one call folding a segment into one accumulator
-        per sensor; the engine then uses it instead of per-sensor
-        ``update`` calls.  Each call gets a whole checkpoint-bounded
-        shard segment (at most ``shard_size`` rows); the accumulator
-        bounds its own working set.  Peak memory is one shard block plus
-        the accumulators, independent of ``n_traces``.
-
-        Parameters
-        ----------
-        consumer_factory:
-            Zero-argument callable producing a fresh accumulator; must
-            be picklable for ``workers > 1`` (e.g. ``functools.partial(
-            CPAAttack, n_samples)``).
-        checkpoints:
-            Strictly increasing trace counts at which ``on_checkpoint
-            (count, accumulator)`` fires with the accumulator holding
-            exactly the first ``count`` traces — incremental key-rank
-            progress without a second pass.
-        consumer:
-            Existing accumulator to continue (e.g. extend a campaign
-            that has not disclosed the key yet) instead of starting
-            from ``consumer_factory()``.
-
-        Returns the folded accumulator.  Results are bit-identical at
-        any worker count and shard size for integer-readout accumulators
-        (see :mod:`repro.analysis.streaming`).
-
-        With a block store configured, accumulators that implement the
-        snapshot protocol (``cache_token`` / ``state_arrays`` /
-        ``load_state_arrays``, e.g. :class:`~repro.attacks.cpa.
-        CPAAttack`) additionally memoize their folded state at every
-        checkpoint: an identical later campaign is replayed from those
-        snapshots without re-acquiring *or* re-accumulating a single
-        trace, bit-identically.  This is :meth:`stream_attack_many`
-        over one sensor.
-        """
+        """:meth:`stream_attack_many` over one sensor, with a
+        ``(count, accumulator)`` checkpoint callback and one
+        ``consumer`` to continue.  It exists only for the end-to-end
+        benchmark's span harness, which times the engine by this name;
+        every campaign calls :meth:`stream_attack_many`."""
         relay = None
         if on_checkpoint is not None:
             def relay(_sensor: int, count: int, acc: object) -> None:
                 on_checkpoint(count, acc)
 
-        return self._stream(
-            self._as_multi([acquisition]), n_traces, key=key,
-            consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
-            checkpoints=checkpoints, on_checkpoint=relay,
-            consumers=None if consumer is None else [consumer],
+        return self.stream_attack_many(
+            [acquisition], n_traces, on_checkpoint=relay,
+            consumers=None if consumer is None else [consumer], **options,
         )[0]
 
     def stream_attack_many(
@@ -1033,51 +961,71 @@ class Engine:
         n_samples: Optional[int] = None,
         checkpoints: Sequence[int] = (),
         on_checkpoint: Optional[Callable[[int, int, object], None]] = None,
+        consumers: Optional[Sequence[object]] = None,
     ) -> List[object]:
-        """Fan-out counterpart of :meth:`stream_attack`: one victim
-        campaign folded into one accumulator *per sensor*.
+        """Acquire one victim campaign and fold it straight into one
+        accumulator *per sensor*.
 
-        ``consumer_factory`` is called once per sensor for the masters
-        (and per segment inside workers); ``on_checkpoint(sensor_index,
-        count, accumulator)`` fires per sensor at each checkpoint, in
-        sensor order within a checkpoint.  Each segment reaches the
-        sensors' accumulators through one ``update_many`` call when
-        their type defines it (:meth:`~repro.attacks.cpa.CPAAttack.
-        update_many` prepares the segment's hypotheses once for all
-        sensors), and through per-sensor ``update`` calls otherwise.
-        Each returned accumulator is bit-identical to
-        :meth:`stream_attack` over that sensor alone with the same
-        seed, at any worker count.
+        The streaming counterpart of :meth:`collect_many`: identical
+        shard plan, identical random streams — so the traces are
+        bit-for-bit the ones :meth:`collect_many` would return — but
+        shards are folded into mergeable accumulators (anything
+        exposing ``update(traces, ciphertexts)`` and ``merge(other)``,
+        e.g. :class:`~repro.attacks.cpa.CPAAttack`) as they complete,
+        and the full ``(n_traces, n_samples)`` matrix is never
+        materialized.  Each segment reaches the sensors' accumulators
+        through one ``update_many(accumulators, traces_list,
+        ciphertexts)`` call when their type defines it (:meth:`~repro.
+        attacks.cpa.CPAAttack.update_many` prepares the segment's
+        hypotheses once for all sensors), and through per-sensor
+        ``update`` calls otherwise.  Each call gets a whole
+        checkpoint-bounded shard segment (at most ``shard_size`` rows);
+        the accumulator bounds its own working set.  Peak memory is one
+        shard block plus the accumulators, independent of ``n_traces``.
 
-        Attack-state snapshots are memoized for a fan-out of one only:
-        at N > 1 the per-sensor trace blocks themselves are cached, so
-        a warm rerun replays acquisition from the store and repeats
-        only the accumulation.
+        Parameters
+        ----------
+        consumer_factory:
+            Zero-argument callable producing a fresh accumulator; called
+            once per sensor for the masters (and per segment inside
+            workers), so it must be picklable for ``workers > 1`` (e.g.
+            ``functools.partial(CPAAttack, n_samples)``).
+        checkpoints:
+            Strictly increasing trace counts at which ``on_checkpoint
+            (sensor_index, count, accumulator)`` fires per sensor, in
+            sensor order within a checkpoint, with the accumulator
+            holding exactly the first ``count`` traces — incremental
+            key-rank progress without a second pass.
+        consumers:
+            Existing accumulators to continue, one per sensor (e.g.
+            extend a campaign that has not disclosed the key yet),
+            instead of starting from ``consumer_factory()``.
+
+        Returns the folded accumulators in sensor order.  Each is
+        bit-identical at any worker count and shard size for
+        integer-readout accumulators (see :mod:`repro.analysis.
+        streaming`), and to a campaign over that sensor alone with the
+        same seed.  A serial run folds each segment straight into the
+        masters (the sums are exact, so that equals merging a fresh
+        segment); a pool run merges its workers' segments into them in
+        shard order.
+
+        With a block store configured, a fresh campaign over one sensor
+        whose accumulator implements the snapshot protocol
+        (``cache_token`` / ``state_arrays`` / ``load_state_arrays``,
+        e.g. :class:`~repro.attacks.cpa.CPAAttack`) additionally
+        memoizes its folded state at every checkpoint: an identical
+        later campaign is replayed from those snapshots without
+        re-acquiring *or* re-accumulating a single trace,
+        bit-identically.  At N > 1 the per-sensor trace blocks
+        themselves are cached, so a warm rerun replays acquisition from
+        the store and repeats only the accumulation.
         """
-        return self._stream(
-            self._as_multi(acquisitions), n_traces, key=key,
-            consumer_factory=consumer_factory, seed=seed, n_samples=n_samples,
-            checkpoints=checkpoints, on_checkpoint=on_checkpoint,
-        )
-
-    def _stream(
-        self,
-        msa: MultiSensorAcquisition,
-        n_traces: int,
-        *,
-        key,
-        consumer_factory: Callable[[], object],
-        seed: SeedLike,
-        n_samples: Optional[int],
-        checkpoints: Sequence[int],
-        on_checkpoint: Optional[Callable[[int, int, object], None]],
-        consumers: Optional[List[object]] = None,
-    ) -> List[object]:
-        """The stream campaign behind both public methods; ``consumers``
-        continues existing per-sensor accumulators.  A serial run folds
-        each segment straight into the masters (the sums are exact, so
-        that equals merging a fresh segment); a pool run merges its
-        workers' segments into them in shard order."""
+        msa = self._as_multi(acquisitions)
+        if consumers is not None and len(consumers) != len(msa):
+            raise ConfigurationError(
+                f"{len(consumers)} consumers for a fan-out of {len(msa)} sensors"
+            )
         boundaries = tuple(int(c) for c in checkpoints)
         if list(boundaries) != sorted(set(boundaries)):
             raise ConfigurationError("checkpoints must be strictly increasing")
@@ -1284,34 +1232,6 @@ class Engine:
         return masters
 
     # ------------------------------------------------------------------
-    def characterize(
-        self,
-        sensor: VoltageSensor,
-        coupling: CouplingModel,
-        virus: PowerVirusBank,
-        active_groups: int,
-        n_readouts: int = 2000,
-        *,
-        seed: SeedLike = 0,
-        noise: Optional[NoiseModel] = None,
-    ) -> np.ndarray:
-        """Sample a sensor under a steady power-virus activity level
-        (the characterization workload of Section IV-A, Fig. 3/4).
-
-        ``active_groups`` is how many of the bank's groups are enabled
-        (``0 .. virus.n_groups``); integer-valued floats are coerced and
-        fractional or out-of-range values raise
-        :class:`~repro.errors.AcquisitionError`.  ``noise`` defaults to
-        white noise at the sensor constants' RMS level.  Returns the
-        ``(n_readouts,)`` integer readouts, bit-identical at any worker
-        count for a fixed ``seed``.  This is :meth:`characterize_many`
-        over one sensor.
-        """
-        return self.characterize_many(
-            [sensor], coupling, virus, active_groups, n_readouts,
-            seed=seed, noise=noise,
-        )[0]
-
     def characterize_many(
         self,
         sensors: Sequence[VoltageSensor],
@@ -1323,16 +1243,22 @@ class Engine:
         seed: SeedLike = 0,
         noise: Optional[NoiseModel] = None,
     ) -> List[np.ndarray]:
-        """Fan-out counterpart of :meth:`characterize`: one readout
-        array per sensor from a single sharded campaign.
+        """Sample sensors under a steady power-virus activity level
+        (the characterization workload of Section IV-A, Fig. 3/4): one
+        ``(n_readouts,)`` integer readout array per sensor from a single
+        sharded campaign, bit-identical at any worker count for a fixed
+        ``seed``.
 
-        Every sensor's row is bit-identical to :meth:`characterize`
-        over that sensor alone with the same seed — inside a shard the
-        RNG is restored to its entry state between sensors — and each
-        sensor's cache blocks use exactly its single-sensor key, so the
-        two share a warm store.  ``noise`` applies to all sensors when
-        given; otherwise each sensor gets its own white-noise default
-        from its constants (matching :meth:`characterize`).
+        ``active_groups`` is how many of the bank's groups are enabled
+        (``0 .. virus.n_groups``); integer-valued floats are coerced and
+        fractional or out-of-range values raise
+        :class:`~repro.errors.AcquisitionError`.  Every sensor's row is
+        bit-identical to a campaign over that sensor alone with the same
+        seed — inside a shard the RNG is restored to its entry state
+        between sensors — and each sensor's cache blocks use exactly its
+        single-sensor key, so the two share a warm store.  ``noise``
+        applies to all sensors when given; otherwise each sensor gets
+        white noise at its own constants' RMS level.
         """
         if not sensors:
             raise ConfigurationError("characterize_many needs >= 1 sensor")

@@ -275,15 +275,6 @@ class EngineMetrics:
         """:func:`hit_rate` of this run (0.0 with the cache off)."""
         return hit_rate(self.cache_summary()).rate
 
-    def stage_items_per_second(self) -> Dict[str, float]:
-        """Per-stage throughput: campaign items over that stage's
-        summed worker seconds (i.e. the rate each stage alone would
-        sustain on one core).  ``0.0`` for zero-time stages."""
-        return {
-            stage: (self.n_items / seconds if seconds > 0 else 0.0)
-            for stage, seconds in self.stage_totals().items()
-        }
-
     def summary(self) -> str:
         """One human-readable line for logs and progress output."""
         stages = self.stage_totals()

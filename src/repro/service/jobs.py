@@ -85,7 +85,8 @@ class JobEvent:
 
     ``kind`` is ``"state"`` (lifecycle transition), ``"checkpoint"``
     (full-precision key-rank bounds relayed from the engine's
-    ``stream_attack`` hooks) or ``"progress"`` (shard-level progress).
+    ``stream_attack_many`` checkpoint hooks) or ``"progress"``
+    (shard-level progress).
     """
 
     kind: str

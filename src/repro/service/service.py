@@ -10,8 +10,8 @@ long-running multi-tenant system:
   :class:`~repro.service.scheduler.CacheAwareScheduler` (tenant-fair,
   warm-BlockStore-first) and executes each campaign on an injected
   :class:`concurrent.futures.Executor` so the event loop stays live.
-* **stream** — the engine's ``stream_attack`` progress hooks flow back
-  as checkpointed key-rank :class:`~repro.service.jobs.JobEvent`\\ s;
+* **stream** — the engine's ``stream_attack_many`` checkpoint hooks flow
+  back as checkpointed key-rank :class:`~repro.service.jobs.JobEvent`\\ s;
   ``watch`` replays a job's full event log and then follows it live.
 * **observe** — every request runs with a per-job run directory
   (manifest + JSONL run log + span tree via ``registry.run``), so

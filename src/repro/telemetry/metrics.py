@@ -328,11 +328,6 @@ class MetricsRegistry:
             deterministic=deterministic, buckets=buckets,
         )
 
-    def reset(self) -> None:
-        """Drop every metric (tests and benchmark isolation)."""
-        with self._lock:
-            self._metrics.clear()
-
     # -- export --------------------------------------------------------
     def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
         """A plain-JSON view of every series.

@@ -336,7 +336,7 @@ def characterize_droop(
 ) -> float:
     """Steady-state droop [V] at the sensor for a virus activity level
     (the deterministic part of :meth:`repro.runtime.Engine.
-    characterize`); ``active_groups`` must be a whole number of groups
+    characterize_many`); ``active_groups`` must be a whole number of groups
     in ``0 .. virus.n_groups``."""
     active_groups = _coerce_group_count(active_groups, virus.n_groups)
     sensor_pos = sensor.require_position()

@@ -31,7 +31,7 @@ Design points:
   the engine re-acquires the shard.
 * **Zero-copy reads** (:class:`CachedBlock`): arrays come back as
   read-only :class:`numpy.memmap` views over the block file, 64-byte
-  aligned.  ``Engine.stream_attack`` feeds accumulator updates straight
+  aligned.  ``Engine.stream_attack_many`` feeds accumulator updates straight
   from those views; the trace matrix is never copied into anonymous
   memory, and page cache is shared between concurrent readers.
 * **Eviction** (:meth:`BlockStore.prune`): optional LRU size cap.

@@ -319,7 +319,7 @@ class TestEviction:
         """A prune racing a warm campaign degrades hits to misses,
         bit-identically."""
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
 
         pruning = threading.Event()
 
@@ -333,7 +333,7 @@ class TestEviction:
         racy = Engine(
             workers=1, shard_size=SHARD, cache=_PruningStore(tmp_path)
         )
-        warm = racy.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [warm] = racy.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         np.testing.assert_array_equal(cold.traces, warm.traces)
         assert racy.cache_totals["misses"] == 3
 
@@ -345,16 +345,16 @@ class TestEviction:
 
 class TestEngineCache:
     def test_collect_identical_off_cold_warm(self, acquisition, tmp_path):
-        off = Engine(workers=1, shard_size=SHARD).collect(
-            acquisition, N_TRACES, key=KEY, seed=3
+        [off] = Engine(workers=1, shard_size=SHARD).collect_many(
+            [acquisition], N_TRACES, key=KEY, seed=3
         )
         cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = cold_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = cold_engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert cold_engine.last_metrics.cache_summary()["misses"] == 3
         assert cold_engine.last_metrics.cache_summary()["hits"] == 0
 
         warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [warm] = warm_engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert warm_engine.last_metrics.cache_summary()["hits"] == 3
         assert warm_engine.last_metrics.cache_summary()["misses"] == 0
         assert warm_engine.cache_hit_rate() == 1.0
@@ -366,47 +366,47 @@ class TestEngineCache:
 
     def test_warm_hits_across_worker_counts(self, acquisition, tmp_path):
         serial = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = serial.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = serial.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         pooled = Engine(workers=2, shard_size=SHARD, cache=str(tmp_path))
-        warm = pooled.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [warm] = pooled.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert pooled.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 
     def test_seed_and_config_invalidate_blocks(self, acquisition, tmp_path):
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        engine.collect(acquisition, N_TRACES, key=KEY, seed=4)
+        engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
+        engine.collect_many([acquisition], N_TRACES, key=KEY, seed=4)
         assert engine.cache_totals["misses"] == 6  # disjoint keys
-        engine.collect(acquisition, N_TRACES, key=bytes(16), seed=3)
+        engine.collect_many([acquisition], N_TRACES, key=bytes(16), seed=3)
         assert engine.cache_totals["misses"] == 9
 
     def test_blocks_shared_between_kernels(self, acquisition, tmp_path):
         cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = cold_engine.collect(
-            with_reference_kernel(acquisition), N_TRACES, key=KEY, seed=3
+        [cold] = cold_engine.collect_many(
+            [with_reference_kernel(acquisition)], N_TRACES, key=KEY, seed=3
         )
         warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [warm] = warm_engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert warm_engine.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 
     def test_damaged_block_reacquired_with_warning(self, acquisition, tmp_path):
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         path = _first_block_path(engine.cache)
         data = bytearray(path.read_bytes())
         data[-3] ^= 0xFF
         path.write_bytes(bytes(data))
 
         with pytest.warns(CacheIntegrityWarning):
-            warm = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+            [warm] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         np.testing.assert_array_equal(cold.traces, warm.traces)
         assert engine.last_metrics.cache_summary()["hits"] == 2
         assert engine.last_metrics.cache_summary()["misses"] == 1
         # The damaged block was re-published; a third run is all hits.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+            [again] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert engine.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(cold.traces, again.traces)
 
@@ -419,8 +419,8 @@ class TestEngineCache:
         def correlations(engine, step=None):
             # A checkpoint grid cuts the shards into the chunks the
             # accumulator is fed.
-            attack = engine.stream_attack(
-                acquisition, N_TRACES, key=KEY, consumer_factory=factory,
+            [attack] = engine.stream_attack_many(
+                [acquisition], N_TRACES, key=KEY, consumer_factory=factory,
                 seed=3, checkpoints=range(step, N_TRACES + 1, step) if step else (),
             )
             return attack.correlations()
@@ -444,10 +444,10 @@ class TestEngineCache:
     def test_collect_warms_stream_and_vice_versa(self, acquisition, tmp_path):
         """Streamed and collected campaigns share block keys."""
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         n_samples = acquisition.default_n_samples()
-        engine.stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        engine.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, n_samples), seed=3,
         )
         assert engine.last_metrics.cache_summary()["hits"] == 3
@@ -461,15 +461,15 @@ class TestEngineCache:
         sensor = common.make_leakydsp(
             setup, common.region_pblock(setup.device, 2), seed=9
         )
-        off = Engine(workers=1, shard_size=SHARD).characterize(
-            sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+        [off] = Engine(workers=1, shard_size=SHARD).characterize_many(
+            [sensor], setup.coupling, virus, 2, n_readouts=500, seed=5
         )
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        cold = engine.characterize(
-            sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+        [cold] = engine.characterize_many(
+            [sensor], setup.coupling, virus, 2, n_readouts=500, seed=5
         )
-        warm = engine.characterize(
-            sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+        [warm] = engine.characterize_many(
+            [sensor], setup.coupling, virus, 2, n_readouts=500, seed=5
         )
         assert engine.last_metrics.cache_summary()["hits"] == 2
         np.testing.assert_array_equal(off, cold)
@@ -487,8 +487,8 @@ class TestEngineCache:
         )
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         for _ in ("cold", "warm"):
-            engine.characterize(
-                sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+            engine.characterize_many(
+                [sensor], setup.coupling, virus, 2, n_readouts=500, seed=5
             )
             m = engine.last_metrics
             counts = m.cache_summary()
@@ -499,7 +499,7 @@ class TestEngineCache:
 
     def test_shard_metrics_carry_cache_fields(self, acquisition, tmp_path):
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         shard = engine.last_metrics.shards[0]
         assert shard.cache == "miss"
         assert (
@@ -525,11 +525,11 @@ class TestAttackStateSnapshots:
         engine = Engine(workers=workers, shard_size=SHARD, cache=cache_dir)
         seen = []
 
-        def on_checkpoint(end, attack):
+        def on_checkpoint(_sensor, end, attack):
             seen.append((end, attack.correlations().copy()))
 
-        attack = engine.stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        [attack] = engine.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, n_samples),
             seed=3, checkpoints=(200, 400, 600),
             on_checkpoint=on_checkpoint,
@@ -590,8 +590,8 @@ class TestAttackStateSnapshots:
         registry = MetricsRegistry(enabled=True)
         monkeypatch.setattr(engine_mod, "get_registry", lambda: registry)
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        engine.stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        engine.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, acquisition.default_n_samples()),
             seed=3, checkpoints=(200, 512, 600),
         )
@@ -610,15 +610,15 @@ class TestAttackStateSnapshots:
     def test_continuation_is_not_snapshotted(self, acquisition, tmp_path):
         n_samples = acquisition.default_n_samples()
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        attack = engine.stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        [attack] = engine.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, n_samples), seed=3,
         )
         n_before = engine.cache.stats().n_blocks
-        engine.stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        engine.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=partial(CPAAttack, n_samples), seed=11,
-            consumer=attack,
+            consumers=[attack],
         )
         store = engine.cache
         new_states = [
@@ -657,7 +657,7 @@ class TestAttackStateSnapshots:
 
 def _collect_traces(acquisition, cache_dir, seed):
     engine = Engine(workers=1, shard_size=SHARD, cache=cache_dir)
-    ts = engine.collect(acquisition, N_TRACES, key=KEY, seed=seed)
+    [ts] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=seed)
     return ts.traces
 
 
@@ -686,7 +686,7 @@ class TestConcurrentWriters:
         assert leftovers == []
 
         warm = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        again = warm.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [again] = warm.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         assert warm.last_metrics.cache_summary()["hits"] == 3
         np.testing.assert_array_equal(results[0], again.traces)
 

@@ -11,6 +11,7 @@ campaign methods and the per-sensor sub-block cache accounting.
 """
 
 import dataclasses
+import importlib
 import mmap
 import warnings
 from functools import partial
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.cpa import CPAAttack
-from repro.attacks.metrics import streamed_rank_curve, streamed_rank_curves
+from repro.attacks.metrics import streamed_rank_curves
 from repro.errors import AcquisitionError, ConfigurationError
 from repro.kernels import FusedAcquisitionKernel, get_kernel
 from repro.kernels import fanout
@@ -292,8 +293,8 @@ class TestEngineFanout:
         engine = Engine(workers=workers, shard_size=SHARD)
         fanned = engine.collect_many(multi, N_TRACES, key=KEY, seed=5)
         for spec, ts in zip(specs, fanned):
-            solo = Engine(workers=1, shard_size=SHARD).collect(
-                spec.build(), N_TRACES, key=KEY, seed=5
+            [solo] = Engine(workers=1, shard_size=SHARD).collect_many(
+                [spec.build()], N_TRACES, key=KEY, seed=5
             )
             np.testing.assert_array_equal(ts.traces, solo.traces)
             np.testing.assert_array_equal(ts.plaintexts, solo.plaintexts)
@@ -319,8 +320,8 @@ class TestEngineFanout:
         )
         assert len(pairs) == len(specs)
         for spec, (curve, attack) in zip(specs, pairs):
-            solo_curve, solo_attack = streamed_rank_curve(
-                Engine(workers=1, shard_size=SHARD), spec.build(), N_TRACES,
+            [(solo_curve, solo_attack)] = streamed_rank_curves(
+                Engine(workers=1, shard_size=SHARD), [spec.build()], N_TRACES,
                 key=KEY, checkpoints=checkpoints, seed=5,
                 sample_window=window,
             )
@@ -445,8 +446,8 @@ class TestEngineFanout:
         )
         assert engine.last_metrics.kind == "characterize"
         for sensor, out in zip(sensors, outs):
-            solo = Engine(workers=1, shard_size=SHARD).characterize(
-                sensor, setup.coupling, virus, 2, 600, seed=5
+            [solo] = Engine(workers=1, shard_size=SHARD).characterize_many(
+                [sensor], setup.coupling, virus, 2, 600, seed=5
             )
             np.testing.assert_array_equal(out, solo)
 
@@ -455,6 +456,90 @@ class TestEngineFanout:
         virus = common.make_virus(setup, n_instances=800, n_groups=4)
         with pytest.raises(ConfigurationError):
             Engine(workers=1).characterize_many([], setup.coupling, virus, 0, 100)
+
+    @pytest.mark.parametrize("n_consumers", [1, 3], ids=["too-few", "too-many"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_consumers_must_match_the_fanout_width(
+        self, specs, workers, n_consumers
+    ):
+        """A continuation list one entry per sensor, or nothing: any
+        other length is refused before a shard runs, at any worker
+        count, and ``streamed_rank_curves(attacks=...)`` inherits it."""
+        pair = MultiSensorAcquisition(specs[:2])
+        factory = partial(CPAAttack, pair.default_n_samples())
+        events = []
+        engine = Engine(workers=workers, shard_size=128, progress=events.append)
+        with pytest.raises(ConfigurationError, match="fan-out of 2 sensors"):
+            engine.stream_attack_many(
+                pair, 256, key=KEY, consumer_factory=factory, seed=5,
+                consumers=[factory() for _ in range(n_consumers)],
+            )
+        with pytest.raises(ConfigurationError, match="fan-out of 2 sensors"):
+            streamed_rank_curves(
+                engine, pair, 256, key=KEY, checkpoints=[256], seed=5,
+                attacks=[factory() for _ in range(n_consumers)],
+            )
+        assert events == []
+
+    def test_stream_attack_relays_a_fanout_of_one(self, specs):
+        """``Engine.stream_attack`` is ``stream_attack_many`` over one
+        sensor: the same accumulator, the same checkpoints with the
+        sensor index dropped, the same continuation."""
+        acq = specs[1].build()
+        factory = partial(CPAAttack, acq.default_n_samples())
+        engine = Engine(workers=1, shard_size=SHARD)
+        got, want = [], []
+        attack = engine.stream_attack(
+            acq, N_TRACES, key=KEY, consumer_factory=factory, seed=5,
+            checkpoints=[200, 600],
+            on_checkpoint=lambda done, acc: got.append(
+                (done, acc.peak_correlations().copy())
+            ),
+        )
+        [expected] = engine.stream_attack_many(
+            [acq], N_TRACES, key=KEY, consumer_factory=factory, seed=5,
+            checkpoints=[200, 600],
+            on_checkpoint=lambda index, done, acc: want.append(
+                (done, acc.peak_correlations().copy())
+            ),
+        )
+        assert [d for d, _ in got] == [d for d, _ in want] == [200, 600]
+        for (_, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(attack.correlations(), expected.correlations())
+
+        more = engine.stream_attack(
+            acq, 256, key=KEY, consumer_factory=factory, seed=9, consumer=attack
+        )
+        [expected_more] = engine.stream_attack_many(
+            [acq], 256, key=KEY, consumer_factory=factory, seed=9,
+            consumers=[expected],
+        )
+        assert more is attack and more.n_traces == N_TRACES + 256
+        np.testing.assert_array_equal(
+            more.correlations(), expected_more.correlations()
+        )
+
+
+@pytest.mark.parametrize(
+    "module,owner,name",
+    [
+        ("repro.runtime.engine", "Engine", "collect"),
+        ("repro.runtime.engine", "Engine", "characterize"),
+        ("repro.runtime.engine", "Engine", "_stream"),
+        ("repro.attacks", None, "streamed_rank_curve"),
+        ("repro.attacks.metrics", None, "streamed_rank_curve"),
+        ("repro.experiments.table1_traces", None, "streamed_placement_curve"),
+        ("repro.experiments.table1_traces", None, "placement_acquisition"),
+    ],
+)
+def test_single_sensor_twins_are_retired(module, owner, name):
+    """A single-sensor campaign is the N=1 fan-out: the singular twins
+    of the fan-out API are gone, not kept as wrappers."""
+    target = importlib.import_module(module)
+    if owner is not None:
+        target = getattr(target, owner)
+    assert not hasattr(target, name)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +722,9 @@ class TestFanoutCache:
         # Fan-out sub-blocks use exactly the single-sensor keys: a
         # standalone campaign over one member is served fully warm.
         single = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        solo = single.collect(specs[1].build(), N_TRACES, key=KEY, seed=5)
+        [solo] = single.collect_many(
+            [specs[1].build()], N_TRACES, key=KEY, seed=5
+        )
         assert single.cache_totals["hits"] == n_shards
         assert single.cache_totals["misses"] == 0
         # A single-sensor shard is a fan-out of one: one sub-lookup each.
@@ -650,7 +737,7 @@ class TestFanoutCache:
 
         # Warm exactly one sensor's sub-blocks, then fan out.
         single = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-        single.collect(specs[0].build(), N_TRACES, key=KEY, seed=5)
+        single.collect_many([specs[0].build()], N_TRACES, key=KEY, seed=5)
 
         engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
         engine.collect_many(multi, N_TRACES, key=KEY, seed=5)

@@ -112,11 +112,11 @@ class TestFig3Golden:
 
 class TestFig5Golden:
     def test_streamed_key_rank_curve(self, update_goldens):
-        from repro.experiments.table1_traces import streamed_placement_curve
+        from repro.experiments.table1_traces import streamed_placement_curves
 
         engine = Engine(workers=1, shard_size=1024)
-        curve, attack = streamed_placement_curve(
-            engine, "P6", 4000, 1000, "LeakyDSP", rng=3
+        [(curve, attack)] = streamed_placement_curves(
+            engine, ["P6"], 4000, 1000, "LeakyDSP", rng=3
         )
         payload = {
             "n_traces": attack.n_traces,
@@ -148,7 +148,7 @@ class _RecordingStore(BlockStore):
 
 
 class TestEngineBlockKeysGolden:
-    """Absolute cache keys of tiny single-sensor campaigns.  Keys are
+    """Absolute cache keys of tiny single-sensor (N=1 fan-out) campaigns.  Keys are
     content addresses shared by every local cache and remote fleet: an
     engine change that moves one orphans all of them."""
 
@@ -157,22 +157,21 @@ class TestEngineBlockKeysGolden:
 
         from repro.attacks.cpa import CPAAttack
         from repro.experiments import common
-        from repro.experiments.table1_traces import placement_acquisition
 
         def published(name, campaign):
             store = _RecordingStore(tmp_path / name)
             campaign(Engine(workers=1, shard_size=256, cache=store))
             return store.published
 
-        acq = placement_acquisition("P6")
+        acq = common.placement_spec("P6").build()
         key = bytes(range(16))
         collect = published(
-            "collect", lambda e: e.collect(acq, 600, key=key, seed=3)
+            "collect", lambda e: e.collect_many([acq], 600, key=key, seed=3)
         )
         stream = published(
             "stream",
-            lambda e: e.stream_attack(
-                acq, 600, key=key, seed=3,
+            lambda e: e.stream_attack_many(
+                [acq], 600, key=key, seed=3,
                 consumer_factory=partial(CPAAttack, acq.default_n_samples()),
                 checkpoints=[200, 512, 600],
             ),
@@ -184,7 +183,9 @@ class TestEngineBlockKeysGolden:
         )
         characterize = published(
             "characterize",
-            lambda e: e.characterize(sensor, setup.coupling, virus, 4, 600, seed=11),
+            lambda e: e.characterize_many(
+                [sensor], setup.coupling, virus, 4, 600, seed=11
+            ),
         )
         payload = {
             "collect": collect["blocks"],

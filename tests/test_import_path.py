@@ -16,8 +16,8 @@ lists in ``__all__`` must resolve, so a re-export cannot outlive the
 code it pointed at.  And every module under ``src/repro`` must be
 reachable by imports from an entry point (the CLI, the experiment
 registry, the campaign service), so a module only tests still use
-fails here instead of lingering.  A module-level import whose name the
-module never uses fails too (no linter runs in CI).
+fails here instead of lingering.  An import whose name is never used in
+the module or function that imports it fails too (no linter runs in CI).
 
 The end-to-end benchmark's traced rep wraps engine, kernel, store and
 experiment names from outside ``src/`` (``benchmarks/e2e/spans.py``);
@@ -175,18 +175,25 @@ def test_every_module_is_reachable_from_an_entry_point():
     assert sorted(set(files) - seen) == []
 
 
-def _module_level_imports(tree):
-    """``(line, bound name)`` for each import at module level, those
-    under a module-level ``if``/``try`` included; ``__future__`` skipped."""
-    for top in tree.body:
-        nodes = ast.walk(top) if isinstance(top, (ast.If, ast.Try)) else [top]
-        for node in nodes:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield node.lineno, alias.asname or alias.name.partition(".")[0]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for alias in node.names:
-                    yield node.lineno, alias.asname or alias.name
+def _imports(tree):
+    """``(line, bound name, scope)`` for each import in a module, at any
+    depth (``__future__`` skipped).  ``scope`` is the innermost function
+    around the import, or the module itself: the name must be used
+    there."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    yield child.lineno, name, scope
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                for alias in child.names:
+                    yield child.lineno, alias.asname or alias.name, scope
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child if function else scope)
+
+    yield from visit(tree, tree)
 
 
 def _listed_names(tree):
@@ -201,9 +208,11 @@ def _listed_names(tree):
 
 def test_no_unused_imports():
     """Every name a module of the package, the tests, the benchmarks,
-    the scripts or the examples imports at module level is used in it
-    (or listed in its ``__all__``).  Package ``__init__`` files
-    re-export by design and are skipped."""
+    the scripts or the examples imports is used in the scope that
+    imports it: the module (or its ``__all__``) for a module-level
+    import, the enclosing function for a function-level one.  An import
+    marked ``# noqa: F401`` is kept for its side effect.  Package
+    ``__init__`` files re-export by design and are skipped."""
     package = Path(repro.__file__).resolve().parent
     repo = package.parent.parent
     unused = []
@@ -212,10 +221,14 @@ def test_no_unused_imports():
         for path in sorted(root.rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            tree = ast.parse(path.read_text(), str(path))
-            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            used |= _listed_names(tree)
-            for line, name in _module_level_imports(tree):
-                if name not in used:
+            source = path.read_text()
+            lines = source.splitlines()
+            tree = ast.parse(source, str(path))
+            listed = _listed_names(tree)
+            for line, name, scope in _imports(tree):
+                if "noqa: F401" in lines[line - 1]:
+                    continue
+                used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+                if name not in used and not (scope is tree and name in listed):
                     unused.append(f"{path.relative_to(repo)}:{line}: {name}")
     assert unused == []

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.cpa import CPAAttack
-from repro.attacks.metrics import rank_curve, streamed_rank_curve
+from repro.attacks.metrics import rank_curve, streamed_rank_curves
 from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
 from repro.errors import (
@@ -108,12 +108,12 @@ class TestShardPlanning:
 
 class TestEngineCollect:
     def test_identical_across_worker_counts(self, acquisition):
-        reference = Engine(workers=1, shard_size=16).collect(
-            acquisition, 100, key=KEY, seed=3
+        [reference] = Engine(workers=1, shard_size=16).collect_many(
+            [acquisition], 100, key=KEY, seed=3
         )
         for workers in (2, 4):
-            ts = Engine(workers=workers, shard_size=16).collect(
-                acquisition, 100, key=KEY, seed=3
+            [ts] = Engine(workers=workers, shard_size=16).collect_many(
+                [acquisition], 100, key=KEY, seed=3
             )
             np.testing.assert_array_equal(ts.traces, reference.traces)
             np.testing.assert_array_equal(ts.plaintexts, reference.plaintexts)
@@ -121,26 +121,33 @@ class TestEngineCollect:
             np.testing.assert_array_equal(ts.key, reference.key)
 
     def test_serial_engine_matches_itself(self, acquisition):
-        a = Engine(workers=1, shard_size=32).collect(acquisition, 50, key=KEY, seed=1)
-        b = Engine(workers=1, shard_size=32).collect(acquisition, 50, key=KEY, seed=1)
+        [a] = Engine(workers=1, shard_size=32).collect_many(
+            [acquisition], 50, key=KEY, seed=1
+        )
+        [b] = Engine(workers=1, shard_size=32).collect_many(
+            [acquisition], 50, key=KEY, seed=1
+        )
         np.testing.assert_array_equal(a.traces, b.traces)
 
     def test_seed_changes_output(self, acquisition):
-        a = Engine(workers=1, shard_size=32).collect(acquisition, 50, key=KEY, seed=1)
-        b = Engine(workers=1, shard_size=32).collect(acquisition, 50, key=KEY, seed=2)
+        engine = Engine(workers=1, shard_size=32)
+        [a] = engine.collect_many([acquisition], 50, key=KEY, seed=1)
+        [b] = engine.collect_many([acquisition], 50, key=KEY, seed=2)
         assert not np.array_equal(a.plaintexts, b.plaintexts)
 
     def test_ciphertexts_are_real_aes(self, acquisition):
         from repro.victims.aes import AES128
 
-        ts = Engine(workers=1, shard_size=32).collect(acquisition, 10, key=KEY, seed=4)
+        [ts] = Engine(workers=1, shard_size=32).collect_many(
+            [acquisition], 10, key=KEY, seed=4
+        )
         aes = AES128(KEY)
         expected = aes.encrypt_blocks(ts.plaintexts)
         np.testing.assert_array_equal(ts.ciphertexts, expected)
 
     def test_metadata_and_metrics(self, acquisition):
         engine = Engine(workers=1, shard_size=16)
-        ts = engine.collect(acquisition, 40, key=KEY, seed=0)
+        [ts] = engine.collect_many([acquisition], 40, key=KEY, seed=0)
         assert ts.metadata["sensor_type"] == "LeakyDSP"
         m = engine.last_metrics
         assert m.kind == "collect"
@@ -154,15 +161,15 @@ class TestEngineCollect:
     def test_progress_events(self, acquisition):
         events = []
         engine = Engine(workers=1, shard_size=16, progress=events.append)
-        engine.collect(acquisition, 40, key=KEY, seed=0)
+        engine.collect_many([acquisition], 40, key=KEY, seed=0)
         assert [e.done for e in events] == [16, 32, 40]
         assert all(e.total == 40 for e in events)
         assert all(e.kind == "collect" for e in events)
 
     def test_generator_seed_rejected(self, acquisition):
         with pytest.raises(ConfigurationError):
-            Engine(workers=1).collect(
-                acquisition, 10, key=KEY, seed=np.random.default_rng(0)
+            Engine(workers=1).collect_many(
+                [acquisition], 10, key=KEY, seed=np.random.default_rng(0)
             )
 
     def test_bad_engine_params_rejected(self):
@@ -175,12 +182,12 @@ class TestEngineCollect:
 class TestEngineCharacterize:
     def test_identical_across_worker_counts(self, characterization):
         sensor, coupling, virus = characterization
-        reference = Engine(workers=1, shard_size=64).characterize(
-            sensor, coupling, virus, 4, 300, seed=11
+        [reference] = Engine(workers=1, shard_size=64).characterize_many(
+            [sensor], coupling, virus, 4, 300, seed=11
         )
         for workers in (2, 3):
-            out = Engine(workers=workers, shard_size=64).characterize(
-                sensor, coupling, virus, 4, 300, seed=11
+            [out] = Engine(workers=workers, shard_size=64).characterize_many(
+                [sensor], coupling, virus, 4, 300, seed=11
             )
             np.testing.assert_array_equal(out, reference)
 
@@ -188,8 +195,8 @@ class TestEngineCharacterize:
         # The readout mean must sit near the sensor's noise-free
         # readout at the virus's steady-state droop.
         sensor, coupling, virus = characterization
-        engine_out = Engine(workers=1).characterize(
-            sensor, coupling, virus, 8, 600, seed=0
+        [engine_out] = Engine(workers=1).characterize_many(
+            [sensor], coupling, virus, 8, 600, seed=0
         )
         droop = characterize_droop(sensor, coupling, virus, 8)
         expected = sensor.expected_readout(
@@ -201,7 +208,7 @@ class TestEngineCharacterize:
         sensor, coupling, virus = characterization
         events = []
         engine = Engine(workers=1, shard_size=100, progress=events.append)
-        engine.characterize(sensor, coupling, virus, 2, 250, seed=5)
+        engine.characterize_many([sensor], coupling, virus, 2, 250, seed=5)
         assert [e.done for e in events] == [100, 200, 250]
         assert engine.last_metrics.kind == "characterize"
         assert engine.last_metrics.n_items == 250
@@ -216,8 +223,8 @@ class TestEngineStreamAttack:
 
     @pytest.fixture(scope="class")
     def batch(self, acquisition):
-        ts = Engine(workers=1, shard_size=16).collect(
-            acquisition, 120, key=KEY, seed=3
+        [ts] = Engine(workers=1, shard_size=16).collect_many(
+            [acquisition], 120, key=KEY, seed=3
         )
         attack = CPAAttack(ts.n_samples)
         attack.add_traces(ts.traces, ts.ciphertexts)
@@ -230,8 +237,8 @@ class TestEngineStreamAttack:
     ):
         ts, reference = batch
         engine = Engine(workers=workers, shard_size=16)
-        attack = engine.stream_attack(
-            acquisition,
+        [attack] = engine.stream_attack_many(
+            [acquisition],
             120,
             key=KEY,
             consumer_factory=partial(CPAAttack, ts.n_samples),
@@ -253,8 +260,8 @@ class TestEngineStreamAttack:
         checkpoints = [40, 80, 120]
         expected = rank_curve(ts, checkpoints)
         engine = Engine(workers=workers, shard_size=16)
-        curve, attack = streamed_rank_curve(
-            engine, acquisition, 120, key=KEY, checkpoints=checkpoints,
+        [(curve, attack)] = streamed_rank_curves(
+            engine, [acquisition], 120, key=KEY, checkpoints=checkpoints,
             seed=3,
         )
         assert attack.n_traces == 120
@@ -268,11 +275,12 @@ class TestEngineStreamAttack:
         ts, _ = batch
         seen = []
 
-        def on_checkpoint(count, acc):
+        def on_checkpoint(sensor, count, acc):
+            assert sensor == 0
             seen.append((count, acc.n_traces, acc.peak_correlations().copy()))
 
-        Engine(workers=1, shard_size=16).stream_attack(
-            acquisition, 120, key=KEY,
+        Engine(workers=1, shard_size=16).stream_attack_many(
+            [acquisition], 120, key=KEY,
             consumer_factory=partial(CPAAttack, ts.n_samples),
             seed=3, checkpoints=[24, 120], on_checkpoint=on_checkpoint,
         )
@@ -286,12 +294,12 @@ class TestEngineStreamAttack:
         ts, reference = batch
         engine = Engine(workers=1, shard_size=16)
         factory = partial(CPAAttack, ts.n_samples)
-        first = engine.stream_attack(
-            acquisition, 120, key=KEY, consumer_factory=factory, seed=3
+        [first] = engine.stream_attack_many(
+            [acquisition], 120, key=KEY, consumer_factory=factory, seed=3
         )
-        again = engine.stream_attack(
-            acquisition, 40, key=KEY, consumer_factory=factory, seed=99,
-            consumer=first,
+        [again] = engine.stream_attack_many(
+            [acquisition], 40, key=KEY, consumer_factory=factory, seed=99,
+            consumers=[first],
         )
         assert again is first
         assert again.n_traces == 160
@@ -299,8 +307,8 @@ class TestEngineStreamAttack:
     def test_stream_metrics_and_progress(self, acquisition):
         events = []
         engine = Engine(workers=1, shard_size=16, progress=events.append)
-        engine.stream_attack(
-            acquisition, 40, key=KEY,
+        engine.stream_attack_many(
+            [acquisition], 40, key=KEY,
             consumer_factory=partial(CPAAttack, acquisition.default_n_samples()),
             seed=0,
         )
@@ -315,18 +323,18 @@ class TestEngineStreamAttack:
         factory = partial(CPAAttack, acquisition.default_n_samples())
         engine = Engine(workers=1, shard_size=16)
         with pytest.raises(ConfigurationError):
-            engine.stream_attack(
-                acquisition, 20, key=KEY, consumer_factory=factory,
+            engine.stream_attack_many(
+                [acquisition], 20, key=KEY, consumer_factory=factory,
                 checkpoints=[10, 10, 20],
             )
         with pytest.raises(ConfigurationError):
-            engine.stream_attack(
-                acquisition, 20, key=KEY, consumer_factory=factory,
+            engine.stream_attack_many(
+                [acquisition], 20, key=KEY, consumer_factory=factory,
                 checkpoints=[10, 40],
             )
         with pytest.raises(ConfigurationError):
-            engine.stream_attack(
-                acquisition, 20, key=KEY, consumer_factory=factory,
+            engine.stream_attack_many(
+                [acquisition], 20, key=KEY, consumer_factory=factory,
                 checkpoints=[0, 10],
             )
 
@@ -402,8 +410,8 @@ class TestWorkerLoss:
         before = engine_segments()
         engine = Engine(workers=2, shard_size=16)
         with pytest.raises(WorkerLostError) as info:
-            engine.stream_attack(
-                acquisition, 128, key=KEY, seed=3,
+            engine.stream_attack_many(
+                [acquisition], 128, key=KEY, seed=3,
                 consumer_factory=partial(
                     _DyingAttack, acquisition.default_n_samples()
                 ),
@@ -423,9 +431,10 @@ class TestWorkerLoss:
         before = engine_segments()
         with pytest.raises(WorkerLostError) as info:
             if kind == "collect":
-                engine.collect(acquisition, 128, key=KEY, seed=3)
+                engine.collect_many([acquisition], 128, key=KEY, seed=3)
             else:
-                engine.characterize(*characterization, 4, 128, seed=3)
+                sensor, coupling, virus = characterization
+                engine.characterize_many([sensor], coupling, virus, 4, 128, seed=3)
         assert 3 in info.value.shards
         assert set(info.value.shards) <= set(range(8))
         assert str(list(info.value.shards)) in str(info.value)
@@ -447,8 +456,8 @@ class TestWorkerLoss:
         monkeypatch.setattr(scheduler, "_encode_results", encode_then_die)
         before = engine_segments()
         with pytest.raises(WorkerLostError):
-            Engine(workers=2, shard_size=16).stream_attack(
-                acquisition, 128, key=KEY, seed=3,
+            Engine(workers=2, shard_size=16).stream_attack_many(
+                [acquisition], 128, key=KEY, seed=3,
                 consumer_factory=partial(
                     CPAAttack, acquisition.default_n_samples()
                 ),
@@ -461,14 +470,14 @@ class TestWorkerLoss:
         unchanged and their segments are swept."""
         calls = []
 
-        def on_checkpoint(done, acc):
+        def on_checkpoint(_sensor, done, acc):
             calls.append(done)
             raise _Boom(done)
 
         before = engine_segments()
         with pytest.raises(_Boom) as info:
-            Engine(workers=2, shard_size=16).stream_attack(
-                acquisition, 128, key=KEY, seed=3,
+            Engine(workers=2, shard_size=16).stream_attack_many(
+                [acquisition], 128, key=KEY, seed=3,
                 consumer_factory=partial(
                     CPAAttack, acquisition.default_n_samples()
                 ),
@@ -545,30 +554,34 @@ class TestWorkerLoss:
 class TestActiveGroupsValidation:
     def test_float_integral_accepted(self, characterization):
         sensor, coupling, virus = characterization
-        a = Engine().characterize(sensor, coupling, virus, 4.0, 50, seed=1)
-        b = Engine().characterize(sensor, coupling, virus, 4, 50, seed=1)
+        [a] = Engine().characterize_many([sensor], coupling, virus, 4.0, 50, seed=1)
+        [b] = Engine().characterize_many([sensor], coupling, virus, 4, 50, seed=1)
         np.testing.assert_array_equal(a, b)
 
     def test_fractional_float_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            Engine().characterize(sensor, coupling, virus, 2.5, 50)
+            Engine().characterize_many([sensor], coupling, virus, 2.5, 50)
 
     def test_bool_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            Engine().characterize(sensor, coupling, virus, True, 50)
+            Engine().characterize_many([sensor], coupling, virus, True, 50)
 
     def test_out_of_range_rejected(self, characterization):
         sensor, coupling, virus = characterization
         with pytest.raises(AcquisitionError):
-            Engine().characterize(sensor, coupling, virus, virus.n_groups + 1, 50)
+            Engine().characterize_many(
+                [sensor], coupling, virus, virus.n_groups + 1, 50
+            )
         with pytest.raises(AcquisitionError):
-            Engine().characterize(sensor, coupling, virus, -1, 50)
+            Engine().characterize_many([sensor], coupling, virus, -1, 50)
 
     def test_numpy_integer_accepted(self, characterization):
         sensor, coupling, virus = characterization
-        out = Engine().characterize(sensor, coupling, virus, np.int64(3), 50, seed=2)
+        [out] = Engine().characterize_many(
+            [sensor], coupling, virus, np.int64(3), 50, seed=2
+        )
         assert out.shape == (50,)
 
 

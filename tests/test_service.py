@@ -84,12 +84,12 @@ def make_service(tmp_path=None, **kwargs):
 def direct_fig5_curve(seed, step=TINY["step"]):
     """The same TINY fig5 campaign run directly on an engine — the
     ground truth the service's streamed checkpoints must match."""
-    from repro.experiments.table1_traces import streamed_placement_curve
+    from repro.experiments.table1_traces import streamed_placement_curves
 
     engine = Engine(workers=1, shard_size=128)
-    curve, _ = streamed_placement_curve(
+    [(curve, _)] = streamed_placement_curves(
         engine,
-        "P6",
+        ["P6"],
         TINY["n_traces"],
         step,
         "LeakyDSP",

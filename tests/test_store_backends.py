@@ -539,15 +539,15 @@ class TestEngineSchedules:
     def test_bit_identical_across_schedules_and_tiers(
         self, acquisition, tmp_path, server
     ):
-        reference = Engine(workers=1, shard_size=SHARD).collect(
-            acquisition, N_TRACES, key=KEY, seed=3
+        [reference] = Engine(workers=1, shard_size=SHARD).collect_many(
+            [acquisition], N_TRACES, key=KEY, seed=3
         )
         # Host A fills the remote tier through a tiered store.
         a = Engine(
             workers=2, shard_size=SHARD,
             cache=open_store(str(tmp_path / "a"), remote=server.url),
         )
-        cold = a.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = a.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         np.testing.assert_array_equal(reference.traces, cold.traces)
         assert a.cache_totals["misses"] == 3
         assert a.cache_totals["remote_puts"] == 3
@@ -561,7 +561,7 @@ class TestEngineSchedules:
                     str(tmp_path / f"b-{schedule}"), remote=server.url
                 ),
             )
-            warm = b.collect(acquisition, N_TRACES, key=KEY, seed=3)
+            [warm] = b.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
             np.testing.assert_array_equal(reference.traces, warm.traces)
             assert b.cache_totals["misses"] == 0
             # Every block crossed the wire at least once (prefetcher or
@@ -589,12 +589,12 @@ class TestEngineSchedules:
         Engine(
             workers=1, shard_size=SHARD,
             cache=open_store(str(tmp_path / "a"), remote=server.url),
-        ).collect(acquisition, N_TRACES, key=KEY, seed=3)
+        ).collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         b = Engine(
             workers=1, shard_size=SHARD,
             cache=open_store(str(tmp_path / "b"), remote=server.url),
         )
-        b.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        b.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         totals = b.cache_totals
         assert totals["hits"] == 0
         assert totals["remote_served"] == totals["remote_hits"] == 3
@@ -636,25 +636,25 @@ class TestEngineSchedules:
         stealing = Engine(
             workers=1, shard_size=SHARD, cache=str(tmp_path / "s1"),
             schedule="stealing",
-        ).collect(acquisition, N_TRACES, key=KEY, seed=3)
+        ).collect_many([acquisition], N_TRACES, key=KEY, seed=3)[0]
         static = Engine(
             workers=1, shard_size=SHARD, cache=str(tmp_path / "s2"),
             schedule="static",
-        ).collect(acquisition, N_TRACES, key=KEY, seed=3)
+        ).collect_many([acquisition], N_TRACES, key=KEY, seed=3)[0]
         np.testing.assert_array_equal(stealing.traces, static.traces)
 
     def test_pool_static_bit_identical_warm_and_cold(
         self, acquisition, tmp_path
     ):
-        reference = Engine(workers=1, shard_size=SHARD).collect(
-            acquisition, N_TRACES, key=KEY, seed=3
+        [reference] = Engine(workers=1, shard_size=SHARD).collect_many(
+            [acquisition], N_TRACES, key=KEY, seed=3
         )
         engine = Engine(
             workers=2, shard_size=SHARD, cache=str(tmp_path),
             schedule="static",
         )
-        cold = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        warm = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        [cold] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
+        [warm] = engine.collect_many([acquisition], N_TRACES, key=KEY, seed=3)
         np.testing.assert_array_equal(reference.traces, cold.traces)
         np.testing.assert_array_equal(reference.traces, warm.traces)
         assert engine.cache_totals["hits"] == 3
@@ -667,16 +667,16 @@ class TestEngineSchedules:
 
         n_samples = acquisition.default_n_samples()
         factory = partial(CPAAttack, n_samples)
-        baseline = Engine(workers=1, shard_size=SHARD).stream_attack(
-            acquisition, N_TRACES, key=KEY,
+        [baseline] = Engine(workers=1, shard_size=SHARD).stream_attack_many(
+            [acquisition], N_TRACES, key=KEY,
             consumer_factory=factory, seed=3,
         )
         a = Engine(
             workers=1, shard_size=SHARD,
             cache=open_store(str(tmp_path / "a"), remote=server.url),
         )
-        a.stream_attack(
-            acquisition, N_TRACES, key=KEY, consumer_factory=factory, seed=3
+        a.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY, consumer_factory=factory, seed=3
         )
         # Host B replays acquisition blocks from the remote tier (the
         # attack-state snapshots also published; either way the folded
@@ -685,8 +685,8 @@ class TestEngineSchedules:
             workers=2, shard_size=SHARD,
             cache=open_store(str(tmp_path / "b"), remote=server.url),
         )
-        replay = b.stream_attack(
-            acquisition, N_TRACES, key=KEY, consumer_factory=factory, seed=3
+        [replay] = b.stream_attack_many(
+            [acquisition], N_TRACES, key=KEY, consumer_factory=factory, seed=3
         )
         np.testing.assert_array_equal(
             baseline.correlations(), replay.correlations()

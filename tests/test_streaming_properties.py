@@ -200,10 +200,7 @@ class TestStackedAccumulators:
     @given(st.data())
     @settings(max_examples=60)
     def test_stacked_matches_per_group_bit_for_bit(self, data):
-        from repro.analysis.streaming import (
-            SharedTraceMoments,
-            StackedStreamingPearson,
-        )
+        from repro.analysis.streaming import StackedStreamingPearson
 
         x, y = data.draw(stacked_int_xy())
         rows, groups, nvars = x.shape

@@ -130,7 +130,6 @@ def test_zero_second_metrics_are_finite():
     )
     assert engine.items_per_second == 0.0
     assert engine.parallelism == 0.0
-    assert engine.stage_items_per_second() == {}
     assert "n/a" in engine.summary()
 
 

@@ -108,9 +108,9 @@ def acquisition(basys3_device):
 
 
 def _collect(acquisition, n_traces, seed, shard_size=4096):
-    return Engine(workers=1, shard_size=shard_size).collect(
-        acquisition, n_traces, key=KEY, seed=seed
-    )
+    return Engine(workers=1, shard_size=shard_size).collect_many(
+        [acquisition], n_traces, key=KEY, seed=seed
+    )[0]
 
 
 class TestAESAcquisition:
@@ -151,7 +151,7 @@ class TestAESAcquisition:
 
     def test_key_is_keyword_only(self, acquisition):
         with pytest.raises(TypeError):
-            Engine(workers=1).collect(acquisition, 10, KEY)
+            Engine(workers=1).collect_many([acquisition], 10, KEY)
 
     def test_traces_sit_in_sensor_range(self, acquisition):
         ts = _collect(acquisition, 50, seed=5)
@@ -185,24 +185,24 @@ class TestCharacterize:
 
     def test_shape(self, bench):
         sensor, coupling, virus = bench
-        r = Engine().characterize(sensor, coupling, virus, 4, 100, seed=0)
+        [r] = Engine().characterize_many([sensor], coupling, virus, 4, 100, seed=0)
         assert r.shape == (100,)
 
     def test_activity_lowers_readout(self, bench):
         sensor, coupling, virus = bench
-        idle = Engine().characterize(sensor, coupling, virus, 0, 500, seed=1)
-        busy = Engine().characterize(sensor, coupling, virus, 8, 500, seed=2)
+        [idle] = Engine().characterize_many([sensor], coupling, virus, 0, 500, seed=1)
+        [busy] = Engine().characterize_many([sensor], coupling, virus, 8, 500, seed=2)
         assert busy.mean() < idle.mean()
 
     def test_bad_group_count_rejected(self, bench):
         sensor, coupling, virus = bench
         with pytest.raises(AcquisitionError):
-            Engine().characterize(sensor, coupling, virus, 9, 10)
+            Engine().characterize_many([sensor], coupling, virus, 9, 10)
 
     def test_quiet_noise_deterministic_mean(self, bench):
         sensor, coupling, virus = bench
-        r = Engine().characterize(
-            sensor, coupling, virus, 2, 400, noise=NoiseModel.quiet(), seed=3
+        [r] = Engine().characterize_many(
+            [sensor], coupling, virus, 2, 400, noise=NoiseModel.quiet(), seed=3
         )
         expected = sensor.expected_readout(
             np.array([sensor.constants.v_nominal
