@@ -3,9 +3,9 @@
 The fused kernel replaces the per-chunk ``lfilter`` with one matmul
 against the precomputed PDN step-response basis, runs the cipher once
 instead of twice, and tiles the sensor-model interpolation to stay
-cache-resident.  This bench drives both acquisition paths over the
-default AES-campaign configuration (20 MHz AES, 300 MHz sensor,
-4096-trace blocks), checks the fused output is bit-identical to the
+cache-resident.  This bench drives both acquisition paths, block by
+block in alternation, over the default AES-campaign configuration
+(20 MHz AES, 300 MHz sensor, 4096-trace blocks), checks the fused output is bit-identical to the
 baseline, asserts the >= 3x speedup the fusion exists for, and records
 the per-stage numbers in ``BENCH_acquisition.json``.
 
@@ -103,25 +103,28 @@ def baseline_acquire_block(acq, aes, plaintexts, rng, n_samples, profile):
     return readouts.astype(np.int16), cts
 
 
-def drive(acq, n_samples, run_block):
+def drive(acq, n_samples, *run_blocks):
     """Run ``N_BLOCKS`` identically-seeded blocks (plus one unmeasured
-    warm-up) through one acquisition path.
+    warm-up each) through every acquisition path in ``run_blocks``,
+    alternating the paths block by block, so a slow host phase lands
+    on every path alike instead of on one back-to-back run.
 
-    Returns the block outputs, the per-block wall seconds and the merged
-    stage profile.  Speedups are computed from the per-block *minimum* —
-    the least load-sensitive estimator of a path's actual cost — while
-    the report also keeps the plain totals.
+    Returns, per path, the block outputs, the per-block wall seconds
+    and the merged stage profile.  Speedups are computed from the
+    per-block *minimum* — the least load-sensitive estimator of a
+    path's actual cost — while the report also keeps the plain totals.
     """
-    aes = AES128(KEY)
-    profile = StageProfile()
-    run_block(aes, 0, StageProfile())  # warm-up: caches, BLAS threads
-    outputs = []
-    block_seconds = []
+    runs = [(AES128(KEY), [], [], StageProfile()) for _ in run_blocks]
+    for run_block, (aes, _, _, _) in zip(run_blocks, runs):
+        run_block(aes, 0, StageProfile())  # warm-up: caches, BLAS threads
     for index in range(N_BLOCKS):
-        t0 = time.perf_counter()
-        outputs.append(run_block(aes, index, profile))
-        block_seconds.append(time.perf_counter() - t0)
-    return outputs, block_seconds, profile
+        for run_block, (aes, outputs, block_seconds, profile) in zip(
+            run_blocks, runs
+        ):
+            t0 = time.perf_counter()
+            outputs.append(run_block(aes, index, profile))
+            block_seconds.append(time.perf_counter() - t0)
+    return [run[1:] for run in runs]
 
 
 def path_report(block_seconds, profile):
@@ -162,8 +165,9 @@ def test_fused_kernel_speedup(benchmark):
             profile,
         )
 
-    base_out, base_times, base_profile = drive(acq, n_samples, baseline_block)
-    fused_out, fused_times, fused_profile = drive(acq, n_samples, fused_block)
+    base_run, fused_run = drive(acq, n_samples, baseline_block, fused_block)
+    base_out, base_times, base_profile = base_run
+    fused_out, fused_times, fused_profile = fused_run
 
     # Same RNG streams, same physics: both paths are bit-identical.
     for (rb, cb), (rf, cf) in zip(base_out, fused_out):

@@ -14,14 +14,27 @@ Two parts:
   before the numbers are trusted, and with >=2 cores the stealing
   schedule must beat static by >= 1.3x.
 
+A third row traces one ``BlockStore.put`` of a fan-out sub-block
+(4096 x 195 int16 readouts plus plaintexts and ciphertexts, 1.73 MB)
+with :mod:`tracemalloc` and fails when its transient peak exceeds
+``MAX_PUT_TRANSIENT_BYTES``: a put publishes from views of the arrays
+and must never build a whole-block copy.  The file it writes is first
+asserted byte-identical to an inline copy of the joined serializer
+that built each block as one ``bytes``.  A byte count, not a ratio, so
+the gate holds on any host.
+
 Records machine-readable numbers in ``BENCH_blockstore.json`` next to
-``BENCH_cpa.json``; CI gates on the stealing speedup.
+``BENCH_cpa.json``; CI gates on the stealing speedup and the put's
+transient bytes.
 """
 
+import hashlib
 import json
 import os
 import shutil
+import struct
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +44,7 @@ from repro.experiments import common
 from repro.experiments.table1_traces import DEFAULT_KEY
 from repro.runtime import Engine
 from repro.traces.acquisition import AcquisitionSpec
+from repro.traces import blockstore
 from repro.traces.blockstore import BlockStore, block_key
 
 N_TRACES = 480_000 if full_scale() else 240_000
@@ -39,6 +53,12 @@ SHARD = N_TRACES // N_SHARDS
 WORKERS = 2
 ROUNDS = 3 if full_scale() else 2
 MIN_STEALING_SPEEDUP = 1.3
+#: Rows and samples of the traced sub-block (the fan-out campaign's).
+PUT_ROWS, PUT_SAMPLES = 4096, 195
+#: Budget for one sub-block put's traced transient bytes: ~16x the
+#: ~8 KB a copy-free put measures (header, views, key strings), and
+#: far below one copy of the 1.6 MB readouts.
+MAX_PUT_TRANSIENT_BYTES = 128 * 1024
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_blockstore.json"
 
 
@@ -81,6 +101,60 @@ def _blob_throughput(root: Path) -> dict:
         "block_bytes": n_bytes // len(payloads),
         "put_mb_per_second": n_bytes / 1e6 / put_seconds,
         "get_mb_per_second": n_bytes / 1e6 / get_seconds,
+    }
+
+
+def _joined_serialize(key, arrays, meta) -> bytes:
+    """The serializer the copy-free put replaced: every array's
+    ``tobytes`` and pad joined into one payload, the header prepended."""
+    pad = blockstore._pad
+    specs, parts, offset = [], [], 0
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        data = array.tobytes()
+        specs.append({
+            "name": str(name), "dtype": array.dtype.str,
+            "shape": list(array.shape), "offset": offset, "nbytes": len(data),
+        })
+        parts += [data, b"\x00" * pad(len(data))]
+        offset += len(data) + pad(len(data))
+    payload = b"".join(parts)
+    header = json.dumps({
+        "schema": blockstore.SCHEMA_VERSION,
+        "key": key,
+        "arrays": specs,
+        "payload_nbytes": len(payload),
+        "digest": hashlib.sha256(payload).hexdigest(),
+        "meta": blockstore._canonical(meta),
+    }, sort_keys=True).encode()
+    head = blockstore.MAGIC + struct.pack("<Q", len(header)) + header
+    return head + b"\x00" * pad(len(head)) + payload
+
+
+def _put_transient(root: Path) -> dict:
+    """Traced transient peak of one fan-out sub-block put, after the
+    file it writes is checked against the joined serializer."""
+    store = BlockStore(root)
+    rng = np.random.default_rng(1)
+    arrays = {
+        "traces": rng.integers(
+            -512, 512, size=(PUT_ROWS, PUT_SAMPLES), dtype=np.int16
+        ),
+        "pts": rng.integers(0, 256, size=(PUT_ROWS, 16), dtype=np.uint8),
+        "cts": rng.integers(0, 256, size=(PUT_ROWS, 16), dtype=np.uint8),
+    }
+    meta = {"fanout": {"n_sensors": 5}, "provenance": store.provenance()}
+    warm_key, key = block_key({"put": 0}), block_key({"put": 1})
+    store.put(warm_key, arrays, meta=meta)  # first-use costs untraced
+    tracemalloc.start()
+    store.put(key, arrays, meta=meta)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    written = store.path_for(key).read_bytes()
+    assert written == _joined_serialize(key, arrays, meta)
+    return {
+        "block_bytes": len(written),
+        "peak_transient_bytes": peak,
     }
 
 
@@ -139,6 +213,7 @@ def test_blockstore_schedule_report(benchmark, tmp_path):
         results["stealing"].ciphertexts, results["static"].ciphertexts
     )
 
+    put = _put_transient(tmp_path / "put")
     speedup = stats["static"]["best_seconds"] / stats["stealing"]["best_seconds"]
     gate_enforced = (os.cpu_count() or 1) >= WORKERS
     report = {
@@ -155,12 +230,18 @@ def test_blockstore_schedule_report(benchmark, tmp_path):
             "cpu_count": os.cpu_count() or 1,
         },
         "blob": _blob_throughput(tmp_path / "blobs"),
+        "put_transient": put,
         "static": stats["static"],
         "stealing": stats["stealing"],
         "stealing_speedup": speedup,
         "gate": {
             "min_speedup": MIN_STEALING_SPEEDUP,
             "enforced": gate_enforced,
+        },
+        # A byte count: enforced on any host.
+        "put_transient_gate": {
+            "max_bytes": MAX_PUT_TRANSIENT_BYTES,
+            "enforced": True,
         },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -173,8 +254,17 @@ def test_blockstore_schedule_report(benchmark, tmp_path):
         stats["stealing"]["best_seconds"], 2
     )
     benchmark.extra_info["stealing_speedup"] = round(speedup, 2)
+    benchmark.extra_info["put_transient_kb"] = round(
+        put["peak_transient_bytes"] / 1e3, 1
+    )
     benchmark.extra_info["report"] = str(OUTPUT.name)
 
+    assert put["peak_transient_bytes"] <= MAX_PUT_TRANSIENT_BYTES, (
+        f"one {put['block_bytes'] / 1e6:.2f} MB sub-block put traced "
+        f"{put['peak_transient_bytes'] / 1e6:.3f} MB of transient "
+        f"allocations (budget {MAX_PUT_TRANSIENT_BYTES / 1e6:.3f} MB): "
+        "the publish path copies the block"
+    )
     if gate_enforced:
         assert speedup >= MIN_STEALING_SPEEDUP, (
             f"expected >={MIN_STEALING_SPEEDUP}x from work stealing on a "

@@ -16,17 +16,25 @@ asserted bit-identical as well.  Most of that mix ranks above 2^53,
 where ``key_rank_bounds`` runs the tail-only float chain; a second
 key-rank row times the same pair on score sets that all rank below
 2^53, the exactly counted case most of a campaign's checkpoints hit.
+A tile-fold row traces, with :mod:`tracemalloc`, one N=1 fold of a
+``_BATCH_TILE_ROWS``-row tile on a fresh thread (so the thread's
+scratch pool is allocated inside the traced window): the float32
+hypothesis block, built in small chunks, and the GEMM operands, with
+no whole-tile uint8 block beside them.
 Records machine-readable numbers (traces/second per engine, the
 batched and fan-out speedups, correlation evaluations per second,
-key-rank seconds per evaluation and speedups, peak RSS) in
-``BENCH_cpa.json`` next to ``BENCH_acquisition.json``;
-``scripts/check_cpa_regression.py`` gates CI on all four speedups.
+key-rank seconds per evaluation and speedups, the tile fold's traced
+peak, peak RSS) in ``BENCH_cpa.json`` next to
+``BENCH_acquisition.json``; ``scripts/check_cpa_regression.py`` gates
+CI on all four speedups and the tile fold's bytes.
 """
 
 import json
 import resource
 import sys
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +60,11 @@ KEYRANK_EXACT_BOOSTS = (3.0, 3.25, 3.5, 3.75, 4.0, 5.0, 6.0, 8.0)
 #: third of the ~30x measured on the 2-vCPU box that wrote
 #: ``BENCH_cpa.json``.
 MIN_KEYRANK_EXACT_SPEEDUP = 10.0
+#: CI budget for one N=1 tile fold's traced peak: the 16.8 MB float32
+#: block a tile needs plus ~3 MB for the GEMM operands and chunk
+#: scratch (~18.4 MB measured).  A whole-tile uint8 hypothesis block
+#: (4.2 MB) on top of the float one breaks it.
+MAX_TILE_FOLD_BYTES = 20_000_000
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_cpa.json"
 
 
@@ -179,6 +192,23 @@ def _full_chain_bounds(scores, true, n_bins=1024):
         1.0,
     )))
     return (min(lower, upper), upper)
+
+
+def _tile_fold_peak(traces, cts) -> int:
+    """Traced peak bytes of one N=1 fold of a ``_BATCH_TILE_ROWS``-row
+    tile, run on a fresh thread so its scratch pool starts empty."""
+    traces, cts = traces[:_BATCH_TILE_ROWS], cts[:_BATCH_TILE_ROWS]
+    attack = CPAAttack(traces.shape[1])
+
+    def fold():
+        tracemalloc.start()
+        attack.update(traces, cts)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
+
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fold).result()
 
 
 def _rank_all(rank, sets):
@@ -364,6 +394,13 @@ def test_cpa_throughput_report(
             "min_speedup": MIN_KEYRANK_EXACT_SPEEDUP,
             "enforced": True,
         },
+        "tile_fold": {
+            "rows": _BATCH_TILE_ROWS,
+            "n_samples": N_SAMPLES,
+            "peak_traced_bytes": _tile_fold_peak(traces, cts),
+        },
+        # A byte count: enforced on any host.
+        "tile_fold_gate": {"max_bytes": MAX_TILE_FOLD_BYTES, "enforced": True},
         "peak_rss_bytes": peak_rss_bytes(),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")

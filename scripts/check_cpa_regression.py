@@ -15,14 +15,19 @@ compared paths bit-identical before reporting) and fails unless
   time over the bench's mix of score sets, and
 * ``key_rank_bounds`` beats the full chain on score sets that all rank
   below 2^53 (where it counts the tail exactly) by at least the
-  ``min_speedup`` the bench records in ``keyrank_below_2_53_gate``.
+  ``min_speedup`` the bench records in ``keyrank_below_2_53_gate``,
+  and
+* one N=1 tile fold's traced peak stays within the ``max_bytes`` the
+  bench records in ``tile_fold_gate``.
 
 These are the regression gates for the accumulate and key-rank hot
 paths: a change that quietly collapses the accumulate back to per-byte
 speed, stops sharing the hypotheses or the one stacked float32 GEMM
 per tile across sensors, convolves the whole key-score distribution
-again, or sends ranks below 2^53 back to the float chain turns this
-red instead of shipping.
+again, sends ranks below 2^53 back to the float chain, or builds a
+whole-tile uint8 hypothesis block beside the float one turns this red
+instead of shipping.  Both bench-recorded gates must be present and
+recorded as enforced.
 All are single-process measurements, so they hold on any core count.
 
 Exits non-zero on a missing/stale report or an insufficient speedup.
@@ -83,6 +88,9 @@ def main(argv=None) -> int:
         exact = report["keyrank_below_2_53_speedup"]
         exact_ms = report["key_rank_below_2_53"]["best_seconds_per_eval"] * 1e3
         exact_gate = report["keyrank_below_2_53_gate"]
+        fold_bytes = report["tile_fold"]["peak_traced_bytes"]
+        fold_rows = report["tile_fold"]["rows"]
+        fold_gate = report["tile_fold_gate"]
     except KeyError as exc:
         print(
             f"FAIL: {args.report} predates the current CPA report "
@@ -113,9 +121,20 @@ def main(argv=None) -> int:
         verdict = "ok" if value >= required else "FAIL"
         ok = ok and verdict == "ok"
         print(f"{verdict}: {label} -> {value:.2f}x (required >= {required:.2f}x)")
-    if not exact_gate["enforced"]:
-        print("FAIL: the below-2^53 key-rank gate is recorded as not enforced")
-        ok = False
+    fold_verdict = "ok" if fold_bytes <= fold_gate["max_bytes"] else "FAIL"
+    ok = ok and fold_verdict == "ok"
+    print(
+        f"{fold_verdict}: one {fold_rows}-row tile fold traced "
+        f"{fold_bytes / 1e6:.2f} MB (required <= "
+        f"{fold_gate['max_bytes'] / 1e6:.2f} MB)"
+    )
+    for name, gate in (
+        ("below-2^53 key-rank", exact_gate),
+        ("tile-fold bytes", fold_gate),
+    ):
+        if not gate["enforced"]:
+            print(f"FAIL: the {name} gate is recorded as not enforced")
+            ok = False
     return 0 if ok else 1
 
 

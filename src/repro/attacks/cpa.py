@@ -25,7 +25,10 @@ GPU CPA tool [8]).
 Chunks are cut into row tiles; each tile is folded with **one**
 stacked GEMM over an ``(m, 16*256)`` hypothesis matrix, and the trace
 sums are computed once per tile in a shared accumulator instead of 16
-times.  The hypothesis sums are exact narrow sums, and the cross GEMM
+times.  The matrix is built 64 rows at a time, each chunk gathered,
+popcounted and summed in a 256 KiB uint8 scratch and copied straight
+into its float rows, so no whole-tile uint8 block exists.  The
+hypothesis sums are exact narrow sums, and the cross GEMM
 runs in float32 whenever an exactness bound proves every partial sum
 is an integer below 2**24 — narrower arithmetic, identical bits.  The
 cross sums are kept sample-major, the GEMM's own output layout, so a
@@ -74,11 +77,17 @@ _HYP_TABLE: Optional[np.ndarray] = None
 SROW = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 #: Rows per internal tile of the batched engine: bounds the hypothesis
-#: / GEMM scratch (~4 MB uint8 + ~16 MB float32) however large a chunk
+#: / GEMM scratch (a ~16 MB float32 block) however large a chunk
 #: callers feed.  1024 rows measured faster than 2048/4096 and than 512
 #: (the 5-sensor fan-out row ~10 % slower) on the bench campaign.
 #: Tiling is sum-exact, so it never changes a bit of the result.
 _BATCH_TILE_ROWS = 1024
+
+#: Rows per hypothesis chunk of :meth:`_HypothesisTile.block`: a
+#: 64-row uint8 chunk is 256 KiB, so its gather, XOR, popcount, sums
+#: and float copy all run in cache, and a tile never holds a
+#: whole-tile uint8 block next to its float one.
+_HYP_CHUNK_ROWS = 64
 
 #: The float32 GEMM is used when every partial sum is provably an
 #: integer below this (2**24): float32 addition of exact integers in
@@ -158,25 +167,27 @@ class _HypothesisTile:
     traces)`` pairs that fold it, prepared on first use and shared by
     every peer.
 
-    Preparing means the uint8 hypothesis block (a :data:`SROW` gather,
-    an XOR and a popcount), per GEMM dtype asked for one bulk
-    conversion into a scratch buffer, the block's exact sums (per tile
-    ``s_x <= 8*rows < 2**16`` on the uint8 side, and ``s_x2`` over a
-    float block, where every partial sum is an integer at most
-    ``64*rows < 2**24``), and one float32 ``Y.T @ X`` whose ``Y``
-    stacks, column-wise, the windowed traces of every peer that passes
-    the float32 exactness bound.  The blocks and the product live in
-    the thread's scratch pool; a tile that finds the pool taken over by
-    another tile rebuilds them, so an older tile never reads a newer
-    tile's data.
+    Preparing means building, per GEMM dtype asked for, the float
+    hypothesis block in :data:`_HYP_CHUNK_ROWS`-row chunks: each chunk
+    is a :data:`SROW` gather, an XOR with the partner ciphertext bytes
+    and a popcount in a small uint8 scratch, copied straight into its
+    rows of the block.  While the chunk is still in cache, the build
+    also adds it to the tile's exact hypothesis sums: ``s_x`` in
+    uint16 (at most ``8*rows <= 8192``) and ``s_x2`` in the block's
+    dtype (every partial sum an integer at most ``64*rows < 2**24``,
+    so exact in float32).  A first fold then runs one float32 ``Y.T @
+    X`` whose ``Y`` stacks, column-wise, the windowed traces of every
+    peer that passes the float32 exactness bound.  The blocks and the
+    product live in the thread's scratch pool; a tile that finds the
+    pool taken over by another tile rebuilds them, so an older tile
+    never reads a newer tile's data.
     """
 
-    __slots__ = ("cts", "peers", "_u8", "_blocks", "_sums", "_product")
+    __slots__ = ("cts", "peers", "_blocks", "_sums", "_product")
 
     def __init__(self, cts: np.ndarray, peers=()) -> None:
         self.cts = cts
         self.peers = tuple(peers)
-        self._u8: Optional[np.ndarray] = None
         self._blocks: dict = {}
         self._sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._product: Optional[list] = None
@@ -184,49 +195,50 @@ class _HypothesisTile:
     def __len__(self) -> int:
         return len(self.cts)
 
-    def _hypotheses(self) -> np.ndarray:
-        """The ``(rows, 16, 256)`` uint8 hypothesis block:
-        ``HW(InvSBox(ct[j] ^ g) ^ ct[SHIFT_ROWS_IDX[j]])``."""
+    def _claim(self) -> None:
+        """Take the thread's scratch pool, dropping the blocks and
+        product another tile has since overwritten."""
         if _SCRATCH.owner != id(self):
             _SCRATCH.owner = id(self)
-            self._u8 = None
             self._blocks = {}
             self._product = None
-        if self._u8 is None:
-            rows = len(self.cts)
-            u8 = _pool_array(
-                "u8", (rows, CPAAttack.N_BYTES, CPAAttack.N_GUESSES), np.uint8
-            )
-            # uint8 codes never clip; "clip" spares the buffered copy
-            # that mode="raise" makes of an ``out`` array.
-            np.take(SROW, self.cts, axis=0, out=u8, mode="clip")
-            np.bitwise_xor(u8, self.cts[:, SHIFT_ROWS_IDX, None], out=u8)
-            self._u8 = np.bitwise_count(u8, out=u8)
-        return self._u8
 
     def sums(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The tile's exact hypothesis sums ``(s_x, s_x2)``, ``s_x2``
-        over whichever float block a fold already built."""
+        """The tile's exact hypothesis sums ``(s_x, s_x2)``, from
+        whichever float block was built first."""
         if self._sums is None:
-            u8 = self._hypotheses()
-            x = next(iter(self._blocks.values()), None)
-            if x is None:
-                x = self.block(np.float32)
-            self._sums = (
-                u8.sum(axis=0, dtype=np.uint16), np.einsum("ij,ij->j", x, x)
-            )
+            self.block(np.float32)
         return self._sums
 
     def block(self, dtype) -> np.ndarray:
-        """The hypotheses as a ``(rows, 16 * 256)`` ``dtype`` matrix."""
-        u8 = self._hypotheses()
+        """The hypotheses as a ``(rows, 16 * 256)`` ``dtype`` matrix,
+        ``HW(InvSBox(ct[j] ^ g) ^ ct[SHIFT_ROWS_IDX[j]])``, built chunk
+        by chunk into the pool, summing each chunk while it is in
+        cache."""
+        self._claim()
         name = np.dtype(dtype).name
-        x = self._blocks.get(name)
-        if x is None:
-            rows = len(self.cts)
-            x = _pool_array(name, (rows, u8.shape[1] * u8.shape[2]), dtype)
-            np.copyto(x.reshape(u8.shape), u8, casting="unsafe")
-            self._blocks[name] = x
+        if name in self._blocks:
+            return self._blocks[name]
+        shape = (CPAAttack.N_BYTES, CPAAttack.N_GUESSES)
+        x = _pool_array(name, (len(self.cts), shape[0] * shape[1]), dtype)
+        scratch = _pool_array("hyp_chunk", (_HYP_CHUNK_ROWS, *shape), np.uint8)
+        s_x = np.zeros(shape, dtype=np.uint16)
+        s_x2 = np.zeros(x.shape[1], dtype=dtype)
+        for start in range(0, len(x), _HYP_CHUNK_ROWS):
+            cts = self.cts[start : start + _HYP_CHUNK_ROWS]
+            h = scratch[: len(cts)]
+            # uint8 codes never clip; "clip" spares the buffered copy
+            # that mode="raise" makes of an ``out`` array.
+            np.take(SROW, cts, axis=0, out=h, mode="clip")
+            np.bitwise_xor(h, cts[:, SHIFT_ROWS_IDX, None], out=h)
+            np.bitwise_count(h, out=h)
+            chunk = x[start : start + len(cts)]
+            np.copyto(chunk.reshape(h.shape), h, casting="unsafe")
+            s_x += h.sum(axis=0, dtype=np.uint16)
+            s_x2 += np.einsum("ij,ij->j", chunk, chunk)
+        if self._sums is None:
+            self._sums = (s_x, s_x2)
+        self._blocks[name] = x
         return x
 
     def f32_product(self, attack: "CPAAttack", traces: np.ndarray):
@@ -238,7 +250,7 @@ class _HypothesisTile:
         asks.  A pair that is not one of the tile's peers gets a
         product of its own, outside the scratch pool.
         """
-        self._hypotheses()  # claims the pool; drops a stale product
+        self._claim()  # drops a product another tile overwrote
         for i, (peer, peer_traces) in enumerate(self.peers):
             if peer is attack and peer_traces is traces:
                 if self._product is None:

@@ -19,8 +19,10 @@ Design points:
   geometry and :data:`SCHEMA_VERSION`.  The acquisition kernel is
   deliberately *not* part of the key: kernels are bit-identical by
   construction, so a block acquired by one serves all.
-* **Atomic writes** (:meth:`BlockStore.put`): blocks are serialized to
-  a temp file in the same directory and published with
+* **Atomic, copy-free writes** (:meth:`BlockStore.put`): a block is
+  serialized as its header bytes plus a byte view of each array (no
+  whole-block ``bytes`` is ever built), written to a temp file in the
+  same directory with ``os.writev``, ``fsync``-ed and published with
   :func:`os.replace`.  Concurrent writers (the parallel engine's
   workers, or two engines sharing one store) race benignly: both write
   identical bytes and the losing rename simply overwrites them.
@@ -151,41 +153,58 @@ def _pad(n: int) -> int:
     return (ALIGN - n % ALIGN) % ALIGN
 
 
-def _serialize(key: str, arrays: Mapping[str, np.ndarray], meta: Optional[Mapping]) -> bytes:
-    """One block file: magic, length-prefixed JSON header, aligned
-    payload of raw C-order array bytes, digest over the payload."""
+#: The zero bytes every pad is cut from (a pad is under ``ALIGN``).
+_ZEROS = bytes(ALIGN)
+
+
+def _serialize(
+    key: str, arrays: Mapping[str, np.ndarray], meta: Optional[Mapping]
+) -> Tuple[bytes, List[memoryview]]:
+    """One block file as ``(head, buffers)``, never joined: ``head`` is
+    the magic, the length-prefixed JSON header and its pad; ``buffers``
+    is the aligned payload, a byte view of each C-order array followed
+    by its zero pad.  The header's payload digest is one SHA-256 fed
+    the same views, so no array is copied unless it was not
+    C-contiguous to begin with."""
     specs: List[Dict[str, object]] = []
-    payload_parts: List[bytes] = []
+    buffers: List[memoryview] = []
+    digest = hashlib.sha256()
     offset = 0
     for name, array in arrays.items():
         array = np.ascontiguousarray(array)
-        data = array.tobytes()
+        data = memoryview(array.reshape(-1).view(np.uint8))
         specs.append(
             {
                 "name": str(name),
                 "dtype": array.dtype.str,
                 "shape": list(array.shape),
                 "offset": offset,
-                "nbytes": len(data),
+                "nbytes": data.nbytes,
             }
         )
-        payload_parts.append(data)
-        pad = _pad(len(data))
-        payload_parts.append(b"\x00" * pad)
-        offset += len(data) + pad
-    payload = b"".join(payload_parts)
+        pad = memoryview(_ZEROS[: _pad(data.nbytes)])
+        for part in (data, pad):
+            if part.nbytes:
+                digest.update(part)
+                buffers.append(part)
+        offset += data.nbytes + pad.nbytes
     header = {
         "schema": SCHEMA_VERSION,
         "key": key,
         "arrays": specs,
-        "payload_nbytes": len(payload),
-        "digest": hashlib.sha256(payload).hexdigest(),
+        "payload_nbytes": offset,
+        "digest": digest.hexdigest(),
         "meta": _canonical(meta) if meta is not None else {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     prefix_len = len(MAGIC) + struct.calcsize(_HEADER_LEN_FMT) + len(header_bytes)
-    head = MAGIC + struct.pack(_HEADER_LEN_FMT, len(header_bytes)) + header_bytes
-    return head + b"\x00" * _pad(prefix_len) + payload
+    head = (
+        MAGIC
+        + struct.pack(_HEADER_LEN_FMT, len(header_bytes))
+        + header_bytes
+        + _ZEROS[: _pad(prefix_len)]
+    )
+    return head, buffers
 
 
 def peek_block_meta(path) -> Dict[str, object]:
@@ -473,10 +492,10 @@ class BlockStore:
             raise CacheError("a block needs at least one array")
         meta = dict(meta) if meta is not None else {}
         meta.setdefault("provenance", self.provenance())
-        blob = _serialize(key, arrays, meta)
-        path = self.backend.put_blob(key, blob)
+        head, buffers = _serialize(key, arrays, meta)
+        path = self.backend.put_blob(key, [head, *buffers])
         self.counters.puts += 1
-        self.counters.bytes_written += len(blob)
+        self.counters.bytes_written += len(head) + sum(b.nbytes for b in buffers)
         if self.max_bytes is not None:
             self.prune(self.max_bytes)
         return path

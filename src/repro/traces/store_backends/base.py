@@ -24,11 +24,12 @@ read back unchanged.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Protocol, Union, runtime_checkable
+from typing import Dict, Iterable, Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.errors import CacheError
 
@@ -42,6 +43,12 @@ BLOCK_SUFFIX = ".blk"
 #: transport boundary, which keeps path construction and URL routing
 #: injection-proof by construction.
 _KEY_RE = re.compile(r"[0-9a-f]{64}\Z")
+
+#: A blob as the bytes-like parts it is the concatenation of.
+BlobParts = Sequence[Union[bytes, bytearray, memoryview]]
+
+#: Most buffers one ``os.writev`` call is handed (Linux's IOV_MAX).
+_IOV_MAX = 1024
 
 
 def validate_key(key: str) -> str:
@@ -57,13 +64,15 @@ class StoreBackend(Protocol):
 
     Implementations move opaque blobs; they never parse headers or
     verify digests (the store does that on every read and on every
-    remote ingest).  ``get_blob`` returns ``None`` for an absent key;
-    ``delete`` reports whether a blob was actually removed.
+    remote ingest).  ``put_blob`` takes the blob as a sequence of
+    bytes-like parts, stored back to back (a caller holding one blob
+    passes ``[blob]``).  ``get_blob`` returns ``None`` for an absent
+    key; ``delete`` reports whether a blob was actually removed.
     """
 
     def get_blob(self, key: str) -> Optional[bytes]: ...
 
-    def put_blob(self, key: str, blob: bytes) -> None: ...
+    def put_blob(self, key: str, parts: BlobParts) -> None: ...
 
     def contains(self, key: str) -> bool: ...
 
@@ -83,6 +92,22 @@ def contains_many(backend: StoreBackend, keys: Iterable[str]) -> Dict[str, bool]
     if callable(batched):
         return batched(keys)
     return {key: backend.contains(key) for key in keys}
+
+
+def _write_all(fd: int, parts: BlobParts) -> None:
+    """Write ``parts`` back to back with ``os.writev``, resuming after
+    every short write until each byte is out."""
+    pending = [memoryview(part).cast("B") for part in parts]
+    pending = [view for view in pending if view.nbytes]
+    while pending:
+        written = os.writev(fd, pending[:_IOV_MAX])
+        if written <= 0:
+            raise OSError(errno.EIO, "writev made no progress")
+        while written:
+            if written < pending[0].nbytes:
+                pending[0] = pending[0][written:]
+                break
+            written -= pending.pop(0).nbytes
 
 
 class LocalDirBackend:
@@ -111,23 +136,32 @@ class LocalDirBackend:
         except FileNotFoundError:
             return None
 
-    def put_blob(self, key: str, blob: bytes) -> Path:
-        """Publish a blob atomically; returns its path.
+    def put_blob(self, key: str, parts: BlobParts) -> Path:
+        """Publish a blob, the concatenation of ``parts``, atomically;
+        returns its path.
 
-        Safe under concurrent writers: the blob is fully written to a
-        unique temp file in the target directory, flushed, and then
-        renamed over the final path.  Readers never observe a partial
-        block, and a crash leaves at worst an orphaned temp file.
+        Safe under concurrent writers: the parts are written in order
+        to a unique temp file in the target directory with
+        ``os.writev`` (never joined in memory), flushed with ``fsync``,
+        and then renamed over the final path.  Readers never observe a
+        partial block.  Any ``OSError`` on the way (a full disk, a
+        failed flush) unlinks the temp file and raises
+        :class:`~repro.errors.CacheError` naming the key.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f"{TMP_PREFIX}{key[:16]}-{os.getpid()}-{uuid.uuid4().hex}"
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                _write_all(fd, parts)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise CacheError(f"could not publish block {key}: {exc}") from exc
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise

@@ -48,7 +48,7 @@ from urllib.parse import urlsplit
 from repro.errors import CacheError, RemoteCacheError
 from repro.telemetry.metrics import LATENCY_BUCKETS, get_registry
 from repro.telemetry.tracing import TRACE_HEADER, current_trace_id
-from repro.traces.store_backends.base import validate_key
+from repro.traces.store_backends.base import BlobParts, validate_key
 
 _BLOCKS = "/v1/blocks"
 
@@ -167,16 +167,25 @@ class HTTPBackend:
         self,
         method: str,
         path: str,
-        body: Optional[bytes] = None,
+        body: Optional[BlobParts] = None,
         *,
         read_body: bool = True,
     ) -> Tuple[int, bytes]:
         """One round trip; retries transport failures on a fresh
-        connection (stale keep-alive sockets fail exactly this way)."""
+        connection (stale keep-alive sockets fail exactly this way).
+
+        ``body`` is a sequence of bytes-like parts, sent back to back
+        under one explicit ``Content-Length`` and never joined."""
         url = self._prefix + path
         latency, retries, errors = _client_metrics()
         trace_id = current_trace_id()
         last: Optional[Exception] = None
+        headers = {}
+        if body is not None:
+            body = [memoryview(part).cast("B") for part in body]
+            headers["Content-Length"] = str(sum(part.nbytes for part in body))
+        if trace_id:
+            headers[TRACE_HEADER] = trace_id
         t0 = time.perf_counter()
         for attempt in range(self.retries + 1):
             if attempt:
@@ -196,9 +205,6 @@ class HTTPBackend:
                 self._local.conn = conn
                 self._local.pid = os.getpid()
             try:
-                headers = {"Content-Length": str(len(body))} if body is not None else {}
-                if trace_id:
-                    headers[TRACE_HEADER] = trace_id
                 conn.request(method, url, body=body, headers=headers)
                 resp = conn.getresponse()
                 data = resp.read() if read_body else b""
@@ -231,9 +237,9 @@ class HTTPBackend:
             f"remote cache {self.base_url} answered {status} to GET {key[:16]}…"
         )
 
-    def put_blob(self, key: str, blob: bytes) -> None:
+    def put_blob(self, key: str, parts: BlobParts) -> None:
         status, data = self._request(
-            "PUT", f"{_BLOCKS}/{validate_key(key)}", body=bytes(blob)
+            "PUT", f"{_BLOCKS}/{validate_key(key)}", body=parts
         )
         if status in (200, 201):
             return
@@ -261,7 +267,7 @@ class HTTPBackend:
         if not keys:
             return {}
         body = json.dumps({"keys": keys}).encode()
-        status, data = self._request("POST", f"{_BLOCKS}/contains", body=body)
+        status, data = self._request("POST", f"{_BLOCKS}/contains", body=[body])
         if status != 200:
             # An older server without the batch route still answers the
             # per-key probes.

@@ -202,7 +202,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             self.server.count("rejected_puts")
             self._send_json(400, {"error": f"rejected damaged blob: {exc}"})
             return
-        self.server.store.backend.put_blob(key, blob)
+        self.server.store.backend.put_blob(key, [blob])
         self.server.count("puts", bytes_in=len(blob))
         self._send_json(201, {"ok": True})
 

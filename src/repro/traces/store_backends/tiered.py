@@ -247,7 +247,7 @@ class TieredStore(BlockStore):
                 stacklevel=3,
             )
             return "bad", len(blob)
-        self.backend.put_blob(key, blob)
+        self.backend.put_blob(key, [blob])
         if self.max_bytes is not None:
             self.prune(self.max_bytes)
         return "fetched", len(blob)
@@ -292,7 +292,7 @@ class TieredStore(BlockStore):
                 with self._counter_lock:
                     self.counters.remote_publish_skipped += 1
                 return
-            self.remote.put_blob(key, blob)
+            self.remote.put_blob(key, [blob])
         except RemoteCacheError as exc:
             self._remote_error(exc)
             return

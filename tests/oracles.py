@@ -17,8 +17,15 @@ implementations they rewrite, so the differential suites
   ``update_many`` tiling and validation) whose accumulators are
   per-byte; its dumps use the per-byte ``b{j:02d}_*`` layout older
   builds wrote, which production attacks still load.
+* :func:`joined_serialize` — the block serializer that built each
+  block file as one joined ``bytes`` (``tobytes``, ``b"".join``, header
+  concatenation).  The copy-free publish path must write the same file
+  bytes.
 """
 
+import hashlib
+import json
+import struct
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,6 +35,7 @@ from repro.attacks.cpa import CPAAttack, hypothesis_table
 from repro.core.sensor import SamplingMethod
 from repro.errors import AttackError
 from repro.kernels import AcquisitionKernel, StageProfile, get_kernel
+from repro.traces import blockstore
 from repro.victims.aes import AES128
 from repro.victims.aes.core import SHIFT_ROWS_IDX
 
@@ -175,3 +183,41 @@ class PerByteCPA(CPAAttack):
             rho.flags.writeable = False
             self._corr_cache = rho
         return self._corr_cache
+
+
+def joined_serialize(key, arrays, meta) -> bytes:
+    """One block file as a single joined ``bytes``: magic, the
+    length-prefixed JSON header, then the aligned payload of every
+    array's ``tobytes`` and its zero pad, digested as one string."""
+    pad = blockstore._pad
+    specs = []
+    payload_parts = []
+    offset = 0
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        data = array.tobytes()
+        specs.append(
+            {
+                "name": str(name),
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "offset": offset,
+                "nbytes": len(data),
+            }
+        )
+        payload_parts.append(data)
+        payload_parts.append(b"\x00" * pad(len(data)))
+        offset += len(data) + pad(len(data))
+    payload = b"".join(payload_parts)
+    header = {
+        "schema": blockstore.SCHEMA_VERSION,
+        "key": key,
+        "arrays": specs,
+        "payload_nbytes": len(payload),
+        "digest": hashlib.sha256(payload).hexdigest(),
+        "meta": blockstore._canonical(meta) if meta is not None else {},
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    prefix_len = len(blockstore.MAGIC) + 8 + len(header_bytes)
+    head = blockstore.MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes
+    return head + b"\x00" * pad(prefix_len) + payload

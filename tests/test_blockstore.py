@@ -7,6 +7,8 @@ never as a crash or silently wrong data.
 """
 
 import dataclasses
+import errno
+import hashlib
 import os
 import threading
 import warnings
@@ -19,7 +21,7 @@ import pytest
 from repro.attacks.cpa import CPAAttack
 from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
-from repro.errors import CacheError, CacheIntegrityWarning
+from repro.errors import CacheError, CacheIntegrityWarning, ReproError
 from repro.fpga.placement import Pblock, Placer
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
@@ -30,11 +32,13 @@ from repro.traces.blockstore import (
     block_key,
     canonical_payload,
     open_store,
+    read_blob_header,
     seed_lineage,
+    verify_blob,
 )
 from repro.traces.store import TraceSet
 from repro.victims.aes import AESHardwareModel
-from tests.oracles import REFERENCE_KERNEL
+from tests.oracles import REFERENCE_KERNEL, joined_serialize
 
 KEY = bytes(range(16))
 N_TRACES = 600
@@ -188,6 +192,161 @@ class TestBlockStoreBasics:
         assert clone.root == store.root
         assert clone.max_bytes == store.max_bytes
         assert clone.counters.hits == 0  # counters are process-local
+
+
+# ----------------------------------------------------------------------
+# Copy-free publish: same file bytes as the joined serializer
+# ----------------------------------------------------------------------
+
+#: A fixed provenance, so the expected file can be built independently.
+_PROVENANCE = {"host": "h", "pid": 1, "backend": "dir:x", "schema": 1}
+
+
+def _fanout_sub_block(rows):
+    """A fan-out sub-block's arrays: int16 readouts, uint8 plaintexts
+    and ciphertexts."""
+    rng = np.random.default_rng(rows)
+    return {
+        "traces": rng.integers(-512, 512, size=(rows, 195), dtype=np.int16),
+        "pts": rng.integers(0, 256, size=(rows, 16), dtype=np.uint8),
+        "cts": rng.integers(0, 256, size=(rows, 16), dtype=np.uint8),
+    }
+
+
+_PUBLISH_CASES = {
+    # 64 * 195 * 2 and 64 * 16 bytes: every array a multiple of 64.
+    "fanout-aligned": (_fanout_sub_block(64), {"fanout": {"n_sensors": 5}}),
+    # 33 rows: no array a multiple of 64, every one padded.
+    "fanout-padded": (_fanout_sub_block(33), {"kind": "trace-block"}),
+    "non-contiguous": (
+        {
+            "strided": np.arange(300, dtype=np.int32).reshape(20, 15)[:, ::2],
+            "fortran": np.asfortranarray(np.linspace(-1, 1, 42).reshape(6, 7)),
+            "scalar": np.float64(2.5),
+        },
+        None,
+    ),
+    "numpy-meta": (
+        {"s_x": np.arange(16 * 256, dtype=np.uint16).reshape(16, 256)},
+        {
+            "n_traces": np.int64(600),
+            "scale": np.float32(0.5),
+            "window": np.arange(2),
+        },
+    ),
+}
+
+
+def _block_file(store, key):
+    return store.path_for(key).read_bytes()
+
+
+class TestCopyFreePublish:
+    @pytest.mark.parametrize("case", sorted(_PUBLISH_CASES))
+    def test_file_bytes_match_the_joined_serializer(self, tmp_path, case):
+        arrays, meta = _PUBLISH_CASES[case]
+        meta = {**(meta or {}), "provenance": _PROVENANCE}
+        key = block_key({"publish": case})
+        store = BlockStore(tmp_path)
+        store.put(key, arrays, meta=meta)
+        expected = joined_serialize(key, arrays, meta)
+        data = _block_file(store, key)
+        assert data == expected
+        assert store.counters.bytes_written == len(expected)
+        header = verify_blob(data, key=key)
+        _, payload_start = read_blob_header(expected)
+        payload = expected[payload_start:]
+        assert header["digest"] == hashlib.sha256(payload).hexdigest()
+        assert header["payload_nbytes"] == len(payload)
+        block = store.get(key)
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(block.arrays[name], array)
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        """A ``writev`` that moves at most 7 bytes per call, across part
+        boundaries, still yields the same file."""
+        arrays, meta = _PUBLISH_CASES["fanout-padded"]
+        meta = {**meta, "provenance": _PROVENANCE}
+        calls = []
+
+        def trickle(fd, buffers):
+            chunk = b""
+            for buf in buffers:
+                chunk += bytes(memoryview(buf)[: 7 - len(chunk)])
+                if len(chunk) == 7:
+                    break
+            calls.append(len(chunk))
+            return os.write(fd, chunk)
+
+        monkeypatch.setattr(os, "writev", trickle)
+        key = block_key({"publish": "trickle"})
+        store = BlockStore(tmp_path)
+        store.put(key, arrays, meta=meta)
+        expected = joined_serialize(key, arrays, meta)
+        assert _block_file(store, key) == expected
+        assert sum(calls) == len(expected) and max(calls) == 7
+
+    @staticmethod
+    def _leftovers(root):
+        return [p.name for p in root.rglob(".tmp-*")]
+
+    def test_disk_full_is_a_typed_error_that_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        real_writev = os.writev
+        calls = []
+
+        def fill_up(fd, buffers):
+            calls.append(fd)
+            if len(calls) == 1:  # a short write, then the disk is full
+                return real_writev(fd, [memoryview(buffers[0])[:100]])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "writev", fill_up)
+        store = BlockStore(tmp_path)
+        key = block_key({"publish": "enospc"})
+        with pytest.raises(CacheError, match=key) as info:
+            store.put(key, _fanout_sub_block(33))
+        assert isinstance(info.value.__cause__, OSError)
+        assert info.value.__cause__.errno == errno.ENOSPC
+        assert len(calls) == 2
+        assert self._leftovers(tmp_path) == []
+        assert not store.contains(key)
+        assert store.counters.puts == store.counters.bytes_written == 0
+
+    def test_failed_fsync_is_a_typed_error_that_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        store = BlockStore(tmp_path)
+        key = block_key({"publish": "eio"})
+        with pytest.raises(CacheError, match=key) as info:
+            store.put(key, _fanout_sub_block(33))
+        assert info.value.__cause__.errno == errno.EIO
+        assert self._leftovers(tmp_path) == []
+        assert not store.contains(key)
+
+    def test_stream_campaign_on_a_full_disk_raises_a_repro_error(
+        self, acquisition, tmp_path, monkeypatch
+    ):
+        def full(fd, buffers):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "writev", full)
+        engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        with pytest.raises(ReproError, match="could not publish block"):
+            engine.stream_attack_many(
+                [acquisition], N_TRACES, key=KEY,
+                consumer_factory=partial(
+                    CPAAttack, acquisition.default_n_samples()
+                ),
+                seed=3,
+            )
+        assert self._leftovers(tmp_path) == []
+        assert engine.cache.stats().n_blocks == 0
 
 
 # ----------------------------------------------------------------------

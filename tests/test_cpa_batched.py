@@ -61,11 +61,38 @@ class TestGatherTable:
         assert cpa.SROW.nbytes == 65536
         for start in range(0, 65536, _BATCH_TILE_ROWS):
             rows = slice(start, start + _BATCH_TILE_ROWS)
-            block = cpa._HypothesisTile(cts[rows])._hypotheses()
-            assert block.dtype == np.uint8
+            block = cpa._HypothesisTile(cts[rows]).block(np.float32)
+            assert block.dtype == np.float32
             np.testing.assert_array_equal(
-                block[:, j, :], table[:, codes[rows] >> 8, codes[rows] & 0xFF].T
+                block.reshape(-1, 16, 256)[:, j, :],
+                table[:, codes[rows] >> 8, codes[rows] & 0xFF].T,
             )
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 700, _BATCH_TILE_ROWS])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_block_and_sums_match_the_whole_tile(self, rows, dtype):
+        # The block is built in chunks of _HYP_CHUNK_ROWS rows, the sums
+        # chunk by chunk; both equal the whole-tile hypotheses exactly.
+        cts = np.random.default_rng(rows).integers(
+            0, 256, size=(rows, 16), dtype=np.uint8
+        )
+        table = hypothesis_table()
+        whole = np.stack(
+            [table[:, cts[:, j], cts[:, SHIFT_ROWS_IDX[j]]].T for j in range(16)],
+            axis=1,
+        ).reshape(rows, 16 * 256)
+        tile = cpa._HypothesisTile(cts)
+        block = tile.block(dtype)
+        s_x, s_x2 = tile.sums()
+        assert block.dtype == s_x2.dtype == dtype
+        assert s_x.dtype == np.uint16
+        np.testing.assert_array_equal(block, whole)
+        np.testing.assert_array_equal(
+            s_x, whole.sum(axis=0, dtype=np.int64).reshape(16, 256)
+        )
+        np.testing.assert_array_equal(
+            s_x2, (whole.astype(np.int64) ** 2).sum(axis=0)
+        )
 
 
 class TestBitIdentity:

@@ -599,7 +599,7 @@ class TestConcurrentCampaigns:
 
         def buffers():
             return [
-                cpa._pool_array("u8", (4, 16, 256), np.uint8),
+                cpa._pool_array("hyp_chunk", (4, 16, 256), np.uint8),
                 kernel._workspace(640)["volts"],
                 *_FINALIZE_SCRATCH.blocks((4, 4096)),
             ]

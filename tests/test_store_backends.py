@@ -42,7 +42,7 @@ from repro.runtime.scheduler import (
 from repro.runtime.sharding import Shard
 from repro.timing.sampling import ClockSpec
 from repro.traces.acquisition import AcquisitionSpec
-from repro.traces.blockstore import BlockStore, open_store, verify_blob
+from repro.traces.blockstore import BlockStore, _serialize, open_store, verify_blob
 from repro.traces.store_backends import (
     CacheServer,
     HTTPBackend,
@@ -102,7 +102,7 @@ class TestLocalDirBackend:
         assert isinstance(backend, StoreBackend)
         assert backend.get_blob(K1) is None
         assert not backend.contains(K1)
-        backend.put_blob(K1, b"payload")
+        backend.put_blob(K1, [b"payload"])
         assert backend.contains(K1)
         assert backend.get_blob(K1) == b"payload"
         assert backend.delete(K1)
@@ -111,13 +111,19 @@ class TestLocalDirBackend:
 
     def test_put_leaves_no_tmp_files(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
-        backend.put_blob(K1, b"x" * 100)
+        backend.put_blob(K1, [b"x" * 100])
         leftovers = [
             p
             for sub in tmp_path.iterdir() if sub.is_dir()
             for p in sub.iterdir() if p.name.startswith(".tmp-")
         ]
         assert leftovers == []
+
+    def test_put_writes_more_parts_than_one_writev_takes(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        parts = [bytes([i % 251]) * (i % 3) for i in range(3000)]
+        backend.put_blob(K1, parts)
+        assert backend.get_blob(K1) == b"".join(parts)
 
     def test_validate_key_rejects_traversal(self):
         for bad in ("", "abc", "../" + "a" * 61, "A" * 64, K1 + "x"):
@@ -137,7 +143,7 @@ class TestHTTPBackend:
         backend = HTTPBackend(server.url)
         assert backend.ping()
         assert backend.get_blob(K1) is None
-        backend.put_blob(K1, blob)
+        backend.put_blob(K1, [blob])
         assert backend.contains(K1)
         assert backend.get_blob(K1) == blob
         present = contains_many(backend, [K1, K2])
@@ -148,13 +154,31 @@ class TestHTTPBackend:
         assert backend.delete(K1)
         assert not backend.contains(K1)
 
+    def test_multi_part_put_round_trips(self, tmp_path, server):
+        """A block's header and array views go over the wire unjoined;
+        the server re-verifies and stores exactly their concatenation."""
+        arrays = {
+            "traces": np.arange(4096 * 3, dtype=np.int16).reshape(4096, 3),
+            "cts": np.arange(4096 * 16, dtype=np.uint8).reshape(4096, 16),
+        }
+        head, buffers = _serialize(K1, arrays, {"note": "parts"})
+        parts = [head, *buffers]
+        assert len(parts) > 2
+        backend = HTTPBackend(server.url)
+        backend.put_blob(K1, parts)
+        blob = b"".join(parts)
+        assert backend.get_blob(K1) == blob
+        assert server.store.backend.get_blob(K1) == blob
+        verify_blob(blob, key=K1)
+        assert backend.stats()["counters"]["puts"] == 1
+
     def test_forked_child_abandons_inherited_connection(self, tmp_path, server):
         """Regression: a forked engine worker inherits the parent's
         keep-alive socket; speaking on it would interleave two
         processes' requests on one TCP stream (corrupted reads)."""
         blob = _make_blob(tmp_path / "scratch")
         backend = HTTPBackend(server.url)
-        backend.put_blob(K1, blob)
+        backend.put_blob(K1, [blob])
         inherited = backend._local.conn
         assert inherited is not None
         backend._local.pid = -1  # what a forked child observes
@@ -180,7 +204,7 @@ class TestHTTPBackend:
         blob[-1] ^= 0xFF  # flip a payload byte: digest no longer matches
         backend = HTTPBackend(server.url)
         with pytest.raises(RemoteCacheError, match="rejected"):
-            backend.put_blob(K1, bytes(blob))
+            backend.put_blob(K1, [bytes(blob)])
         assert not backend.contains(K1)
         assert backend.stats()["counters"]["rejected_puts"] == 1
 
@@ -188,7 +212,7 @@ class TestHTTPBackend:
         blob = _make_blob(tmp_path / "scratch", key=K1)
         backend = HTTPBackend(server.url)
         with pytest.raises(RemoteCacheError):
-            backend.put_blob(K2, blob)  # valid blob, wrong address
+            backend.put_blob(K2, [blob])  # valid blob, wrong address
         assert not backend.contains(K2)
 
     def test_dead_server_raises_remote_cache_error(self):
